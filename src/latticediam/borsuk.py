@@ -67,6 +67,20 @@ def build_borsuk_graph(
     return BorsukGraph(vertices=S, edges=report.segments, diam=report.ldiam)
 
 
+def _greedy_labels(
+    points: PointSet, adj: dict[Point, set[Point]]
+) -> dict[Point, int]:
+    """Smallest color free among earlier neighbours, point by point."""
+    labels: dict[Point, int] = {}
+    for p in points:  # PointSet iterates in lexicographic order
+        taken = {labels[nb] for nb in adj[p] if nb in labels}
+        color = 0
+        while color in taken:
+            color += 1
+        labels[p] = color
+    return labels
+
+
 def greedy_partition(
     S: PointSet,
     max_pairs: int = DEFAULT_PAIR_BUDGET,
@@ -79,14 +93,7 @@ def greedy_partition(
     lattice diameter) is verified before returning.
     """
     g = graph if graph is not None else build_borsuk_graph(S, max_pairs)
-    adj = g.adjacency()
-    labels: dict[Point, int] = {}
-    for p in g.vertices:  # PointSet iterates in lexicographic order
-        taken = {labels[nb] for nb in adj[p] if nb in labels}
-        color = 0
-        while color in taken:
-            color += 1
-        labels[p] = color
+    labels = _greedy_labels(g.vertices, g.adjacency())
     n_colors = max(labels.values()) + 1
     for p, q in g.edges:
         if labels[p] == labels[q]:  # pragma: no cover - greedy is always proper
@@ -179,30 +186,25 @@ def exact_borsuk_number(
     S: PointSet,
     max_pairs: int = DEFAULT_PAIR_BUDGET,
     node_budget: int = DEFAULT_NODE_BUDGET,
+    graph: Optional[BorsukGraph] = None,
 ) -> int:
     """Minimum number of strictly-smaller-diameter parts: the chromatic number
     of the diameter graph, by clique bound plus branch and bound."""
-    g = build_borsuk_graph(S, max_pairs)
+    g = graph if graph is not None else build_borsuk_graph(S, max_pairs)
     adj = g.adjacency()
+    labels = _greedy_labels(g.vertices, adj)
     budget = [node_budget]
     answer = 1
     for comp in _components(adj):
         if len(comp) == 1:
             continue
-        sub = {v: adj[v] & set(comp) for v in comp}
-        lower = len(_greedy_clique(sub, comp))
-        upper = 0
-        local: dict[Point, int] = {}
-        for v in comp:
-            taken = {local[nb] for nb in sub[v] if nb in local}
-            c = 0
-            while c in taken:
-                c += 1
-            local[v] = c
-            upper = max(upper, c + 1)
+        lower = len(_greedy_clique(adj, comp))
+        # neighbours share a component, so the global greedy coloring restricted
+        # to comp is the greedy coloring of comp alone
+        upper = max(labels[v] for v in comp) + 1
         best = upper
         for k in range(lower, upper):
-            if _k_colorable(comp, sub, k, budget):
+            if _k_colorable(comp, adj, k, budget):
                 best = k
                 break
         answer = max(answer, best)

@@ -9,13 +9,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from .borsuk import DEFAULT_NODE_BUDGET, exact_borsuk_number, greedy_partition
+from .borsuk import (
+    DEFAULT_NODE_BUDGET,
+    build_borsuk_graph,
+    exact_borsuk_number,
+    greedy_partition,
+)
 from .constructions import (
     demo_chamber,
     direction_maximal_polytope,
@@ -26,7 +30,13 @@ from .constructions import (
     vertex_avoiding_polytope,
     verify_hardness_instance,
 )
-from .core import Direction, PointSet, enumerate_lattice_points
+from .core import (
+    Direction,
+    PointSet,
+    Polygon2,
+    count_lattice_points_polygon,
+    enumerate_lattice_points,
+)
 from .diameter import compute_diameter
 from .dilation import chamber_decomposition, count_diameter_lines, fit_quasipolynomial
 from .documents import (
@@ -45,7 +55,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .oracle import DEFAULT_PAIR_BUDGET, brute_force_diameter
+from .oracle import DEFAULT_PAIR_BUDGET, brute_force_diameter, check_pair_budget
 from .svg import render_diameter_svg
 
 __all__ = ["run", "main"]
@@ -65,9 +75,16 @@ def _fmt_coords(p: Sequence[int | Fraction]) -> str:
     return "(" + ",".join(str(c) for c in p) + ")"
 
 
-def _point_set_from(doc: Document) -> PointSet:
+def _polygon_points(P: Polygon2, budget: int) -> PointSet:
+    """The lattice points of P for an oracle scan, refused by Pick's count
+    before a single point is listed."""
+    check_pair_budget(count_lattice_points_polygon(P), budget)
+    return enumerate_lattice_points(P)
+
+
+def _point_set_from(doc: Document, budget: int) -> PointSet:
     if doc.kind == "polygon":
-        return enumerate_lattice_points(polygon_from_document(doc))
+        return _polygon_points(polygon_from_document(doc), budget)
     if doc.kind == "point_set":
         return point_set_from_document(doc)
     raise ValidationError(f"cannot build a point set from a {doc.kind!r} document")
@@ -77,8 +94,9 @@ def _cmd_diam2d(args: argparse.Namespace) -> int:
     P = polygon_from_document(load_document(args.input))
     report = compute_diameter(P)
     if args.svg:
+        svg = render_diameter_svg(P, report)  # a failed render leaves no file
         with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(render_diameter_svg(P, report))
+            fh.write(svg)
     print(
         f"ldiam={report.ldiam} directions={len(report.directions)} "
         f"lines={len(report.lines)}"
@@ -89,7 +107,7 @@ def _cmd_diam2d(args: argparse.Namespace) -> int:
             f"segment={_fmt_coords(clip.a)}->{_fmt_coords(clip.b)}"
         )
     if args.verify:
-        oracle = brute_force_diameter(enumerate_lattice_points(P), args.budget)
+        oracle = brute_force_diameter(_polygon_points(P, args.budget), args.budget)
         if oracle.ldiam != report.ldiam or oracle.directions != report.directions:
             print(
                 f"verify: MISMATCH oracle ldiam={oracle.ldiam} "
@@ -102,7 +120,7 @@ def _cmd_diam2d(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    S = _point_set_from(load_document(args.input))
+    S = _point_set_from(load_document(args.input), args.budget)
     report = brute_force_diameter(S, args.budget)
     print(
         f"ldiam={report.ldiam} segments={len(report.segments)} "
@@ -114,7 +132,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_directions(args: argparse.Namespace) -> int:
-    S = _point_set_from(load_document(args.input))
+    S = _point_set_from(load_document(args.input), args.budget)
     report = brute_force_diameter(S, args.budget)
     print(f"directions={len(report.directions)}")
     for u in report.directions:
@@ -153,18 +171,19 @@ def _cmd_ld_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_borsuk(args: argparse.Namespace) -> int:
-    S = _point_set_from(load_document(args.input))
+    S = _point_set_from(load_document(args.input), args.budget)
     bound = 2**S.dim
     if len(S) == 1:
         print(f"parts=1 bound=2^{S.dim}={bound}")
         print(json.dumps({"labels": [0], "parts": 1}, sort_keys=True))
         print("single point: diameter 0, partition already minimal", file=sys.stderr)
         return 0
-    partition = greedy_partition(S, args.budget)
+    graph = build_borsuk_graph(S, args.budget)
+    partition = greedy_partition(S, graph=graph)
     labels = [partition.labels[p] for p in S.points]
     summary = f"parts={len(partition.parts)} bound=2^{S.dim}={bound}"
     if args.exact:
-        chi = exact_borsuk_number(S, args.budget, args.node_budget)
+        chi = exact_borsuk_number(S, node_budget=args.node_budget, graph=graph)
         summary += f" chi={chi}"
     print(summary)
     print(json.dumps({"labels": labels, "parts": len(partition.parts)}, sort_keys=True))
@@ -350,23 +369,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_thread_env() -> None:
-    raw = os.environ.get("LATTICEDIAM_THREADS")
-    if raw is None:
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValidationError(f"LATTICEDIAM_THREADS={raw!r} is not an integer") from None
-    if n < 1:
-        raise ValidationError("LATTICEDIAM_THREADS must be >= 1")
-
-
 def run(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_thread_env()
         return args.handler(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

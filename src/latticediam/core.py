@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd
-from typing import Iterable, Sequence, Union
+from math import gcd
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import ValidationError
 
@@ -24,6 +24,7 @@ __all__ = [
     "PointSet",
     "as_point",
     "segment_lattice_count",
+    "level_interval",
     "enumerate_lattice_points",
     "count_lattice_points_polygon",
     "lattice_width",
@@ -184,6 +185,42 @@ class Polygon2:
         return Polygon2(tuple((k * x, k * y) for x, y in self.vertices))
 
 
+def level_interval(
+    halfplanes: Sequence[tuple[Point, int]], x0: Point, u: Point
+) -> Optional[tuple[int, int]]:
+    """Integer parameter range of {x0 + k*u : k in Z} inside the halfplanes.
+
+    This is the one kernel that counts lattice points on a lattice line. Each
+    constraint <n, x0> + k <n, u> <= c becomes a floor/ceil division bound on
+    k; a Fraction constant c stays exact, since Fraction // int is an exact
+    floor. Returns (klo, khi) or None when empty.
+    """
+    klo: int | None = None
+    khi: int | None = None
+    x, y = x0
+    ux, uy = u
+    for (nx, ny), c in halfplanes:
+        s = c - (nx * x + ny * y)
+        t = nx * ux + ny * uy
+        if t == 0:
+            if s < 0:
+                return None
+            continue
+        if t > 0:
+            bound = s // t  # k <= floor(s / t)
+            khi = bound if khi is None else min(khi, bound)
+        else:
+            bound = -(s // -t)  # k >= ceil(s / t), exact for t < 0
+            klo = bound if klo is None else max(klo, bound)
+    if klo is None or khi is None:
+        # the halfplanes do not bound the line on both sides; callers always
+        # pass full polygons, so treat as invalid input
+        raise ValidationError("halfplanes do not bound the line")
+    if klo > khi:
+        return None
+    return klo, khi
+
+
 @dataclass(frozen=True)
 class PointSet:
     """A finite nonempty set of lattice points of one dimension, stored sorted."""
@@ -213,33 +250,15 @@ class PointSet:
         return tuple(p) in set(self.points)
 
 
-def _chord(P: Polygon2, y: int) -> tuple[Fraction, Fraction] | None:
-    """Exact x-interval of the horizontal chord of P at height y."""
-    xs: list[Fraction] = []
-    for (x1, y1), (x2, y2) in P.edges():
-        if y1 == y2:
-            if y1 == y:
-                xs.append(Fraction(x1))
-                xs.append(Fraction(x2))
-            continue
-        if min(y1, y2) <= y <= max(y1, y2):
-            xs.append(Fraction(x1) + Fraction(y - y1, y2 - y1) * (x2 - x1))
-    if not xs:
-        return None
-    return min(xs), max(xs)
-
-
 def enumerate_lattice_points(P: Polygon2) -> PointSet:
     """All lattice points of P, by exact row scan, in lexicographic order."""
     (_, ymin), (_, ymax) = P.bounding_box()
+    halfplanes = P.halfplanes()
     pts: list[Point] = []
     for y in range(ymin, ymax + 1):
-        chord = _chord(P, y)
-        if chord is None:
-            continue
-        lo, hi = chord
-        for x in range(ceil(lo), floor(hi) + 1):
-            pts.append((x, y))
+        row = level_interval(halfplanes, (0, y), (1, 0))
+        if row is not None:
+            pts.extend((x, y) for x in range(row[0], row[1] + 1))
     return PointSet(pts)
 
 

@@ -72,25 +72,6 @@ def opposite_pairs(P: Polygon2) -> list[OppositePair]:
     return pairs
 
 
-def _triangle_halfplanes(
-    v: Point, p: Point, q: Point
-) -> list[tuple[Point, int]]:
-    """Outward halfplanes of the (possibly degenerate) triangle conv{v, p, q}."""
-    hps: list[tuple[Point, int]] = []
-    corners = (v, p, q)
-    for i in range(3):
-        a, b, other = corners[i], corners[(i + 1) % 3], corners[(i + 2) % 3]
-        n = (b[1] - a[1], a[0] - b[0])
-        if n == (0, 0):
-            continue
-        c = n[0] * a[0] + n[1] * a[1]
-        if n[0] * other[0] + n[1] * other[1] > c:
-            n = (-n[0], -n[1])
-            c = -c
-        hps.append((n, c))
-    return hps
-
-
 def _collinear_case(v: Point, p: Point, q: Point) -> list[LatticeLine]:
     # Degenerate triangle: the hull is a segment (or a point). At most one
     # candidate line exists, the affine hull, provided it has a point besides v.
@@ -134,7 +115,7 @@ def local_diameter_lines(
         raise ValidationError("normal is not perpendicular to the edge")
     if level_p <= level_v:
         raise ValidationError("normal must point from the vertex toward the edge")
-    halfplanes = _triangle_halfplanes(v, p, q)
+    halfplanes = Polygon2((v, p, q) if cross > 0 else (v, q, p)).halfplanes()
     anchor, step = level_anchor(a)
     ux, uy = step.vec
     found: list[Point] = []

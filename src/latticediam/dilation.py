@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import gcd
 from typing import Sequence
 
-from .core import Direction, Point, Polygon2, RationalPoint
+from .core import Direction, Point, Polygon2, RationalPoint, level_interval
 from .diameter import compute_diameter
 from .errors import FitError, ValidationError
 from .lines import clip_line, nvol
@@ -169,23 +169,6 @@ def _as_fraction_point(p: Sequence) -> RationalPoint:
         raise ValidationError(f"bad rational point {p!r}") from exc
 
 
-def _chamber_chord_count(
-    bottom: tuple[RationalPoint, RationalPoint],
-    top: tuple[RationalPoint, RationalPoint],
-    k: int,
-    height: int,
-) -> int:
-    """Lattice points on the horizontal lattice line at `height` inside the
-    dilate k * conv(bottom, top); the transverse edges are bottom[j] -> top[j]."""
-    xs: list[Fraction] = []
-    for j in (0, 1):
-        (x0, y0), (x1, y1) = bottom[j], top[j]
-        x0, y0, x1, y1 = k * x0, k * y0, k * x1, k * y1
-        xs.append(x0 + (x1 - x0) * Fraction(height - y0, y1 - y0))
-    lo, hi = min(xs), max(xs)
-    return max(0, floor(hi) - ceil(lo) + 1)
-
-
 def chamber_decomposition(
     vertices: Sequence[Sequence], u: Direction | Sequence[int]
 ) -> BlockDecomposition:
@@ -247,16 +230,19 @@ def chamber_decomposition(
     if q < 1:
         raise ValidationError("transverse direction must leave the horizontal")
     y0 = int(y_bot)
+    # <(iy, -ix), x> is constant along a transverse edge: L on the left edge
+    # (through bottom[0]) and R on the right one; both may be Fractions.
+    L = iy * bottom[0][0] - ix * bottom[0][1]
+    R = iy * bottom[1][0] - ix * bottom[1][1]
     per_residue: list[tuple[int, int, int]] = []
-    bot_pair = (bottom[0], bottom[1])
-    top_pair = (top[0], top[1])
     for i in range(q):
         k = q + i  # representative with at least one full block
         total_lines = k * w + 1
-        counts = [
-            _chamber_chord_count(bot_pair, top_pair, k, k * y0 + j)
-            for j in range(total_lines)
-        ]
+        sides = [((-iy, ix), -k * L), ((iy, -ix), k * R)]
+        counts = []
+        for j in range(total_lines):
+            row = level_interval(sides, (0, k * y0 + j), (1, 0))
+            counts.append(0 if row is None else row[1] - row[0] + 1)
         peak = max(counts)
         flags = [c == peak for c in counts]
         blocks = total_lines // q

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import ceil, floor, gcd
 from typing import Optional, Sequence
 
-from .core import Direction, Point, Polygon2, RationalPoint, as_point
+from .core import Direction, Point, Polygon2, RationalPoint, as_point, level_interval
 from .errors import ValidationError
 
 __all__ = [
@@ -140,7 +140,8 @@ def lattice_count_on_clip(segment: ClippedSegment) -> int:
 # Integer-only level machinery. A primitive functional a and an integer level
 # beta define the lattice line {x : <a, x> = beta}; its lattice points are
 # anchor(beta) + k * u with u perpendicular to a. Clipping in the k-parameter
-# needs only floor divisions, which keeps the diameter sweeps fast.
+# (level_interval) needs only floor divisions, which keeps the diameter sweeps
+# fast.
 
 
 def level_anchor(a: Point) -> tuple[Point, Direction]:
@@ -164,37 +165,3 @@ def level_anchor(a: Point) -> tuple[Point, Direction]:
     if old_r < 0:
         old_s, old_t = -old_s, -old_t
     return (old_s, old_t), Direction((-a2, a1))
-
-
-def level_interval(
-    halfplanes: Sequence[tuple[Point, int]], x0: Point, u: Point
-) -> Optional[tuple[int, int]]:
-    """Integer parameter range of {x0 + k*u : k in Z} inside the halfplanes.
-
-    Pure integer arithmetic: each constraint <n, x0> + k <n, u> <= c becomes a
-    floor/ceil division bound on k. Returns (klo, khi) or None when empty.
-    """
-    klo: int | None = None
-    khi: int | None = None
-    x, y = x0
-    ux, uy = u
-    for (nx, ny), c in halfplanes:
-        s = c - (nx * x + ny * y)
-        t = nx * ux + ny * uy
-        if t == 0:
-            if s < 0:
-                return None
-            continue
-        if t > 0:
-            bound = s // t  # k <= floor(s / t)
-            khi = bound if khi is None else min(khi, bound)
-        else:
-            bound = -(s // -t)  # k >= ceil(s / t), exact for t < 0
-            klo = bound if klo is None else max(klo, bound)
-    if klo is None or khi is None:
-        # the halfplanes do not bound the line on both sides; callers always
-        # pass full polygons, so treat as invalid input
-        raise ValidationError("halfplanes do not bound the line")
-    if klo > khi:
-        return None
-    return klo, khi

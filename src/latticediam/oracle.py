@@ -17,6 +17,7 @@ from .errors import BudgetError, ValidationError
 __all__ = [
     "DEFAULT_PAIR_BUDGET",
     "OracleReport",
+    "check_pair_budget",
     "brute_force_diameter",
     "diameter_directions",
     "check_rabinowitz",
@@ -89,6 +90,15 @@ def _scan_pairs(pts: tuple[Point, ...]) -> tuple[int, list[tuple[int, int]]]:
     return best, hits
 
 
+def check_pair_budget(n: int, max_pairs: int) -> None:
+    """Raise BudgetError when a pair scan of n points would exceed max_pairs."""
+    pairs = n * (n - 1) // 2
+    if pairs > max_pairs:
+        raise BudgetError(
+            f"{n} points give {pairs} pairs, over the budget of {max_pairs}"
+        )
+
+
 def brute_force_diameter(
     S: PointSet, max_pairs: int = DEFAULT_PAIR_BUDGET
 ) -> OracleReport:
@@ -98,12 +108,8 @@ def brute_force_diameter(
     runs at desk scale.
     """
     pts = S.points
-    n = len(pts)
-    if n * (n - 1) // 2 > max_pairs:
-        raise BudgetError(
-            f"{n} points give {n * (n - 1) // 2} pairs, over the budget of {max_pairs}"
-        )
-    if n == 1:
+    check_pair_budget(len(pts), max_pairs)
+    if len(pts) == 1:
         return OracleReport(
             ldiam=0, segments=(), directions=(), per_point_degree={pts[0]: 0}
         )

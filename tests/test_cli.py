@@ -1,6 +1,9 @@
 """End-to-end command line behavior: outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,7 +17,7 @@ from latticediam import (
     parse_document,
     render_document,
 )
-from latticediam import cli
+from latticediam import BudgetError, borsuk, cli
 
 from helpers import QUAD, SQUARE
 
@@ -60,6 +63,15 @@ class TestDiam2d:
         assert body.startswith("<svg")
         assert body.rstrip().endswith("</svg>")
 
+    def test_failed_svg_leaves_no_file(self, quad_file, tmp_path, monkeypatch):
+        def failing_render(P, report):
+            raise BudgetError("picture too large")
+
+        monkeypatch.setattr(cli, "render_diameter_svg", failing_render)
+        svg_path = tmp_path / "out.svg"
+        assert cli.run(["diam2d", quad_file, "--svg", str(svg_path)]) != 0
+        assert not svg_path.exists()
+
     def test_rejects_point_set_document(self, tmp_path, capsys):
         doc = document_for_point_set(PointSet([(0, 0), (1, 1)]))
         path = write_doc(tmp_path, doc)
@@ -95,6 +107,24 @@ class TestOracleAndDirections:
         path = str(SAMPLES / "box-4x2-points.json")
         assert cli.run(["oracle", path, "--budget", "1"]) == 6
         assert "error:" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["oracle"], ["directions"], ["borsuk", "--exact"], ["diam2d", "--verify"]],
+    )
+    def test_polygon_refused_before_listing_points(
+        self, argv, tmp_path, capsys, monkeypatch
+    ):
+        # 8,006,001 lattice points: Pick's count refuses without listing one
+        def no_listing(P):
+            raise AssertionError("lattice points listed before the budget check")
+
+        monkeypatch.setattr(cli, "enumerate_lattice_points", no_listing)
+        triangle = Polygon2(((0, 0), (4000, 0), (0, 4000)))
+        path = write_doc(tmp_path, document_for_polygon(triangle))
+        assert cli.run([argv[0], path] + argv[1:]) == 6
+        assert "8006001 points give" in capsys.readouterr().err
 
 
 class TestLdCount:
@@ -152,6 +182,19 @@ class TestBorsuk:
         assert cli.run(["borsuk", square_file, "--exact"]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "parts=4 bound=2^2=4 chi=4"
+
+    def test_exact_builds_one_diameter_graph(self, square_file, monkeypatch):
+        calls = []
+        scan = borsuk.brute_force_diameter
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(borsuk, "brute_force_diameter", counted)
+        monkeypatch.setattr(cli, "brute_force_diameter", counted)
+        assert cli.run(["borsuk", square_file, "--exact"]) == 0
+        assert len(calls) == 1
 
     def test_single_point(self, tmp_path, capsys):
         path = write_doc(tmp_path, document_for_point_set(PointSet([(3, 4)])))
@@ -275,12 +318,18 @@ class TestTopLevel:
             cli.run(["mystery"])
         assert exc.value.code == 2
 
-    def test_thread_env_validation(self, quad_file, capsys, monkeypatch):
-        monkeypatch.setenv("LATTICEDIAM_THREADS", "abc")
-        assert cli.run(["diam2d", quad_file]) == 3
-        capsys.readouterr()
-        monkeypatch.setenv("LATTICEDIAM_THREADS", "0")
-        assert cli.run(["diam2d", quad_file]) == 3
-        capsys.readouterr()
-        monkeypatch.setenv("LATTICEDIAM_THREADS", "2")
-        assert cli.run(["diam2d", quad_file]) == 0
+    def test_python_dash_m(self, capsys):
+        sample = str(SAMPLES / "demo-quad.json")
+        assert cli.run(["diam2d", sample]) == 0
+        expected = capsys.readouterr().out
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "latticediam", "diam2d", sample],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0
+        assert done.stdout == expected

@@ -144,6 +144,17 @@ class TestChamberDecomposition:
         assert (dec.q, dec.w) == (3, 2)
         assert dec.per_residue == ((1, 1, 1), (3, 0, 0), (2, 2, 2))
 
+    def test_demo_chamber_mirrored_and_translated(self):
+        verts, u = demo_chamber()
+        want = chamber_decomposition(verts, u)
+        mirrored = [(-x, y) for x, y in verts]
+        translated = [(x + 7, y - 4) for x, y in verts]
+        for image in (mirrored, translated):
+            dec = chamber_decomposition(image, u)
+            assert (dec.q, dec.w, dec.per_residue) == (
+                want.q, want.w, want.per_residue
+            )
+
     def test_counts_reproduce_quad_counts(self):
         verts, u = demo_chamber()
         dec = chamber_decomposition(verts, u)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import ceil, floor
 
@@ -11,6 +12,7 @@ from latticediam import (
     Polygon2,
     ValidationError,
     clip_line,
+    count_lattice_points_polygon,
     lattice_count_on_clip,
     nvol,
 )
@@ -139,6 +141,33 @@ class TestLevelScan:
     def test_interval_unbounded_raises(self):
         with pytest.raises(ValidationError):
             level_interval([((0, 1), 3)], (0, 0), (1, 0))
+
+    def test_rows_of_thin_polygons_at_wide_spans(self):
+        # far beyond the span <= 24 of the property tests; no point is listed
+        rng = random.Random(20250827)
+        for width in (10**2, 10**3, 10**4, 10**5, 10**6) * 8:
+            verts = None
+            while verts is None:
+                ox, oy = rng.randint(-(10**6), 10**6), rng.randint(-50, 50)
+                height = rng.randint(1, 12)
+                verts = convex_hull(
+                    (ox + rng.randint(0, width), oy + rng.randint(0, height))
+                    for _ in range(rng.randint(3, 8))
+                )
+            P = Polygon2(verts)
+            hps = P.halfplanes()
+            (_, ymin), (_, ymax) = P.bounding_box()
+            total = 0
+            for y in range(ymin, ymax + 1):
+                row = level_interval(hps, (0, y), (1, 0))
+                if row is None:
+                    continue
+                lo, hi = row
+                assert P.contains((lo, y)) and P.contains((hi, y))
+                assert not P.contains((lo - 1, y))
+                assert not P.contains((hi + 1, y))
+                total += hi - lo + 1
+            assert total == count_lattice_points_polygon(P)
 
     @given(polygon_and_line())
     @settings(max_examples=300, deadline=None)
