@@ -39,10 +39,15 @@ class BorsukGraph:
     diam: int
 
     def adjacency(self) -> dict[Point, set[Point]]:
-        adj: dict[Point, set[Point]] = {p: set() for p in self.vertices}
-        for p, q in self.edges:
-            adj[p].add(q)
-            adj[q].add(p)
+        """Neighbour sets, built on first use and shared by every later
+        reader of this graph, so they must not be mutated."""
+        adj = self.__dict__.get("_adjacency")
+        if adj is None:
+            adj = {p: set() for p in self.vertices}
+            for p, q in self.edges:
+                adj[p].add(q)
+                adj[q].add(p)
+            object.__setattr__(self, "_adjacency", adj)
         return adj
 
     def max_degree(self) -> int:

@@ -6,7 +6,8 @@ scan of the integer levels of the edge normal, taking at each step the lowest
 lattice point not already covered by an earlier candidate line. Candidates are
 then ranked by their exact lattice point count in the whole polygon; the best
 count determines the diameter, and a per-direction level sweep recovers every
-line attaining it (some diameter lines pass through no vertex at all).
+line attaining it (some diameter lines pass through no vertex at all). That
+sweep visits only the levels whose chord can reach the best count.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ __all__ = [
     "DiameterReport",
     "opposite_pairs",
     "local_diameter_lines",
+    "diameter_levels",
     "compute_diameter",
     "u_diameter_line",
 ]
@@ -148,26 +150,78 @@ def local_diameter_lines(
     ]
 
 
+def _chord_window(
+    halfplanes: list[tuple[Point, int]],
+    vertices: tuple[Point, ...],
+    u: Direction,
+    anchor: Point,
+    min_chord: int,
+) -> range:
+    """Levels beta of the lattice lines anchor*beta + k*u whose chord through
+    the polygon is at least min_chord, within the vertex level range.
+
+    The halfplanes bound k by U(beta) = min over <n,u> > 0 and L(beta) = max
+    over <n,u> < 0, each linear in beta. The chord U - L is at least m
+    exactly when every (upper, lower) pair satisfies U_i - L_j >= m: one
+    linear inequality in beta per pair, solved with floor divisions after
+    clearing the positive denominator t_i * |t_j|. A level outside the
+    window holds at most m lattice points, and one inside holds at least m
+    (the floor/+1 sandwich).
+    """
+    a = (-u.vec[1], u.vec[0])
+    levels = [a[0] * v[0] + a[1] * v[1] for v in vertices]
+    lo, hi = min(levels), max(levels)
+    upper: list[tuple[int, int, int]] = []
+    lower: list[tuple[int, int, int]] = []
+    for (nx, ny), c in halfplanes:
+        t = nx * u.vec[0] + ny * u.vec[1]
+        e = nx * anchor[0] + ny * anchor[1]  # <n, anchor*beta> = beta * e
+        if t > 0:
+            upper.append((t, e, c))
+        elif t < 0:
+            lower.append((t, e, c))
+    for ti, ei, ci in upper:
+        for tj, ej, cj in lower:
+            # (ci - beta*ei)/ti - (cj - beta*ej)/tj >= m, times ti*|tj|
+            A = ti * ej - tj * ei
+            B = min_chord * ti * tj + ti * cj - tj * ci
+            if A > 0:
+                hi = min(hi, B // A)  # beta <= floor(B / A)
+            elif A < 0:
+                lo = max(lo, -(B // -A))  # beta >= ceil(B / A)
+            elif B < 0:
+                return range(0)
+    return range(lo, hi + 1)
+
+
 def _direction_sweep(
     halfplanes: list[tuple[Point, int]],
     vertices: tuple[Point, ...],
     u: Direction,
+    min_chord: int,
 ) -> Iterator[tuple[int, int, Point]]:
-    """(level, lattice count, anchor point) for every lattice line of direction u
-    meeting the polygon described by the halfplanes."""
-    a = (-u.vec[1], u.vec[0])
-    anchor, step = level_anchor(a)
+    """(level, lattice count, anchor point) for the lattice lines of direction u
+    meeting the polygon in a chord of at least min_chord.
+
+    min_chord = best - 1 keeps every level holding best lattice points;
+    min_chord = 0 keeps every level meeting the polygon.
+    """
+    anchor, step = level_anchor((-u.vec[1], u.vec[0]))
     assert step.vec == u.vec
-    levels = [a[0] * v[0] + a[1] * v[1] for v in vertices]
-    for beta in range(min(levels), max(levels) + 1):
+    for beta in _chord_window(halfplanes, vertices, u, anchor, min_chord):
         x0 = (anchor[0] * beta, anchor[1] * beta)
         iv = level_interval(halfplanes, x0, u.vec)
         if iv is not None:
             yield beta, iv[1] - iv[0] + 1, x0
 
 
-def compute_diameter(P: Polygon2) -> DiameterReport:
-    """Exact lattice diameter of P with all diameter lines and directions."""
+def diameter_levels(P: Polygon2) -> tuple[int, list[tuple[Direction, list[Point]]]]:
+    """The best lattice count of a line through P and, per diameter direction
+    in sorted order, the anchors of the levels holding that count.
+
+    The anchors are lattice points of the diameter lines, in increasing
+    level; no diameter line is built.
+    """
     halfplanes = P.halfplanes()
     candidates: set[LatticeLine] = set()
     for pair in opposite_pairs(P):
@@ -175,21 +229,27 @@ def compute_diameter(P: Polygon2) -> DiameterReport:
             local_diameter_lines(pair.edge, pair.vertex, pair.normal)
         )
     best = 0
-    by_count: list[tuple[int, LatticeLine]] = []
+    directions: set[Direction] = set()
     for line in candidates:
         iv = level_interval(halfplanes, line.base, line.dir.vec)
         if iv is None:
             continue
         count = iv[1] - iv[0] + 1
-        by_count.append((count, line))
         if count > best:
-            best = count
-    directions = sorted({line.dir for count, line in by_count if count == best})
-    lines: list[LatticeLine] = []
-    for u in directions:
-        for _, count, x0 in _direction_sweep(halfplanes, P.vertices, u):
-            if count == best:
-                lines.append(LatticeLine(x0, u))
+            best, directions = count, set()
+        if count == best:
+            directions.add(line.dir)
+    levels: list[tuple[Direction, list[Point]]] = []
+    for u in sorted(directions):
+        sweep = _direction_sweep(halfplanes, P.vertices, u, best - 1)
+        levels.append((u, [x0 for _, count, x0 in sweep if count == best]))
+    return best, levels
+
+
+def compute_diameter(P: Polygon2) -> DiameterReport:
+    """Exact lattice diameter of P with all diameter lines and directions."""
+    best, levels = diameter_levels(P)
+    lines = [LatticeLine(x0, u) for u, anchors in levels for x0 in anchors]
     lines.sort(key=lambda L: (L.dir.vec, L.base))
     reps: list[ClippedSegment] = []
     seen: set[Direction] = set()
@@ -202,7 +262,7 @@ def compute_diameter(P: Polygon2) -> DiameterReport:
     return DiameterReport(
         ldiam=best - 1,
         lines=tuple(lines),
-        directions=tuple(directions),
+        directions=tuple(u for u, _ in levels),
         representative_segments=tuple(reps),
     )
 
@@ -220,7 +280,7 @@ def u_diameter_line(P: Polygon2, u: Direction | Sequence[int]) -> Optional[Latti
     halfplanes = P.halfplanes()
     best: tuple[int, int] | None = None  # (count, -beta) maximized
     best_anchor: Point | None = None
-    for beta, count, x0 in _direction_sweep(halfplanes, P.vertices, d):
+    for beta, count, x0 in _direction_sweep(halfplanes, P.vertices, d, 0):
         key = (count, -beta)
         if best is None or key > best:
             best = key

@@ -20,7 +20,7 @@ from math import gcd
 from typing import Sequence
 
 from .core import Direction, Point, Polygon2, RationalPoint, level_interval
-from .diameter import compute_diameter
+from .diameter import compute_diameter, diameter_levels
 from .errors import FitError, ValidationError
 from .lines import clip_line, nvol
 
@@ -83,8 +83,12 @@ class BlockDecomposition:
 
 
 def count_diameter_lines(P: Polygon2, k: int) -> int:
-    """Number of lattice diameter lines of the dilate kP, exactly."""
-    return len(compute_diameter(P.dilate(k)).lines)
+    """Number of lattice diameter lines of the dilate kP, exactly.
+
+    Counts the diameter levels of kP per direction; no line is built.
+    """
+    _, levels = diameter_levels(P.dilate(k))
+    return sum(len(anchors) for _, anchors in levels)
 
 
 def _divisors(n: int) -> list[int]:

@@ -196,6 +196,20 @@ class TestBorsuk:
         assert cli.run(["borsuk", square_file, "--exact"]) == 0
         assert len(calls) == 1
 
+    def test_exact_builds_adjacency_once(self, square_file, monkeypatch):
+        adjs = []
+        adjacency = borsuk.BorsukGraph.adjacency
+
+        def recorded(self):
+            adjs.append(adjacency(self))
+            return adjs[-1]
+
+        monkeypatch.setattr(borsuk.BorsukGraph, "adjacency", recorded)
+        assert cli.run(["borsuk", square_file, "--exact"]) == 0
+        # greedy_partition and exact_borsuk_number both read it
+        assert len(adjs) >= 2
+        assert all(adj is adjs[0] for adj in adjs)
+
     def test_single_point(self, tmp_path, capsys):
         path = write_doc(tmp_path, document_for_point_set(PointSet([(3, 4)])))
         assert cli.run(["borsuk", path]) == 0
@@ -318,7 +332,8 @@ class TestTopLevel:
             cli.run(["mystery"])
         assert exc.value.code == 2
 
-    def test_python_dash_m(self, capsys):
+    @staticmethod
+    def _same_as_run(module, capsys):
         sample = str(SAMPLES / "demo-quad.json")
         assert cli.run(["diam2d", sample]) == 0
         expected = capsys.readouterr().out
@@ -328,8 +343,14 @@ class TestTopLevel:
             p for p in (src, env.get("PYTHONPATH")) if p
         )
         done = subprocess.run(
-            [sys.executable, "-m", "latticediam", "diam2d", sample],
+            [sys.executable, "-m", module, "diam2d", sample],
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert done.returncode == 0
         assert done.stdout == expected
+
+    def test_python_dash_m(self, capsys):
+        self._same_as_run("latticediam", capsys)
+
+    def test_python_dash_m_cli_module(self, capsys):
+        self._same_as_run("latticediam.cli", capsys)

@@ -1,9 +1,11 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import QUAD, SQUARE, TRIANGLE, random_polygon
+from latticediam import diameter
 from latticediam import (
     Direction,
     LatticeLine,
@@ -18,6 +20,9 @@ from latticediam import (
     opposite_pairs,
     u_diameter_line,
 )
+from latticediam.lines import level_anchor, level_interval
+
+T19 = Polygon2(((0, 0), (18, 1), (-1, 19)))
 
 
 class TestOppositePairs:
@@ -151,3 +156,92 @@ def test_line_set_is_complete(seed):
                 clip = clip_line(P, line)
                 if clip and lattice_count_on_clip(clip) == rep.ldiam + 1:
                     assert line in reported
+
+
+def unwindowed_counts(P: Polygon2, u: Direction) -> dict[int, int]:
+    """Lattice count of every level of direction u across P, walked level by
+    level from the lowest vertex level to the highest (the sweep before the
+    chord window)."""
+    a = (-u.vec[1], u.vec[0])
+    anchor, _ = level_anchor(a)
+    levels = [a[0] * x + a[1] * y for x, y in P.vertices]
+    halfplanes = P.halfplanes()
+    counts = {}
+    for beta in range(min(levels), max(levels) + 1):
+        iv = level_interval(halfplanes, (anchor[0] * beta, anchor[1] * beta), u.vec)
+        counts[beta] = 0 if iv is None else iv[1] - iv[0] + 1
+    return counts
+
+
+def unimodular(rng: random.Random, reach: int) -> tuple[int, int, int, int]:
+    """A random integer matrix (a, b, c, d) with ad - bc = 1: a product of shears."""
+    a, b, c, d = 1, 0, 0, 1
+    for _ in range(2):
+        s, t = rng.randint(-reach, reach), rng.randint(-reach, reach)
+        a, b = a + s * c, b + s * d  # row 1 += s * row 2
+        c, d = c + t * a, d + t * b  # row 2 += t * row 1
+    return a, b, c, d
+
+
+def wide_polygons(n: int):
+    """Seeded polygons with x-spans up to 10^6: unimodular images of small
+    random polygons, so their level walks stay short."""
+    rng = random.Random(20251018)
+    out = []
+    while len(out) < n:
+        small = random_polygon(rng, span_hi=10)
+        a, b, c, d = unimodular(rng, 10 ** rng.randint(0, 2))
+        assert a * d - b * c == 1
+        P = Polygon2(tuple((a * x + b * y, c * x + d * y) for x, y in small.vertices))
+        (xlo, _), (xhi, _) = P.bounding_box()
+        if xhi - xlo <= 10**6:
+            out.append(P)
+    return out
+
+
+class TestChordWindow:
+    def test_window_keeps_every_level_that_can_reach_m_plus_one(self):
+        spans = []
+        for P in wide_polygons(150):
+            (xlo, _), (xhi, _) = P.bounding_box()
+            spans.append(xhi - xlo)
+            report = compute_diameter(P)
+            best = report.ldiam + 1
+            dirs = set(report.directions)
+            dirs.update(Direction((b[0] - a[0], b[1] - a[1])) for a, b in P.edges())
+            for u in dirs:
+                anchor, _ = level_anchor((-u.vec[1], u.vec[0]))
+                counts = unwindowed_counts(P, u)
+                for m in range(1, best + 1):
+                    window = diameter._chord_window(P.halfplanes(), P.vertices, u, anchor, m)
+                    for beta, count in counts.items():
+                        if count >= m + 1:
+                            assert beta in window, (P, u, m, beta)
+                    for beta in window:
+                        assert counts[beta] >= m, (P, u, m, beta)
+        assert max(spans) > 10**5
+
+    def test_zero_chord_window_is_the_vertex_level_range(self):
+        for P in wide_polygons(20):
+            for a, b in P.edges():
+                u = Direction((b[0] - a[0], b[1] - a[1]))
+                anchor, _ = level_anchor((-u.vec[1], u.vec[0]))
+                window = diameter._chord_window(P.halfplanes(), P.vertices, u, anchor, 0)
+                assert list(window) == list(unwindowed_counts(P, u))
+
+
+class TestSweepWork:
+    @pytest.mark.parametrize("P", [T19, QUAD, SQUARE], ids=["T19", "QUAD", "SQUARE"])
+    @pytest.mark.parametrize("k", [10, 100, 1000])
+    def test_one_level_call_per_diameter_line(self, P, k, monkeypatch):
+        sweep_calls = []
+        kernel, sweep = diameter.level_interval, diameter._direction_sweep.__code__
+
+        def counted(*args):
+            if sys._getframe(1).f_code is sweep:
+                sweep_calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(diameter, "level_interval", counted)
+        report = compute_diameter(P.dilate(k))
+        assert len(sweep_calls) == len(report.lines)

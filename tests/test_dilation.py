@@ -25,6 +25,7 @@ from latticediam import (
 )
 
 from helpers import QUAD, SQUARE, random_polygon
+from latticediam import compute_diameter, diameter
 
 # conv{(0,0),(2,0),(3,4)}: the count drops from 4 to its eventual constant 2
 LATE_START = Polygon2(((0, 0), (2, 0), (3, 4)))
@@ -56,6 +57,38 @@ class TestCountDiameterLines:
     def test_matches_pairwise_oracle(self, seed, k):
         P = random_polygon(random.Random(seed), span_lo=3, span_hi=4)
         assert count_diameter_lines(P, k) == oracle_line_count(P, k)
+
+    def test_matches_the_report(self):
+        rng = random.Random(31)
+        for _ in range(25):
+            P = random_polygon(rng, span_hi=8)
+            for k in range(1, 13):
+                assert count_diameter_lines(P, k) == len(compute_diameter(P.dilate(k)).lines)
+
+    def test_builds_no_diameter_line(self, monkeypatch):
+        # The only lines built are the local scan's candidates (at most three
+        # per edge/vertex pair, as local_diameter_lines returns them); none is
+        # built for the 4k + 4 diameter lines counted.
+        in_scan, built = [False], []
+        scan, line = diameter.local_diameter_lines, diameter.LatticeLine
+
+        def scan_flagged(*args):
+            in_scan[0] = True
+            try:
+                return scan(*args)
+            finally:
+                in_scan[0] = False
+
+        def candidate_only(*args):
+            if not in_scan[0]:
+                raise AssertionError("a line was built outside the local scan")
+            built.append(args)
+            return line(*args)
+
+        monkeypatch.setattr(diameter, "local_diameter_lines", scan_flagged)
+        monkeypatch.setattr(diameter, "LatticeLine", candidate_only)
+        assert count_diameter_lines(SQUARE, 1000) == 4004
+        assert len(built) <= 3 * 8  # the square has 8 edge/vertex pairs
 
 
 class TestFit:
