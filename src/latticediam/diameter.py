@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .core import Direction, Point, Polygon2, as_point
 from .errors import ValidationError
@@ -198,21 +198,21 @@ def _direction_sweep(
     halfplanes: list[tuple[Point, int]],
     vertices: tuple[Point, ...],
     u: Direction,
-    min_chord: int,
-) -> Iterator[tuple[int, int, Point]]:
-    """(level, lattice count, anchor point) for the lattice lines of direction u
-    meeting the polygon in a chord of at least min_chord.
+    best: int,
+) -> Iterator[Point]:
+    """Anchors of the lattice lines of direction u that meet the polygon in
+    exactly best lattice points, in increasing level.
 
-    min_chord = best - 1 keeps every level holding best lattice points;
-    min_chord = 0 keeps every level meeting the polygon.
+    best must be the largest count of a line of direction u; only the levels
+    of the best - 1 chord window can hold it.
     """
     anchor, step = level_anchor((-u.vec[1], u.vec[0]))
     assert step.vec == u.vec
-    for beta in _chord_window(halfplanes, vertices, u, anchor, min_chord):
+    for beta in _chord_window(halfplanes, vertices, u, anchor, best - 1):
         x0 = (anchor[0] * beta, anchor[1] * beta)
         iv = level_interval(halfplanes, x0, u.vec)
-        if iv is not None:
-            yield beta, iv[1] - iv[0] + 1, x0
+        if iv is not None and iv[1] - iv[0] + 1 == best:
+            yield x0
 
 
 def diameter_levels(P: Polygon2) -> tuple[int, list[tuple[Direction, list[Point]]]]:
@@ -231,19 +231,16 @@ def diameter_levels(P: Polygon2) -> tuple[int, list[tuple[Direction, list[Point]
     best = 0
     directions: set[Direction] = set()
     for line in candidates:
-        iv = level_interval(halfplanes, line.base, line.dir.vec)
-        if iv is None:
-            continue
-        count = iv[1] - iv[0] + 1
+        klo, khi = level_interval(halfplanes, line.base, line.dir.vec)
+        count = khi - klo + 1
         if count > best:
             best, directions = count, set()
         if count == best:
             directions.add(line.dir)
-    levels: list[tuple[Direction, list[Point]]] = []
-    for u in sorted(directions):
-        sweep = _direction_sweep(halfplanes, P.vertices, u, best - 1)
-        levels.append((u, [x0 for _, count, x0 in sweep if count == best]))
-    return best, levels
+    return best, [
+        (u, list(_direction_sweep(halfplanes, P.vertices, u, best)))
+        for u in sorted(directions)
+    ]
 
 
 def compute_diameter(P: Polygon2) -> DiameterReport:
@@ -267,25 +264,23 @@ def compute_diameter(P: Polygon2) -> DiameterReport:
     )
 
 
-def u_diameter_line(P: Polygon2, u: Direction | Sequence[int]) -> Optional[LatticeLine]:
+def u_diameter_line(P: Polygon2, u: Direction | Sequence[int]) -> LatticeLine:
     """A lattice line of direction u maximizing |line ∩ P ∩ Z^2|.
 
-    Ties resolve to the smallest level of the perpendicular functional. Returns
-    None only when no lattice line in direction u meets P in a lattice point,
-    which cannot happen for a valid polygon (its vertices are lattice points).
+    The chord length of P across the levels of u is concave and piecewise
+    linear with bends only at vertex levels, so its maximum C is reached on
+    the line through some vertex, which is an endpoint of that chord. That
+    line holds floor(C) + 1 lattice points and no line of direction u holds
+    more, so the best count is the largest over the n vertex lines. The sweep
+    of its chord window stops at the first level holding it, so ties resolve
+    to the smallest level of the perpendicular functional.
     """
     d = u if isinstance(u, Direction) else Direction(u)
     if d.dim != 2:
         raise ValidationError("u_diameter_line is 2-dimensional")
     halfplanes = P.halfplanes()
-    best: tuple[int, int] | None = None  # (count, -beta) maximized
-    best_anchor: Point | None = None
-    for beta, count, x0 in _direction_sweep(halfplanes, P.vertices, d, 0):
-        key = (count, -beta)
-        if best is None or key > best:
-            best = key
-            best_anchor = x0
-    if best is None or best[0] == 0:
-        return None
-    assert best_anchor is not None
-    return LatticeLine(best_anchor, d)
+    best = 0
+    for v in P.vertices:
+        klo, khi = level_interval(halfplanes, v, d.vec)
+        best = max(best, khi - klo + 1)
+    return LatticeLine(next(_direction_sweep(halfplanes, P.vertices, d, best)), d)

@@ -20,9 +20,9 @@ from math import gcd
 from typing import Sequence
 
 from .core import Direction, Point, Polygon2, RationalPoint, level_interval
-from .diameter import compute_diameter, diameter_levels
+from .diameter import diameter_levels
 from .errors import FitError, ValidationError
-from .lines import clip_line, nvol
+from .lines import LatticeLine, clip_line, nvol
 
 __all__ = [
     "QuasiPolynomial",
@@ -109,13 +109,12 @@ def fit_quasipolynomial(P: Polygon2, k_max: int | None = None) -> QuasiPolynomia
     sample matches; that start can exceed q when a chord that is not
     asymptotically longest still ties for small dilates.
     """
-    report = compute_diameter(P)
-    best_nvol = Fraction(0)
-    for line in report.lines:
-        clip = clip_line(P, line)
-        assert clip is not None
-        best_nvol = max(best_nvol, Fraction(nvol(clip)))
-    q = best_nvol.denominator
+    # In a diameter direction the longest chord lies on a vertex line, and
+    # that line is itself a diameter line.
+    _, levels = diameter_levels(P)
+    q = max(
+        nvol(clip_line(P, LatticeLine(v, u))) for u, _ in levels for v in P.vertices
+    ).denominator
     explicit = k_max is not None
     if explicit and k_max < 4 * q:
         raise FitError(

@@ -17,6 +17,7 @@ from latticediam import (
     enumerate_lattice_points,
     lattice_count_on_clip,
     local_diameter_lines,
+    nvol,
     opposite_pairs,
     u_diameter_line,
 )
@@ -126,6 +127,51 @@ class TestUDiameterLine:
                         other = clip_line(P, LatticeLine((x, y), u))
                         if other is not None:
                             assert lattice_count_on_clip(other) <= best
+
+    def test_smallest_argmax_of_the_level_walk(self):
+        fixed = [Direction(u) for u in ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1))]
+        walked = 0
+        for P in wide_polygons(40):
+            dirs = {Direction((b[0] - a[0], b[1] - a[1])) for a, b in P.edges()}
+            for u in dirs.union(fixed):
+                a = (-u.vec[1], u.vec[0])
+                levels = [a[0] * x + a[1] * y for x, y in P.vertices]
+                # the oracle walks every level; skip the few walks too long for a test
+                if max(levels) - min(levels) > 3 * 10**4:
+                    continue
+                walked += 1
+                counts = unwindowed_counts(P, u)
+                want = max(counts, key=lambda beta: (counts[beta], -beta))
+                line = u_diameter_line(P, u)
+                assert line.dir == u
+                assert a[0] * line.base[0] + a[1] * line.base[1] == want, (P, u)
+        assert walked >= 250
+
+    @pytest.mark.parametrize(
+        "vertices, u, want",
+        [
+            # a chord window of 4 levels among 100,005
+            (((0, 0), (10**5, 1), (10**5, 8), (0, 5)), (1, 1), ((49996, -49996), (1, 1))),
+            # best count 1: the chord window holds all 12,000,812 vertex levels
+            (
+                ((-518421, -31110718), (-558979, -33544625), (-459816, -27593801)),
+                (2, -1),
+                ((-13529645, -27059292), (2, -1)),
+            ),
+        ],
+        ids=["thin-quad", "thin-triangle"],
+    )
+    def test_bounded_work(self, vertices, u, want, monkeypatch):
+        calls = []
+        kernel = diameter.level_interval
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(diameter, "level_interval", counted)
+        assert u_diameter_line(Polygon2(vertices), u) == LatticeLine(*want)
+        assert len(calls) <= 16
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -245,3 +291,20 @@ class TestSweepWork:
         monkeypatch.setattr(diameter, "level_interval", counted)
         report = compute_diameter(P.dilate(k))
         assert len(sweep_calls) == len(report.lines)
+
+
+class TestLongestChord:
+    def test_longest_diameter_chord_lies_on_a_vertex_line(self):
+        """fit_quasipolynomial takes its period from the vertex lines of the
+        diameter directions; they must reach the longest diameter chord."""
+        rng = random.Random(7)
+        polygons = [random_polygon(rng) for _ in range(60)] + wide_polygons(20)
+        for P in polygons:
+            report = compute_diameter(P)
+            over_lines = max(nvol(clip_line(P, line)) for line in report.lines)
+            over_vertices = max(
+                nvol(clip_line(P, LatticeLine(v, u)))
+                for u in report.directions
+                for v in P.vertices
+            )
+            assert over_lines == over_vertices, P
