@@ -56,7 +56,7 @@ from .errors import (
     ValidationError,
 )
 from .oracle import DEFAULT_PAIR_BUDGET, brute_force_diameter, check_pair_budget
-from .svg import render_diameter_svg
+from .svg import check_dot_budget, render_diameter_svg
 
 __all__ = ["run", "main"]
 
@@ -94,6 +94,7 @@ def _cmd_diam2d(args: argparse.Namespace) -> int:
     P = polygon_from_document(load_document(args.input))
     report = compute_diameter(P)
     if args.svg:
+        check_dot_budget(P, args.budget)
         svg = render_diameter_svg(P, report)  # a failed render leaves no file
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(svg)
@@ -314,7 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--budget",
             type=_positive_int,
             default=DEFAULT_PAIR_BUDGET,
-            help="pair budget for oracle scans",
+            help="work budget: point pairs of an oracle scan, grid dots of an SVG",
         )
         return p
 

@@ -1,13 +1,17 @@
 """Lattice diameter of a convex lattice polygon, exactly and fast.
 
 The algorithm works per (edge, opposite vertex) pair: inside the triangle they
-span, up to three candidate lines through the vertex are located by a greedy
-scan of the integer levels of the edge normal, taking at each step the lowest
-lattice point not already covered by an earlier candidate line. Candidates are
-then ranked by their exact lattice point count in the whole polygon; the best
-count determines the diameter, and a per-direction level sweep recovers every
-line attaining it (some diameter lines pass through no vertex at all). That
-sweep visits only the levels whose chord can reach the best count.
+span, up to three candidate lines through the vertex are located greedily,
+each through the lowest lattice point (in the levels of the edge normal) not
+already covered by an earlier candidate line. In the unimodular basis of the
+level functional, that point is the smallest-denominator fraction of a slope
+interval, found by a continued-fraction descent in O(log) integer steps, so
+the cost grows with the bit length of the vertices, not with their size.
+Candidates are then ranked by their exact lattice point count in the whole
+polygon; the best count determines the diameter, and a per-direction level
+sweep recovers every line attaining it (some diameter lines pass through no
+vertex at all). That sweep visits only the levels whose chord can reach the
+best count.
 """
 
 from __future__ import annotations
@@ -83,6 +87,41 @@ def _collinear_case(v: Point, p: Point, q: Point) -> list[LatticeLine]:
     return []
 
 
+def _lowest_in_sector(
+    sector: tuple[tuple[int, int], bool, tuple[int, int], bool], j_max: int
+) -> tuple[int, int] | None:
+    """The point (j, k) with 1 <= j <= j_max and slope k/j in the sector, with
+    the smallest j and then the smallest k; None when there is none.
+
+    A sector (lo, lo_open, hi, hi_open) is a slope interval whose ends are
+    fractions (numerator, denominator > 0), each open or closed. Its lowest
+    point is the smallest-denominator fraction in it, found by a continued
+    fraction (Stern-Brocot) descent: take the smallest integer of the interval
+    if there is one, else write x = n + 1/y with n = floor(lo) and descend
+    into the interval of y, whose upper end is infinite (denominator 0) when
+    lo is an open integer. The matrix (A, B, C, D) keeps x = (A y + B)/(C y + D);
+    the denominator C m + D of the answer grows with each step, so the
+    descent stops once C + D passes j_max. Each step is one Euclid step on
+    both ends: O(log) steps of integer floor division.
+    """
+    (ln, ld), lo_open, (hn, hd), hi_open = sector
+    if ln * hd > hn * ld or (ln * hd == hn * ld and (lo_open or hi_open)):
+        return None
+    A, B, C, D = 1, 0, 0, 1
+    while True:
+        m = ln // ld + 1 if lo_open else -(-ln // ld)
+        if m * hd < hn or (m * hd == hn and not hi_open):
+            j = C * m + D
+            return (j, A * m + B) if j <= j_max else None
+        n = m - 1
+        A, B, C, D = A * n + B, A, C * n + D, C
+        if C + D > j_max:
+            return None
+        (ln, ld), lo_open, (hn, hd), hi_open = (
+            (hd, hn - n * hd), hi_open, (ld, ln - n * ld), lo_open
+        )
+
+
 def local_diameter_lines(
     edge: tuple[Sequence[int], Sequence[int]],
     vertex: Sequence[int],
@@ -91,12 +130,21 @@ def local_diameter_lines(
     """Up to three locally maximal lattice lines through `vertex` in conv{edge, vertex}.
 
     `normal` must be the outward normal of the edge within the triangle, so the
-    edge sits on its maximal level and the vertex on its minimal one. Scans
-    levels upward from the vertex; each new candidate point is the lowest
-    lattice point of the triangle off all previously found lines (ties broken
-    toward the lexicographically smallest point). Returns the found lines in
-    discovery order; the first one always maximizes the lattice point count
-    among lines through the vertex.
+    edge sits on its maximal level and the vertex on its minimal one. Each
+    candidate point is the lowest lattice point of the triangle off all
+    previously found lines (ties broken toward the lexicographically smallest
+    point). Returns the found lines in discovery order; the first one always
+    maximizes the lattice point count among lines through the vertex.
+
+    With the primitive normal a and (s, u) = level_anchor(a), a unimodular
+    basis, every lattice point is w = v + j s + k u with j = <a, w - v> its
+    level above v. The triangle is the cone of points with j >= 1 between the
+    slopes k/j of its two edges, cut off at j <= J = <a, p - v>. Its lowest
+    point is the smallest-denominator fraction in that slope interval; a
+    pick splits its sector into two halves open at the pick's slope, since
+    every point of that slope lies on the pick's line, and the next pick is
+    the lowest of the sectors' lowest points. Three picks take at most five
+    continued-fraction descents, O(log) integer steps each.
     """
     p, q = (as_point(edge[0]), as_point(edge[1]))
     v = as_point(vertex)
@@ -117,36 +165,34 @@ def local_diameter_lines(
         raise ValidationError("normal is not perpendicular to the edge")
     if level_p <= level_v:
         raise ValidationError("normal must point from the vertex toward the edge")
-    halfplanes = Polygon2((v, p, q) if cross > 0 else (v, q, p)).halfplanes()
-    anchor, step = level_anchor(a)
+    (sx, sy), step = level_anchor(a)
     ux, uy = step.vec
-    found: list[Point] = []
-    for beta in range(level_v + 1, level_p + 1):
-        x0 = (anchor[0] * beta, anchor[1] * beta)
-        iv = level_interval(halfplanes, x0, (ux, uy))
-        if iv is None:
-            continue
-        klo, khi = iv
-        # Each previous line blocks at most one point of this level, so the
-        # first len(found) + 1 parameters always contain an eligible point if
-        # one exists at all.
-        while len(found) < 3:
-            pick: Point | None = None
-            for k in range(klo, min(khi, klo + len(found)) + 1):
-                w = (x0[0] + k * ux, x0[1] + k * uy)
-                if all(
-                    (w[0] - v[0]) * (f[1] - v[1]) != (w[1] - v[1]) * (f[0] - v[0])
-                    for f in found
-                ):
-                    pick = w
-                    break
-            if pick is None:
-                break
-            found.append(pick)
-        if len(found) == 3:
-            break
+    det = sx * uy - sy * ux  # +-1: {s, u} is unimodular
+    # k of a point w = v + j s + k u is det(s, w - v) / det(s, u)
+    kp = det * (sx * (p[1] - v[1]) - sy * (p[0] - v[0]))
+    kq = det * (sx * (q[1] - v[1]) - sy * (q[0] - v[0]))
+    J = level_p - level_v
+    # (lowest point, sector) for each sector that holds a point
+    sectors: list[tuple[tuple[int, int], tuple]] = []
+
+    def add(sector: tuple) -> None:
+        w = _lowest_in_sector(sector, J)
+        if w is not None:
+            sectors.append((w, sector))
+
+    add(((min(kp, kq), J), False, (max(kp, kq), J), False))
+    found: list[tuple[int, int]] = []
+    while sectors and len(found) < 3:
+        best = min(sectors, key=lambda entry: entry[0])
+        sectors.remove(best)
+        (j, k), (lo, lo_open, hi, hi_open) = best
+        found.append((j, k))
+        if len(found) < 3:
+            add((lo, lo_open, (k, j), True))
+            add(((k, j), True, hi, hi_open))
     return [
-        LatticeLine(v, Direction((w[0] - v[0], w[1] - v[1]))) for w in found
+        LatticeLine(v, Direction((j * sx + k * ux, j * sy + k * uy)))
+        for j, k in found
     ]
 
 

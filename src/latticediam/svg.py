@@ -11,9 +11,10 @@ from fractions import Fraction
 
 from .core import Polygon2, enumerate_lattice_points
 from .diameter import DiameterReport
+from .errors import BudgetError
 from .lines import clip_line
 
-__all__ = ["render_diameter_svg"]
+__all__ = ["check_dot_budget", "render_diameter_svg"]
 
 SCALE = 40
 MARGIN = 1
@@ -38,6 +39,17 @@ def _fmt(v: Fraction | int) -> str:
     if cents == 0:
         return f"{sign}{whole}"
     return f"{sign}{whole}.{cents:02d}".rstrip("0")
+
+
+def check_dot_budget(polygon: Polygon2, budget: int) -> None:
+    """Raise BudgetError when the picture of polygon would draw more than
+    budget grid dots (one per lattice point of the margined bounding box)."""
+    (xlo, ylo), (xhi, yhi) = polygon.bounding_box()
+    dots = (xhi - xlo + 2 * MARGIN + 1) * (yhi - ylo + 2 * MARGIN + 1)
+    if dots > budget:
+        raise BudgetError(
+            f"the picture draws {dots} grid dots, over the budget of {budget}"
+        )
 
 
 def render_diameter_svg(polygon: Polygon2, report: DiameterReport) -> str:

@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import random
 
+from math import gcd
+
 from latticediam import (
+    Direction,
+    LatticeLine,
     PointSet,
     Polygon2,
     count_lattice_points_polygon,
 )
+from latticediam.lines import level_anchor, level_interval
 
 TRIANGLE = Polygon2(((0, 1), (1, 0), (2, 2)))
 SQUARE = Polygon2(((0, 0), (2, 0), (2, 2), (0, 2)))
@@ -80,3 +85,50 @@ def random_point_set(
     while len(pts) < target:
         pts.add(tuple(rng.randint(-coord, coord) for _ in range(d)))
     return PointSet(pts)
+
+
+def walk_local_lines(edge, vertex, normal) -> list[LatticeLine]:
+    """The level walk that local_diameter_lines replaced, kept as its oracle.
+
+    Climbs every level of the normal from the vertex to the edge, taking at
+    each step the lowest lattice point of the triangle off all previously
+    found lines (smallest parameter first). Only non-degenerate triangles
+    with a valid outward normal; the validation and collinear case are the
+    library's.
+    """
+    (p, q), v = edge, vertex
+    g = gcd(*normal)
+    a = (normal[0] // g, normal[1] // g)
+    cross = (p[0] - v[0]) * (q[1] - v[1]) - (p[1] - v[1]) * (q[0] - v[0])
+    assert cross != 0
+    level_p = a[0] * p[0] + a[1] * p[1]
+    level_v = a[0] * v[0] + a[1] * v[1]
+    halfplanes = Polygon2((v, p, q) if cross > 0 else (v, q, p)).halfplanes()
+    anchor, step = level_anchor(a)
+    ux, uy = step.vec
+    found: list[tuple[int, int]] = []
+    for beta in range(level_v + 1, level_p + 1):
+        x0 = (anchor[0] * beta, anchor[1] * beta)
+        iv = level_interval(halfplanes, x0, (ux, uy))
+        if iv is None:
+            continue
+        klo, khi = iv
+        # Each previous line blocks at most one point of this level, so the
+        # first len(found) + 1 parameters always contain an eligible point if
+        # one exists at all.
+        while len(found) < 3:
+            pick = None
+            for k in range(klo, min(khi, klo + len(found)) + 1):
+                w = (x0[0] + k * ux, x0[1] + k * uy)
+                if all(
+                    (w[0] - v[0]) * (f[1] - v[1]) != (w[1] - v[1]) * (f[0] - v[0])
+                    for f in found
+                ):
+                    pick = w
+                    break
+            if pick is None:
+                break
+            found.append(pick)
+        if len(found) == 3:
+            break
+    return [LatticeLine(v, Direction((w[0] - v[0], w[1] - v[1]))) for w in found]

@@ -30,6 +30,17 @@ def write_doc(tmp_path, doc, name="input.json") -> str:
     return str(path)
 
 
+def run_module(module, argv, timeout=60) -> subprocess.CompletedProcess:
+    """Run `python -m module argv` on this source tree."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
+
+
 @pytest.fixture
 def quad_file(tmp_path):
     return write_doc(tmp_path, document_for_polygon(QUAD, name="quad"))
@@ -71,6 +82,34 @@ class TestDiam2d:
         svg_path = tmp_path / "out.svg"
         assert cli.run(["diam2d", quad_file, "--svg", str(svg_path)]) != 0
         assert not svg_path.exists()
+
+    def test_huge_skew_triangle(self, tmp_path):
+        # the local scan takes O(log) steps, so 10^12 levels finish at once
+        s = 10**12
+        triangle = Polygon2(((0, 0), (s, 1), (3 * s + 1, 7)))
+        path = write_doc(tmp_path, document_for_polygon(triangle))
+        done = run_module("latticediam", ["diam2d", path], timeout=20)
+        assert done.returncode == 0
+        assert done.stdout.splitlines()[0] == "ldiam=571428571428 directions=1 lines=1"
+
+    def test_svg_refused_over_the_dot_budget(self, tmp_path, capsys):
+        s = 10**12
+        triangle = Polygon2(((0, 0), (s, 1), (3 * s + 1, 7)))
+        path = write_doc(tmp_path, document_for_polygon(triangle))
+        svg_path = tmp_path / "out.svg"
+        assert cli.run(["diam2d", path, "--svg", str(svg_path)]) == 6
+        captured = capsys.readouterr()
+        assert "30000000000040 grid dots, over the budget of 200000" in captured.err
+        assert captured.out == ""
+        assert not svg_path.exists()
+
+    def test_svg_dot_budget_is_exact(self, quad_file, tmp_path, capsys):
+        # the quad's margined bounding box holds 9 x 7 = 63 grid dots
+        svg_path = tmp_path / "out.svg"
+        assert cli.run(["diam2d", quad_file, "--svg", str(svg_path), "--budget", "62"]) == 6
+        assert not svg_path.exists()
+        assert cli.run(["diam2d", quad_file, "--svg", str(svg_path), "--budget", "63"]) == 0
+        assert svg_path.read_text().count("<circle") == 63
 
     def test_rejects_point_set_document(self, tmp_path, capsys):
         doc = document_for_point_set(PointSet([(0, 0), (1, 1)]))
@@ -337,15 +376,7 @@ class TestTopLevel:
         sample = str(SAMPLES / "demo-quad.json")
         assert cli.run(["diam2d", sample]) == 0
         expected = capsys.readouterr().out
-        src = str(Path(cli.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
-        done = subprocess.run(
-            [sys.executable, "-m", module, "diam2d", sample],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        done = run_module(module, ["diam2d", sample])
         assert done.returncode == 0
         assert done.stdout == expected
 

@@ -4,7 +4,14 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import QUAD, SQUARE, TRIANGLE, random_polygon
+from helpers import (
+    QUAD,
+    SQUARE,
+    TRIANGLE,
+    convex_hull,
+    random_polygon,
+    walk_local_lines,
+)
 from latticediam import diameter
 from latticediam import (
     Direction,
@@ -45,6 +52,33 @@ class TestOppositePairs:
         assert {p.vertex for p in pairs} == set(TRIANGLE.vertices)
 
 
+def opposite_pair_levels(pair) -> int:
+    """J: the number of levels of the normal from the vertex to the edge."""
+    (nx, ny), (x, y), (vx, vy) = pair.normal, pair.edge[0], pair.vertex
+    return nx * (x - vx) + ny * (y - vy)
+
+
+def sheared_thin_polygons(n: int):
+    """Seeded polygons of height at most 8 and width up to 10^5, sheared by
+    (x, y) -> (x + t y, y), with x-spans up to 10^6. Unlike unimodular images
+    of small polygons, their (edge, vertex) triangles span up to ~10^5 levels."""
+    rng = random.Random(20261018)
+    out = []
+    while len(out) < n:
+        w, h = 10 ** rng.randint(1, 5), rng.randint(1, 8)
+        verts = convex_hull(
+            [(rng.randint(0, w), rng.randint(0, h)) for _ in range(rng.randint(3, 8))]
+        )
+        if verts is None:
+            continue
+        t = rng.randint(-(10 ** rng.randint(0, 5)), 10 ** rng.randint(0, 5))
+        P = Polygon2(tuple((x + t * y, y) for x, y in verts))
+        (xlo, _), (xhi, _) = P.bounding_box()
+        if xhi - xlo <= 10**6:
+            out.append(P)
+    return out
+
+
 class TestLocalDiameterLines:
     def test_axis_triangle(self):
         # T = conv{(0,3), (0,0), (3,0)}, scanning up from the right-angle vertex
@@ -61,6 +95,95 @@ class TestLocalDiameterLines:
     def test_vertex_on_edge_level_rejected(self):
         with pytest.raises(ValidationError):
             local_diameter_lines(((0, 0), (4, 0)), (2, 1), (0, 1))
+
+    @pytest.mark.parametrize(
+        "edge, vertex, normal",
+        [
+            (((0, 0, 0), (4, 0, 0)), (2, 1, 0), (0, 1, 0)),
+            (((0, 0), (4, 0)), (2, -1), (0, 0)),
+            (((0, 0), (4, 1)), (2, -1), (0, 1)),
+            (((0, 0), (4, 0)), (2, 1), (0, 1)),
+        ],
+        ids=["three-dimensional", "zero-normal", "not-perpendicular", "wrong-side"],
+    )
+    def test_invalid_input_rejected(self, edge, vertex, normal):
+        with pytest.raises(ValidationError):
+            local_diameter_lines(edge, vertex, normal)
+
+    def test_picks_on_the_edges_leave_empty_sectors(self):
+        # From (0,0) toward x = 3: (1,0) and (1,1) lie on the two edges, so
+        # the sectors [0, 0) and (1, 1] beyond them are empty.
+        lines = local_diameter_lines(((3, 0), (3, 3)), (0, 0), (1, 0))
+        assert lines == [
+            LatticeLine((0, 0), (1, 0)),
+            LatticeLine((0, 0), (1, 1)),
+            LatticeLine((0, 0), (2, 1)),
+        ]
+        P = Polygon2(((0, 0), (3, 0), (3, 3)))
+        for pair in opposite_pairs(P):
+            got = local_diameter_lines(pair.edge, pair.vertex, pair.normal)
+            assert got == walk_local_lines(pair.edge, pair.vertex, pair.normal)
+
+    def test_primitive_edge_far_from_the_vertex(self):
+        # 12,345 levels between the vertex and a primitive edge
+        pair = (((0, 0), (1, 0)), (5000, 12345), (0, -1))
+        assert local_diameter_lines(*pair) == walk_local_lines(*pair)
+
+    def test_matches_the_walk(self):
+        rng = random.Random(4242)
+        polygons = [random_polygon(rng, span_hi=rng.choice((6, 12))) for _ in range(2000)]
+        polygons += wide_polygons(150)
+        pairs = [pair for P in polygons for pair in opposite_pairs(P)]
+        for pair in pairs:
+            got = local_diameter_lines(pair.edge, pair.vertex, pair.normal)
+            assert got == walk_local_lines(pair.edge, pair.vertex, pair.normal), pair
+        assert len(pairs) > 10**4
+
+    def test_matches_the_walk_on_sheared_thin_polygons(self):
+        walked = []
+        for P in sheared_thin_polygons(20):
+            for pair in opposite_pairs(P):
+                levels = opposite_pair_levels(pair)
+                # the oracle walks every level; skip the few walks too long for a test
+                if levels > 3 * 10**5:
+                    continue
+                walked.append(levels)
+                got = local_diameter_lines(pair.edge, pair.vertex, pair.normal)
+                assert got == walk_local_lines(pair.edge, pair.vertex, pair.normal), pair
+        assert len(walked) >= 80 and max(walked) > 2 * 10**5
+
+
+class TestLocalScanWork:
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        calls = []
+        kernel = diameter.level_interval
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(diameter, "level_interval", counted)
+        return calls
+
+    def test_local_scan_calls_no_kernel(self, kernel_calls):
+        for P in wide_polygons(20) + sheared_thin_polygons(20):
+            for pair in opposite_pairs(P):
+                local_diameter_lines(pair.edge, pair.vertex, pair.normal)
+        assert kernel_calls == []
+
+    @pytest.mark.parametrize(
+        "s, ldiam",
+        [(10**2, 57), (10**4, 5714), (10**5, 57142), (10**8, 57142857),
+         (10**12, 571428571428)],
+    )
+    def test_skew_triangle_work_does_not_grow(self, s, ldiam, kernel_calls):
+        report = compute_diameter(Polygon2(((0, 0), (s, 1), (3 * s + 1, 7))))
+        assert report.ldiam == ldiam
+        assert len(report.lines) == 1
+        # one call per distinct candidate line and one per diameter line; when
+        # 7 divides 3s + 1 the long edge's line is a candidate from both ends
+        assert len(kernel_calls) == (9 if (3 * s + 1) % 7 == 0 else 10)
 
 
 class TestComputeDiameter:
