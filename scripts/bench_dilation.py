@@ -1,0 +1,129 @@
+"""Scaling ladders of the dilation counts, written as one JSON file.
+
+    PYTHONPATH=src python scripts/bench_dilation.py --out BENCH_6.json
+
+Rows:
+- count_diameter_lines(P, k) for k = 10^1 .. 10^12 on the reference quad
+  conv{(0,0),(5,1),(6,4),(1,3)} and the square [0,2]^2: the value, the best
+  time in seconds, and the floor_sum and level_interval calls of one count
+  (taken in a separate, untimed pass);
+- fit_quasipolynomial on T_m = conv{(0,0),(m-1,1),(-1,m)} for m = 19, 61,
+  113 and 229: period, valid_from and the best time;
+- the import time of latticediam in a fresh interpreter, apart from the
+  compute rows (interpreter start-up excluded).
+
+Times are the best of REPEAT runs of a single call, in this process, after
+one warm-up call.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from collections import Counter
+
+from latticediam import Polygon2, count_diameter_lines, diameter, fit_quasipolynomial
+
+QUAD = Polygon2(((0, 0), (5, 1), (6, 4), (1, 3)))
+SQUARE = Polygon2(((0, 0), (2, 0), (2, 2), (0, 2)))
+KERNELS = ("floor_sum", "level_interval")
+REPEAT = 5
+
+
+def best_time(fn, repeat: int) -> float:
+    fn()
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def kernel_calls(fn) -> dict[str, int]:
+    """Calls of the diameter module's integer kernels made by fn()."""
+    calls: Counter[str] = Counter()
+    saved = {name: getattr(diameter, name) for name in KERNELS}
+
+    def counter(name):
+        def counted(*args):
+            calls[name] += 1
+            return saved[name](*args)
+
+        return counted
+
+    try:
+        for name in KERNELS:
+            setattr(diameter, name, counter(name))
+        fn()
+    finally:
+        for name, kernel in saved.items():
+            setattr(diameter, name, kernel)
+    return {name: calls[name] for name in KERNELS}
+
+
+def import_seconds(repeat: int) -> dict[str, float]:
+    code = (
+        "import time; t = time.perf_counter(); import latticediam; "
+        "print(time.perf_counter() - t)"
+    )
+    samples = [
+        float(subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True, env=os.environ).stdout)
+        for _ in range(repeat)
+    ]
+    return {"median_s": statistics.median(samples), "min_s": min(samples),
+            "samples": len(samples)}
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True, help="JSON file to write")
+    args = parser.parse_args()
+
+    counts = []
+    for name, P in (("quad", QUAD), ("square", SQUARE)):
+        for e in range(1, 13):
+            k = 10**e
+            counts.append({
+                "polygon": name,
+                "k": f"1e{e}",
+                "count": count_diameter_lines(P, k),
+                "seconds": best_time(lambda: count_diameter_lines(P, k), REPEAT),
+                "kernel_calls": kernel_calls(lambda: count_diameter_lines(P, k)),
+            })
+    fits = []
+    for m in (19, 61, 113, 229):
+        T = Polygon2(((0, 0), (m - 1, 1), (-1, m)))
+        fit = fit_quasipolynomial(T)
+        fits.append({
+            "m": m,
+            "period": fit.period,
+            "valid_from": fit.valid_from,
+            "seconds": best_time(lambda: fit_quasipolynomial(T), REPEAT),
+        })
+    result = {
+        "host": {
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+            "processor": platform.processor(),
+            "cpus": os.cpu_count(),
+        },
+        "repeat": REPEAT,
+        "import_latticediam": import_seconds(2 * REPEAT),
+        "count_diameter_lines": counts,
+        "fit_quasipolynomial": fits,
+    }
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(result, fh, indent=2)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    main()

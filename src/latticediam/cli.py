@@ -37,8 +37,8 @@ from .core import (
     count_lattice_points_polygon,
     enumerate_lattice_points,
 )
-from .diameter import compute_diameter
-from .dilation import chamber_decomposition, count_diameter_lines, fit_quasipolynomial
+from .diameter import compute_diameter, dilation_profile
+from .dilation import chamber_decomposition, check_dilate_budget, fit_quasipolynomial
 from .documents import (
     Document,
     document_for_point_set,
@@ -152,22 +152,26 @@ def _quasi_json(qp) -> str:
 
 def _cmd_ld(args: argparse.Namespace) -> int:
     P = polygon_from_document(load_document(args.input))
-    counts = [(k, count_diameter_lines(P, k)) for k in range(1, args.k_max + 1)]
+    check_dilate_budget(args.k_max, args.budget)
+    profile = dilation_profile(P)
+    counts = [(k, profile.count(k)) for k in range(1, args.k_max + 1)]
+    # Fit sampling is sized from the discovered period, not the table range;
+    # it runs before any output, so a refused fit prints nothing.
+    fit = fit_quasipolynomial(P, budget=args.budget) if args.fit else None
     if args.format == "json":
         print(json.dumps({"counts": counts}, sort_keys=True))
     else:
         print("k,count")
         for k, c in counts:
             print(f"{k},{c}")
-    if args.fit:
-        # Fit sampling is sized from the discovered period, not the table range.
-        print(_quasi_json(fit_quasipolynomial(P)))
+    if fit is not None:
+        print(_quasi_json(fit))
     return 0
 
 
 def _cmd_ld_fit(args: argparse.Namespace) -> int:
     P = polygon_from_document(load_document(args.input))
-    print(_quasi_json(fit_quasipolynomial(P, args.k_max)))
+    print(_quasi_json(fit_quasipolynomial(P, args.k_max, budget=args.budget)))
     return 0
 
 
@@ -315,7 +319,10 @@ def _build_parser() -> argparse.ArgumentParser:
             "--budget",
             type=_positive_int,
             default=DEFAULT_PAIR_BUDGET,
-            help="work budget: point pairs of an oracle scan, grid dots of an SVG",
+            help=(
+                "work budget: point pairs of an oracle scan, grid dots of an SVG,"
+                " dilates sampled by ld-count and ld-fit"
+            ),
         )
         return p
 

@@ -25,6 +25,7 @@ __all__ = [
     "as_point",
     "segment_lattice_count",
     "level_interval",
+    "floor_sum",
     "enumerate_lattice_points",
     "count_lattice_points_polygon",
     "lattice_width",
@@ -219,6 +220,27 @@ def level_interval(
     if klo > khi:
         return None
     return klo, khi
+
+
+def floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """Sum of floor((a*x + b) / m) over x = 0 .. n - 1, for m > 0 and any a, b.
+
+    Euclid-like: reduce a and b mod m, then the sum counts the lattice points
+    under a line, which is counted again with the roles of a and m swapped.
+    O(log m) integer steps, whatever the size of n.
+    """
+    total = 0
+    while n > 0:
+        q, a = divmod(a, m)
+        total += q * (n * (n - 1) // 2)
+        q, b = divmod(b, m)
+        total += q * n
+        top = a * n + b
+        if top < m:
+            break
+        n, b = divmod(top, m)
+        m, a = a, m
+    return total
 
 
 @dataclass(frozen=True)

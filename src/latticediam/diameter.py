@@ -12,17 +12,39 @@ polygon; the best count determines the diameter, and a per-direction level
 sweep recovers every line attaining it (some diameter lines pass through no
 vertex at all). That sweep visits only the levels whose chord can reach the
 best count.
+
+The dilates kP need no scan of their own. The triangle of kP is the slope
+cone of P's triangle cut at level kJ instead of J, and picks come in
+increasing level, so the candidates of kP are a prefix of the cone's first
+three picks: those with kmin = ceil(j / J) <= k, and kmin is 1 or 2.
+dilation_profile runs the scan once and records each candidate line with
+its kmin and its chord c = num/den through P, read once with clip_line;
+through a vertex of kP the line holds floor(k num / den) + 1 points. So the
+best count and the diameter directions of kP are a max over a fixed list.
+The diameter levels of a direction are counted in closed form: split its
+chord window at the vertex levels, where the upper and lower bounds U and L
+of the chord are single linear functions of the level; every window level
+holds best - 1 or best points, so the count over a piece is
+sum floor(U) - sum ceil(L) + (2 - best) |piece|, two Euclid-like floor sums.
+The cost does not grow with k, and all of it is integer arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
-from .core import Direction, Point, Polygon2, as_point
+from .core import Direction, Point, Polygon2, as_point, floor_sum
 from .errors import ValidationError
-from .lines import ClippedSegment, LatticeLine, clip_line, level_anchor, level_interval
+from .lines import (
+    ClippedSegment,
+    LatticeLine,
+    clip_line,
+    level_anchor,
+    level_interval,
+    nvol,
+)
 
 __all__ = [
     "OppositePair",
@@ -30,6 +52,9 @@ __all__ = [
     "opposite_pairs",
     "local_diameter_lines",
     "diameter_levels",
+    "ProfileRecord",
+    "DilationProfile",
+    "dilation_profile",
     "compute_diameter",
     "u_diameter_line",
 ]
@@ -122,6 +147,57 @@ def _lowest_in_sector(
         )
 
 
+def _cone_picks(
+    v: Point, p: Point, q: Point, a: Point
+) -> tuple[int, list[tuple[int, Point]]]:
+    """The level J of the edge pq above v, and the level j and primitive
+    vector w - v of each of the first three picks of the cone from v.
+
+    The cone is the triangle conv{v, p, q} without its level cap: the
+    triangle of the dilate kP is the same slope cone cut at level kJ, and
+    picks come in increasing level, so the picks of kP are the picks with
+    j <= kJ. No pick lies above level 2J: the two edge slopes have
+    denominators dividing J, so a sector closed at an edge holds a point of
+    level at most J, and an open sector between two picks holds their
+    mediant, of level at most 2J. So the descents are capped at 2J, and every
+    pick of every dilate is found. a must be primitive and v off the line pq.
+    """
+    level_p = a[0] * p[0] + a[1] * p[1]
+    level_q = a[0] * q[0] + a[1] * q[1]
+    level_v = a[0] * v[0] + a[1] * v[1]
+    if level_p != level_q:
+        raise ValidationError("normal is not perpendicular to the edge")
+    if level_p <= level_v:
+        raise ValidationError("normal must point from the vertex toward the edge")
+    (sx, sy), step = level_anchor(a)
+    ux, uy = step.vec
+    det = sx * uy - sy * ux  # +-1: {s, u} is unimodular
+    # k of a point w = v + j s + k u is det(s, w - v) / det(s, u)
+    kp = det * (sx * (p[1] - v[1]) - sy * (p[0] - v[0]))
+    kq = det * (sx * (q[1] - v[1]) - sy * (q[0] - v[0]))
+    J = level_p - level_v
+    # (lowest point, sector) for each sector that holds a point
+    sectors: list[tuple[tuple[int, int], tuple]] = []
+
+    def add(sector: tuple) -> None:
+        w = _lowest_in_sector(sector, 2 * J)
+        if w is not None:
+            sectors.append((w, sector))
+
+    add(((min(kp, kq), J), False, (max(kp, kq), J), False))
+    found: list[tuple[int, int]] = []
+    while sectors and len(found) < 3:
+        best = min(sectors, key=lambda entry: entry[0])
+        sectors.remove(best)
+        (j, k), (lo, lo_open, hi, hi_open) = best
+        found.append((j, k))
+        if len(found) < 3:
+            add((lo, lo_open, (k, j), True))
+            add(((k, j), True, hi, hi_open))
+    # (j, k) is a reduced fraction and {s, u} unimodular: j s + k u is primitive
+    return J, [(j, (j * sx + k * ux, j * sy + k * uy)) for j, k in found]
+
+
 def local_diameter_lines(
     edge: tuple[Sequence[int], Sequence[int]],
     vertex: Sequence[int],
@@ -144,7 +220,8 @@ def local_diameter_lines(
     pick splits its sector into two halves open at the pick's slope, since
     every point of that slope lies on the pick's line, and the next pick is
     the lowest of the sectors' lowest points. Three picks take at most five
-    continued-fraction descents, O(log) integer steps each.
+    continued-fraction descents, O(log) integer steps each. The picks are
+    those of the uncapped cone (_cone_picks) up to level J.
     """
     p, q = (as_point(edge[0]), as_point(edge[1]))
     v = as_point(vertex)
@@ -158,41 +235,58 @@ def local_diameter_lines(
     cross = (p[0] - v[0]) * (q[1] - v[1]) - (p[1] - v[1]) * (q[0] - v[0])
     if cross == 0:
         return _collinear_case(v, p, q)
-    level_p = a[0] * p[0] + a[1] * p[1]
-    level_q = a[0] * q[0] + a[1] * q[1]
-    level_v = a[0] * v[0] + a[1] * v[1]
-    if level_p != level_q:
-        raise ValidationError("normal is not perpendicular to the edge")
-    if level_p <= level_v:
-        raise ValidationError("normal must point from the vertex toward the edge")
-    (sx, sy), step = level_anchor(a)
-    ux, uy = step.vec
-    det = sx * uy - sy * ux  # +-1: {s, u} is unimodular
-    # k of a point w = v + j s + k u is det(s, w - v) / det(s, u)
-    kp = det * (sx * (p[1] - v[1]) - sy * (p[0] - v[0]))
-    kq = det * (sx * (q[1] - v[1]) - sy * (q[0] - v[0]))
-    J = level_p - level_v
-    # (lowest point, sector) for each sector that holds a point
-    sectors: list[tuple[tuple[int, int], tuple]] = []
+    J, picks = _cone_picks(v, p, q, a)
+    return [LatticeLine(v, Direction(w)) for j, w in picks if j <= J]
 
-    def add(sector: tuple) -> None:
-        w = _lowest_in_sector(sector, J)
-        if w is not None:
-            sectors.append((w, sector))
 
-    add(((min(kp, kq), J), False, (max(kp, kq), J), False))
-    found: list[tuple[int, int]] = []
-    while sectors and len(found) < 3:
-        best = min(sectors, key=lambda entry: entry[0])
-        sectors.remove(best)
-        (j, k), (lo, lo_open, hi, hi_open) = best
-        found.append((j, k))
-        if len(found) < 3:
-            add((lo, lo_open, (k, j), True))
-            add(((k, j), True, hi, hi_open))
+LineKey = tuple[Point, int]  # a direction and the perpendicular level of its line
+
+
+def _polygon_picks(P: Polygon2) -> Iterator[tuple[LineKey, Point, Point, int]]:
+    """(line, vertex v, direction d, kmin) for each pick of each opposite
+    pair of P.
+
+    d is the pick's primitive vector with canonical sign, and kmin the least
+    dilation factor k whose triangle holds the pick: kmin = ceil(j / J).
+    """
+    for pair in opposite_pairs(P):
+        p, q = pair.edge
+        v = pair.vertex
+        J, picks = _cone_picks(v, p, q, pair.normal)
+        for j, (x, y) in picks:
+            d = (x, y) if x > 0 or (x == 0 and y > 0) else (-x, -y)
+            yield (d, d[0] * v[1] - d[1] * v[0]), v, d, -(-j // J)
+
+
+Side = tuple[int, int, int]  # (t, e, c) of a halfplane across the levels of u
+
+
+def _chord_clip(lo: int, hi: int, upper: Side, lower: Side, min_chord: int) -> tuple[int, int]:
+    """The levels of [lo, hi] where the chord from one lower to one upper
+    halfplane is at least min_chord; an empty range has lo > hi.
+
+    On the line anchor*beta + k*u, the halfplane (n, c) with t = <n, u> and
+    e = <n, anchor> bounds k by (c - beta*e) / t: from above when t > 0, from
+    below when t < 0. The chord (ci - beta*ei)/ti - (cj - beta*ej)/tj >= m is
+    one linear inequality A*beta <= B, cleared of the positive denominator
+    ti * |tj| and solved with floor divisions.
+    """
+    ti, ei, ci = upper
+    tj, ej, cj = lower
+    A = ti * ej - tj * ei
+    B = min_chord * ti * tj + ti * cj - tj * ci
+    if A > 0:
+        return lo, min(hi, B // A)  # beta <= floor(B / A)
+    if A < 0:
+        return max(lo, -(B // -A)), hi  # beta >= ceil(B / A)
+    return (lo, hi) if B >= 0 else (lo, lo - 1)
+
+
+def _sides(halfplanes: list[tuple[Point, int]], u: Point, anchor: Point) -> list[Side]:
+    """(t, e, c) of each halfplane (n, c): t = <n, u>, e = <n, anchor>."""
     return [
-        LatticeLine(v, Direction((j * sx + k * ux, j * sy + k * uy)))
-        for j, k in found
+        (nx * u[0] + ny * u[1], nx * anchor[0] + ny * anchor[1], c)
+        for (nx, ny), c in halfplanes
     ]
 
 
@@ -208,35 +302,18 @@ def _chord_window(
 
     The halfplanes bound k by U(beta) = min over <n,u> > 0 and L(beta) = max
     over <n,u> < 0, each linear in beta. The chord U - L is at least m
-    exactly when every (upper, lower) pair satisfies U_i - L_j >= m: one
-    linear inequality in beta per pair, solved with floor divisions after
-    clearing the positive denominator t_i * |t_j|. A level outside the
-    window holds at most m lattice points, and one inside holds at least m
-    (the floor/+1 sandwich).
+    exactly when every (upper, lower) pair satisfies U_i - L_j >= m, which
+    _chord_clip solves. A level outside the window holds at most m lattice
+    points, and one inside holds at least m (the floor/+1 sandwich).
     """
     a = (-u.vec[1], u.vec[0])
     levels = [a[0] * v[0] + a[1] * v[1] for v in vertices]
     lo, hi = min(levels), max(levels)
-    upper: list[tuple[int, int, int]] = []
-    lower: list[tuple[int, int, int]] = []
-    for (nx, ny), c in halfplanes:
-        t = nx * u.vec[0] + ny * u.vec[1]
-        e = nx * anchor[0] + ny * anchor[1]  # <n, anchor*beta> = beta * e
-        if t > 0:
-            upper.append((t, e, c))
-        elif t < 0:
-            lower.append((t, e, c))
-    for ti, ei, ci in upper:
-        for tj, ej, cj in lower:
-            # (ci - beta*ei)/ti - (cj - beta*ej)/tj >= m, times ti*|tj|
-            A = ti * ej - tj * ei
-            B = min_chord * ti * tj + ti * cj - tj * ci
-            if A > 0:
-                hi = min(hi, B // A)  # beta <= floor(B / A)
-            elif A < 0:
-                lo = max(lo, -(B // -A))  # beta >= ceil(B / A)
-            elif B < 0:
-                return range(0)
+    sides = _sides(halfplanes, u.vec, anchor)
+    for upper in sides:
+        for lower in sides:
+            if upper[0] > 0 > lower[0]:
+                lo, hi = _chord_clip(lo, hi, upper, lower, min_chord)
     return range(lo, hi + 1)
 
 
@@ -265,28 +342,157 @@ def diameter_levels(P: Polygon2) -> tuple[int, list[tuple[Direction, list[Point]
     """The best lattice count of a line through P and, per diameter direction
     in sorted order, the anchors of the levels holding that count.
 
-    The anchors are lattice points of the diameter lines, in increasing
-    level; no diameter line is built.
+    The candidates are the local scan's picks within P's triangles, each
+    line counted once with one kernel call. The anchors are lattice points
+    of the diameter lines, in increasing level; no line is built.
     """
     halfplanes = P.halfplanes()
-    candidates: set[LatticeLine] = set()
-    for pair in opposite_pairs(P):
-        candidates.update(
-            local_diameter_lines(pair.edge, pair.vertex, pair.normal)
-        )
+    seen: set[LineKey] = set()
     best = 0
-    directions: set[Direction] = set()
-    for line in candidates:
-        klo, khi = level_interval(halfplanes, line.base, line.dir.vec)
+    directions: set[Point] = set()
+    for line, v, d, kmin in _polygon_picks(P):
+        if kmin > 1 or line in seen:
+            continue
+        seen.add(line)
+        klo, khi = level_interval(halfplanes, v, d)
         count = khi - klo + 1
         if count > best:
             best, directions = count, set()
         if count == best:
-            directions.add(line.dir)
+            directions.add(d)
     return best, [
         (u, list(_direction_sweep(halfplanes, P.vertices, u, best)))
-        for u in sorted(directions)
+        for u in map(Direction, sorted(directions))
     ]
+
+
+class ProfileRecord(NamedTuple):
+    """A candidate line of every dilate kP with k >= kmin.
+
+    The line passes through k * vertex with the primitive direction, and v is
+    an end of P's chord on it, of length chord = (num, den) in units of the
+    direction. So it holds floor(k * num / den) + 1 lattice points of kP.
+    """
+
+    vertex: Point
+    direction: Point
+    kmin: int
+    chord: tuple[int, int]
+
+
+Piece = tuple[int, int, bool, Side, Side]
+
+
+def _level_pieces(P: Polygon2, u: Point) -> list[Piece]:
+    """The vertex level range of P in direction u, split at the vertex
+    levels: (lo, hi, closed, upper, lower) per piece, on which U and L are
+    the single linear functions of the sides upper and lower.
+
+    The pieces are the overlaps of the level ranges of an upper and a lower
+    edge; each is half-open [lo, hi), except the topmost, which is closed.
+    Edges parallel to u bound no level range and are skipped.
+    """
+    a = (-u[1], u[0])
+    anchor, _ = level_anchor(a)
+    levels = [a[0] * x + a[1] * y for x, y in P.vertices]
+    top, n = max(levels), len(levels)
+    upper, lower = [], []
+    for i, side in enumerate(_sides(P.halfplanes(), u, anchor)):
+        span = sorted((levels[i], levels[(i + 1) % n]))  # edge i runs vertex i -> i+1
+        if side[0] > 0:
+            upper.append((span, side))
+        elif side[0] < 0:
+            lower.append((span, side))
+    pieces = []
+    for (lo_u, hi_u), up in upper:
+        for (lo_l, hi_l), low in lower:
+            lo, hi = max(lo_u, lo_l), min(hi_u, hi_l)
+            if lo < hi:
+                pieces.append((lo, hi, hi == top, up, low))
+    return pieces
+
+
+def _diameter_level_count(pieces: list[Piece], k: int, best: int) -> int:
+    """The number of levels of kP in the direction of `pieces` that hold
+    best lattice points, where best is the largest count in that direction.
+
+    Scaling P by k scales every level and every halfplane constant c by k.
+    Inside the best - 1 chord window every level holds best - 1 or best
+    points (the floor/+1 sandwich), and outside it at most best - 1. A level
+    holds floor(U) + floor(-L) + 1 points, so the count over a window piece
+    of n levels is sum floor(U) + sum floor(-L) + (2 - best) n, two floor
+    sums. O(n^2 log) integer steps, whatever the size of k.
+    """
+    total = 0
+    for lo, hi, closed, (ti, ei, ci), (tj, ej, cj) in pieces:
+        ci, cj = k * ci, k * cj
+        last = k * hi if closed else k * hi - 1
+        first, last = _chord_clip(k * lo, last, (ti, ei, ci), (tj, ej, cj), best - 1)
+        n = last - first + 1
+        if n > 0:
+            total += (
+                floor_sum(n, ti, -ei, ci - first * ei)
+                + floor_sum(n, -tj, -ej, cj - first * ej)
+                + (2 - best) * n
+            )
+    return total
+
+
+class DilationProfile:
+    """The candidate lines of all dilates kP from one local scan of P.
+
+    The triangle of kP is the slope cone of P's triangle cut at level kJ, so
+    the candidates of kP are the records with kmin <= k. best(k) and the
+    diameter directions of kP are a max over the records; count(k) sums the
+    closed-form level count of each direction. The level pieces of a
+    direction depend on P alone and are kept once computed.
+    """
+
+    def __init__(self, P: Polygon2, records: tuple[ProfileRecord, ...]):
+        self.polygon = P
+        self.records = records
+        self._pieces: dict[Point, list[Piece]] = {}
+
+    def best(self, k: int) -> tuple[int, list[Point]]:
+        """The best lattice count of a line through kP, and the sorted
+        primitive vectors of the directions attaining it."""
+        if not isinstance(k, int) or k < 1:
+            raise ValidationError("dilation factor must be a positive int")
+        best = 0
+        directions: set[Point] = set()
+        for _, d, kmin, (num, den) in self.records:
+            if kmin <= k:
+                count = k * num // den + 1
+                if count > best:
+                    best, directions = count, set()
+                if count == best:
+                    directions.add(d)
+        return best, sorted(directions)
+
+    def count(self, k: int) -> int:
+        """The number of lattice diameter lines of kP."""
+        best, directions = self.best(k)
+        total = 0
+        for u in directions:
+            pieces = self._pieces.get(u)
+            if pieces is None:
+                pieces = self._pieces[u] = _level_pieces(self.polygon, u)
+            total += _diameter_level_count(pieces, k, best)
+        return total
+
+
+def dilation_profile(P: Polygon2) -> DilationProfile:
+    """One record per candidate line of the dilates of P, with its least
+    dilation factor kmin and its chord through P, read once with clip_line."""
+    kmins: dict[LineKey, tuple[Point, Point, int]] = {}
+    for line, v, d, kmin in _polygon_picks(P):
+        if line not in kmins or kmin < kmins[line][2]:
+            kmins[line] = (v, d, kmin)
+    records = []
+    for v, d, kmin in kmins.values():
+        chord = nvol(clip_line(P, LatticeLine(v, d)))
+        records.append(ProfileRecord(v, d, kmin, (chord.numerator, chord.denominator)))
+    return DilationProfile(P, tuple(records))
 
 
 def compute_diameter(P: Polygon2) -> DiameterReport:

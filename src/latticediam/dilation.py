@@ -20,14 +20,15 @@ from math import gcd
 from typing import Sequence
 
 from .core import Direction, Point, Polygon2, RationalPoint, level_interval
-from .diameter import diameter_levels
-from .errors import FitError, ValidationError
+from .diameter import dilation_profile
+from .errors import BudgetError, FitError, ValidationError
 from .lines import LatticeLine, clip_line, nvol
 
 __all__ = [
     "QuasiPolynomial",
     "BlockDecomposition",
     "count_diameter_lines",
+    "check_dilate_budget",
     "fit_quasipolynomial",
     "chamber_decomposition",
 ]
@@ -85,10 +86,19 @@ class BlockDecomposition:
 def count_diameter_lines(P: Polygon2, k: int) -> int:
     """Number of lattice diameter lines of the dilate kP, exactly.
 
-    Counts the diameter levels of kP per direction; no line is built.
+    Reads the best count and the diameter directions of kP from the dilation
+    profile of P and counts the diameter levels of each direction in closed
+    form; kP is never built, and the work does not grow with k.
     """
-    _, levels = diameter_levels(P.dilate(k))
-    return sum(len(anchors) for _, anchors in levels)
+    return dilation_profile(P).count(k)
+
+
+def check_dilate_budget(k_max: int, budget: int) -> None:
+    """Raise BudgetError when sampling the dilates k = 1..k_max exceeds budget."""
+    if k_max > budget:
+        raise BudgetError(
+            f"{k_max} dilates to sample, over the budget of {budget}"
+        )
 
 
 def _divisors(n: int) -> list[int]:
@@ -96,7 +106,9 @@ def _divisors(n: int) -> list[int]:
     return out
 
 
-def fit_quasipolynomial(P: Polygon2, k_max: int | None = None) -> QuasiPolynomial:
+def fit_quasipolynomial(
+    P: Polygon2, k_max: int | None = None, budget: int | None = None
+) -> QuasiPolynomial:
     """Fit and verify the diameter line count of dilates of P up to k_max.
 
     The candidate period q is the denominator of the maximal normalized chord
@@ -107,13 +119,17 @@ def fit_quasipolynomial(P: Polygon2, k_max: int | None = None) -> QuasiPolynomia
     explicit k_max is never extended. The result uses the minimal verified
     period (a divisor of q) and the smallest sampled k from which every later
     sample matches; that start can exceed q when a chord that is not
-    asymptotically longest still ties for small dilates.
+    asymptotically longest still ties for small dilates. Every count comes
+    from one dilation profile of P. With a budget, a sample horizon over it
+    (the first one, each doubling or k_max) raises BudgetError before any
+    sample of it is taken.
     """
+    profile = dilation_profile(P)
     # In a diameter direction the longest chord lies on a vertex line, and
     # that line is itself a diameter line.
-    _, levels = diameter_levels(P)
+    _, directions = profile.best(1)
     q = max(
-        nvol(clip_line(P, LatticeLine(v, u))) for u, _ in levels for v in P.vertices
+        nvol(clip_line(P, LatticeLine(v, u))) for u in directions for v in P.vertices
     ).denominator
     explicit = k_max is not None
     if explicit and k_max < 4 * q:
@@ -124,13 +140,16 @@ def fit_quasipolynomial(P: Polygon2, k_max: int | None = None) -> QuasiPolynomia
     cap = max(16 * q, 64)
     counts: dict[int, int] = {}
     while True:
+        if budget is not None:
+            check_dilate_budget(horizon, budget)
         for k in range(1, horizon + 1):
             if k not in counts:
-                counts[k] = count_diameter_lines(P, k)
+                counts[k] = profile.count(k)
         pieces: list[tuple[Fraction, Fraction]] = []
         for residue in range(q):
-            ks = [k for k in range(1, horizon + 1) if k % q == residue]
-            k1, k2 = ks[-2], ks[-1]
+            # the last two samples of the residue class
+            k2 = horizon - (horizon - residue) % q
+            k1 = k2 - q
             slope = Fraction(counts[k2] - counts[k1], k2 - k1)
             intercept = counts[k1] - slope * k1
             pieces.append((slope, intercept))

@@ -13,6 +13,7 @@ from latticediam import (
     Polygon2,
     count_lattice_points_polygon,
 )
+from latticediam.diameter import diameter_levels
 from latticediam.lines import level_anchor, level_interval
 
 TRIANGLE = Polygon2(((0, 1), (1, 0), (2, 2)))
@@ -76,6 +77,32 @@ def random_polygon(
             return P
 
 
+def unimodular(rng: random.Random, reach: int) -> tuple[int, int, int, int]:
+    """A random integer matrix (a, b, c, d) with ad - bc = 1: a product of shears."""
+    a, b, c, d = 1, 0, 0, 1
+    for _ in range(2):
+        s, t = rng.randint(-reach, reach), rng.randint(-reach, reach)
+        a, b = a + s * c, b + s * d  # row 1 += s * row 2
+        c, d = c + t * a, d + t * b  # row 2 += t * row 1
+    return a, b, c, d
+
+
+def wide_polygons(n: int):
+    """Seeded polygons with x-spans up to 10^6: unimodular images of small
+    random polygons, so their level walks stay short."""
+    rng = random.Random(20251018)
+    out = []
+    while len(out) < n:
+        small = random_polygon(rng, span_hi=10)
+        a, b, c, d = unimodular(rng, 10 ** rng.randint(0, 2))
+        assert a * d - b * c == 1
+        P = Polygon2(tuple((a * x + b * y, c * x + d * y) for x, y in small.vertices))
+        (xlo, _), (xhi, _) = P.bounding_box()
+        if xhi - xlo <= 10**6:
+            out.append(P)
+    return out
+
+
 def random_point_set(
     rng: random.Random, d: int, coord: int = 8, n_lo: int = 2, n_hi: int = 20
 ) -> PointSet:
@@ -132,3 +159,12 @@ def walk_local_lines(edge, vertex, normal) -> list[LatticeLine]:
         if len(found) == 3:
             break
     return [LatticeLine(v, Direction((w[0] - v[0], w[1] - v[1]))) for w in found]
+
+
+def dilate_levels_oracle(P: Polygon2, k: int) -> tuple[int, int, list[tuple[int, int]]]:
+    """The per-dilate path that the dilation profile replaced, kept as its
+    oracle: build kP, run every local scan on it and sweep each diameter
+    direction level by level. Returns the diameter line count, the best
+    count and the sorted direction vectors of kP."""
+    best, levels = diameter_levels(P.dilate(k))
+    return sum(len(anchors) for _, anchors in levels), best, [u.vec for u, _ in levels]

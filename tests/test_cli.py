@@ -19,7 +19,7 @@ from latticediam import (
 )
 from latticediam import BudgetError, borsuk, cli
 
-from helpers import QUAD, SQUARE
+from helpers import QUAD, SQUARE, dilate_levels_oracle
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
 
@@ -192,6 +192,34 @@ class TestLdCount:
             cli.run(["ld", square_file])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("name", ["demo-quad", "demo-square", "demo-triangle"])
+    def test_samples_match_the_per_dilate_path(self, name, capsys):
+        path = str(SAMPLES / f"{name}.json")
+        assert cli.run(["ld-count", path, "--k-max", "12", "--format", "json"]) == 0
+        P = Polygon2(
+            tuple(tuple(int(c) for c in v)
+                  for v in json.loads(Path(path).read_text())["vertices"])
+        )
+        want = [[k, dilate_levels_oracle(P, k)[0]] for k in range(1, 13)]
+        assert json.loads(capsys.readouterr().out) == {"counts": want}
+
+    def test_k_max_over_the_budget_is_refused(self, quad_file, capsys, monkeypatch):
+        def no_count(*args):
+            raise AssertionError("the count loop started")
+
+        monkeypatch.setattr(cli, "dilation_profile", no_count)
+        assert cli.run(["ld-count", quad_file, "--k-max", "201", "--budget", "200"]) == 6
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "201 dilates to sample, over the budget of 200" in err
+
+    def test_refused_fit_prints_no_table(self, quad_file, capsys):
+        # the quad's fit samples 4q = 12 dilates first
+        assert cli.run(["ld", quad_file, "--k-max", "6", "--fit", "--budget", "11"]) == 6
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "12 dilates to sample" in err
+
 
 class TestLdFit:
     def test_quad_pieces(self, quad_file, capsys):
@@ -206,6 +234,33 @@ class TestLdFit:
     def test_small_k_max_is_a_fit_error(self, quad_file, capsys):
         assert cli.run(["ld-fit", quad_file, "--k-max", "5"]) == 5
         assert "error:" in capsys.readouterr().err
+
+    def test_huge_period_is_refused_before_sampling(self, tmp_path, capsys):
+        # q = 999,997, so the first horizon 4q is far over the default budget
+        P = Polygon2(((0, 0), (10**6, 3), (10**6 + 1, 10**6)))
+        path = write_doc(tmp_path, document_for_polygon(P, name="huge q"))
+        assert cli.run(["ld-fit", path]) == 6
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "3999988 dilates to sample, over the budget of 200000" in err
+
+    @pytest.mark.parametrize(
+        "argv, horizon",
+        [(["--budget", "7"], 8), (["--k-max", "13", "--budget", "12"], 13),
+         (["--budget", "15"], 16)],
+        ids=["first-horizon", "explicit-k-max", "doubling"],
+    )
+    def test_horizon_over_the_budget_is_refused(self, tmp_path, capsys, argv, horizon):
+        # this pentagon has q = 2 but settles only at k = 4, so its fit
+        # doubles the first horizon 4q = 8 once, to 16
+        P = Polygon2(((-2, 1), (-1, 0), (0, 0), (1, 3), (-1, 2)))
+        path = write_doc(tmp_path, document_for_polygon(P, name="late start"))
+        assert cli.run(["ld-fit", path, "--budget", "16"]) == 0
+        capsys.readouterr()
+        assert cli.run(["ld-fit", path] + argv) == 6
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{horizon} dilates to sample" in err
 
 
 class TestBorsuk:

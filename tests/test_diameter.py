@@ -11,6 +11,7 @@ from helpers import (
     convex_hull,
     random_polygon,
     walk_local_lines,
+    wide_polygons,
 )
 from latticediam import diameter
 from latticediam import (
@@ -340,32 +341,6 @@ def unwindowed_counts(P: Polygon2, u: Direction) -> dict[int, int]:
         iv = level_interval(halfplanes, (anchor[0] * beta, anchor[1] * beta), u.vec)
         counts[beta] = 0 if iv is None else iv[1] - iv[0] + 1
     return counts
-
-
-def unimodular(rng: random.Random, reach: int) -> tuple[int, int, int, int]:
-    """A random integer matrix (a, b, c, d) with ad - bc = 1: a product of shears."""
-    a, b, c, d = 1, 0, 0, 1
-    for _ in range(2):
-        s, t = rng.randint(-reach, reach), rng.randint(-reach, reach)
-        a, b = a + s * c, b + s * d  # row 1 += s * row 2
-        c, d = c + t * a, d + t * b  # row 2 += t * row 1
-    return a, b, c, d
-
-
-def wide_polygons(n: int):
-    """Seeded polygons with x-spans up to 10^6: unimodular images of small
-    random polygons, so their level walks stay short."""
-    rng = random.Random(20251018)
-    out = []
-    while len(out) < n:
-        small = random_polygon(rng, span_hi=10)
-        a, b, c, d = unimodular(rng, 10 ** rng.randint(0, 2))
-        assert a * d - b * c == 1
-        P = Polygon2(tuple((a * x + b * y, c * x + d * y) for x, y in small.vertices))
-        (xlo, _), (xhi, _) = P.bounding_box()
-        if xhi - xlo <= 10**6:
-            out.append(P)
-    return out
 
 
 class TestChordWindow:

@@ -1,6 +1,7 @@
 """Diameter line counts of dilates: exact counting, fitting, chambers."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -24,8 +25,10 @@ from latticediam import (
     fit_quasipolynomial,
 )
 
-from helpers import QUAD, SQUARE, random_polygon
-from latticediam import compute_diameter, diameter
+from helpers import QUAD, SQUARE, dilate_levels_oracle, random_polygon, wide_polygons
+from latticediam import compute_diameter, diameter, local_diameter_lines
+from latticediam.core import floor_sum
+from latticediam.diameter import dilation_profile, opposite_pairs
 
 # conv{(0,0),(2,0),(3,4)}: the count drops from 4 to its eventual constant 2
 LATE_START = Polygon2(((0, 0), (2, 0), (3, 4)))
@@ -66,29 +69,109 @@ class TestCountDiameterLines:
                 assert count_diameter_lines(P, k) == len(compute_diameter(P.dilate(k)).lines)
 
     def test_builds_no_diameter_line(self, monkeypatch):
-        # The only lines built are the local scan's candidates (at most three
-        # per edge/vertex pair, as local_diameter_lines returns them); none is
-        # built for the 4k + 4 diameter lines counted.
-        in_scan, built = [False], []
-        scan, line = diameter.local_diameter_lines, diameter.LatticeLine
+        # The only lines built are the profile's candidates, to read their
+        # chords: at most three per edge/vertex pair, each through a vertex
+        # of P. None is built for the 4k + 4 diameter lines counted.
+        built = []
+        line = diameter.LatticeLine
 
-        def scan_flagged(*args):
-            in_scan[0] = True
-            try:
-                return scan(*args)
-            finally:
-                in_scan[0] = False
-
-        def candidate_only(*args):
-            if not in_scan[0]:
-                raise AssertionError("a line was built outside the local scan")
+        def recorded(*args):
             built.append(args)
             return line(*args)
 
-        monkeypatch.setattr(diameter, "local_diameter_lines", scan_flagged)
-        monkeypatch.setattr(diameter, "LatticeLine", candidate_only)
+        monkeypatch.setattr(diameter, "LatticeLine", recorded)
         assert count_diameter_lines(SQUARE, 1000) == 4004
         assert len(built) <= 3 * 8  # the square has 8 edge/vertex pairs
+        assert all(base in SQUARE.vertices for base, _ in built)
+
+
+class TestDilationProfile:
+    @pytest.fixture(scope="class")
+    def polygons(self):
+        rng = random.Random(6)
+        small = [
+            random_polygon(rng, span_hi=rng.choice((6, 12, 25)), coord=10**4)
+            for _ in range(400)
+        ]
+        return small + wide_polygons(100)
+
+    def test_matches_the_per_dilate_oracle(self, polygons):
+        cases = 0
+        for P in polygons:
+            profile = dilation_profile(P)
+            ks = {1, 2, 3, 5, 7, 12}
+            for record in profile.records:
+                ks.update((record.kmin - 1, record.kmin))
+            for k in sorted(ks - {0}):
+                best, directions = profile.best(k)
+                assert (profile.count(k), best, directions) == dilate_levels_oracle(P, k), (P, k)
+                cases += 1
+        assert cases >= 500 * 6
+
+    def test_candidates_are_the_local_scans_of_the_dilate(self, polygons):
+        """The records with kmin <= k are the candidate lines of the local
+        scans of kP, and no pick lies above level 2J, so kmin <= 2."""
+        for P in polygons[::5]:
+            profile = dilation_profile(P)
+            assert all(record.kmin <= 2 for record in profile.records)
+            for k in (1, 2, 12):
+                kP = P.dilate(k)
+                want = {
+                    line
+                    for pair in opposite_pairs(kP)
+                    for line in local_diameter_lines(pair.edge, pair.vertex, pair.normal)
+                }
+                got = {
+                    LatticeLine((k * v[0], k * v[1]), d)
+                    for v, d, kmin, _ in profile.records
+                    if kmin <= k
+                }
+                assert got == want, (P, k)
+
+    def test_floor_sum_matches_a_loop(self):
+        rng = random.Random(99)
+        for _ in range(3000):
+            n, m = rng.randint(0, 40), rng.randint(1, 10 ** rng.randint(0, 4))
+            a = rng.randint(-(10 ** rng.randint(0, 6)), 10 ** rng.randint(0, 6))
+            b = rng.randint(-(10 ** rng.randint(0, 9)), 10 ** rng.randint(0, 9))
+            assert floor_sum(n, m, a, b) == sum((a * x + b) // m for x in range(n))
+
+    def test_rejects_nonpositive_k(self):
+        for k in (0, -3):
+            with pytest.raises(ValidationError):
+                count_diameter_lines(QUAD, k)
+
+
+class TestDilationWork:
+    def test_quad_at_a_trillion(self):
+        assert count_diameter_lines(QUAD, 10**12) == 2_000_000_000_001
+
+    def test_work_does_not_grow_with_k(self, monkeypatch):
+        calls = Counter()
+        for name in ("level_interval", "floor_sum"):
+            kernel = getattr(diameter, name)
+
+            def counted(*args, _name=name, _kernel=kernel):
+                calls[_name] += 1
+                return _kernel(*args)
+
+            monkeypatch.setattr(diameter, name, counted)
+        built = []
+        init = Polygon2.__init__
+
+        def recorded(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(Polygon2, "__init__", recorded)
+        work = []
+        for k in (10, 10**6, 10**12):
+            calls.clear()
+            count_diameter_lines(QUAD, k)
+            work.append(dict(calls))
+        assert work[0] == work[1] == work[2]
+        assert work[0]["floor_sum"] > 0
+        assert built == []
 
 
 class TestFit:
