@@ -157,7 +157,9 @@ def _cmd_ld(args: argparse.Namespace) -> int:
     counts = [(k, profile.count(k)) for k in range(1, args.k_max + 1)]
     # Fit sampling is sized from the discovered period, not the table range;
     # it runs before any output, so a refused fit prints nothing.
-    fit = fit_quasipolynomial(P, budget=args.budget) if args.fit else None
+    fit = None
+    if args.fit:
+        fit = fit_quasipolynomial(P, budget=args.budget, profile=profile)
     if args.format == "json":
         print(json.dumps({"counts": counts}, sort_keys=True))
     else:

@@ -20,7 +20,7 @@ from math import gcd
 from typing import Sequence
 
 from .core import Direction, Point, Polygon2, RationalPoint, level_interval
-from .diameter import dilation_profile
+from .diameter import DilationProfile, dilation_profile
 from .errors import BudgetError, FitError, ValidationError
 from .lines import LatticeLine, clip_line, nvol
 
@@ -107,7 +107,10 @@ def _divisors(n: int) -> list[int]:
 
 
 def fit_quasipolynomial(
-    P: Polygon2, k_max: int | None = None, budget: int | None = None
+    P: Polygon2,
+    k_max: int | None = None,
+    budget: int | None = None,
+    profile: DilationProfile | None = None,
 ) -> QuasiPolynomial:
     """Fit and verify the diameter line count of dilates of P up to k_max.
 
@@ -120,11 +123,13 @@ def fit_quasipolynomial(
     period (a divisor of q) and the smallest sampled k from which every later
     sample matches; that start can exceed q when a chord that is not
     asymptotically longest still ties for small dilates. Every count comes
-    from one dilation profile of P. With a budget, a sample horizon over it
+    from one dilation profile of P, built here unless the caller passes
+    dilation_profile(P) as profile. With a budget, a sample horizon over it
     (the first one, each doubling or k_max) raises BudgetError before any
     sample of it is taken.
     """
-    profile = dilation_profile(P)
+    if profile is None:
+        profile = dilation_profile(P)
     # In a diameter direction the longest chord lies on a vertex line, and
     # that line is itself a diameter line.
     _, directions = profile.best(1)

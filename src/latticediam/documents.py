@@ -9,6 +9,7 @@ for convenience but never emitted.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -31,6 +32,8 @@ __all__ = [
 
 KINDS = ("polygon", "point_set", "construction_request")
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
 
 def encode_number(v: int | Fraction) -> str:
     if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
@@ -38,15 +41,20 @@ def encode_number(v: int | Fraction) -> str:
     return str(v)
 
 
-def decode_number(raw: object) -> Fraction:
-    """Exact value of a document coordinate ("5", "17/3", or a JSON int)."""
+def decode_number(raw: object) -> int | Fraction:
+    """Exact value of a document coordinate ("5", "17/3", or a JSON int).
+
+    JSON ints and canonical integer strings (ASCII -?[0-9]+) decode to int;
+    every other string goes through Fraction, which accepts and refuses
+    exactly what it always has.
+    """
     if isinstance(raw, bool):
         raise ParseError(f"expected a number, got {raw!r}")
     if isinstance(raw, int):
-        return Fraction(raw)
+        return raw
     if isinstance(raw, str):
         try:
-            return Fraction(raw)
+            return int(raw) if _INTEGER.fullmatch(raw) else Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad number {raw!r}: {exc}") from None
     raise ParseError(f"expected a string-encoded number, got {type(raw).__name__}")
@@ -58,7 +66,7 @@ class Document:
 
     kind: str
     dimension: int
-    rows: tuple[tuple[Fraction, ...], ...] = ()
+    rows: tuple[tuple[int | Fraction, ...], ...] = ()
     name: str = ""
     construction: str = ""
     params: tuple[tuple[str, str], ...] = field(default=())
@@ -71,7 +79,8 @@ class Document:
         for row in self.rows:
             if len(row) != self.dimension:
                 raise ParseError(
-                    f"row {row!r} does not have {self.dimension} coordinates"
+                    f"row {tuple(map(str, row))} does not have "
+                    f"{self.dimension} coordinates"
                 )
 
 

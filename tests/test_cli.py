@@ -17,7 +17,7 @@ from latticediam import (
     parse_document,
     render_document,
 )
-from latticediam import BudgetError, borsuk, cli
+from latticediam import BudgetError, borsuk, cli, diameter, dilation
 
 from helpers import QUAD, SQUARE, dilate_levels_oracle
 
@@ -219,6 +219,20 @@ class TestLdCount:
         out, err = capsys.readouterr()
         assert out == ""
         assert "12 dilates to sample" in err
+
+    def test_fit_reuses_the_table_profile(self, quad_file, capsys, monkeypatch):
+        built = []
+        profile = diameter.dilation_profile
+
+        def counted(P):
+            built.append(P)
+            return profile(P)
+
+        monkeypatch.setattr(cli, "dilation_profile", counted)
+        monkeypatch.setattr(dilation, "dilation_profile", counted)
+        assert cli.run(["ld", quad_file, "--k-max", "6", "--fit"]) == 0
+        assert len(built) == 1
+        assert json.loads(capsys.readouterr().out.split("6,5\n", 1)[1])["period"] == 3
 
 
 class TestLdFit:

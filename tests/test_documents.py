@@ -47,6 +47,22 @@ class TestNumberCodec:
         with pytest.raises(ParseError):
             decode_number(1.5)
 
+    @pytest.mark.parametrize(
+        "raw",
+        ["5", "-12", " 5", "+5", "05", "-0", "5_0", "٥", "²", "0x5", "1/0",
+         "17/3", "5\n", "-", "", "9" * 5000],
+    )
+    def test_integer_fast_path_decodes_as_fraction_did(self, raw):
+        # canonical integer strings skip Fraction; nothing else may change
+        try:
+            want = Fraction(raw)
+        except (ValueError, ZeroDivisionError) as exc:
+            with pytest.raises(ParseError) as got:
+                decode_number(raw)
+            assert str(got.value) == f"bad number {raw!r}: {exc}"
+        else:
+            assert decode_number(raw) == want
+
     @given(st.fractions())
     @settings(max_examples=100, deadline=None)
     def test_round_trip(self, q):

@@ -1,11 +1,11 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_point_set
+from helpers import random_point_set, random_polygon
 from latticediam import (
     BudgetError,
     Direction,
@@ -14,6 +14,11 @@ from latticediam import (
     brute_force_diameter,
     check_rabinowitz,
     diameter_directions,
+    direction_maximal_polytope,
+    enumerate_lattice_points,
+    hardness_instance,
+    hardness_lattice_points,
+    oracle,
 )
 
 
@@ -54,6 +59,15 @@ class TestBruteForce:
         with pytest.raises(BudgetError):
             brute_force_diameter(S, max_pairs=100)
 
+    def test_budget_refuses_the_cheap_residue_path_too(self):
+        # the budget counts pairs whichever path would run
+        S = PointSet(product(range(10), repeat=2))
+        pairs, steps = oracle._path_costs(S.points)
+        assert oracle.RESIDUE_COST * steps < pairs == 4950
+        with pytest.raises(BudgetError):
+            brute_force_diameter(S, max_pairs=pairs - 1)
+        assert brute_force_diameter(S, max_pairs=pairs).ldiam == 9
+
     def test_degree_counts_segments_twice(self):
         S = PointSet([(0, 0), (1, 0), (0, 1), (1, 1)])
         rep = brute_force_diameter(S)
@@ -66,23 +80,79 @@ class TestBruteForce:
         assert list(rep.segments) == sorted(rep.segments)
 
 
-# the d = 2 and d = 3 scan loops are specialized; embedding a planar set into
-# Z^3 and Z^4 must not change any gcd, so all paths must agree
+# the pair scan has a plain d = 2 loop and one loop for d >= 3 that reads
+# gcd(dx, dy) first, and small dense sets take the residue scan instead;
+# embedding a planar set into Z^3 and Z^4 must not change any gcd, so every
+# path must agree
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_specialized_loops_agree_with_generic(seed):
     rng = random.Random(seed)
     S = random_point_set(rng, 2, coord=9, n_hi=12)
-    rep2 = brute_force_diameter(S)
-    lifted3 = PointSet([p + (5,) for p in S])
-    lifted4 = PointSet([p + (5, -7) for p in S])
-    rep3 = brute_force_diameter(lifted3)
-    rep4 = brute_force_diameter(lifted4)
-    assert rep2.ldiam == rep3.ldiam == rep4.ldiam
-    assert len(rep2.segments) == len(rep3.segments) == len(rep4.segments)
     naive_best, naive_segs = naive_report(S)
+    for T in (S, PointSet([p + (5,) for p in S]), PointSet([p + (5, -7) for p in S])):
+        for scan in (oracle._pair_scan, oracle._residue_scan, oracle._scan_pairs):
+            best, hits = scan(T.points)
+            assert best == naive_best
+            assert len(hits) == len(naive_segs)
+    rep2 = brute_force_diameter(S)
     assert rep2.ldiam == naive_best
     assert set(rep2.segments) == set(naive_segs)
+
+
+def two_path_cases(d: int):
+    """Seeded point sets in Z^d for the two exact scans, named."""
+    rng = random.Random(f"two-paths/{d}")
+    m = {1: 40, 2: 7, 3: 4, 4: 3, 5: 2}[d]
+    yield "dense box", PointSet(product(range(m + 1), repeat=d))
+    for k in range(12):
+        yield f"sparse {k}", random_point_set(
+            rng, d, coord=rng.choice((3, 10, 100, 10**4)), n_hi=40
+        )
+        # one wide coordinate: gcds above the other ranges come from
+        # points equal off it
+        wide = rng.randrange(d)
+        pts = {
+            tuple(rng.randint(0, 10**6 if c == wide else 2) for c in range(d))
+            for _ in range(rng.randint(2, 30))
+        }
+        yield f"skewed {k}", PointSet(pts)
+    if d == 2:
+        for k in range(8):
+            yield f"polygon {k}", enumerate_lattice_points(random_polygon(rng))
+    if d >= 3:
+        # pairs with dx = dy = 0 carry the diameter
+        yield "hardness gadget", hardness_lattice_points(hardness_instance(3, 3, 6, d))
+    if d == 5:
+        # every pair ties at gcd 1
+        yield "direction-maximal", direction_maximal_polytope(5)[0]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_pair_and_residue_paths_match_naive(d):
+    for name, S in two_path_cases(d):
+        if len(S) < 2:
+            continue
+        naive_best, naive_segs = naive_report(S)
+        pts = S.points
+        for scan in (oracle._pair_scan, oracle._residue_scan):
+            best, hits = scan(pts)
+            assert best == naive_best, (name, scan.__name__)
+            assert hits == sorted(hits), (name, scan.__name__)
+            assert [(pts[i], pts[j]) for i, j in hits] == naive_segs, (name, scan.__name__)
+
+
+def test_dispatch_takes_each_path(monkeypatch):
+    def refuse(pts):
+        raise AssertionError("the other path was expected")
+
+    box = PointSet(product(range(8), repeat=2))
+    sparse = PointSet([(0, 0), (1000, 3), (17, 999), (500, 500), (998, 1)])
+    monkeypatch.setattr(oracle, "_pair_scan", refuse)
+    assert brute_force_diameter(box).ldiam == 7
+    monkeypatch.undo()
+    monkeypatch.setattr(oracle, "_residue_scan", refuse)
+    assert brute_force_diameter(sparse).ldiam == naive_report(sparse)[0]
 
 
 class TestDirections:
