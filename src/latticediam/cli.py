@@ -8,7 +8,9 @@ mismatch, 5 fit failure, 6 budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from math import comb
@@ -75,6 +77,20 @@ def _fmt_coords(p: Sequence[int | Fraction]) -> str:
     return "(" + ",".join(str(c) for c in p) + ")"
 
 
+def _write_atomic(path: str, text: str) -> None:
+    """Write text to path through a temporary file beside it, renamed into
+    place once complete, so a failed write leaves neither file behind."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _polygon_points(P: Polygon2, budget: int) -> PointSet:
     """The lattice points of P for an oracle scan, refused by Pick's count
     before a single point is listed."""
@@ -95,9 +111,7 @@ def _cmd_diam2d(args: argparse.Namespace) -> int:
     report = compute_diameter(P)
     if args.svg:
         check_dot_budget(P, args.budget)
-        svg = render_diameter_svg(P, report)  # a failed render leaves no file
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(svg)
+        _write_atomic(args.svg, render_diameter_svg(P, report))
     print(
         f"ldiam={report.ldiam} directions={len(report.directions)} "
         f"lines={len(report.lines)}"
@@ -307,7 +321,11 @@ def _cmd_hardness_verify(args: argparse.Namespace) -> int:
     return 0 if check.direction_ok and check.equivalence_ok else 4
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first run() of a process and
+    kept: parsing leaves it unchanged, handlers look up module globals when
+    called, and help reads the terminal width when it is formatted."""
     parser = argparse.ArgumentParser(
         prog="latticediam",
         description="Exact lattice diameter computations on polygons and point sets.",

@@ -18,7 +18,7 @@ cone of P's triangle cut at level kJ instead of J, and picks come in
 increasing level, so the candidates of kP are a prefix of the cone's first
 three picks: those with kmin = ceil(j / J) <= k, and kmin is 1 or 2.
 dilation_profile runs the scan once and records each candidate line with
-its kmin and its chord c = num/den through P, read once with clip_line;
+its kmin and its chord c = num/den through P, read once in integers;
 through a vertex of kP the line holds floor(k num / den) + 1 points. So the
 best count and the diameter directions of kP are a max over a fixed list.
 The diameter levels of a direction are counted in closed form: split its
@@ -43,7 +43,6 @@ from .lines import (
     clip_line,
     level_anchor,
     level_interval,
-    nvol,
 )
 
 __all__ = [
@@ -481,18 +480,45 @@ class DilationProfile:
         return total
 
 
+def _chord(halfplanes: list[tuple[Point, int]], v: Point, d: Point) -> tuple[int, int]:
+    """The length num/den, in lowest terms and in units of d, of the chord
+    through the polygon of the line v + t*d, for v in the polygon.
+
+    Each halfplane (n, c) with t = <n, d> != 0 bounds t by s/t, s = c - <n, v>:
+    from above when t > 0, from below when t < 0. The least upper and the
+    greatest lower bound are found by cross-multiplication, so no Fraction
+    is built.
+    """
+    x, y = v
+    dx, dy = d
+    hs, ht = None, 1  # the upper end hs/ht, ht > 0
+    ls, lt = None, 1  # the lower end ls/lt, lt > 0
+    for (nx, ny), c in halfplanes:
+        t = nx * dx + ny * dy
+        s = c - nx * x - ny * y
+        if t > 0:
+            if hs is None or s * ht < hs * t:
+                hs, ht = s, t
+        elif t < 0:
+            if ls is None or s * lt < ls * t:  # s/t > ls/lt, with t < 0
+                ls, lt = -s, -t
+    num, den = hs * lt - ls * ht, ht * lt
+    g = gcd(num, den)
+    return num // g, den // g
+
+
 def dilation_profile(P: Polygon2) -> DilationProfile:
     """One record per candidate line of the dilates of P, with its least
-    dilation factor kmin and its chord through P, read once with clip_line."""
+    dilation factor kmin and its chord through P, read once in integers."""
     kmins: dict[LineKey, tuple[Point, Point, int]] = {}
     for line, v, d, kmin in _polygon_picks(P):
         if line not in kmins or kmin < kmins[line][2]:
             kmins[line] = (v, d, kmin)
-    records = []
-    for v, d, kmin in kmins.values():
-        chord = nvol(clip_line(P, LatticeLine(v, d)))
-        records.append(ProfileRecord(v, d, kmin, (chord.numerator, chord.denominator)))
-    return DilationProfile(P, tuple(records))
+    halfplanes = P.halfplanes()
+    return DilationProfile(P, tuple(
+        ProfileRecord(v, d, kmin, _chord(halfplanes, v, d))
+        for v, d, kmin in kmins.values()
+    ))
 
 
 def compute_diameter(P: Polygon2) -> DiameterReport:

@@ -1,15 +1,18 @@
 """Static SVG rendering of a polygon with its diameter segments.
 
-Pure string building on exact arithmetic: scaled coordinates are Fractions
-rounded to hundredths of a pixel, so output never depends on float state.
-The drawing is a view only; nothing here feeds back into computations.
+Pure string building on exact arithmetic, so output never depends on float
+state. The grid dots and the polygon outline sit at lattice points, whose
+scaled coordinates are plain ints; each column's inside dots are one
+level_interval call. Fractions remain only for the diameter segments, whose
+clip endpoints are rational and are rounded to hundredths of a pixel. The
+drawing is a view only; nothing here feeds back into computations.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import Polygon2, enumerate_lattice_points
+from .core import Polygon2, level_interval
 from .diameter import DiameterReport
 from .errors import BudgetError
 from .lines import clip_line
@@ -18,6 +21,7 @@ __all__ = ["check_dot_budget", "render_diameter_svg"]
 
 SCALE = 40
 MARGIN = 1
+INSIDE, OUTSIDE = "#7a7a7a", "#d4d4d4"  # grid dot fills
 
 # One stroke color per diameter direction, cycled past eight.
 PALETTE = (
@@ -54,12 +58,14 @@ def check_dot_budget(polygon: Polygon2, budget: int) -> None:
 
 def render_diameter_svg(polygon: Polygon2, report: DiameterReport) -> str:
     (xlo, ylo), (xhi, yhi) = polygon.bounding_box()
+    left, top = xlo - MARGIN, yhi + MARGIN  # the top left grid dot
 
-    def px(x: Fraction | int) -> Fraction:
-        return (Fraction(x) - xlo + MARGIN) * SCALE
+    # ints at lattice points, Fractions at the rational ends of segments
+    def px(x: Fraction | int) -> Fraction | int:
+        return (x - left) * SCALE
 
-    def py(y: Fraction | int) -> Fraction:
-        return (Fraction(yhi) + MARGIN - y) * SCALE
+    def py(y: Fraction | int) -> Fraction | int:
+        return (top - y) * SCALE
 
     width = (xhi - xlo + 2 * MARGIN) * SCALE
     height = (yhi - ylo + 2 * MARGIN) * SCALE
@@ -69,16 +75,18 @@ def render_diameter_svg(polygon: Polygon2, report: DiameterReport) -> str:
         f'width="{width + 10}" height="{height + 10}" '
         f'viewBox="-5 -5 {width + 10} {height + 10}">'
     ]
-    outline = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in polygon.vertices)
+    outline = " ".join(f"{px(x)},{py(y)}" for x, y in polygon.vertices)
     out.append(f'<polygon points="{outline}" fill="#eef2f8" stroke="none"/>')
-    inside = set(enumerate_lattice_points(polygon))
-    for gx in range(xlo - MARGIN, xhi + MARGIN + 1):
-        for gy in range(ylo - MARGIN, yhi + MARGIN + 1):
-            fill = "#7a7a7a" if (gx, gy) in inside else "#d4d4d4"
-            out.append(
-                f'<circle cx="{_fmt(px(gx))}" cy="{_fmt(py(gy))}" '
-                f'r="2.5" fill="{fill}"/>'
-            )
+    halfplanes = polygon.halfplanes()
+    rows = [(gy, py(gy)) for gy in range(ylo - MARGIN, top + 1)]
+    for gx in range(left, xhi + MARGIN + 1):
+        cx = px(gx)
+        lo, hi = level_interval(halfplanes, (gx, 0), (0, 1)) or (1, 0)
+        out.extend(
+            f'<circle cx="{cx}" cy="{cy}" r="2.5" '
+            f'fill="{INSIDE if lo <= gy <= hi else OUTSIDE}"/>'
+            for gy, cy in rows
+        )
     out.append(
         f'<polygon points="{outline}" fill="none" stroke="#24344d" stroke-width="2"/>'
     )

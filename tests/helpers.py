@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+from fractions import Fraction
 from math import gcd
 
 from latticediam import (
@@ -11,10 +12,13 @@ from latticediam import (
     LatticeLine,
     PointSet,
     Polygon2,
+    clip_line,
     count_lattice_points_polygon,
+    enumerate_lattice_points,
 )
-from latticediam.diameter import diameter_levels
+from latticediam.diameter import DiameterReport, diameter_levels
 from latticediam.lines import level_anchor, level_interval
+from latticediam.svg import MARGIN, PALETTE, SCALE
 
 TRIANGLE = Polygon2(((0, 1), (1, 0), (2, 2)))
 SQUARE = Polygon2(((0, 0), (2, 0), (2, 2), (0, 2)))
@@ -168,3 +172,63 @@ def dilate_levels_oracle(P: Polygon2, k: int) -> tuple[int, int, list[tuple[int,
     count and the sorted direction vectors of kP."""
     best, levels = diameter_levels(P.dilate(k))
     return sum(len(anchors) for _, anchors in levels), best, [u.vec for u, _ in levels]
+
+
+def _fmt_oracle(v: Fraction | int) -> str:
+    n = round(Fraction(v) * 100)
+    sign = "-" if n < 0 else ""
+    whole, cents = divmod(abs(n), 100)
+    if cents == 0:
+        return f"{sign}{whole}"
+    return f"{sign}{whole}.{cents:02d}".rstrip("0")
+
+
+def render_diameter_svg_oracle(polygon: Polygon2, report: DiameterReport) -> str:
+    """The Fraction renderer that svg.render_diameter_svg replaced, kept as
+    its byte oracle: every coordinate goes through a Fraction rounded to
+    hundredths, and the grid dot fill is a lookup in the listed lattice
+    points of the polygon."""
+    (xlo, ylo), (xhi, yhi) = polygon.bounding_box()
+
+    def px(x: Fraction | int) -> Fraction:
+        return (Fraction(x) - xlo + MARGIN) * SCALE
+
+    def py(y: Fraction | int) -> Fraction:
+        return (Fraction(yhi) + MARGIN - y) * SCALE
+
+    width = (xhi - xlo + 2 * MARGIN) * SCALE
+    height = (yhi - ylo + 2 * MARGIN) * SCALE
+    out = [
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{width + 10}" height="{height + 10}" '
+        f'viewBox="-5 -5 {width + 10} {height + 10}">'
+    ]
+    outline = " ".join(
+        f"{_fmt_oracle(px(x))},{_fmt_oracle(py(y))}" for x, y in polygon.vertices
+    )
+    out.append(f'<polygon points="{outline}" fill="#eef2f8" stroke="none"/>')
+    inside = set(enumerate_lattice_points(polygon))
+    for gx in range(xlo - MARGIN, xhi + MARGIN + 1):
+        for gy in range(ylo - MARGIN, yhi + MARGIN + 1):
+            fill = "#7a7a7a" if (gx, gy) in inside else "#d4d4d4"
+            out.append(
+                f'<circle cx="{_fmt_oracle(px(gx))}" cy="{_fmt_oracle(py(gy))}" '
+                f'r="2.5" fill="{fill}"/>'
+            )
+    out.append(
+        f'<polygon points="{outline}" fill="none" stroke="#24344d" stroke-width="2"/>'
+    )
+    dir_index = {u: i for i, u in enumerate(report.directions)}
+    for line in report.lines:
+        clip = clip_line(polygon, line)
+        if clip is None:
+            continue
+        color = PALETTE[dir_index.get(line.dir, 0) % len(PALETTE)]
+        (ax, ay), (bx, by) = clip.a, clip.b
+        out.append(
+            f'<line x1="{_fmt_oracle(px(ax))}" y1="{_fmt_oracle(py(ay))}" '
+            f'x2="{_fmt_oracle(px(bx))}" y2="{_fmt_oracle(py(by))}" '
+            f'stroke="{color}" stroke-width="3" stroke-linecap="round"/>'
+        )
+    out.append("</svg>")
+    return "\n".join(out) + "\n"

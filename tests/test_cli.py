@@ -82,6 +82,22 @@ class TestDiam2d:
         svg_path = tmp_path / "out.svg"
         assert cli.run(["diam2d", quad_file, "--svg", str(svg_path)]) != 0
         assert not svg_path.exists()
+        # A write that fails after the file was opened leaves neither the
+        # target nor the temporary file beside it: here the text cannot be
+        # encoded half way through, and then the final rename fails.
+        monkeypatch.setattr(cli, "render_diameter_svg", lambda P, report: "<svg>\udc80")
+        with pytest.raises(UnicodeEncodeError):
+            cli.run(["diam2d", quad_file, "--svg", str(svg_path)])
+        assert sorted(os.listdir(tmp_path)) == ["input.json"]
+        monkeypatch.undo()
+
+        def failing_replace(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(cli.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="rename refused"):
+            cli.run(["diam2d", quad_file, "--svg", str(svg_path)])
+        assert sorted(os.listdir(tmp_path)) == ["input.json"]
 
     def test_huge_skew_triangle(self, tmp_path):
         # the local scan takes O(log) steps, so 10^12 levels finish at once
@@ -454,3 +470,56 @@ class TestTopLevel:
 
     def test_python_dash_m_cli_module(self, capsys):
         self._same_as_run("latticediam.cli", capsys)
+
+    def test_repeated_runs_give_the_same_results(self, tmp_path, capsys):
+        """The parser is kept between runs; no run may see a trace of an
+        earlier one, whatever its outcome."""
+        quad = str(SAMPLES / "demo-quad.json")
+        svg_path = tmp_path / "out.svg"
+        argvs = (
+            ["diam2d", quad, "--svg", str(svg_path)],
+            ["ld-count", quad],  # usage error: --k-max is required
+            ["oracle", str(SAMPLES / "box-4x2-points.json")],
+            ["ld-count", quad, "--k-max", "6", "--fit"],
+            ["--help"],
+        )
+
+        def outcome(argv):
+            try:
+                code = cli.run(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            svg = svg_path.read_bytes() if svg_path.exists() else None
+            if svg is not None:
+                svg_path.unlink()
+            return code, captured.out, captured.err, svg
+
+        first = [outcome(argv) for argv in argvs]
+        second = [outcome(argv) for argv in argvs]
+        assert second == first
+        assert [code for code, *_ in first] == [0, 2, 0, 0, 0]
+        assert first[0][3] is not None and first[4][1].startswith("usage: latticediam")
+
+    def test_parser_is_built_once_per_process(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_import_builds_no_parser(self):
+        code = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counted(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "import latticediam.cli\n"
+            "print(len(built))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "0\n"

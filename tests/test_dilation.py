@@ -19,16 +19,18 @@ from latticediam import (
     ValidationError,
     brute_force_diameter,
     chamber_decomposition,
+    clip_line,
     count_diameter_lines,
     demo_chamber,
     enumerate_lattice_points,
     fit_quasipolynomial,
+    nvol,
 )
 
 from helpers import QUAD, SQUARE, dilate_levels_oracle, random_polygon, wide_polygons
 from latticediam import compute_diameter, diameter, local_diameter_lines
 from latticediam.core import floor_sum
-from latticediam.diameter import dilation_profile, opposite_pairs
+from latticediam.diameter import _chord, dilation_profile, opposite_pairs
 
 # conv{(0,0),(2,0),(3,4)}: the count drops from 4 to its eventual constant 2
 LATE_START = Polygon2(((0, 0), (2, 0), (3, 4)))
@@ -69,9 +71,8 @@ class TestCountDiameterLines:
                 assert count_diameter_lines(P, k) == len(compute_diameter(P.dilate(k)).lines)
 
     def test_builds_no_diameter_line(self, monkeypatch):
-        # The only lines built are the profile's candidates, to read their
-        # chords: at most three per edge/vertex pair, each through a vertex
-        # of P. None is built for the 4k + 4 diameter lines counted.
+        # The profile reads its candidates' chords in integers, so no line
+        # is built, neither for them nor for the 4k + 4 diameter lines counted.
         built = []
         line = diameter.LatticeLine
 
@@ -81,8 +82,7 @@ class TestCountDiameterLines:
 
         monkeypatch.setattr(diameter, "LatticeLine", recorded)
         assert count_diameter_lines(SQUARE, 1000) == 4004
-        assert len(built) <= 3 * 8  # the square has 8 edge/vertex pairs
-        assert all(base in SQUARE.vertices for base, _ in built)
+        assert built == []
 
 
 class TestDilationProfile:
@@ -127,6 +127,28 @@ class TestDilationProfile:
                     if kmin <= k
                 }
                 assert got == want, (P, k)
+
+    def test_chords_match_clip_line(self, polygons):
+        """The integer chord read agrees with clip_line on every vertex line
+        of the record directions and of a few random directions."""
+        rng = random.Random(12)
+        reads = 0
+        for P in polygons:
+            profile = dilation_profile(P)
+            halfplanes = P.halfplanes()
+            directions = {record.direction for record in profile.records}
+            directions |= {
+                Direction((rng.randint(-9, 9), rng.randint(1, 9))).vec for _ in range(3)
+            }
+            for record in profile.records:
+                chord = nvol(clip_line(P, LatticeLine(record.vertex, record.direction)))
+                assert record.chord == (chord.numerator, chord.denominator), P
+            for v in P.vertices:
+                for d in directions:
+                    chord = nvol(clip_line(P, LatticeLine(v, d)))
+                    assert _chord(halfplanes, v, d) == (chord.numerator, chord.denominator)
+                    reads += 1
+        assert reads > 10_000
 
     def test_floor_sum_matches_a_loop(self):
         rng = random.Random(99)
