@@ -86,12 +86,17 @@ def point_sets():
 
 def row(family: str, name: str, pts) -> dict:
     n, d = len(pts), len(pts[0])
-    bound = oracle._residue_bound([max(col) - min(col) for col in zip(*pts)])
+    spreads = [max(col) - min(col) for col in zip(*pts)]
+    bound = oracle._residue_bound(spreads)
     floor = oracle._rabinowitz_floor(n, d)
-    pairs, steps = oracle._path_costs(pts)
+    pairs, steps = oracle._path_costs(n, d, bound)
     ratio = oracle.RESIDUE_COST * steps / pairs
     pair_s = best_time(lambda: oracle._pair_scan(pts))
-    residue_s = best_time(lambda: oracle._residue_scan(pts)) if steps <= MAX_STEPS else None
+    residue_s = (
+        best_time(lambda: oracle._residue_scan(pts, spreads, bound))
+        if steps <= MAX_STEPS
+        else None
+    )
     ldiam, hits = oracle._scan_pairs(pts)
     out = {
         "family": family,

@@ -2,6 +2,9 @@
 
 Everything here is integer or rational arithmetic; no floats anywhere.
 Points are plain tuples of ints, rational points are tuples of Fraction.
+line_bounds is the one loop that clips a line against halfplanes: the
+lattice point counts (level_interval), the exact clips of lines.clip_line
+and the chord reads of the diameter module are all read from its bounds.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ __all__ = [
     "PointSet",
     "as_point",
     "segment_lattice_count",
+    "line_bounds",
     "level_interval",
     "floor_sum",
     "enumerate_lattice_points",
@@ -186,37 +190,57 @@ class Polygon2:
         return Polygon2(tuple((k * x, k * y) for x, y in self.vertices))
 
 
-def level_interval(
+def line_bounds(
     halfplanes: Sequence[tuple[Point, int]], x0: Point, u: Point
-) -> Optional[tuple[int, int]]:
-    """Integer parameter range of {x0 + k*u : k in Z} inside the halfplanes.
+) -> Optional[tuple[int, int, int, int]]:
+    """Exact parameter range (ls, lt, hs, ht) of the line {x0 + k*u} inside
+    the halfplanes: ls/lt <= k <= hs/ht with lt, ht > 0.
 
-    This is the one kernel that counts lattice points on a lattice line. Each
-    constraint <n, x0> + k <n, u> <= c becomes a floor/ceil division bound on
-    k; a Fraction constant c stays exact, since Fraction // int is an exact
-    floor. Returns (klo, khi) or None when empty.
+    This is the one loop that clips a line against halfplanes. Each constraint
+    <n, x0> + k <n, u> <= c bounds k by s/t, with s = c - <n, x0> and
+    t = <n, u>: from above when t > 0, from below when t < 0. The least upper
+    and the greatest lower bound are found by cross-multiplication, so no
+    division is made. A Fraction constant c stays exact (s is then a
+    Fraction). Returns None when a halfplane parallel to u misses the line,
+    and raises ValidationError when the halfplanes do not bound it on both
+    sides.
     """
-    klo: int | None = None
-    khi: int | None = None
+    hs = ls = None
+    ht = lt = 1
     x, y = x0
     ux, uy = u
     for (nx, ny), c in halfplanes:
-        s = c - (nx * x + ny * y)
+        s = c - nx * x - ny * y
         t = nx * ux + ny * uy
-        if t == 0:
-            if s < 0:
-                return None
-            continue
         if t > 0:
-            bound = s // t  # k <= floor(s / t)
-            khi = bound if khi is None else min(khi, bound)
-        else:
-            bound = -(s // -t)  # k >= ceil(s / t), exact for t < 0
-            klo = bound if klo is None else max(klo, bound)
-    if klo is None or khi is None:
-        # the halfplanes do not bound the line on both sides; callers always
-        # pass full polygons, so treat as invalid input
+            if hs is None or s * ht < hs * t:
+                hs, ht = s, t
+        elif t < 0:
+            if ls is None or s * lt < ls * t:  # s/t > ls/lt, with t < 0
+                ls, lt = -s, -t
+        elif s < 0:
+            return None
+    if hs is None or ls is None:
+        # callers always pass full polygons, so treat as invalid input
         raise ValidationError("halfplanes do not bound the line")
+    return ls, lt, hs, ht
+
+
+def level_interval(
+    halfplanes: Sequence[tuple[Point, int]], x0: Point, u: Point
+) -> Optional[tuple[int, int]]:
+    """Integer parameter range (klo, khi) of {x0 + k*u : k in Z} inside the
+    halfplanes, or None when empty: the ceiling and floor of line_bounds.
+
+    This is the one kernel that counts lattice points on a lattice line.
+    A Fraction constant c stays exact, since Fraction // int is an exact
+    floor.
+    """
+    bounds = line_bounds(halfplanes, x0, u)
+    if bounds is None:
+        return None
+    ls, lt, hs, ht = bounds
+    klo, khi = -(-ls // lt), hs // ht
     if klo > khi:
         return None
     return klo, khi

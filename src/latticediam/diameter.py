@@ -7,26 +7,27 @@ already covered by an earlier candidate line. In the unimodular basis of the
 level functional, that point is the smallest-denominator fraction of a slope
 interval, found by a continued-fraction descent in O(log) integer steps, so
 the cost grows with the bit length of the vertices, not with their size.
-Candidates are then ranked by their exact lattice point count in the whole
-polygon; the best count determines the diameter, and a per-direction level
-sweep recovers every line attaining it (some diameter lines pass through no
-vertex at all). That sweep visits only the levels whose chord can reach the
-best count.
 
-The dilates kP need no scan of their own. The triangle of kP is the slope
-cone of P's triangle cut at level kJ instead of J, and picks come in
+The same scan serves P and all its dilates kP. The triangle of kP is the
+slope cone of P's triangle cut at level kJ instead of J, and picks come in
 increasing level, so the candidates of kP are a prefix of the cone's first
 three picks: those with kmin = ceil(j / J) <= k, and kmin is 1 or 2.
 dilation_profile runs the scan once and records each candidate line with
 its kmin and its chord c = num/den through P, read once in integers;
 through a vertex of kP the line holds floor(k num / den) + 1 points. So the
-best count and the diameter directions of kP are a max over a fixed list.
-The diameter levels of a direction are counted in closed form: split its
-chord window at the vertex levels, where the upper and lower bounds U and L
-of the chord are single linear functions of the level; every window level
-holds best - 1 or best points, so the count over a piece is
-sum floor(U) - sum ceil(L) + (2 - best) |piece|, two Euclid-like floor sums.
-The cost does not grow with k, and all of it is integer arithmetic.
+best count and the diameter directions of kP are a max over a fixed list,
+and compute_diameter reads those of P at k = 1.
+
+Per diameter direction, the vertex levels split the level range into
+pieces on which the upper and lower bounds U and L of the chord are single
+linear functions of the level. Only the levels of a piece's best - 1 chord
+window can hold the best count, and every one of them holds best - 1 or
+best points. compute_diameter sweeps those windows, one kernel call per
+level, to list the diameter lines (some pass through no vertex at all). The
+dilates count them in closed form instead: over a piece, the count is
+sum floor(U) - sum ceil(L) + (2 - best) |piece|, two Euclid-like floor sums,
+so the cost does not grow with k. All of it is integer arithmetic, and
+every clip of a line goes through core.line_bounds.
 """
 
 from __future__ import annotations
@@ -35,22 +36,23 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterator, NamedTuple, Sequence
 
-from .core import Direction, Point, Polygon2, as_point, floor_sum
-from .errors import ValidationError
-from .lines import (
-    ClippedSegment,
-    LatticeLine,
-    clip_line,
-    level_anchor,
+from .core import (
+    Direction,
+    Point,
+    Polygon2,
+    as_point,
+    floor_sum,
     level_interval,
+    line_bounds,
 )
+from .errors import ValidationError
+from .lines import ClippedSegment, LatticeLine, clip_line, level_anchor
 
 __all__ = [
     "OppositePair",
     "DiameterReport",
     "opposite_pairs",
     "local_diameter_lines",
-    "diameter_levels",
     "ProfileRecord",
     "DilationProfile",
     "dilation_profile",
@@ -281,90 +283,6 @@ def _chord_clip(lo: int, hi: int, upper: Side, lower: Side, min_chord: int) -> t
     return (lo, hi) if B >= 0 else (lo, lo - 1)
 
 
-def _sides(halfplanes: list[tuple[Point, int]], u: Point, anchor: Point) -> list[Side]:
-    """(t, e, c) of each halfplane (n, c): t = <n, u>, e = <n, anchor>."""
-    return [
-        (nx * u[0] + ny * u[1], nx * anchor[0] + ny * anchor[1], c)
-        for (nx, ny), c in halfplanes
-    ]
-
-
-def _chord_window(
-    halfplanes: list[tuple[Point, int]],
-    vertices: tuple[Point, ...],
-    u: Direction,
-    anchor: Point,
-    min_chord: int,
-) -> range:
-    """Levels beta of the lattice lines anchor*beta + k*u whose chord through
-    the polygon is at least min_chord, within the vertex level range.
-
-    The halfplanes bound k by U(beta) = min over <n,u> > 0 and L(beta) = max
-    over <n,u> < 0, each linear in beta. The chord U - L is at least m
-    exactly when every (upper, lower) pair satisfies U_i - L_j >= m, which
-    _chord_clip solves. A level outside the window holds at most m lattice
-    points, and one inside holds at least m (the floor/+1 sandwich).
-    """
-    a = (-u.vec[1], u.vec[0])
-    levels = [a[0] * v[0] + a[1] * v[1] for v in vertices]
-    lo, hi = min(levels), max(levels)
-    sides = _sides(halfplanes, u.vec, anchor)
-    for upper in sides:
-        for lower in sides:
-            if upper[0] > 0 > lower[0]:
-                lo, hi = _chord_clip(lo, hi, upper, lower, min_chord)
-    return range(lo, hi + 1)
-
-
-def _direction_sweep(
-    halfplanes: list[tuple[Point, int]],
-    vertices: tuple[Point, ...],
-    u: Direction,
-    best: int,
-) -> Iterator[Point]:
-    """Anchors of the lattice lines of direction u that meet the polygon in
-    exactly best lattice points, in increasing level.
-
-    best must be the largest count of a line of direction u; only the levels
-    of the best - 1 chord window can hold it.
-    """
-    anchor, step = level_anchor((-u.vec[1], u.vec[0]))
-    assert step.vec == u.vec
-    for beta in _chord_window(halfplanes, vertices, u, anchor, best - 1):
-        x0 = (anchor[0] * beta, anchor[1] * beta)
-        iv = level_interval(halfplanes, x0, u.vec)
-        if iv is not None and iv[1] - iv[0] + 1 == best:
-            yield x0
-
-
-def diameter_levels(P: Polygon2) -> tuple[int, list[tuple[Direction, list[Point]]]]:
-    """The best lattice count of a line through P and, per diameter direction
-    in sorted order, the anchors of the levels holding that count.
-
-    The candidates are the local scan's picks within P's triangles, each
-    line counted once with one kernel call. The anchors are lattice points
-    of the diameter lines, in increasing level; no line is built.
-    """
-    halfplanes = P.halfplanes()
-    seen: set[LineKey] = set()
-    best = 0
-    directions: set[Point] = set()
-    for line, v, d, kmin in _polygon_picks(P):
-        if kmin > 1 or line in seen:
-            continue
-        seen.add(line)
-        klo, khi = level_interval(halfplanes, v, d)
-        count = khi - klo + 1
-        if count > best:
-            best, directions = count, set()
-        if count == best:
-            directions.add(d)
-    return best, [
-        (u, list(_direction_sweep(halfplanes, P.vertices, u, best)))
-        for u in map(Direction, sorted(directions))
-    ]
-
-
 class ProfileRecord(NamedTuple):
     """A candidate line of every dilate kP with k >= kmin.
 
@@ -382,33 +300,43 @@ class ProfileRecord(NamedTuple):
 Piece = tuple[int, int, bool, Side, Side]
 
 
-def _level_pieces(P: Polygon2, u: Point) -> list[Piece]:
-    """The vertex level range of P in direction u, split at the vertex
-    levels: (lo, hi, closed, upper, lower) per piece, on which U and L are
-    the single linear functions of the sides upper and lower.
+def _level_pieces(
+    vertices: tuple[Point, ...], halfplanes: list[tuple[Point, int]], u: Point
+) -> tuple[Point, list[Piece]]:
+    """The level anchor of u, and the vertex level range of the polygon in
+    direction u split at the vertex levels: (lo, hi, closed, upper, lower)
+    per piece, on which U and L are the single linear functions of the
+    sides upper and lower.
 
-    The pieces are the overlaps of the level ranges of an upper and a lower
-    edge; each is half-open [lo, hi), except the topmost, which is closed.
-    Edges parallel to u bound no level range and are skipped.
+    The side of the halfplane (n, c) is (t, e, c) with t = <n, u> and
+    e = <n, anchor>. Along its edge the level grows by t, so the edges with
+    t > 0 bound the chord from above and rise, and those with t < 0 bound it
+    from below and fall. The pieces are the overlaps of the level ranges of
+    an upper and a lower edge, in increasing level; each is half-open
+    [lo, hi), except the topmost, which is closed. Edges parallel to u bound
+    no level range and are skipped.
     """
     a = (-u[1], u[0])
     anchor, _ = level_anchor(a)
-    levels = [a[0] * x + a[1] * y for x, y in P.vertices]
-    top, n = max(levels), len(levels)
+    levels = [a[0] * x + a[1] * y for x, y in vertices]
     upper, lower = [], []
-    for i, side in enumerate(_sides(P.halfplanes(), u, anchor)):
-        span = sorted((levels[i], levels[(i + 1) % n]))  # edge i runs vertex i -> i+1
-        if side[0] > 0:
-            upper.append((span, side))
-        elif side[0] < 0:
-            lower.append((span, side))
+    # edge i runs from vertex i to vertex i + 1
+    for ((nx, ny), c), start, end in zip(halfplanes, levels, levels[1:] + levels[:1]):
+        t = nx * u[0] + ny * u[1]
+        side = (t, nx * anchor[0] + ny * anchor[1], c)
+        if t > 0:
+            upper.append((start, end, side))
+        elif t < 0:
+            lower.append((end, start, side))
+    top = max(levels)
     pieces = []
-    for (lo_u, hi_u), up in upper:
-        for (lo_l, hi_l), low in lower:
+    for lo_u, hi_u, up in upper:
+        for lo_l, hi_l, low in lower:
             lo, hi = max(lo_u, lo_l), min(hi_u, hi_l)
             if lo < hi:
                 pieces.append((lo, hi, hi == top, up, low))
-    return pieces
+    pieces.sort()
+    return anchor, pieces
 
 
 def _diameter_level_count(pieces: list[Piece], k: int, best: int) -> int:
@@ -437,6 +365,30 @@ def _diameter_level_count(pieces: list[Piece], k: int, best: int) -> int:
     return total
 
 
+def _direction_sweep(
+    halfplanes: list[tuple[Point, int]],
+    levels: tuple[Point, list[Piece]],
+    u: Point,
+    best: int,
+) -> Iterator[Point]:
+    """Anchors of the lattice lines of direction u that meet the polygon in
+    exactly best lattice points, in increasing level.
+
+    best must be the largest count of a line of direction u, and levels the
+    level anchor and pieces of u (_level_pieces); only the levels of the
+    best - 1 chord window of each piece can hold it, and each such level
+    costs one kernel call.
+    """
+    anchor, pieces = levels
+    for lo, hi, closed, upper, lower in pieces:
+        first, last = _chord_clip(lo, hi if closed else hi - 1, upper, lower, best - 1)
+        for beta in range(first, last + 1):
+            x0 = (anchor[0] * beta, anchor[1] * beta)
+            iv = level_interval(halfplanes, x0, u)
+            if iv is not None and iv[1] - iv[0] + 1 == best:
+                yield x0
+
+
 class DilationProfile:
     """The candidate lines of all dilates kP from one local scan of P.
 
@@ -447,10 +399,16 @@ class DilationProfile:
     direction depend on P alone and are kept once computed.
     """
 
-    def __init__(self, P: Polygon2, records: tuple[ProfileRecord, ...]):
+    def __init__(
+        self,
+        P: Polygon2,
+        halfplanes: list[tuple[Point, int]],
+        records: tuple[ProfileRecord, ...],
+    ):
         self.polygon = P
+        self.halfplanes = halfplanes
         self.records = records
-        self._pieces: dict[Point, list[Piece]] = {}
+        self._pieces: dict[Point, tuple[Point, list[Piece]]] = {}
 
     def best(self, k: int) -> tuple[int, list[Point]]:
         """The best lattice count of a line through kP, and the sorted
@@ -468,40 +426,32 @@ class DilationProfile:
                     directions.add(d)
         return best, sorted(directions)
 
+    def pieces(self, u: Point) -> tuple[Point, list[Piece]]:
+        """The level anchor of u and the level pieces of P in direction u
+        (_level_pieces), computed once."""
+        levels = self._pieces.get(u)
+        if levels is None:
+            levels = self._pieces[u] = _level_pieces(
+                self.polygon.vertices, self.halfplanes, u
+            )
+        return levels
+
     def count(self, k: int) -> int:
         """The number of lattice diameter lines of kP."""
         best, directions = self.best(k)
-        total = 0
-        for u in directions:
-            pieces = self._pieces.get(u)
-            if pieces is None:
-                pieces = self._pieces[u] = _level_pieces(self.polygon, u)
-            total += _diameter_level_count(pieces, k, best)
-        return total
+        return sum(
+            _diameter_level_count(self.pieces(u)[1], k, best) for u in directions
+        )
 
 
 def _chord(halfplanes: list[tuple[Point, int]], v: Point, d: Point) -> tuple[int, int]:
     """The length num/den, in lowest terms and in units of d, of the chord
     through the polygon of the line v + t*d, for v in the polygon.
 
-    Each halfplane (n, c) with t = <n, d> != 0 bounds t by s/t, s = c - <n, v>:
-    from above when t > 0, from below when t < 0. The least upper and the
-    greatest lower bound are found by cross-multiplication, so no Fraction
-    is built.
+    The ends come from line_bounds, the one clipping loop, as fractions
+    with positive denominators, so no Fraction is built.
     """
-    x, y = v
-    dx, dy = d
-    hs, ht = None, 1  # the upper end hs/ht, ht > 0
-    ls, lt = None, 1  # the lower end ls/lt, lt > 0
-    for (nx, ny), c in halfplanes:
-        t = nx * dx + ny * dy
-        s = c - nx * x - ny * y
-        if t > 0:
-            if hs is None or s * ht < hs * t:
-                hs, ht = s, t
-        elif t < 0:
-            if ls is None or s * lt < ls * t:  # s/t > ls/lt, with t < 0
-                ls, lt = -s, -t
+    ls, lt, hs, ht = line_bounds(halfplanes, v, d)
     num, den = hs * lt - ls * ht, ht * lt
     g = gcd(num, den)
     return num // g, den // g
@@ -515,7 +465,7 @@ def dilation_profile(P: Polygon2) -> DilationProfile:
         if line not in kmins or kmin < kmins[line][2]:
             kmins[line] = (v, d, kmin)
     halfplanes = P.halfplanes()
-    return DilationProfile(P, tuple(
+    return DilationProfile(P, halfplanes, tuple(
         ProfileRecord(v, d, kmin, _chord(halfplanes, v, d))
         for v, d, kmin in kmins.values()
     ))
@@ -523,21 +473,22 @@ def dilation_profile(P: Polygon2) -> DilationProfile:
 
 def compute_diameter(P: Polygon2) -> DiameterReport:
     """Exact lattice diameter of P with all diameter lines and directions."""
-    best, levels = diameter_levels(P)
-    lines = [LatticeLine(x0, u) for u, anchors in levels for x0 in anchors]
-    lines.sort(key=lambda L: (L.dir.vec, L.base))
+    profile = dilation_profile(P)
+    best, vectors = profile.best(1)
+    directions = tuple(map(Direction, vectors))
+    lines: list[LatticeLine] = []
     reps: list[ClippedSegment] = []
-    seen: set[Direction] = set()
-    for line in lines:
-        if line.dir not in seen:
-            seen.add(line.dir)
-            clip = clip_line(P, line)
-            assert clip is not None
-            reps.append(clip)
+    for u in directions:
+        sweep = _direction_sweep(profile.halfplanes, profile.pieces(u.vec), u.vec, best)
+        found = sorted((LatticeLine(x0, u) for x0 in sweep), key=lambda L: L.base)
+        clip = clip_line(P, found[0])
+        assert clip is not None
+        reps.append(clip)
+        lines.extend(found)
     return DiameterReport(
         ldiam=best - 1,
         lines=tuple(lines),
-        directions=tuple(u for u, _ in levels),
+        directions=directions,
         representative_segments=tuple(reps),
     )
 
@@ -561,4 +512,5 @@ def u_diameter_line(P: Polygon2, u: Direction | Sequence[int]) -> LatticeLine:
     for v in P.vertices:
         klo, khi = level_interval(halfplanes, v, d.vec)
         best = max(best, khi - klo + 1)
-    return LatticeLine(next(_direction_sweep(halfplanes, P.vertices, d, best)), d)
+    levels = _level_pieces(P.vertices, halfplanes, d.vec)
+    return LatticeLine(next(_direction_sweep(halfplanes, levels, d.vec, best)), d)

@@ -20,9 +20,8 @@ from math import gcd
 from typing import Sequence
 
 from .core import Direction, Point, Polygon2, RationalPoint, level_interval
-from .diameter import DilationProfile, dilation_profile
+from .diameter import DilationProfile, _chord, dilation_profile
 from .errors import BudgetError, FitError, ValidationError
-from .lines import LatticeLine, clip_line, nvol
 
 __all__ = [
     "QuasiPolynomial",
@@ -131,11 +130,15 @@ def fit_quasipolynomial(
     if profile is None:
         profile = dilation_profile(P)
     # In a diameter direction the longest chord lies on a vertex line, and
-    # that line is itself a diameter line.
+    # that line is itself a diameter line. Chords come in lowest terms and
+    # are compared by cross-multiplication.
     _, directions = profile.best(1)
-    q = max(
-        nvol(clip_line(P, LatticeLine(v, u))) for u in directions for v in P.vertices
-    ).denominator
+    num, q = 0, 1
+    for u in directions:
+        for v in P.vertices:
+            n, d = _chord(profile.halfplanes, v, u)
+            if n * q > num * d:
+                num, q = n, d
     explicit = k_max is not None
     if explicit and k_max < 4 * q:
         raise FitError(

@@ -2,7 +2,9 @@
 
 A lattice line is parametrized as base + t * dir with a primitive direction;
 its lattice points sit exactly at integer t, which is what makes the floor/ceil
-counting formula below exact.
+counting formula below exact. clip_line reads its ends from core.line_bounds,
+the one loop that clips a line against halfplanes, and builds Fractions only
+for the segment it reports.
 """
 
 from __future__ import annotations
@@ -12,7 +14,11 @@ from fractions import Fraction
 from math import ceil, floor, gcd
 from typing import Optional, Sequence
 
-from .core import Direction, Point, Polygon2, RationalPoint, as_point, level_interval
+from .core import Direction, Point, Polygon2, RationalPoint, as_point, line_bounds
+
+# Not called here: perfbench/spans.py traces the kernel by the name
+# lines.level_interval, so the name must resolve in this module.
+from .core import level_interval  # noqa: F401
 from .errors import ValidationError
 
 __all__ = [
@@ -94,26 +100,13 @@ def clip_line(P: Polygon2, line: LatticeLine) -> Optional[ClippedSegment]:
     """
     if line.dir.dim != 2:
         raise ValidationError("clipping is 2-dimensional")
-    ux, uy = line.dir.vec
-    bx, by = line.base
-    lo: Fraction | None = None
-    hi: Fraction | None = None
-    for (nx, ny), c in P.halfplanes():
-        s = nx * bx + ny * by
-        t = nx * ux + ny * uy
-        if t == 0:
-            if s > c:
-                return None
-            continue
-        bound = Fraction(c - s, t)
-        if t > 0:
-            hi = bound if hi is None else min(hi, bound)
-        else:
-            lo = bound if lo is None else max(lo, bound)
-    # A convex polygon bounds every line in both directions.
-    assert lo is not None and hi is not None
-    if lo > hi:
+    bounds = line_bounds(P.halfplanes(), line.base, line.dir.vec)
+    if bounds is None:
         return None
+    ls, lt, hs, ht = bounds
+    if ls * ht > hs * lt:
+        return None
+    lo, hi = Fraction(ls, lt), Fraction(hs, ht)
     return ClippedSegment(
         a=line.rational_point_at(lo),
         b=line.rational_point_at(hi),

@@ -120,7 +120,9 @@ def _residue_bound(spreads: list[int]) -> int:
     return sorted(spreads)[-2] if len(spreads) > 1 else 0
 
 
-def _residue_scan(pts: tuple[Point, ...]) -> tuple[int, list[tuple[int, int]]]:
+def _residue_scan(
+    pts: tuple[Point, ...], spreads: list[int], bound: int
+) -> tuple[int, list[tuple[int, int]]]:
     """Max gcd over pairs and the index pairs attaining it, by residue classes.
 
     Two points agree mod g in every coordinate exactly when g divides the gcd
@@ -129,11 +131,11 @@ def _residue_scan(pts: tuple[Point, ...]) -> tuple[int, list[tuple[int, int]]]:
     are its hits. Gcds above the bound of _residue_bound come from points
     equal off the widest coordinate, which are read from one grouping; below
     it the scan runs over g and stops by g = floor at the latest, since more
-    than floor ** d points fill the floor ** d classes.
+    than floor ** d points fill the floor ** d classes. spreads are the
+    coordinate ranges of pts, and bound is _residue_bound(spreads).
     """
     n, d = len(pts), len(pts[0])
     cols = list(zip(*pts))
-    spreads = [max(col) - min(col) for col in cols]
     w = spreads.index(max(spreads))
     # lex order sorts each group by coordinate w, so its ends span it, and
     # lists the groups by their first index, so their end pairs come sorted
@@ -142,7 +144,6 @@ def _residue_scan(pts: tuple[Point, ...]) -> tuple[int, list[tuple[int, int]]]:
         groups.setdefault(p[:w] + p[w + 1 :], []).append(k)
     ends = [(pts[m[-1]][w] - pts[m[0]][w], m[0], m[-1]) for m in groups.values()]
     span = max(ends)[0]
-    bound = _residue_bound(spreads)
     if span > bound:
         return span, [(i, j) for length, i, j in ends if length == span]
     for g in range(bound, _rabinowitz_floor(n, d) - 1, -1):
@@ -166,15 +167,14 @@ def _residue_scan(pts: tuple[Point, ...]) -> tuple[int, list[tuple[int, int]]]:
 RESIDUE_COST = 2
 
 
-def _path_costs(pts: tuple[Point, ...]) -> tuple[int, int]:
-    """The pair count n (n - 1) / 2 and the residue scan's worst-case steps.
+def _path_costs(n: int, d: int, bound: int) -> tuple[int, int]:
+    """The pair count n (n - 1) / 2 of n points in Z^d and the residue scan's
+    worst-case steps, for the bound of _residue_bound.
 
     A step is one point reduced at one modulus; the scan takes at most
     bound - floor + 1 moduli, or just its grouping pass when floor > bound.
     """
-    n = len(pts)
-    bound = _residue_bound([max(col) - min(col) for col in zip(*pts)])
-    moduli = max(bound - _rabinowitz_floor(n, len(pts[0])), 0) + 1
+    moduli = max(bound - _rabinowitz_floor(n, d), 0) + 1
     return n * (n - 1) // 2, n * moduli
 
 
@@ -183,11 +183,14 @@ def _scan_pairs(pts: tuple[Point, ...]) -> tuple[int, list[tuple[int, int]]]:
 
     Takes the residue scan when RESIDUE_COST times its worst-case steps is
     below the pair count, and the pair scan otherwise. Both are exact and
-    return the same result.
+    return the same result. The coordinate ranges and the residue bound are
+    computed once, for the cost model and the residue scan.
     """
-    pairs, steps = _path_costs(pts)
+    spreads = [max(col) - min(col) for col in zip(*pts)]
+    bound = _residue_bound(spreads)
+    pairs, steps = _path_costs(len(pts), len(pts[0]), bound)
     if RESIDUE_COST * steps < pairs:
-        return _residue_scan(pts)
+        return _residue_scan(pts, spreads, bound)
     return _pair_scan(pts)
 
 

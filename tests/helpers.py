@@ -12,12 +12,15 @@ from latticediam import (
     LatticeLine,
     PointSet,
     Polygon2,
+    ValidationError,
     clip_line,
     count_lattice_points_polygon,
     enumerate_lattice_points,
+    local_diameter_lines,
+    opposite_pairs,
 )
-from latticediam.diameter import DiameterReport, diameter_levels
-from latticediam.lines import level_anchor, level_interval
+from latticediam.diameter import DiameterReport
+from latticediam.lines import ClippedSegment, level_anchor, level_interval
 from latticediam.svg import MARGIN, PALETTE, SCALE
 
 TRIANGLE = Polygon2(((0, 1), (1, 0), (2, 2)))
@@ -107,6 +110,17 @@ def wide_polygons(n: int):
     return out
 
 
+def profile_polygons() -> list[Polygon2]:
+    """The seeded polygons of the dilation profile tests: 400 small random
+    polygons at coordinates up to 10^4, then wide_polygons(100)."""
+    rng = random.Random(6)
+    small = [
+        random_polygon(rng, span_hi=rng.choice((6, 12, 25)), coord=10**4)
+        for _ in range(400)
+    ]
+    return small + wide_polygons(100)
+
+
 def random_point_set(
     rng: random.Random, d: int, coord: int = 8, n_lo: int = 2, n_hi: int = 20
 ) -> PointSet:
@@ -165,13 +179,100 @@ def walk_local_lines(edge, vertex, normal) -> list[LatticeLine]:
     return [LatticeLine(v, Direction((w[0] - v[0], w[1] - v[1]))) for w in found]
 
 
+def unwindowed_counts(P: Polygon2, u: Direction) -> dict[int, int]:
+    """Lattice count of every level of direction u across P, walked level by
+    level from the lowest vertex level to the highest (the sweep before the
+    chord window)."""
+    a = (-u.vec[1], u.vec[0])
+    anchor, _ = level_anchor(a)
+    levels = [a[0] * x + a[1] * y for x, y in P.vertices]
+    halfplanes = P.halfplanes()
+    counts = {}
+    for beta in range(min(levels), max(levels) + 1):
+        iv = level_interval(halfplanes, (anchor[0] * beta, anchor[1] * beta), u.vec)
+        counts[beta] = 0 if iv is None else iv[1] - iv[0] + 1
+    return counts
+
+
 def dilate_levels_oracle(P: Polygon2, k: int) -> tuple[int, int, list[tuple[int, int]]]:
     """The per-dilate path that the dilation profile replaced, kept as its
-    oracle: build kP, run every local scan on it and sweep each diameter
-    direction level by level. Returns the diameter line count, the best
-    count and the sorted direction vectors of kP."""
-    best, levels = diameter_levels(P.dilate(k))
-    return sum(len(anchors) for _, anchors in levels), best, [u.vec for u, _ in levels]
+    oracle: build kP, rank the candidate lines of every local scan on it by
+    their kernel count, and walk each diameter direction level by level,
+    with no chord window. Returns the diameter line count, the best count
+    and the sorted direction vectors of kP."""
+    kP = P.dilate(k)
+    halfplanes = kP.halfplanes()
+    best, directions = 0, set()
+    for pair in opposite_pairs(kP):
+        for line in local_diameter_lines(pair.edge, pair.vertex, pair.normal):
+            klo, khi = level_interval(halfplanes, line.base, line.dir.vec)
+            count = khi - klo + 1
+            if count > best:
+                best, directions = count, set()
+            if count == best:
+                directions.add(line.dir)
+    lines = sum(
+        list(unwindowed_counts(kP, u).values()).count(best) for u in directions
+    )
+    return lines, best, sorted(u.vec for u in directions)
+
+
+def level_interval_oracle(halfplanes, x0, u) -> tuple[int, int] | None:
+    """The floor-division loop that core.line_bounds replaced under
+    level_interval, kept as its reference."""
+    klo: int | None = None
+    khi: int | None = None
+    x, y = x0
+    ux, uy = u
+    for (nx, ny), c in halfplanes:
+        s = c - (nx * x + ny * y)
+        t = nx * ux + ny * uy
+        if t == 0:
+            if s < 0:
+                return None
+            continue
+        if t > 0:
+            bound = s // t
+            khi = bound if khi is None else min(khi, bound)
+        else:
+            bound = -(s // -t)
+            klo = bound if klo is None else max(klo, bound)
+    if klo is None or khi is None:
+        raise ValidationError("halfplanes do not bound the line")
+    if klo > khi:
+        return None
+    return klo, khi
+
+
+def clip_line_oracle(P: Polygon2, line: LatticeLine) -> ClippedSegment | None:
+    """The Fraction loop that core.line_bounds replaced under clip_line,
+    kept as its reference."""
+    ux, uy = line.dir.vec
+    bx, by = line.base
+    lo: Fraction | None = None
+    hi: Fraction | None = None
+    for (nx, ny), c in P.halfplanes():
+        s = nx * bx + ny * by
+        t = nx * ux + ny * uy
+        if t == 0:
+            if s > c:
+                return None
+            continue
+        bound = Fraction(c - s, t)
+        if t > 0:
+            hi = bound if hi is None else min(hi, bound)
+        else:
+            lo = bound if lo is None else max(lo, bound)
+    assert lo is not None and hi is not None
+    if lo > hi:
+        return None
+    return ClippedSegment(
+        a=line.rational_point_at(lo),
+        b=line.rational_point_at(hi),
+        line=line,
+        t1=lo,
+        t2=hi,
+    )
 
 
 def _fmt_oracle(v: Fraction | int) -> str:

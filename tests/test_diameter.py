@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,10 +11,11 @@ from helpers import (
     TRIANGLE,
     convex_hull,
     random_polygon,
+    unwindowed_counts,
     walk_local_lines,
     wide_polygons,
 )
-from latticediam import diameter
+from latticediam import core, diameter
 from latticediam import (
     Direction,
     LatticeLine,
@@ -29,7 +31,6 @@ from latticediam import (
     opposite_pairs,
     u_diameter_line,
 )
-from latticediam.lines import level_anchor, level_interval
 
 T19 = Polygon2(((0, 0), (18, 1), (-1, 19)))
 
@@ -157,21 +158,29 @@ class TestLocalDiameterLines:
 class TestLocalScanWork:
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
-        calls = []
-        kernel = diameter.level_interval
+        """Calls of the clipping loop (core.line_bounds, wherever it is looked
+        up) and of the diameter module's level_interval, by name."""
+        calls = Counter()
+        bounds, kernel = core.line_bounds, diameter.level_interval
 
-        def counted(*args):
-            calls.append(args)
+        def counted_bounds(*args):
+            calls["line_bounds"] += 1
+            return bounds(*args)
+
+        def counted_kernel(*args):
+            calls["level_interval"] += 1
             return kernel(*args)
 
-        monkeypatch.setattr(diameter, "level_interval", counted)
+        monkeypatch.setattr(core, "line_bounds", counted_bounds)
+        monkeypatch.setattr(diameter, "line_bounds", counted_bounds)
+        monkeypatch.setattr(diameter, "level_interval", counted_kernel)
         return calls
 
     def test_local_scan_calls_no_kernel(self, kernel_calls):
         for P in wide_polygons(20) + sheared_thin_polygons(20):
             for pair in opposite_pairs(P):
                 local_diameter_lines(pair.edge, pair.vertex, pair.normal)
-        assert kernel_calls == []
+        assert kernel_calls == {}
 
     @pytest.mark.parametrize(
         "s, ldiam",
@@ -182,9 +191,12 @@ class TestLocalScanWork:
         report = compute_diameter(Polygon2(((0, 0), (s, 1), (3 * s + 1, 7))))
         assert report.ldiam == ldiam
         assert len(report.lines) == 1
-        # one call per distinct candidate line and one per diameter line; when
-        # 7 divides 3s + 1 the long edge's line is a candidate from both ends
-        assert len(kernel_calls) == (9 if (3 * s + 1) % 7 == 0 else 10)
+        # one level_interval call, for the one level of the chord window, and
+        # one line_bounds call per distinct candidate line (its chord read),
+        # under that call and for the representative segment; when 7 divides
+        # 3s + 1 the long edge's line is a candidate from both ends
+        records = 7 if (3 * s + 1) % 7 == 0 else 8
+        assert kernel_calls == {"level_interval": 1, "line_bounds": records + 2}
 
 
 class TestComputeDiameter:
@@ -328,19 +340,15 @@ def test_line_set_is_complete(seed):
                     assert line in reported
 
 
-def unwindowed_counts(P: Polygon2, u: Direction) -> dict[int, int]:
-    """Lattice count of every level of direction u across P, walked level by
-    level from the lowest vertex level to the highest (the sweep before the
-    chord window)."""
-    a = (-u.vec[1], u.vec[0])
-    anchor, _ = level_anchor(a)
-    levels = [a[0] * x + a[1] * y for x, y in P.vertices]
-    halfplanes = P.halfplanes()
-    counts = {}
-    for beta in range(min(levels), max(levels) + 1):
-        iv = level_interval(halfplanes, (anchor[0] * beta, anchor[1] * beta), u.vec)
-        counts[beta] = 0 if iv is None else iv[1] - iv[0] + 1
-    return counts
+def piece_windows(P: Polygon2, u: Direction, m: int) -> list[int]:
+    """The levels of direction u whose chord through P is at least m: the
+    union of the m chord windows of the level pieces, in sweep order."""
+    levels = []
+    _, pieces = diameter._level_pieces(P.vertices, P.halfplanes(), u.vec)
+    for lo, hi, closed, upper, lower in pieces:
+        first, last = diameter._chord_clip(lo, hi if closed else hi - 1, upper, lower, m)
+        levels.extend(range(first, last + 1))
+    return levels
 
 
 class TestChordWindow:
@@ -354,13 +362,14 @@ class TestChordWindow:
             dirs = set(report.directions)
             dirs.update(Direction((b[0] - a[0], b[1] - a[1])) for a, b in P.edges())
             for u in dirs:
-                anchor, _ = level_anchor((-u.vec[1], u.vec[0]))
                 counts = unwindowed_counts(P, u)
                 for m in range(1, best + 1):
-                    window = diameter._chord_window(P.halfplanes(), P.vertices, u, anchor, m)
+                    window = piece_windows(P, u, m)
+                    inside = set(window)
+                    assert window == sorted(inside), (P, u, m)
                     for beta, count in counts.items():
                         if count >= m + 1:
-                            assert beta in window, (P, u, m, beta)
+                            assert beta in inside, (P, u, m, beta)
                     for beta in window:
                         assert counts[beta] >= m, (P, u, m, beta)
         assert max(spans) > 10**5
@@ -369,9 +378,7 @@ class TestChordWindow:
         for P in wide_polygons(20):
             for a, b in P.edges():
                 u = Direction((b[0] - a[0], b[1] - a[1]))
-                anchor, _ = level_anchor((-u.vec[1], u.vec[0]))
-                window = diameter._chord_window(P.halfplanes(), P.vertices, u, anchor, 0)
-                assert list(window) == list(unwindowed_counts(P, u))
+                assert piece_windows(P, u, 0) == list(unwindowed_counts(P, u))
 
 
 class TestSweepWork:

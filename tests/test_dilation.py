@@ -19,7 +19,6 @@ from latticediam import (
     ValidationError,
     brute_force_diameter,
     chamber_decomposition,
-    clip_line,
     count_diameter_lines,
     demo_chamber,
     enumerate_lattice_points,
@@ -27,7 +26,14 @@ from latticediam import (
     nvol,
 )
 
-from helpers import QUAD, SQUARE, dilate_levels_oracle, random_polygon, wide_polygons
+from helpers import (
+    QUAD,
+    SQUARE,
+    clip_line_oracle,
+    dilate_levels_oracle,
+    profile_polygons,
+    random_polygon,
+)
 from latticediam import compute_diameter, diameter, local_diameter_lines
 from latticediam.core import floor_sum
 from latticediam.diameter import _chord, dilation_profile, opposite_pairs
@@ -88,12 +94,7 @@ class TestCountDiameterLines:
 class TestDilationProfile:
     @pytest.fixture(scope="class")
     def polygons(self):
-        rng = random.Random(6)
-        small = [
-            random_polygon(rng, span_hi=rng.choice((6, 12, 25)), coord=10**4)
-            for _ in range(400)
-        ]
-        return small + wide_polygons(100)
+        return profile_polygons()
 
     def test_matches_the_per_dilate_oracle(self, polygons):
         cases = 0
@@ -129,8 +130,9 @@ class TestDilationProfile:
                 assert got == want, (P, k)
 
     def test_chords_match_clip_line(self, polygons):
-        """The integer chord read agrees with clip_line on every vertex line
-        of the record directions and of a few random directions."""
+        """The integer chord read agrees with the Fraction clipping loop on
+        every vertex line of the record directions and of a few random
+        directions."""
         rng = random.Random(12)
         reads = 0
         for P in polygons:
@@ -141,11 +143,11 @@ class TestDilationProfile:
                 Direction((rng.randint(-9, 9), rng.randint(1, 9))).vec for _ in range(3)
             }
             for record in profile.records:
-                chord = nvol(clip_line(P, LatticeLine(record.vertex, record.direction)))
+                chord = nvol(clip_line_oracle(P, LatticeLine(record.vertex, record.direction)))
                 assert record.chord == (chord.numerator, chord.denominator), P
             for v in P.vertices:
                 for d in directions:
-                    chord = nvol(clip_line(P, LatticeLine(v, d)))
+                    chord = nvol(clip_line_oracle(P, LatticeLine(v, d)))
                     assert _chord(halfplanes, v, d) == (chord.numerator, chord.denominator)
                     reads += 1
         assert reads > 10_000

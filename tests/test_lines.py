@@ -1,11 +1,19 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import ceil, floor
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import QUAD, SQUARE, convex_hull
+from helpers import (
+    QUAD,
+    SQUARE,
+    clip_line_oracle,
+    convex_hull,
+    level_interval_oracle,
+    profile_polygons,
+)
 from latticediam import (
     Direction,
     LatticeLine,
@@ -16,6 +24,8 @@ from latticediam import (
     lattice_count_on_clip,
     nvol,
 )
+from latticediam.core import line_bounds
+from latticediam.diameter import _chord
 from latticediam.lines import level_anchor, level_interval
 
 
@@ -180,3 +190,69 @@ class TestLevelScan:
         else:
             klo, khi = got
             assert hits == list(range(klo, khi + 1))
+
+
+class TestClippingKernel:
+    """level_interval, clip_line and the chord read all clip through
+    core.line_bounds; each must agree with the loop it replaced."""
+
+    @pytest.fixture(scope="class")
+    def polygons(self):
+        return profile_polygons()
+
+    def test_agrees_with_the_reference_loops(self, polygons):
+        rng = random.Random(909)
+        seen = Counter()
+        for P in polygons:
+            hps = P.halfplanes()
+            (xlo, ylo), (xhi, yhi) = P.bounding_box()
+            edges = {Direction((b[0] - a[0], b[1] - a[1])).vec for a, b in P.edges()}
+            randoms = {
+                Direction((rng.randint(-30, 30), rng.randint(1, 30))).vec for _ in range(3)
+            }
+            # vertices, points of the bounding box and points beyond it
+            bases = list(P.vertices) + [
+                (rng.randint(xlo - 5, xhi + 5), rng.randint(ylo - 5, yhi + 5))
+                for _ in range(4)
+            ]
+            for x0 in bases:
+                for u in edges | randoms:
+                    want = level_interval_oracle(hps, x0, u)
+                    assert level_interval(hps, x0, u) == want, (P, x0, u)
+                    line = LatticeLine(x0, u)
+                    clip = clip_line_oracle(P, line)
+                    assert clip_line(P, line) == clip, (P, line)
+                    if x0 in P.vertices:
+                        chord = nvol(clip)
+                        assert _chord(hps, x0, u) == (chord.numerator, chord.denominator)
+                    outcome = "missed" if clip is None else "empty" if want is None else "met"
+                    seen["parallel" if u in edges else "random", outcome] += 1
+        assert len(seen) == 6 and min(seen.values()) > 100, seen
+
+    def test_fraction_constants(self, polygons):
+        # chamber_decomposition clips against halfplanes with Fraction constants
+        rng = random.Random(910)
+        nonempty = 0
+        for P in polygons[:300]:
+            hps = [(n, c + Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+                   for n, c in P.halfplanes()]
+            (xlo, ylo), (xhi, yhi) = P.bounding_box()
+            for _ in range(6):
+                x0 = (rng.randint(xlo, xhi), rng.randint(ylo, yhi))
+                u = Direction((rng.randint(-5, 5), rng.randint(1, 5))).vec
+                want = level_interval_oracle(hps, x0, u)
+                assert level_interval(hps, x0, u) == want, (hps, x0, u)
+                nonempty += want is not None
+        assert nonempty > 1000
+
+    def test_unbounded_line_raises(self):
+        strip = [((0, 1), 3), ((0, -1), 0)]  # 0 <= y <= 3, parallel to u = (1, 0)
+        half = [((1, 1), Fraction(7, 2))]
+        for hps, x0, u in ((strip, (0, 1), (1, 0)), (half, (0, 0), (1, 0)),
+                           (half, (0, 0), (2, -1)), ([], (0, 0), (1, 0))):
+            for kernel in (level_interval, level_interval_oracle, line_bounds):
+                with pytest.raises(ValidationError):
+                    kernel(hps, x0, u)
+        # a parallel halfplane that misses the line answers before the bounds
+        assert level_interval(strip, (0, 5), (1, 0)) is None
+        assert line_bounds(strip, (0, 5), (1, 0)) is None

@@ -34,6 +34,12 @@ def naive_report(S: PointSet):
     return best, segs
 
 
+def residue_scan(pts):
+    """The residue path, given the ranges and bound that _scan_pairs passes it."""
+    spreads = [max(col) - min(col) for col in zip(*pts)]
+    return oracle._residue_scan(pts, spreads, oracle._residue_bound(spreads))
+
+
 class TestBruteForce:
     def test_unit_square_2d(self):
         S = PointSet([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -62,7 +68,7 @@ class TestBruteForce:
     def test_budget_refuses_the_cheap_residue_path_too(self):
         # the budget counts pairs whichever path would run
         S = PointSet(product(range(10), repeat=2))
-        pairs, steps = oracle._path_costs(S.points)
+        pairs, steps = oracle._path_costs(len(S), S.dim, oracle._residue_bound([9, 9]))
         assert oracle.RESIDUE_COST * steps < pairs == 4950
         with pytest.raises(BudgetError):
             brute_force_diameter(S, max_pairs=pairs - 1)
@@ -91,7 +97,7 @@ def test_specialized_loops_agree_with_generic(seed):
     S = random_point_set(rng, 2, coord=9, n_hi=12)
     naive_best, naive_segs = naive_report(S)
     for T in (S, PointSet([p + (5,) for p in S]), PointSet([p + (5, -7) for p in S])):
-        for scan in (oracle._pair_scan, oracle._residue_scan, oracle._scan_pairs):
+        for scan in (oracle._pair_scan, residue_scan, oracle._scan_pairs):
             best, hits = scan(T.points)
             assert best == naive_best
             assert len(hits) == len(naive_segs)
@@ -135,7 +141,7 @@ def test_pair_and_residue_paths_match_naive(d):
             continue
         naive_best, naive_segs = naive_report(S)
         pts = S.points
-        for scan in (oracle._pair_scan, oracle._residue_scan):
+        for scan in (oracle._pair_scan, residue_scan):
             best, hits = scan(pts)
             assert best == naive_best, (name, scan.__name__)
             assert hits == sorted(hits), (name, scan.__name__)
@@ -143,7 +149,7 @@ def test_pair_and_residue_paths_match_naive(d):
 
 
 def test_dispatch_takes_each_path(monkeypatch):
-    def refuse(pts):
+    def refuse(*args):
         raise AssertionError("the other path was expected")
 
     box = PointSet(product(range(8), repeat=2))
