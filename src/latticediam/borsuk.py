@@ -5,11 +5,18 @@ lattice diameter. Partitioning the set into parts of strictly smaller diameter
 is exactly proper coloring of that graph, its max degree is at most 2^d - 1,
 so greedy coloring needs at most 2^d parts; the exact minimum is the chromatic
 number, found here by a budgeted branch and bound.
+
+The edges are the few diameter pairs, so after the oracle scan every step
+here walks edge endpoints only: a point on no edge is its own component, and
+the greedy coloring gives it color 0. The Python-level work is O(edges);
+what touches every point (labels of color 0, the part of color 0) is
+C-level dict and filter work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, filterfalse
 from typing import Optional, Sequence
 
 from .core import Point, PointSet
@@ -39,19 +46,32 @@ class BorsukGraph:
     diam: int
 
     def adjacency(self) -> dict[Point, set[Point]]:
-        """Neighbour sets, built on first use and shared by every later
-        reader of this graph, so they must not be mutated."""
+        """Neighbour sets of every vertex, in lexicographic order, built on
+        first use and shared by every later reader of this graph, so they
+        must not be mutated."""
         adj = self.__dict__.get("_adjacency")
         if adj is None:
             adj = {p: set() for p in self.vertices}
-            for p, q in self.edges:
-                adj[p].add(q)
-                adj[q].add(p)
+            adj.update(self._neighbours())
             object.__setattr__(self, "_adjacency", adj)
         return adj
 
+    def _neighbours(self) -> dict[Point, set[Point]]:
+        """Neighbour sets of the edge endpoints only, in lexicographic order:
+        adjacency() without the points on no edge. Built on first use, from
+        the edges alone, and shared like adjacency()."""
+        nbrs = self.__dict__.get("_nbrs")
+        if nbrs is None:
+            unsorted: dict[Point, set[Point]] = {}
+            for p, q in self.edges:
+                unsorted.setdefault(p, set()).add(q)
+                unsorted.setdefault(q, set()).add(p)
+            nbrs = {p: unsorted[p] for p in sorted(unsorted)}
+            object.__setattr__(self, "_nbrs", nbrs)
+        return nbrs
+
     def max_degree(self) -> int:
-        return max(len(nbrs) for nbrs in self.adjacency().values())
+        return max((len(nbrs) for nbrs in self._neighbours().values()), default=0)
 
 
 @dataclass(frozen=True)
@@ -59,7 +79,7 @@ class BorsukPartition:
     """Parts of strictly smaller lattice diameter, with per-point labels."""
 
     parts: tuple[PointSet, ...]
-    labels: dict[Point, int]
+    labels: dict[Point, int]  # every vertex, in lexicographic order
 
 
 def build_borsuk_graph(
@@ -73,12 +93,20 @@ def build_borsuk_graph(
 
 
 def _greedy_labels(
-    points: PointSet, adj: dict[Point, set[Point]]
+    points: Sequence[Point], nbrs: dict[Point, set[Point]]
 ) -> dict[Point, int]:
-    """Smallest color free among earlier neighbours, point by point."""
-    labels: dict[Point, int] = {}
-    for p in points:  # PointSet iterates in lexicographic order
-        taken = {labels[nb] for nb in adj[p] if nb in labels}
+    """Greedy coloring in lexicographic point order: each point takes the
+    smallest color free among its neighbours before it.
+
+    points are all vertices in lexicographic order and nbrs the neighbour
+    sets of the edge endpoints, in the same order. A point on no edge always
+    takes color 0, so every point starts at 0 (dict.fromkeys, which also
+    fixes the key order) and only the endpoints are colored, each after its
+    smaller neighbours.
+    """
+    labels = dict.fromkeys(points, 0)
+    for p, adj in nbrs.items():
+        taken = {labels[nb] for nb in adj if nb < p}
         color = 0
         while color in taken:
             color += 1
@@ -95,26 +123,32 @@ def greedy_partition(
 
     Always uses at most max_degree + 1 <= 2^d colors. Parts are returned in
     color order; properness (equivalently, every part has strictly smaller
-    lattice diameter) is verified before returning.
+    lattice diameter) is verified before returning. Only edge endpoints are
+    walked in Python: the part of color 0 is the vertices less the endpoints
+    of other colors, filtered at C level.
     """
     g = graph if graph is not None else build_borsuk_graph(S, max_pairs)
-    labels = _greedy_labels(g.vertices, g.adjacency())
-    n_colors = max(labels.values()) + 1
+    nbrs = g._neighbours()
+    labels = _greedy_labels(g.vertices.points, nbrs)
     for p, q in g.edges:
         if labels[p] == labels[q]:  # pragma: no cover - greedy is always proper
             raise ValidationError("greedy coloring produced an improper part")
+    n_colors = 1 + max((labels[p] for p in nbrs), default=0)
     if n_colors > 2 ** S.dim:
         raise ValidationError(
             "more parts than the degree bound allows; not a diameter graph?"
         )  # pragma: no cover - contradicts the degree bound
-    parts = tuple(
-        PointSet([p for p, c in labels.items() if c == color])
-        for color in range(n_colors)
-    )
+    buckets: list[list[Point]] = [[] for _ in range(n_colors)]
+    for p in nbrs:
+        buckets[labels[p]].append(p)
+    moved = set(chain.from_iterable(buckets[1:]))
+    buckets[0] = list(filterfalse(moved.__contains__, g.vertices.points))
+    parts = tuple(PointSet._sorted(b) for b in buckets)
     return BorsukPartition(parts=parts, labels=labels)
 
 
 def _components(adj: dict[Point, set[Point]]) -> list[list[Point]]:
+    """Connected components, each sorted, in the order of their first key."""
     seen: set[Point] = set()
     comps: list[list[Point]] = []
     for start in adj:
@@ -194,15 +228,18 @@ def exact_borsuk_number(
     graph: Optional[BorsukGraph] = None,
 ) -> int:
     """Minimum number of strictly-smaller-diameter parts: the chromatic number
-    of the diameter graph, by clique bound plus branch and bound."""
+    of the diameter graph, by clique bound plus branch and bound.
+
+    Only components with an edge need a search, so the walk covers the edge
+    endpoints alone; a graph with no edge (a single point) needs one part.
+    """
     g = graph if graph is not None else build_borsuk_graph(S, max_pairs)
-    adj = g.adjacency()
-    labels = _greedy_labels(g.vertices, adj)
+    adj = g._neighbours()
+    # the greedy colors of the endpoints depend on endpoints alone
+    labels = _greedy_labels(adj, adj)
     budget = [node_budget]
     answer = 1
     for comp in _components(adj):
-        if len(comp) == 1:
-            continue
         lower = len(_greedy_clique(adj, comp))
         # neighbours share a component, so the global greedy coloring restricted
         # to comp is the greedy coloring of comp alone
@@ -239,7 +276,7 @@ def classify_components(graph: BorsukGraph) -> list[ComponentClass]:
     out = []
     for comp in _components(adj):
         n = len(comp)
-        degrees = [len(adj[v] & set(comp)) for v in comp]
+        degrees = [len(adj[v]) for v in comp]  # a component holds its neighbours
         m2 = sum(degrees)
         delta = max(degrees) if degrees else 0
         complete = m2 == n * (n - 1)

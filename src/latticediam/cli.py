@@ -92,9 +92,17 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _polygon_points(P: Polygon2, budget: int) -> PointSet:
-    """The lattice points of P for an oracle scan, refused by Pick's count
-    before a single point is listed."""
+    """The lattice points of P for an oracle scan, refused before a single
+    point is listed: by Pick's count, then by the number of lines across the
+    short side of the bounding box, the fewest the scan can clip."""
     check_pair_budget(count_lattice_points_polygon(P), budget)
+    (xmin, ymin), (xmax, ymax) = P.bounding_box()
+    lines = min(xmax - xmin, ymax - ymin) + 1
+    if lines > budget:
+        raise BudgetError(
+            f"listing the lattice points scans at least {lines} lines of the"
+            f" bounding box, over the budget of {budget}"
+        )
     return enumerate_lattice_points(P)
 
 
@@ -201,7 +209,7 @@ def _cmd_borsuk(args: argparse.Namespace) -> int:
         return 0
     graph = build_borsuk_graph(S, args.budget)
     partition = greedy_partition(S, graph=graph)
-    labels = [partition.labels[p] for p in S.points]
+    labels = list(partition.labels.values())  # keyed in the order of S
     summary = f"parts={len(partition.parts)} bound=2^{S.dim}={bound}"
     if args.exact:
         chi = exact_borsuk_number(S, node_budget=args.node_budget, graph=graph)
@@ -340,8 +348,9 @@ def _build_parser() -> argparse.ArgumentParser:
             type=_positive_int,
             default=DEFAULT_PAIR_BUDGET,
             help=(
-                "work budget: point pairs of an oracle scan, grid dots of an SVG,"
-                " dilates sampled by ld-count and ld-fit"
+                "work budget: point pairs of an oracle scan, lines scanned to list"
+                " a polygon's points, grid dots of an SVG, dilates sampled by"
+                " ld-count and ld-fit"
             ),
         )
         return p

@@ -170,8 +170,7 @@ def _cone_picks(
         raise ValidationError("normal is not perpendicular to the edge")
     if level_p <= level_v:
         raise ValidationError("normal must point from the vertex toward the edge")
-    (sx, sy), step = level_anchor(a)
-    ux, uy = step.vec
+    (sx, sy), (ux, uy) = level_anchor(a)
     det = sx * uy - sy * ux  # +-1: {s, u} is unimodular
     # k of a point w = v + j s + k u is det(s, w - v) / det(s, u)
     kp = det * (sx * (p[1] - v[1]) - sy * (p[0] - v[0]))

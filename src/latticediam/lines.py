@@ -137,11 +137,12 @@ def lattice_count_on_clip(segment: ClippedSegment) -> int:
 # fast.
 
 
-def level_anchor(a: Point) -> tuple[Point, Direction]:
+def level_anchor(a: Point) -> tuple[Point, Point]:
     """For primitive a, a particular solution s of <a, s> = 1 and the level direction.
 
-    anchor(beta) = beta * s; the direction is the canonically signed
-    perpendicular of a, so increasing k is increasing lexicographic order.
+    anchor(beta) = beta * s; the direction is the perpendicular of a as a
+    plain primitive vector with canonical sign (the vector Direction would
+    hold), so increasing k is increasing lexicographic order.
     """
     a1, a2 = a
     if gcd(a1, a2) != 1:
@@ -157,4 +158,5 @@ def level_anchor(a: Point) -> tuple[Point, Direction]:
         old_t, t = t, old_t - q * t
     if old_r < 0:
         old_s, old_t = -old_s, -old_t
-    return (old_s, old_t), Direction((-a2, a1))
+    step = (-a2, a1) if a2 < 0 or (a2 == 0 and a1 > 0) else (a2, -a1)
+    return (old_s, old_t), step

@@ -222,7 +222,7 @@ def brute_force_diameter(
     directions = sorted(
         {Direction(tuple(b - a for a, b in zip(p, q))) for p, q in segments}
     )
-    degree: dict[Point, int] = {p: 0 for p in pts}
+    degree: dict[Point, int] = dict.fromkeys(pts, 0)
     for p, q in segments:
         degree[p] += 1
         degree[q] += 1

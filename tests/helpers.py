@@ -19,6 +19,7 @@ from latticediam import (
     local_diameter_lines,
     opposite_pairs,
 )
+from latticediam import borsuk
 from latticediam.diameter import DiameterReport
 from latticediam.lines import ClippedSegment, level_anchor, level_interval
 from latticediam.svg import MARGIN, PALETTE, SCALE
@@ -94,9 +95,10 @@ def unimodular(rng: random.Random, reach: int) -> tuple[int, int, int, int]:
     return a, b, c, d
 
 
-def wide_polygons(n: int):
-    """Seeded polygons with x-spans up to 10^6: unimodular images of small
-    random polygons, so their level walks stay short."""
+def wide_polygon_images(n: int):
+    """(small, (a, b, c, d), P) for each of wide_polygons(n): P is the image
+    of the small random polygon under the unimodular matrix, so the lattice
+    points of P are the images of those of small."""
     rng = random.Random(20251018)
     out = []
     while len(out) < n:
@@ -106,8 +108,26 @@ def wide_polygons(n: int):
         P = Polygon2(tuple((a * x + b * y, c * x + d * y) for x, y in small.vertices))
         (xlo, _), (xhi, _) = P.bounding_box()
         if xhi - xlo <= 10**6:
-            out.append(P)
+            out.append((small, (a, b, c, d), P))
     return out
+
+
+def wide_polygons(n: int):
+    """Seeded polygons with x-spans up to 10^6: unimodular images of small
+    random polygons, so their level walks stay short."""
+    return [P for _, _, P in wide_polygon_images(n)]
+
+
+def box_points_oracle(P: Polygon2) -> list[tuple[int, int]]:
+    """The lattice points of P by a membership test at every point of its
+    bounding box, in no particular order."""
+    (xlo, ylo), (xhi, yhi) = P.bounding_box()
+    return [
+        (x, y)
+        for y in range(yhi, ylo - 1, -1)
+        for x in range(xlo, xhi + 1)
+        if P.contains((x, y))
+    ]
 
 
 def profile_polygons() -> list[Polygon2]:
@@ -149,8 +169,7 @@ def walk_local_lines(edge, vertex, normal) -> list[LatticeLine]:
     level_p = a[0] * p[0] + a[1] * p[1]
     level_v = a[0] * v[0] + a[1] * v[1]
     halfplanes = Polygon2((v, p, q) if cross > 0 else (v, q, p)).halfplanes()
-    anchor, step = level_anchor(a)
-    ux, uy = step.vec
+    anchor, (ux, uy) = level_anchor(a)
     found: list[tuple[int, int]] = []
     for beta in range(level_v + 1, level_p + 1):
         x0 = (anchor[0] * beta, anchor[1] * beta)
@@ -333,3 +352,63 @@ def render_diameter_svg_oracle(polygon: Polygon2, report: DiameterReport) -> str
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"
+
+
+def greedy_labels_oracle(points, adj) -> dict:
+    """The all-points greedy coloring that borsuk._greedy_labels replaced,
+    kept as its reference: point by point in the given order, the smallest
+    color free among the neighbours already colored. adj maps every point
+    to its neighbour set."""
+    labels = {}
+    for p in points:
+        taken = {labels[nb] for nb in adj[p] if nb in labels}
+        color = 0
+        while color in taken:
+            color += 1
+        labels[p] = color
+    return labels
+
+
+def components_oracle(adj) -> list[list]:
+    """The all-points component walk that the endpoint walk of
+    borsuk._components replaced, kept as its reference: every key of adj
+    starts a search unless already seen, so points on no edge come out as
+    components of one point."""
+    seen = set()
+    comps = []
+    for start in adj:
+        if start in seen:
+            continue
+        stack, comp = [start], []
+        seen.add(start)
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for nb in adj[v]:
+                if nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+        comps.append(sorted(comp))
+    return comps
+
+
+def exact_borsuk_oracle(graph, node_budget: int = 1_000_000) -> int:
+    """The chromatic number as exact_borsuk_number found it over all-points
+    components and labels, kept as its reference; the clique bound and the
+    branch and bound are the library's."""
+    adj = graph.adjacency()
+    labels = greedy_labels_oracle(graph.vertices, adj)
+    budget = [node_budget]
+    answer = 1
+    for comp in components_oracle(adj):
+        if len(comp) == 1:
+            continue
+        lower = len(borsuk._greedy_clique(adj, comp))
+        upper = max(labels[v] for v in comp) + 1
+        best = upper
+        for k in range(lower, upper):
+            if borsuk._k_colorable(comp, adj, k, budget):
+                best = k
+                break
+        answer = max(answer, best)
+    return answer

@@ -15,12 +15,20 @@ from latticediam import (
     brute_force_diameter,
     build_borsuk_graph,
     classify_components,
+    borsuk,
     conv_is_cube,
+    enumerate_lattice_points,
     exact_borsuk_number,
     greedy_partition,
 )
 
-from helpers import random_point_set
+from helpers import (
+    components_oracle,
+    exact_borsuk_oracle,
+    greedy_labels_oracle,
+    random_point_set,
+    random_polygon,
+)
 
 
 def cube(d: int, side: int = 1) -> PointSet:
@@ -177,3 +185,137 @@ class TestConvIsCube:
 
     def test_single_point_has_no_side(self):
         assert not conv_is_cube(PointSet([(3, 3)]))
+
+
+def _graph(points, edges) -> BorsukGraph:
+    return BorsukGraph(vertices=PointSet(points), edges=tuple(edges), diam=1)
+
+
+def _ring(n: int, isolated=()) -> BorsukGraph:
+    pts = [(i, 0) for i in range(n)]
+    return _graph(pts + list(isolated), [(pts[i], pts[(i + 1) % n]) for i in range(n)])
+
+
+def _complete(n: int, isolated=()) -> BorsukGraph:
+    # n points of Z^3, every pair joined; K_n needs n <= 8 colors
+    pts = [(i, i * i, 0) for i in range(n)]
+    edges = [(p, q) for i, p in enumerate(pts) for q in pts[i + 1 :]]
+    return _graph(pts + list(isolated), edges)
+
+
+def reference_graphs() -> list[BorsukGraph]:
+    """Diameter graphs of seeded sparse sets in d = 2..4 and of dense
+    polygons, plus hand-built odd cycles and complete components, with and
+    without points on no edge."""
+    rng = random.Random(1010)
+    graphs = []
+    for d in (2, 3, 4):
+        for _ in range(12):
+            S = random_point_set(rng, d, coord=rng.choice((3, 6, 20)), n_lo=2, n_hi=80)
+            if len(S) >= 2:
+                graphs.append(build_borsuk_graph(S))
+    for _ in range(12):
+        S = enumerate_lattice_points(random_polygon(rng, span_hi=rng.choice((4, 8, 16))))
+        graphs.append(build_borsuk_graph(S, max_pairs=10**6))
+    far = [(50, 50), (-7, 9), (3, 40)]
+    graphs += [_ring(5), _ring(7, far), _ring(6, far[:1]), _ring(3)]
+    far3 = [(50, 50, 50), (-7, 9, 1)]
+    graphs += [_complete(4), _complete(5, far3), _complete(8, far3[:1])]
+    graphs.append(_graph([(0, 0), (1, 0), (5, 5), (9, 9)], [((0, 0), (1, 0))]))
+    return graphs
+
+
+class TestEdgeWalkMatchesAllPoints:
+    """Labels, parts, components and chi of the edge-endpoint walk against
+    the all-points walk it replaced (tests/helpers.py)."""
+
+    GRAPHS = reference_graphs()
+
+    def test_cases_cover_isolated_points_cycles_and_cliques(self):
+        classes = [c for g in self.GRAPHS for c in classify_components(g)]
+        assert any(len(c.points) == 1 for c in classes)
+        assert any(c.is_odd_cycle for c in classes)
+        assert any(c.is_complete and len(c.points) >= 4 for c in classes)
+        assert {g.vertices.dim for g in self.GRAPHS} == {2, 3, 4}
+
+    def test_labels_and_parts(self):
+        for g in self.GRAPHS:
+            want = greedy_labels_oracle(g.vertices, g.adjacency())
+            part = greedy_partition(g.vertices, graph=g)
+            assert list(part.labels.items()) == list(want.items())
+            n_colors = max(want.values()) + 1
+            assert part.parts == tuple(
+                PointSet([p for p, c in want.items() if c == color])
+                for color in range(n_colors)
+            )
+
+    def test_components(self):
+        for g in self.GRAPHS:
+            want = components_oracle(g.adjacency())
+            assert borsuk._components(g._neighbours()) == [c for c in want if len(c) > 1]
+            got = classify_components(g)
+            assert [c.points for c in got] == [tuple(c) for c in want]
+            adj = g.adjacency()
+            for cls, comp in zip(got, want):
+                degrees = [len(adj[v] & set(comp)) for v in comp]
+                assert cls.max_degree == max(degrees)
+
+    def test_chi(self):
+        for g in self.GRAPHS:
+            assert exact_borsuk_number(g.vertices, graph=g) == exact_borsuk_oracle(g)
+
+    def test_adjacency_lists_every_point(self):
+        for g in self.GRAPHS:
+            adj = g.adjacency()
+            assert list(adj) == list(g.vertices.points)
+            want = {p: set() for p in g.vertices}
+            for p, q in g.edges:
+                want[p].add(q)
+                want[q].add(p)
+            assert adj == want
+            assert g._neighbours() == {p: n for p, n in adj.items() if n}
+
+
+class CountingDict(dict):
+    """A dict that counts key reads and iteration steps."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        CountingDict.reads += 1
+        return super().__getitem__(key)
+
+    def __iter__(self):
+        for key in super().__iter__():
+            CountingDict.reads += 1
+            yield key
+
+    def items(self):
+        for item in super().items():
+            CountingDict.reads += 1
+            yield item
+
+
+def test_coloring_work_grows_with_edges_not_points(monkeypatch):
+    # 10^4 points, one triangle of edges: the greedy labels, the parts and
+    # the exact number read the neighbour sets O(edges) times
+    pts = [(x, y) for x in range(100) for y in range(100)]
+    tri = [((0, 0), (3, 0)), ((0, 0), (0, 3)), ((0, 3), (3, 0))]
+    g = _graph(pts, tri)
+    neighbours = BorsukGraph._neighbours
+
+    def counted(self):
+        return CountingDict(neighbours(self))
+
+    def refused(self):
+        raise AssertionError("adjacency() of every point was built")
+
+    monkeypatch.setattr(BorsukGraph, "_neighbours", counted)
+    monkeypatch.setattr(BorsukGraph, "adjacency", refused)
+    CountingDict.reads = 0
+    part = greedy_partition(g.vertices, graph=g)
+    chi = exact_borsuk_number(g.vertices, graph=g)
+    assert CountingDict.reads <= 20 * len(tri)
+    assert chi == len(part.parts) == 3
+    assert len(part.labels) == 10**4
+    assert [len(b) for b in part.parts] == [10**4 - 2, 1, 1]

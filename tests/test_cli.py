@@ -19,7 +19,7 @@ from latticediam import (
 )
 from latticediam import BudgetError, borsuk, cli, diameter, dilation
 
-from helpers import QUAD, SQUARE, dilate_levels_oracle
+from helpers import QUAD, SQUARE, dilate_levels_oracle, wide_polygons
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
 
@@ -181,6 +181,53 @@ class TestOracleAndDirections:
         assert cli.run([argv[0], path] + argv[1:]) == 6
         assert "8006001 points give" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["oracle"], ["directions"], ["borsuk", "--exact"], ["diam2d", "--verify"]],
+    )
+    def test_long_scan_refused_before_listing_points(
+        self, argv, tmp_path, capsys, monkeypatch
+    ):
+        # 11 lattice points pass Pick's count, but the bounding box is
+        # 988,389 columns wide and 4,954,611 rows tall
+        def no_listing(P):
+            raise AssertionError("lattice points listed before the budget check")
+
+        monkeypatch.setattr(cli, "enumerate_lattice_points", no_listing)
+        path = write_doc(tmp_path, document_for_polygon(wide_polygons(12)[10]))
+        assert cli.run([argv[0], path] + argv[1:]) == 6
+        assert (
+            "scans at least 988389 lines of the bounding box, over the budget of 200000"
+            in capsys.readouterr().err
+        )
+
+    def test_long_scan_refused_at_once(self, tmp_path):
+        path = write_doc(tmp_path, document_for_polygon(wide_polygons(12)[10]))
+        done = run_module("latticediam", ["oracle", path], timeout=20)
+        assert done.returncode == 6
+        assert done.stdout == ""
+        assert "scans at least 988389 lines" in done.stderr
+
+    def test_scan_budget_is_exact(self, tmp_path, capsys):
+        # 59 lattice points (1,711 pairs) in a box 4,023 columns wide
+        path = write_doc(tmp_path, document_for_polygon(wide_polygons(40)[21]))
+        assert cli.run(["oracle", path, "--budget", "4022"]) == 6
+        assert "scans at least 4023 lines" in capsys.readouterr().err
+        assert cli.run(["oracle", path, "--budget", "4023"]) == 0
+        assert capsys.readouterr().out.startswith("ldiam=")
+
+    def test_thin_polygon_is_answered_through_two_rows(self, tmp_path, capsys):
+        # conv{(0,0),(10^6,1),(10^6+1,1)}: 10^6 + 2 columns but 2 rows
+        triangle = Polygon2(((0, 0), (10**6 + 1, 1), (10**6, 1)))
+        path = write_doc(tmp_path, document_for_polygon(triangle))
+        assert cli.run(["oracle", path]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "ldiam=1 segments=3 directions=3",
+            "direction=(1,0)",
+            "direction=(1000000,1)",
+            "direction=(1000001,1)",
+        ]
+
 
 class TestLdCount:
     def test_csv(self, square_file, capsys):
@@ -321,14 +368,20 @@ class TestBorsuk:
         assert len(calls) == 1
 
     def test_exact_builds_adjacency_once(self, square_file, monkeypatch):
+        # the coloring reads the neighbour sets of the edge endpoints; the
+        # all-points adjacency() is never built on this path
         adjs = []
-        adjacency = borsuk.BorsukGraph.adjacency
+        neighbours = borsuk.BorsukGraph._neighbours
 
         def recorded(self):
-            adjs.append(adjacency(self))
+            adjs.append(neighbours(self))
             return adjs[-1]
 
-        monkeypatch.setattr(borsuk.BorsukGraph, "adjacency", recorded)
+        def refused(self):
+            raise AssertionError("adjacency() of every point was built")
+
+        monkeypatch.setattr(borsuk.BorsukGraph, "_neighbours", recorded)
+        monkeypatch.setattr(borsuk.BorsukGraph, "adjacency", refused)
         assert cli.run(["borsuk", square_file, "--exact"]) == 0
         # greedy_partition and exact_borsuk_number both read it
         assert len(adjs) >= 2

@@ -1,11 +1,21 @@
+import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import QUAD, SQUARE, TRIANGLE, convex_hull
+from helpers import (
+    QUAD,
+    SQUARE,
+    TRIANGLE,
+    box_points_oracle,
+    convex_hull,
+    random_polygon,
+    wide_polygon_images,
+)
 from latticediam import (
+    core,
     Direction,
     PointSet,
     Polygon2,
@@ -161,6 +171,94 @@ def test_halfplanes_agree_with_enumeration(P):
     for x in range(xlo, xhi + 1):
         for y in range(ylo, yhi + 1):
             assert P.contains((x, y)) == ((x, y) in inside)
+
+
+def scan_calls(monkeypatch) -> list:
+    """Record the direction of every level_interval call made by
+    enumerate_lattice_points."""
+    calls = []
+    kernel = core.level_interval
+
+    def recorded(halfplanes, x0, u):
+        calls.append(u)
+        return kernel(halfplanes, x0, u)
+
+    monkeypatch.setattr(core, "level_interval", recorded)
+    return calls
+
+
+class TestEnumeration:
+    """enumerate_lattice_points against PointSet(brute-force list): the same
+    points tuple, in lexicographic order."""
+
+    def test_random_polygons(self):
+        rng = random.Random(10)
+        for _ in range(300):
+            P = random_polygon(rng, span_hi=rng.choice((4, 12, 30)), coord=60)
+            assert enumerate_lattice_points(P).points == PointSet(box_points_oracle(P)).points
+
+    def test_negative_coordinates(self):
+        P = Polygon2(((-9, -7), (-2, -8), (-1, -3), (-6, -1)))
+        got = enumerate_lattice_points(P)
+        assert got.points == PointSet(box_points_oracle(P)).points
+        assert got.points[0] == (-9, -7) and all(x < 0 and y < 0 for x, y in got)
+
+    def test_wide_polygons(self):
+        # unimodular images: the points of P are the images of the points of
+        # the small preimage, found by the box oracle; boxes up to 10^4 on
+        # the short side and 10^7 on the long one
+        checked = 0
+        for small, (a, b, c, d), P in wide_polygon_images(40):
+            (xlo, ylo), (xhi, yhi) = P.bounding_box()
+            if min(xhi - xlo, yhi - ylo) > 10**4:
+                continue
+            want = PointSet([(a * x + b * y, c * x + d * y) for x, y in box_points_oracle(small)])
+            assert enumerate_lattice_points(P).points == want.points
+            checked += 1
+        assert checked == 29
+
+    def test_thin_tall_polygon_scans_columns(self, monkeypatch):
+        P = Polygon2(((0, 0), (1, 10**6), (1, 10**6 + 1)))
+        calls = scan_calls(monkeypatch)
+        got = enumerate_lattice_points(P)
+        assert calls == [(0, 1)] * 2
+        assert got.points == ((0, 0), (1, 10**6), (1, 10**6 + 1))
+
+    def test_thin_wide_polygon_scans_rows(self, monkeypatch):
+        # conv{(0,0),(10^6,1),(10^6+1,1)}: 10^6 + 2 columns, 2 rows
+        P = Polygon2(((0, 0), (10**6 + 1, 1), (10**6, 1)))
+        calls = scan_calls(monkeypatch)
+        got = enumerate_lattice_points(P)
+        assert calls == [(1, 0)] * 2
+        assert got.points == ((0, 0), (10**6, 1), (10**6 + 1, 1))
+
+    def test_orientation_follows_the_shorter_side(self, monkeypatch):
+        rng = random.Random(11)
+        calls = scan_calls(monkeypatch)
+        seen = set()
+        for _ in range(100):
+            P = random_polygon(rng, span_hi=20)
+            # stretch x or y by up to 40 so both orientations come up
+            k = rng.randint(1, 40)
+            if rng.random() < 0.5:
+                P = Polygon2(tuple((k * x, y) for x, y in P.vertices))
+            else:
+                P = Polygon2(tuple((x, k * y) for x, y in P.vertices))
+            (xlo, ylo), (xhi, yhi) = P.bounding_box()
+            w, h = xhi - xlo, yhi - ylo
+            calls.clear()
+            got = enumerate_lattice_points(P)
+            assert got.points == PointSet(box_points_oracle(P)).points
+            # columns unless they outnumber the rows by more than the sort
+            # of the points costs, in kernel calls
+            slack = len(got) // core.SORT_POINTS
+            assert len(calls) <= min(w, h) + 1 + slack
+            if w < h:
+                assert calls == [(0, 1)] * (w + 1)
+            elif w - h > slack:
+                assert calls == [(1, 0)] * (h + 1)
+            seen.add(calls[0])
+        assert seen == {(0, 1), (1, 0)}
 
 
 class TestPointSet:

@@ -135,7 +135,8 @@ class TestLevelScan:
         for a in ((1, 0), (0, 1), (2, 3), (-3, 5), (7, -4)):
             s, step = level_anchor(a)
             assert a[0] * s[0] + a[1] * s[1] == 1
-            assert a[0] * step.vec[0] + a[1] * step.vec[1] == 0
+            assert a[0] * step[0] + a[1] * step[1] == 0
+            assert Direction(step).vec == step
 
     def test_anchor_requires_primitive(self):
         with pytest.raises(ValidationError):
