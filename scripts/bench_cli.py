@@ -19,6 +19,13 @@ Rows:
 - the import time of latticediam.cli in a fresh interpreter, apart from
   every other row (interpreter start-up excluded).
 
+Every fresh interpreter reads its bytecode from one temporary
+PYTHONPYCACHEPREFIX directory, warmed by an import before any timing, and
+PYTHONDONTWRITEBYTECODE is cleared for them. Otherwise, with bytecode
+writes turned off and a stale or missing __pycache__ beside the sources,
+each fresh import would compile every module, and the import and first-call
+rows would time the compiler.
+
 stdout and stderr of the timed runs are captured and dropped.
 """
 
@@ -88,19 +95,26 @@ def best_time(fn, repeat: int) -> float:
     return best
 
 
-def fresh_python(*args: str) -> str:
+def child_env(pycache: str) -> dict[str, str]:
+    """This environment, with bytecode written to and read from pycache."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = pycache
+    return env
+
+
+def fresh_python(env: dict[str, str], *args: str) -> str:
     return subprocess.run([sys.executable, *args], check=True, capture_output=True,
-                          text=True, env=os.environ).stdout
+                          text=True, env=env).stdout
 
 
-def cli_rows(workdir: str) -> list[dict]:
+def cli_rows(workdir: str, env: dict[str, str]) -> list[dict]:
     rows = []
     for path in sorted(SAMPLES.glob("*.json")):
         kind = json.loads(path.read_text())["kind"]
         for command in COMMANDS[kind]:
             svg = os.path.join(workdir, f"{path.stem}.svg")
             argv = [command[0], str(path)] + [a.format(svg=svg) for a in command[1:]]
-            runs = [json.loads(fresh_python("-c", CHILD, json.dumps(argv), str(STEADY)))
+            runs = [json.loads(fresh_python(env, "-c", CHILD, json.dumps(argv), str(STEADY)))
                     for _ in range(FRESH)]
             steady = [t for run in runs for t in run["steady_s"]]
             rows.append({
@@ -129,12 +143,12 @@ def svg_rows() -> list[dict]:
     return rows
 
 
-def import_seconds(repeat: int) -> dict[str, float]:
+def import_seconds(repeat: int, env: dict[str, str]) -> dict[str, float]:
     code = (
         "import time; t = time.perf_counter(); import latticediam.cli; "
         "print(time.perf_counter() - t)"
     )
-    samples = [float(fresh_python("-c", code)) for _ in range(repeat)]
+    samples = [float(fresh_python(env, "-c", code)) for _ in range(repeat)]
     return {"median_s": statistics.median(samples), "min_s": min(samples),
             "samples": len(samples)}
 
@@ -147,7 +161,10 @@ def main() -> None:
     # the builder itself, past any cache in front of it
     build = getattr(cli._build_parser, "__wrapped__", cli._build_parser)
     with tempfile.TemporaryDirectory() as workdir:
-        cli_table = cli_rows(workdir)
+        env = child_env(os.path.join(workdir, "pycache"))
+        fresh_python(env, "-c", "import latticediam.cli")  # writes the bytecode
+        cli_table = cli_rows(workdir, env)
+        import_table = import_seconds(2 * REPEAT, env)
     result = {
         "host": {
             "python": platform.python_version(),
@@ -158,7 +175,8 @@ def main() -> None:
         "repeat": REPEAT,
         "fresh_interpreters": FRESH,
         "steady_calls": STEADY,
-        "import_latticediam_cli": import_seconds(2 * REPEAT),
+        "pycache_prefix": "a temporary directory, warmed by one import",
+        "import_latticediam_cli": import_table,
         "parser_build_s": best_time(build, REPEAT),
         "cli": cli_table,
         "svg": svg_rows(),

@@ -15,12 +15,12 @@ C-level dict and filter work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, filterfalse
 from typing import Optional, Sequence
 
 from .core import Point, PointSet
 from .errors import BudgetError, ValidationError
+from .frozen import Frozen
 from .oracle import DEFAULT_PAIR_BUDGET, brute_force_diameter
 
 __all__ = [
@@ -37,13 +37,17 @@ __all__ = [
 DEFAULT_NODE_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True)
-class BorsukGraph:
+class BorsukGraph(Frozen):
     """Diameter graph: vertices are the points, edges the diameter pairs."""
 
-    vertices: PointSet
-    edges: tuple[tuple[Point, Point], ...]
-    diam: int
+    _fields = ("vertices", "edges", "diam")
+
+    def __init__(
+        self, vertices: PointSet, edges: tuple[tuple[Point, Point], ...], diam: int
+    ):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "diam", diam)
 
     def adjacency(self) -> dict[Point, set[Point]]:
         """Neighbour sets of every vertex, in lexicographic order, built on
@@ -53,7 +57,7 @@ class BorsukGraph:
         if adj is None:
             adj = {p: set() for p in self.vertices}
             adj.update(self._neighbours())
-            object.__setattr__(self, "_adjacency", adj)
+            self.__dict__["_adjacency"] = adj
         return adj
 
     def _neighbours(self) -> dict[Point, set[Point]]:
@@ -67,19 +71,22 @@ class BorsukGraph:
                 unsorted.setdefault(p, set()).add(q)
                 unsorted.setdefault(q, set()).add(p)
             nbrs = {p: unsorted[p] for p in sorted(unsorted)}
-            object.__setattr__(self, "_nbrs", nbrs)
+            self.__dict__["_nbrs"] = nbrs
         return nbrs
 
     def max_degree(self) -> int:
         return max((len(nbrs) for nbrs in self._neighbours().values()), default=0)
 
 
-@dataclass(frozen=True)
-class BorsukPartition:
-    """Parts of strictly smaller lattice diameter, with per-point labels."""
+class BorsukPartition(Frozen):
+    """Parts of strictly smaller lattice diameter, with a label for every
+    vertex, in lexicographic order."""
 
-    parts: tuple[PointSet, ...]
-    labels: dict[Point, int]  # every vertex, in lexicographic order
+    _fields = ("parts", "labels")
+
+    def __init__(self, parts: tuple[PointSet, ...], labels: dict[Point, int]):
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "labels", labels)
 
 
 def build_borsuk_graph(
@@ -253,18 +260,23 @@ def exact_borsuk_number(
     return answer
 
 
-@dataclass(frozen=True)
-class ComponentClass:
+class ComponentClass(Frozen):
     """Shape summary of one diameter-graph component for the degree bound.
 
     The greedy bound max_degree + 1 is tight only for complete components and
     odd cycles; everywhere else one fewer color suffices.
     """
 
-    points: tuple[Point, ...]
-    max_degree: int
-    is_complete: bool
-    is_odd_cycle: bool
+    _fields = ("points", "max_degree", "is_complete", "is_odd_cycle")
+
+    def __init__(
+        self, points: tuple[Point, ...], max_degree: int, is_complete: bool,
+        is_odd_cycle: bool,
+    ):
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "max_degree", max_degree)
+        object.__setattr__(self, "is_complete", is_complete)
+        object.__setattr__(self, "is_odd_cycle", is_odd_cycle)
 
     @property
     def degree_bound_tight(self) -> bool:

@@ -275,7 +275,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         tri = slope_triangle(t, x)
         doc = document_for_polygon(tri, name=f"slope-triangle t={t} x={x}")
         if args.verify:
-            S = enumerate_lattice_points(tri)
+            S = _polygon_points(tri, args.budget)
             report = brute_force_diameter(S, args.budget)
             if len(S) != 4 or report.ldiam != 1 or len(report.directions) != 6:
                 failure = (

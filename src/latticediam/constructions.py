@@ -8,7 +8,6 @@ sizes built here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, floor, gcd
@@ -16,6 +15,7 @@ from typing import Sequence
 
 from .core import Direction, Point, Polygon2, PointSet, as_point, enumerate_lattice_points
 from .errors import BudgetError, ValidationError
+from .frozen import Frozen
 from .oracle import DEFAULT_PAIR_BUDGET, brute_force_diameter
 
 __all__ = [
@@ -218,15 +218,17 @@ def direction_maximal_polytope(d: int) -> tuple[PointSet, tuple[Point, ...]]:
     return PointSet(pts), tuple(verts)
 
 
-@dataclass(frozen=True)
-class PolyConstraint:
+class PolyConstraint(Frozen):
     """One inequality sum(coef * monomial) <= rhs with integer coefficients.
 
     terms are (coefficient, exponent tuple) pairs over the instance variables.
     """
 
-    terms: tuple[tuple[int, tuple[int, ...]], ...]
-    rhs: int
+    _fields = ("terms", "rhs")
+
+    def __init__(self, terms: tuple[tuple[int, tuple[int, ...]], ...], rhs: int):
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "rhs", rhs)
 
     def evaluate(self, point: Sequence[int]) -> int:
         total = 0
@@ -242,8 +244,7 @@ class PolyConstraint:
         return self.evaluate(point) <= self.rhs
 
 
-@dataclass(frozen=True)
-class HardnessInstance:
+class HardnessInstance(Frozen):
     """The decision gadget K_d for parameters (a, b, c) in dimension d >= 3.
 
     Coordinates are (w_1..w_{d-3}, x, y, z). The solid is
@@ -253,15 +254,24 @@ class HardnessInstance:
     reading the diameter answers whether x^2 = a + b y is solvable on R.
     """
 
-    a: int
-    b: int
-    c: int
-    dim: int
-    Z: int
-    x_range: tuple[int, int]
-    y_range: tuple[Fraction, Fraction]
-    base_point: tuple[int, int]
-    constraints: tuple[PolyConstraint, ...]
+    _fields = (
+        "a", "b", "c", "dim", "Z", "x_range", "y_range", "base_point", "constraints"
+    )
+
+    def __init__(
+        self, a: int, b: int, c: int, dim: int, Z: int, x_range: tuple[int, int],
+        y_range: tuple[Fraction, Fraction], base_point: tuple[int, int],
+        constraints: tuple[PolyConstraint, ...],
+    ):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "Z", Z)
+        object.__setattr__(self, "x_range", x_range)
+        object.__setattr__(self, "y_range", y_range)
+        object.__setattr__(self, "base_point", base_point)
+        object.__setattr__(self, "constraints", constraints)
 
     def f(self, x: int, y: int) -> int:
         return (x * x - self.a - self.b * y) ** 2
@@ -371,16 +381,21 @@ def hardness_lattice_points(
     return PointSet([w + p for w in cubes for p in core])
 
 
-@dataclass(frozen=True)
-class HardnessCheck:
+class HardnessCheck(Frozen):
     """Oracle verdict on a gadget: diameter, direction and reduction identity."""
 
-    ldiam: int
-    z: int
-    min_f: int
-    n_points: int
-    direction_ok: bool
-    equivalence_ok: bool
+    _fields = ("ldiam", "z", "min_f", "n_points", "direction_ok", "equivalence_ok")
+
+    def __init__(
+        self, ldiam: int, z: int, min_f: int, n_points: int, direction_ok: bool,
+        equivalence_ok: bool,
+    ):
+        object.__setattr__(self, "ldiam", ldiam)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "min_f", min_f)
+        object.__setattr__(self, "n_points", n_points)
+        object.__setattr__(self, "direction_ok", direction_ok)
+        object.__setattr__(self, "equivalence_ok", equivalence_ok)
 
 
 def verify_hardness_instance(

@@ -13,13 +13,13 @@ PointSet._sorted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import gcd
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import ValidationError
+from .frozen import Frozen, Ordered
 
 Point = tuple[int, ...]
 RationalPoint = tuple[Fraction, ...]
@@ -62,16 +62,15 @@ def segment_lattice_count(x: Sequence[int], y: Sequence[int]) -> int:
     return gcd(*(a - b for a, b in zip(x, y)))
 
 
-@dataclass(frozen=True, order=True)
-class Direction:
+class Direction(Ordered):
     """A primitive lattice direction with canonical sign.
 
     The vector is divided by its gcd and negated if needed so that the first
     nonzero entry is positive; u and -u therefore normalize identically, and
-    normalization is idempotent.
+    normalization is idempotent. Directions are ordered by their vectors.
     """
 
-    vec: Point
+    _fields = ("vec",)
 
     def __init__(self, vec: Iterable[int]):
         v = as_point(vec)
@@ -90,7 +89,7 @@ class Direction:
     def dim(self) -> int:
         return len(self.vec)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         return f"Direction({self.vec})"
 
 
@@ -113,11 +112,10 @@ def _winding_quadrants(dirs: list[Point]) -> int:
     return total // 4
 
 
-@dataclass(frozen=True)
-class Polygon2:
+class Polygon2(Frozen):
     """A strictly convex lattice polygon, vertices in counter-clockwise order."""
 
-    vertices: tuple[Point, ...]
+    _fields = ("vertices",)
 
     def __init__(self, vertices: Iterable[Iterable[int]]):
         verts = tuple(as_point(v) for v in vertices)
@@ -272,11 +270,10 @@ def floor_sum(n: int, m: int, a: int, b: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class PointSet:
+class PointSet(Frozen):
     """A finite nonempty set of lattice points of one dimension, stored sorted."""
 
-    points: tuple[Point, ...]
+    _fields = ("points",)
 
     def __init__(self, points: Iterable[Iterable[int]]):
         pts = sorted({as_point(p) for p in points})

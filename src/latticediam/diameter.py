@@ -32,7 +32,6 @@ every clip of a line goes through core.line_bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Iterator, NamedTuple, Sequence
 
@@ -46,6 +45,7 @@ from .core import (
     line_bounds,
 )
 from .errors import ValidationError
+from .frozen import Frozen
 from .lines import ClippedSegment, LatticeLine, clip_line, level_anchor
 
 __all__ = [
@@ -61,17 +61,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OppositePair:
+class OppositePair(Frozen):
     """An edge, its primitive outward normal, and a vertex minimizing it."""
 
-    edge: tuple[Point, Point]
-    vertex: Point
-    normal: Point
+    _fields = ("edge", "vertex", "normal")
+
+    def __init__(self, edge: tuple[Point, Point], vertex: Point, normal: Point):
+        object.__setattr__(self, "edge", edge)
+        object.__setattr__(self, "vertex", vertex)
+        object.__setattr__(self, "normal", normal)
 
 
-@dataclass(frozen=True)
-class DiameterReport:
+class DiameterReport(Frozen):
     """Diameter value with every attaining line, grouped data precomputed.
 
     lines hold all lattice lines meeting the polygon in ldiam + 1 lattice
@@ -79,10 +80,17 @@ class DiameterReport:
     sorted; representative_segments hold one exact clip per direction.
     """
 
-    ldiam: int
-    lines: tuple[LatticeLine, ...]
-    directions: tuple[Direction, ...]
-    representative_segments: tuple[ClippedSegment, ...]
+    _fields = ("ldiam", "lines", "directions", "representative_segments")
+
+    def __init__(
+        self, ldiam: int, lines: tuple[LatticeLine, ...],
+        directions: tuple[Direction, ...],
+        representative_segments: tuple[ClippedSegment, ...],
+    ):
+        object.__setattr__(self, "ldiam", ldiam)
+        object.__setattr__(self, "lines", lines)
+        object.__setattr__(self, "directions", directions)
+        object.__setattr__(self, "representative_segments", representative_segments)
 
 
 def opposite_pairs(P: Polygon2) -> list[OppositePair]:

@@ -14,7 +14,6 @@ lines into translated blocks of q plus a fixed remainder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
@@ -22,6 +21,7 @@ from typing import Sequence
 from .core import Direction, Point, Polygon2, RationalPoint, level_interval
 from .diameter import DilationProfile, _chord, dilation_profile
 from .errors import BudgetError, FitError, ValidationError
+from .frozen import Frozen
 
 __all__ = [
     "QuasiPolynomial",
@@ -33,17 +33,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuasiPolynomial:
+class QuasiPolynomial(Frozen):
     """A degree <= 1 quasi-polynomial: one (slope, intercept) piece per residue.
 
     evaluate(k) is slope * k + intercept for the piece at k mod period, exact
     and integral for every k >= valid_from.
     """
 
-    period: int
-    pieces: tuple[tuple[Fraction, Fraction], ...]
-    valid_from: int
+    _fields = ("period", "pieces", "valid_from")
+
+    def __init__(
+        self, period: int, pieces: tuple[tuple[Fraction, Fraction], ...], valid_from: int
+    ):
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "pieces", pieces)
+        object.__setattr__(self, "valid_from", valid_from)
 
     def evaluate(self, k: int) -> int:
         if k < 1:
@@ -57,8 +61,7 @@ class QuasiPolynomial:
         return int(value)
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class BlockDecomposition(Frozen):
     """Per-residue block structure of the parallel diameter lines of a chamber.
 
     For k = i (mod q) the kw + 1 parallel lattice lines meeting the dilated
@@ -68,9 +71,12 @@ class BlockDecomposition:
     (n_i, r_i, rem_i).
     """
 
-    q: int
-    w: int
-    per_residue: tuple[tuple[int, int, int], ...]
+    _fields = ("q", "w", "per_residue")
+
+    def __init__(self, q: int, w: int, per_residue: tuple[tuple[int, int, int], ...]):
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "per_residue", per_residue)
 
     def blocks(self, k: int) -> int:
         return (k * self.w + 1) // self.q

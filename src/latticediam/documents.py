@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from .core import Polygon2, PointSet
 from .errors import ParseError, ValidationError
+from .frozen import Frozen
 
 __all__ = [
     "Document",
@@ -60,28 +60,35 @@ def decode_number(raw: object) -> int | Fraction:
     raise ParseError(f"expected a string-encoded number, got {type(raw).__name__}")
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(Frozen):
     """A parsed input file: coordinate rows plus enough context to rebuild it."""
 
-    kind: str
-    dimension: int
-    rows: tuple[tuple[int | Fraction, ...], ...] = ()
-    name: str = ""
-    construction: str = ""
-    params: tuple[tuple[str, str], ...] = field(default=())
+    _fields = ("kind", "dimension", "rows", "name", "construction", "params")
 
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ParseError(f"unknown document kind {self.kind!r}")
-        if not isinstance(self.dimension, int) or self.dimension < 1:
+    def __init__(
+        self,
+        kind: str,
+        dimension: int,
+        rows: tuple[tuple[int | Fraction, ...], ...] = (),
+        name: str = "",
+        construction: str = "",
+        params: tuple[tuple[str, str], ...] = (),
+    ):
+        if kind not in KINDS:
+            raise ParseError(f"unknown document kind {kind!r}")
+        if not isinstance(dimension, int) or dimension < 1:
             raise ParseError("dimension must be a positive integer")
-        for row in self.rows:
-            if len(row) != self.dimension:
+        for row in rows:
+            if len(row) != dimension:
                 raise ParseError(
-                    f"row {tuple(map(str, row))} does not have "
-                    f"{self.dimension} coordinates"
+                    f"row {tuple(map(str, row))} does not have {dimension} coordinates"
                 )
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "construction", construction)
+        object.__setattr__(self, "params", params)
 
 
 def document_for_polygon(

@@ -9,7 +9,6 @@ for the segment it reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd
 from typing import Optional, Sequence
@@ -20,6 +19,7 @@ from .core import Direction, Point, Polygon2, RationalPoint, as_point, line_boun
 # lines.level_interval, so the name must resolve in this module.
 from .core import level_interval  # noqa: F401
 from .errors import ValidationError
+from .frozen import Frozen, Ordered
 
 __all__ = [
     "LatticeLine",
@@ -30,17 +30,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class LatticeLine:
+class LatticeLine(Ordered):
     """An affine line spanned by a primitive direction through a lattice point.
 
     The stored base is canonical: it is reduced modulo the direction so that
-    0 <= <dir, base> < <dir, dir>. Two equal lines therefore compare equal as
-    dataclasses, whatever base they were built from.
+    0 <= <dir, base> < <dir, dir>. Two equal lines therefore have equal
+    (base, dir) fields, whatever base they were built from, and so compare
+    and hash equal. Lines are ordered by (base, dir).
     """
 
-    base: Point
-    dir: Direction
+    _fields = ("base", "dir")
 
     def __init__(self, base: Sequence[int], dir: Direction | Sequence[int]):
         b = as_point(base)
@@ -78,19 +77,24 @@ class LatticeLine:
         return False
 
 
-@dataclass(frozen=True)
-class ClippedSegment:
+class ClippedSegment(Frozen):
     """The exact intersection of a lattice line with a convex polygon.
 
     Endpoints a, b are rational; t1 <= t2 are the parameters of a and b
     relative to the line's canonical base.
     """
 
-    a: RationalPoint
-    b: RationalPoint
-    line: LatticeLine
-    t1: Fraction
-    t2: Fraction
+    _fields = ("a", "b", "line", "t1", "t2")
+
+    def __init__(
+        self, a: RationalPoint, b: RationalPoint, line: LatticeLine, t1: Fraction,
+        t2: Fraction,
+    ):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "t1", t1)
+        object.__setattr__(self, "t2", t2)
 
 
 def clip_line(P: Polygon2, line: LatticeLine) -> Optional[ClippedSegment]:

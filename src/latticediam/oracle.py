@@ -13,13 +13,13 @@ deliberately independent of the 2D machinery.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import chain, combinations
 from math import gcd
-from operator import sub
+from operator import attrgetter, sub
 
 from .core import Direction, Point, PointSet
 from .errors import BudgetError, ValidationError
+from .frozen import Frozen
 
 __all__ = [
     "DEFAULT_PAIR_BUDGET",
@@ -33,8 +33,7 @@ __all__ = [
 DEFAULT_PAIR_BUDGET = 200_000
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(Frozen):
     """Everything the pair scan learns about a point set.
 
     segments hold each diameter pair once, lexicographically smaller endpoint
@@ -42,10 +41,16 @@ class OracleReport:
     it ends.
     """
 
-    ldiam: int
-    segments: tuple[tuple[Point, Point], ...]
-    directions: tuple[Direction, ...]
-    per_point_degree: dict[Point, int]
+    _fields = ("ldiam", "segments", "directions", "per_point_degree")
+
+    def __init__(
+        self, ldiam: int, segments: tuple[tuple[Point, Point], ...],
+        directions: tuple[Direction, ...], per_point_degree: dict[Point, int],
+    ):
+        object.__setattr__(self, "ldiam", ldiam)
+        object.__setattr__(self, "segments", segments)
+        object.__setattr__(self, "directions", directions)
+        object.__setattr__(self, "per_point_degree", per_point_degree)
 
 
 def _pair_scan(pts: tuple[Point, ...]) -> tuple[int, list[tuple[int, int]]]:
@@ -219,8 +224,11 @@ def brute_force_diameter(
         )
     best, hits = _scan_pairs(pts)
     segments = tuple((pts[i], pts[j]) for i, j in hits)
+    # Direction's own order, compared as plain tuples rather than through
+    # a Python-level __lt__ per comparison.
     directions = sorted(
-        {Direction(tuple(b - a for a, b in zip(p, q))) for p, q in segments}
+        {Direction(tuple(b - a for a, b in zip(p, q))) for p, q in segments},
+        key=attrgetter("vec"),
     )
     degree: dict[Point, int] = dict.fromkeys(pts, 0)
     for p, q in segments:

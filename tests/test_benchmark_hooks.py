@@ -26,3 +26,15 @@ def test_every_traced_name_resolves():
 def test_the_oracle_looks_up_gcd_in_its_module():
     oracle = importlib.import_module("latticediam.oracle")
     assert callable(oracle.gcd)
+
+
+def test_every_traced_class_defines_its_own_init():
+    # the tracer wraps a class target's obj.__dict__["__init__"]
+    spans = load_spans()
+    classes = []
+    for mod, attr, _ in spans.TARGETS:
+        obj = getattr(importlib.import_module(f"latticediam.{mod}"), attr)
+        if isinstance(obj, type):
+            classes.append(attr)
+            assert "__init__" in vars(obj), f"latticediam.{mod}.{attr}"
+    assert {"LatticeLine", "Polygon2"} <= set(classes)

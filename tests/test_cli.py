@@ -439,6 +439,14 @@ class TestConstruct:
         assert doc.kind == "polygon"
         assert ("1/3" in render_document(doc)) and ("17/3" in render_document(doc))
 
+    def test_wide_slope_triangle_verify_refused_at_once(self):
+        # 4 lattice points, but a bounding box 2,000,002 lines across
+        argv = ["construct", "slope-triangle", "--t", "1", "--x", "1000000", "--verify"]
+        done = run_module("latticediam", argv, timeout=20)
+        assert done.returncode == 6
+        assert done.stdout == ""
+        assert "scans at least 2000002 lines of the bounding box" in done.stderr
+
     def test_missing_parameter(self, capsys):
         assert cli.run(["construct", "hardness", "--a", "2", "--b", "2"]) == 3
         assert "needs --c" in capsys.readouterr().err
