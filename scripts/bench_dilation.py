@@ -1,6 +1,6 @@
 """Scaling ladders of the dilation counts, written as one JSON file.
 
-    PYTHONPATH=src python scripts/bench_dilation.py --out BENCH_6.json
+    PYTHONPATH=src python scripts/bench_dilation.py --out BENCH_12.json
 
 Rows:
 - count_diameter_lines(P, k) for k = 10^1 .. 10^12 on the reference quad

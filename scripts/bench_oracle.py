@@ -97,7 +97,7 @@ def row(family: str, name: str, pts) -> dict:
         if steps <= MAX_STEPS
         else None
     )
-    ldiam, hits = oracle._scan_pairs(pts)
+    ldiam, hits = oracle._scan_pairs(pts, spreads)
     out = {
         "family": family,
         "set": name,

@@ -93,10 +93,14 @@ def _write_atomic(path: str, text: str) -> None:
 
 def _polygon_points(P: Polygon2, budget: int) -> PointSet:
     """The lattice points of P for an oracle scan, refused before a single
-    point is listed: by Pick's count, then by the number of lines across the
-    short side of the bounding box, the fewest the scan can clip."""
-    check_pair_budget(count_lattice_points_polygon(P), budget)
+    point is listed: by the cost of the scan (check_pair_budget), from Pick's
+    count and the ranges of the bounding box, which are those of the points
+    since the vertices are lattice points; then by the number of lines
+    across the short side of the bounding box, the fewest the scan can clip."""
     (xmin, ymin), (xmax, ymax) = P.bounding_box()
+    check_pair_budget(
+        count_lattice_points_polygon(P), [xmax - xmin, ymax - ymin], budget
+    )
     lines = min(xmax - xmin, ymax - ymin) + 1
     if lines > budget:
         raise BudgetError(

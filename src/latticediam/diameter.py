@@ -15,8 +15,9 @@ three picks: those with kmin = ceil(j / J) <= k, and kmin is 1 or 2.
 dilation_profile runs the scan once and records each candidate line with
 its kmin and its chord c = num/den through P, read once in integers;
 through a vertex of kP the line holds floor(k num / den) + 1 points. So the
-best count and the diameter directions of kP are a max over a fixed list,
-and compute_diameter reads those of P at k = 1.
+best count and the diameter directions of kP are a max over the longest
+chord of each direction, tabled once per kmin threshold, and
+compute_diameter reads those of P at k = 1.
 
 Per diameter direction, the vertex levels split the level range into
 pieces on which the upper and lower bounds U and L of the chord are single
@@ -26,12 +27,16 @@ best points. compute_diameter sweeps those windows, one kernel call per
 level, to list the diameter lines (some pass through no vertex at all). The
 dilates count them in closed form instead: over a piece, the count is
 sum floor(U) - sum ceil(L) + (2 - best) |piece|, two Euclid-like floor sums,
-so the cost does not grow with k. All of it is integer arithmetic, and
-every clip of a line goes through core.line_bounds.
+so the cost does not grow with k. The chord window of a piece at any k
+comes from three clip constants that do not depend on k, kept with the
+piece, through one routine (_chord_clip) for the sweep and the counts.
+All of it is integer arithmetic, and every clip of a line goes through
+core.line_bounds.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from math import gcd
 from typing import Iterator, NamedTuple, Sequence
 
@@ -267,22 +272,22 @@ def _polygon_picks(P: Polygon2) -> Iterator[tuple[LineKey, Point, Point, int]]:
 
 
 Side = tuple[int, int, int]  # (t, e, c) of a halfplane across the levels of u
+# (lo, hi, closed, A, ti * tj, ti * cj - tj * ci, upper, lower): see _level_pieces
+Piece = tuple[int, int, bool, int, int, int, Side, Side]
 
 
-def _chord_clip(lo: int, hi: int, upper: Side, lower: Side, min_chord: int) -> tuple[int, int]:
-    """The levels of [lo, hi] where the chord from one lower to one upper
-    halfplane is at least min_chord; an empty range has lo > hi.
+def _chord_clip(piece: Piece, k: int, min_chord: int) -> tuple[int, int]:
+    """The levels of the piece of kP where its chord is at least min_chord;
+    an empty range has lo > hi.
 
-    On the line anchor*beta + k*u, the halfplane (n, c) with t = <n, u> and
-    e = <n, anchor> bounds k by (c - beta*e) / t: from above when t > 0, from
-    below when t < 0. The chord (ci - beta*ei)/ti - (cj - beta*ej)/tj >= m is
-    one linear inequality A*beta <= B, cleared of the positive denominator
-    ti * |tj| and solved with floor divisions.
+    The piece's k-free constants (_level_pieces) give the chord inequality
+    A*beta <= B with B = min_chord * ti * tj + k * (ti * cj - tj * ci), since
+    scaling P by k scales the halfplane constants ci and cj by k; it is
+    solved with floor divisions.
     """
-    ti, ei, ci = upper
-    tj, ej, cj = lower
-    A = ti * ej - tj * ei
-    B = min_chord * ti * tj + ti * cj - tj * ci
+    lo, hi, closed, A, titj, C, _, _ = piece
+    lo, hi = k * lo, k * hi if closed else k * hi - 1
+    B = min_chord * titj + k * C
     if A > 0:
         return lo, min(hi, B // A)  # beta <= floor(B / A)
     if A < 0:
@@ -304,16 +309,14 @@ class ProfileRecord(NamedTuple):
     chord: tuple[int, int]
 
 
-Piece = tuple[int, int, bool, Side, Side]
-
-
 def _level_pieces(
     vertices: tuple[Point, ...], halfplanes: list[tuple[Point, int]], u: Point
 ) -> tuple[Point, list[Piece]]:
     """The level anchor of u, and the vertex level range of the polygon in
-    direction u split at the vertex levels: (lo, hi, closed, upper, lower)
-    per piece, on which U and L are the single linear functions of the
-    sides upper and lower.
+    direction u split at the vertex levels: per piece
+    (lo, hi, closed, A, ti * tj, ti * cj - tj * ci, upper, lower), on which
+    U and L are the single linear functions of the sides upper = (ti, ei, ci)
+    and lower = (tj, ej, cj).
 
     The side of the halfplane (n, c) is (t, e, c) with t = <n, u> and
     e = <n, anchor>. Along its edge the level grows by t, so the edges with
@@ -322,6 +325,14 @@ def _level_pieces(
     an upper and a lower edge, in increasing level; each is half-open
     [lo, hi), except the topmost, which is closed. Edges parallel to u bound
     no level range and are skipped.
+
+    On the line anchor*beta + k*u, the halfplane (n, c) bounds k by
+    (c - beta*e) / t: from above when t > 0, from below when t < 0. The chord
+    (ci - beta*ei)/ti - (cj - beta*ej)/tj >= m is one linear inequality
+    A*beta <= m * ti * tj + ti * cj - tj * ci with A = ti * ej - tj * ei,
+    cleared of the positive denominator ti * |tj|. The three constants do
+    not depend on m or on the dilation factor, so they are kept with the
+    piece (_chord_clip).
     """
     a = (-u[1], u[0])
     anchor, _ = level_anchor(a)
@@ -341,7 +352,12 @@ def _level_pieces(
         for lo_l, hi_l, low in lower:
             lo, hi = max(lo_u, lo_l), min(hi_u, hi_l)
             if lo < hi:
-                pieces.append((lo, hi, hi == top, up, low))
+                ti, ei, ci = up
+                tj, ej, cj = low
+                pieces.append((
+                    lo, hi, hi == top,
+                    ti * ej - tj * ei, ti * tj, ti * cj - tj * ci, up, low,
+                ))
     pieces.sort()
     return anchor, pieces
 
@@ -358,15 +374,14 @@ def _diameter_level_count(pieces: list[Piece], k: int, best: int) -> int:
     sums. O(n^2 log) integer steps, whatever the size of k.
     """
     total = 0
-    for lo, hi, closed, (ti, ei, ci), (tj, ej, cj) in pieces:
-        ci, cj = k * ci, k * cj
-        last = k * hi if closed else k * hi - 1
-        first, last = _chord_clip(k * lo, last, (ti, ei, ci), (tj, ej, cj), best - 1)
+    for piece in pieces:
+        first, last = _chord_clip(piece, k, best - 1)
         n = last - first + 1
         if n > 0:
+            _, _, _, _, _, _, (ti, ei, ci), (tj, ej, cj) = piece
             total += (
-                floor_sum(n, ti, -ei, ci - first * ei)
-                + floor_sum(n, -tj, -ej, cj - first * ej)
+                floor_sum(n, ti, -ei, k * ci - first * ei)
+                + floor_sum(n, -tj, -ej, k * cj - first * ej)
                 + (2 - best) * n
             )
     return total
@@ -387,8 +402,8 @@ def _direction_sweep(
     costs one kernel call.
     """
     anchor, pieces = levels
-    for lo, hi, closed, upper, lower in pieces:
-        first, last = _chord_clip(lo, hi if closed else hi - 1, upper, lower, best - 1)
+    for piece in pieces:
+        first, last = _chord_clip(piece, 1, best - 1)
         for beta in range(first, last + 1):
             x0 = (anchor[0] * beta, anchor[1] * beta)
             iv = level_interval(halfplanes, x0, u)
@@ -400,10 +415,13 @@ class DilationProfile:
     """The candidate lines of all dilates kP from one local scan of P.
 
     The triangle of kP is the slope cone of P's triangle cut at level kJ, so
-    the candidates of kP are the records with kmin <= k. best(k) and the
-    diameter directions of kP are a max over the records; count(k) sums the
-    closed-form level count of each direction. The level pieces of a
-    direction depend on P alone and are kept once computed.
+    the candidates of kP are the records with kmin <= k. Of the records of
+    one direction, the longest chord holds the most points at every k, so
+    best(k) and the diameter directions of kP are a max over one longest
+    chord per direction, tabled once for each kmin threshold; count(k) sums
+    the closed-form level count of each direction. Everything that does not
+    depend on k (the tables and the level pieces of each direction) is
+    computed once, when first needed, and so is each count.
     """
 
     def __init__(
@@ -415,23 +433,41 @@ class DilationProfile:
         self.polygon = P
         self.halfplanes = halfplanes
         self.records = records
+        self._kmins = sorted({kmin for _, _, kmin, _ in records})
+        self._chords: dict[int, dict[Point, tuple[int, int]]] = {}
         self._pieces: dict[Point, tuple[Point, list[Piece]]] = {}
+        self._counts: dict[int, int] = {}
+
+    def _longest_chords(self, kmin: int) -> dict[Point, tuple[int, int]]:
+        """The longest chord (num, den) of each direction over the records
+        with kmin at most kmin; chords are compared by cross-multiplication."""
+        table = self._chords.get(kmin)
+        if table is None:
+            table = self._chords[kmin] = {}
+            for _, d, record_kmin, chord in self.records:
+                if record_kmin <= kmin:
+                    old = table.get(d)
+                    if old is None or chord[0] * old[1] > old[0] * chord[1]:
+                        table[d] = chord
+        return table
 
     def best(self, k: int) -> tuple[int, list[Point]]:
         """The best lattice count of a line through kP, and the sorted
         primitive vectors of the directions attaining it."""
         if not isinstance(k, int) or k < 1:
             raise ValidationError("dilation factor must be a positive int")
+        i = bisect_right(self._kmins, k)
         best = 0
-        directions: set[Point] = set()
-        for _, d, kmin, (num, den) in self.records:
-            if kmin <= k:
+        directions: list[Point] = []
+        if i:
+            for d, (num, den) in self._longest_chords(self._kmins[i - 1]).items():
                 count = k * num // den + 1
                 if count > best:
-                    best, directions = count, set()
-                if count == best:
-                    directions.add(d)
-        return best, sorted(directions)
+                    best, directions = count, [d]
+                elif count == best:
+                    directions.append(d)
+            directions.sort()
+        return best, directions
 
     def pieces(self, u: Point) -> tuple[Point, list[Piece]]:
         """The level anchor of u and the level pieces of P in direction u
@@ -444,11 +480,15 @@ class DilationProfile:
         return levels
 
     def count(self, k: int) -> int:
-        """The number of lattice diameter lines of kP."""
-        best, directions = self.best(k)
-        return sum(
-            _diameter_level_count(self.pieces(u)[1], k, best) for u in directions
-        )
+        """The number of lattice diameter lines of kP, counted once per k."""
+        count = self._counts.get(k) if isinstance(k, int) else None
+        if count is None:
+            best, directions = self.best(k)
+            count = 0
+            for u in directions:
+                count += _diameter_level_count(self.pieces(u)[1], k, best)
+            self._counts[k] = count
+        return count
 
 
 def _chord(halfplanes: list[tuple[Point, int]], v: Point, d: Point) -> tuple[int, int]:

@@ -7,7 +7,10 @@ normalized chord length over the diameter lines of P. The regime usually
 starts at k = q but can start later: a chord that is not asymptotically
 longest may still tie for small dilates, so the fitter recovers the pieces
 from exact samples, verifies them, and reports the first sampled k from
-which every later sample matches. The chamber decomposition explains the
+which every later sample matches. It does so in integers: a piece is the
+line through the last two samples of its residue class, each sample is
+checked against it by cross-multiplication, and Fractions are built only
+for the pieces it reports. The chamber decomposition explains the
 counts inside one parallelogram chamber by splitting its parallel lattice
 lines into translated blocks of q plus a fixed remainder.
 """
@@ -129,9 +132,10 @@ def fit_quasipolynomial(
     sample matches; that start can exceed q when a chord that is not
     asymptotically longest still ties for small dilates. Every count comes
     from one dilation profile of P, built here unless the caller passes
-    dilation_profile(P) as profile. With a budget, a sample horizon over it
-    (the first one, each doubling or k_max) raises BudgetError before any
-    sample of it is taken.
+    dilation_profile(P) as profile; the profile counts each k once, so
+    neither a doubled window nor a fit after ld-count's table recounts a
+    dilate. With a budget, a sample horizon over it (the first one, each
+    doubling or k_max) raises BudgetError before any sample of it is taken.
     """
     if profile is None:
         profile = dilation_profile(P)
@@ -152,26 +156,21 @@ def fit_quasipolynomial(
         )
     horizon = k_max if explicit else 4 * q
     cap = max(16 * q, 64)
-    counts: dict[int, int] = {}
     while True:
         if budget is not None:
             check_dilate_budget(horizon, budget)
-        for k in range(1, horizon + 1):
-            if k not in counts:
-                counts[k] = profile.count(k)
-        pieces: list[tuple[Fraction, Fraction]] = []
+        counts = [0, *map(profile.count, range(1, horizon + 1))]
+        # per residue, (delta, c1, k1) from its last two samples k1 and
+        # k1 + q: the piece is c1 + delta (k - k1) / q
+        pieces: list[tuple[int, int, int]] = []
         for residue in range(q):
-            # the last two samples of the residue class
             k2 = horizon - (horizon - residue) % q
             k1 = k2 - q
-            slope = Fraction(counts[k2] - counts[k1], k2 - k1)
-            intercept = counts[k1] - slope * k1
-            pieces.append((slope, intercept))
+            pieces.append((counts[k2] - counts[k1], counts[k1], k1))
         valid_from = horizon + 1
         for k in range(horizon, 0, -1):
-            slope, intercept = pieces[k % q]
-            value = slope * k + intercept
-            if value.denominator == 1 and int(value) == counts[k]:
+            delta, c1, k1 = pieces[k % q]
+            if delta * (k - k1) == q * (counts[k] - c1):
                 valid_from = k
             else:
                 break
@@ -185,15 +184,21 @@ def fit_quasipolynomial(
                 f" even with k_max={horizon}"
             )
         horizon = min(2 * horizon, cap)
+    # slope delta / q and intercept (q c1 - delta k1) / q share the
+    # denominator q, so pieces are equal when their numerators are
+    numerators = [(delta, q * c1 - delta * k1) for delta, c1, k1 in pieces]
     # reduce to the minimal period dividing q
     period = q
     for m in _divisors(q):
-        if all(pieces[i] == pieces[i % m] for i in range(q)):
+        if all(numerators[i] == numerators[i % m] for i in range(q)):
             period = m
             break
     return QuasiPolynomial(
         period=period,
-        pieces=tuple(pieces[:period]),
+        pieces=tuple(
+            (Fraction(slope, q), Fraction(intercept, q))
+            for slope, intercept in numerators[:period]
+        ),
         valid_from=valid_from,
     )
 

@@ -183,15 +183,17 @@ def _path_costs(n: int, d: int, bound: int) -> tuple[int, int]:
     return n * (n - 1) // 2, n * moduli
 
 
-def _scan_pairs(pts: tuple[Point, ...]) -> tuple[int, list[tuple[int, int]]]:
+def _scan_pairs(
+    pts: tuple[Point, ...], spreads: list[int]
+) -> tuple[int, list[tuple[int, int]]]:
     """Max gcd over pairs and the lex-sorted index pairs attaining it.
 
     Takes the residue scan when RESIDUE_COST times its worst-case steps is
     below the pair count, and the pair scan otherwise. Both are exact and
-    return the same result. The coordinate ranges and the residue bound are
-    computed once, for the cost model and the residue scan.
+    return the same result. spreads are the coordinate ranges of pts,
+    computed once by the caller for the budget check, the cost model and
+    the residue scan.
     """
-    spreads = [max(col) - min(col) for col in zip(*pts)]
     bound = _residue_bound(spreads)
     pairs, steps = _path_costs(len(pts), len(pts[0]), bound)
     if RESIDUE_COST * steps < pairs:
@@ -199,10 +201,24 @@ def _scan_pairs(pts: tuple[Point, ...]) -> tuple[int, list[tuple[int, int]]]:
     return _pair_scan(pts)
 
 
-def check_pair_budget(n: int, max_pairs: int) -> None:
-    """Raise BudgetError when a pair scan of n points would exceed max_pairs."""
-    pairs = n * (n - 1) // 2
-    if pairs > max_pairs:
+def check_pair_budget(n: int, spreads: list[int], max_pairs: int) -> None:
+    """Raise BudgetError when the scan of n points with coordinate ranges
+    spreads would cost more than max_pairs pair steps.
+
+    The cost is that of the path _scan_pairs takes: the pair count
+    n (n - 1) / 2, or RESIDUE_COST times the residue scan's worst-case steps
+    when that is smaller. It needs only n and the ranges, so a polygon is
+    charged before any of its lattice points is listed.
+    """
+    pairs, steps = _path_costs(n, len(spreads), _residue_bound(spreads))
+    cost = RESIDUE_COST * steps
+    if cost < pairs:
+        if cost > max_pairs:
+            raise BudgetError(
+                f"{n} points give {steps} residue steps ({cost} pair steps),"
+                f" over the budget of {max_pairs}"
+            )
+    elif pairs > max_pairs:
         raise BudgetError(
             f"{n} points give {pairs} pairs, over the budget of {max_pairs}"
         )
@@ -213,16 +229,17 @@ def brute_force_diameter(
 ) -> OracleReport:
     """Exact diameter report: every pair of maximal gcd, by the cheaper path.
 
-    Refuses inputs whose pair count exceeds max_pairs, to keep ground-truth
-    runs at desk scale, whichever path would run.
+    Refuses inputs whose scan would cost more than max_pairs pair steps
+    (check_pair_budget), to keep ground-truth runs at desk scale.
     """
     pts = S.points
-    check_pair_budget(len(pts), max_pairs)
+    spreads = [max(col) - min(col) for col in zip(*pts)]
+    check_pair_budget(len(pts), spreads, max_pairs)
     if len(pts) == 1:
         return OracleReport(
             ldiam=0, segments=(), directions=(), per_point_degree={pts[0]: 0}
         )
-    best, hits = _scan_pairs(pts)
+    best, hits = _scan_pairs(pts, spreads)
     segments = tuple((pts[i], pts[j]) for i, j in hits)
     # Direction's own order, compared as plain tuples rather than through
     # a Python-level __lt__ per comparison.

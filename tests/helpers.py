@@ -9,6 +9,7 @@ from math import gcd
 
 from latticediam import (
     Direction,
+    FitError,
     LatticeLine,
     PointSet,
     Polygon2,
@@ -20,7 +21,7 @@ from latticediam import (
     opposite_pairs,
 )
 from latticediam import borsuk
-from latticediam.diameter import DiameterReport
+from latticediam.diameter import DiameterReport, _chord, dilation_profile
 from latticediam.lines import ClippedSegment, level_anchor, level_interval
 from latticediam.svg import MARGIN, PALETTE, SCALE
 
@@ -234,6 +235,73 @@ def dilate_levels_oracle(P: Polygon2, k: int) -> tuple[int, int, list[tuple[int,
         list(unwindowed_counts(kP, u).values()).count(best) for u in directions
     )
     return lines, best, sorted(u.vec for u in directions)
+
+
+def best_records_oracle(profile, k: int) -> tuple[int, list[tuple[int, int]]]:
+    """The loop over every record that DilationProfile.best replaced by its
+    longest-chord tables, kept as its oracle: the best count of kP over the
+    records with kmin <= k, and the sorted directions attaining it."""
+    best, directions = 0, set()
+    for _, d, kmin, (num, den) in profile.records:
+        if kmin <= k:
+            count = k * num // den + 1
+            if count > best:
+                best, directions = count, set()
+            if count == best:
+                directions.add(d)
+    return best, sorted(directions)
+
+
+def fit_quasipolynomial_oracle(P: Polygon2, k_max: int | None = None):
+    """The Fraction fitter that fit_quasipolynomial replaced by its integer
+    verification, kept as its oracle: (period, pieces, valid_from), or the
+    same FitError. Each residue's piece runs through its last two samples
+    as a Fraction slope and intercept, and every sample is checked by
+    evaluating it."""
+    profile = dilation_profile(P)
+    _, directions = profile.best(1)
+    num, q = 0, 1
+    for u in directions:
+        for v in P.vertices:
+            n, d = _chord(profile.halfplanes, v, u)
+            if n * q > num * d:
+                num, q = n, d
+    explicit = k_max is not None
+    if explicit and k_max < 4 * q:
+        raise FitError(
+            f"k_max={k_max} is too small: need at least 4q = {4 * q} samples"
+        )
+    horizon = k_max if explicit else 4 * q
+    cap = max(16 * q, 64)
+    while True:
+        counts = {k: profile.count(k) for k in range(1, horizon + 1)}
+        pieces = []
+        for residue in range(q):
+            k2 = horizon - (horizon - residue) % q
+            k1 = k2 - q
+            slope = Fraction(counts[k2] - counts[k1], k2 - k1)
+            pieces.append((slope, counts[k1] - slope * k1))
+        valid_from = horizon + 1
+        for k in range(horizon, 0, -1):
+            slope, intercept = pieces[k % q]
+            value = slope * k + intercept
+            if value.denominator == 1 and int(value) == counts[k]:
+                valid_from = k
+            else:
+                break
+        if valid_from <= horizon - 3 * q + 1:
+            break
+        if explicit or horizon >= cap:
+            raise FitError(
+                f"samples disagree with the fitted pieces at k={valid_from - 1}"
+                f" even with k_max={horizon}"
+            )
+        horizon = min(2 * horizon, cap)
+    period = next(
+        m for m in range(1, q + 1)
+        if q % m == 0 and all(pieces[i] == pieces[i % m] for i in range(q))
+    )
+    return period, tuple(pieces[:period]), valid_from
 
 
 def level_interval_oracle(halfplanes, x0, u) -> tuple[int, int] | None:

@@ -181,6 +181,32 @@ class TestOracleAndDirections:
         assert cli.run([argv[0], path] + argv[1:]) == 6
         assert "8006001 points give" in capsys.readouterr().err
 
+    def test_residue_path_is_charged_its_own_cost(self, tmp_path, capsys):
+        # 5,641 points give 15,907,620 pairs, but the residue scan takes
+        # 6 moduli: 33,846 steps, 67,692 pair steps
+        path = write_doc(tmp_path, document_for_polygon(QUAD.dilate(20)))
+        assert cli.run(["oracle", path]) == 0
+        assert capsys.readouterr().out.startswith("ldiam=93 ")
+        assert cli.run(["oracle", path, "--budget", "67691"]) == 6
+        assert "5641 points give 33846 residue steps (67692 pair steps)" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("leg, cost", [(300, 7999376), (500, 36970794)])
+    def test_dense_right_triangle_refused_before_listing_points(
+        self, leg, cost, tmp_path, capsys, monkeypatch
+    ):
+        def no_listing(P):
+            raise AssertionError("lattice points listed before the budget check")
+
+        monkeypatch.setattr(cli, "enumerate_lattice_points", no_listing)
+        triangle = Polygon2(((0, 0), (leg, 0), (leg, leg)))
+        path = write_doc(tmp_path, document_for_polygon(triangle))
+        assert cli.run(["oracle", path]) == 6
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"({cost} pair steps), over the budget of 200000" in err
+
     @pytest.mark.parametrize(
         "argv",
         [["oracle"], ["directions"], ["borsuk", "--exact"], ["diam2d", "--verify"]],
@@ -296,6 +322,23 @@ class TestLdCount:
         assert cli.run(["ld", quad_file, "--k-max", "6", "--fit"]) == 0
         assert len(built) == 1
         assert json.loads(capsys.readouterr().out.split("6,5\n", 1)[1])["period"] == 3
+
+    def test_fit_counts_each_dilate_once(self, quad_file, capsys, monkeypatch):
+        # the table covers k = 1..12 and the fit samples its 4q = 12 again
+        counted = []
+        kernel = diameter._diameter_level_count
+
+        def recorded(pieces, k, best):
+            counted.append((id(pieces), k))
+            return kernel(pieces, k, best)
+
+        monkeypatch.setattr(diameter, "_diameter_level_count", recorded)
+        assert cli.run(["ld", quad_file, "--k-max", "12", "--fit"]) == 0
+        assert len(counted) == len(set(counted))
+        assert {k for _, k in counted} == set(range(1, 13))
+        out = capsys.readouterr().out
+        assert out.startswith("k,count\n1,3\n2,4\n3,3\n")
+        assert json.loads(out.split("12,", 1)[1].split("\n", 1)[1])["period"] == 3
 
 
 class TestLdFit:

@@ -345,8 +345,8 @@ def piece_windows(P: Polygon2, u: Direction, m: int) -> list[int]:
     union of the m chord windows of the level pieces, in sweep order."""
     levels = []
     _, pieces = diameter._level_pieces(P.vertices, P.halfplanes(), u.vec)
-    for lo, hi, closed, upper, lower in pieces:
-        first, last = diameter._chord_clip(lo, hi if closed else hi - 1, upper, lower, m)
+    for piece in pieces:
+        first, last = diameter._chord_clip(piece, 1, m)
         levels.extend(range(first, last + 1))
     return levels
 

@@ -29,14 +29,22 @@ from latticediam import (
 from helpers import (
     QUAD,
     SQUARE,
+    best_records_oracle,
     clip_line_oracle,
     dilate_levels_oracle,
+    fit_quasipolynomial_oracle,
     profile_polygons,
     random_polygon,
 )
 from latticediam import compute_diameter, diameter, local_diameter_lines
 from latticediam.core import floor_sum
-from latticediam.diameter import _chord, dilation_profile, opposite_pairs
+from latticediam.diameter import (
+    DilationProfile,
+    ProfileRecord,
+    _chord,
+    dilation_profile,
+    opposite_pairs,
+)
 
 # conv{(0,0),(2,0),(3,4)}: the count drops from 4 to its eventual constant 2
 LATE_START = Polygon2(((0, 0), (2, 0), (3, 4)))
@@ -151,6 +159,37 @@ class TestDilationProfile:
                     assert _chord(halfplanes, v, d) == (chord.numerator, chord.denominator)
                     reads += 1
         assert reads > 10_000
+
+    def test_best_matches_the_record_loop(self, polygons):
+        """The longest-chord tables give the best count and directions of
+        the loop over every record, below, at and above each kmin."""
+        for P in polygons:
+            profile = dilation_profile(P)
+            ks = {1, 2, 3, 7, 12, 10**9}
+            for record in profile.records:
+                ks.update((record.kmin - 1, record.kmin, record.kmin + 1))
+            for k in sorted(ks - {0}):
+                assert profile.best(k) == best_records_oracle(profile, k), (P, k)
+
+    def test_best_tables_follow_any_kmin(self):
+        """Records of P have kmin 1 or 2, but the tables are keyed by the
+        largest kmin <= k whatever the kmins are: on made-up records with
+        kmin up to 6, k below the smallest kmin has no line at all."""
+        rng = random.Random(5)
+        for _ in range(300):
+            records = tuple(
+                ProfileRecord(
+                    (0, 0),
+                    rng.choice(((1, 0), (0, 1), (1, 1), (1, -1), (2, 1))),
+                    rng.randint(2, 6),
+                    (rng.randint(1, 12), rng.randint(1, 5)),
+                )
+                for _ in range(rng.randint(1, 8))
+            )
+            profile = DilationProfile(QUAD, QUAD.halfplanes(), records)
+            for k in range(1, 10):
+                assert profile.best(k) == best_records_oracle(profile, k), (records, k)
+            assert profile.best(1) == (0, [])
 
     def test_floor_sum_matches_a_loop(self):
         rng = random.Random(99)
@@ -267,6 +306,33 @@ class TestFit:
         )
         with pytest.raises(FitError):
             negative.evaluate(2)
+
+    def test_matches_the_fraction_fitter(self):
+        """The integer fit gives the Fraction fitter's period, pieces and
+        start, or its FitError message, with and without an explicit k_max."""
+        rng = random.Random(21)
+        polygons = [QUAD, SQUARE, UNIT_TRIANGLE, LATE_START,
+                    Polygon2(((-2, 1), (-1, 0), (0, 0), (1, 3), (-1, 2)))]
+        polygons += [
+            random_polygon(rng, span_hi=rng.choice((4, 8, 12)), coord=10**3)
+            for _ in range(80)
+        ]
+        outcomes = Counter()
+        for P in polygons:
+            for k_max in (None, 4, 8, 12, 16, 24, 40):
+                try:
+                    want = fit_quasipolynomial_oracle(P, k_max)
+                except FitError as exc:
+                    with pytest.raises(FitError) as got:
+                        fit_quasipolynomial(P, k_max)
+                    assert str(got.value) == str(exc), (P, k_max)
+                    outcomes[str(exc).split()[0]] += 1
+                    continue
+                fit = fit_quasipolynomial(P, k_max)
+                assert (fit.period, fit.pieces, fit.valid_from) == want, (P, k_max)
+                outcomes["fit"] += 1
+        # every outcome is met: fits, short windows and disagreeing samples
+        assert outcomes["fit"] > 100 and outcomes["samples"] and outcomes["k_max=4"]
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=15, deadline=None)

@@ -40,6 +40,11 @@ def residue_scan(pts):
     return oracle._residue_scan(pts, spreads, oracle._residue_bound(spreads))
 
 
+def scan_pairs(pts):
+    """The dispatch, given the ranges that brute_force_diameter passes it."""
+    return oracle._scan_pairs(pts, [max(col) - min(col) for col in zip(*pts)])
+
+
 class TestBruteForce:
     def test_unit_square_2d(self):
         S = PointSet([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -61,18 +66,22 @@ class TestBruteForce:
         assert rep.directions == (Direction((1, 2)),)
 
     def test_budget_refused(self):
-        S = PointSet([(i, 0) for i in range(30)])
-        with pytest.raises(BudgetError):
+        # 30 points on a parabola take the pair scan, charged by its 435 pairs
+        # (30 collinear points would take the residue scan, at 60 pair steps)
+        S = PointSet([(i, i * i) for i in range(30)])
+        with pytest.raises(BudgetError, match="435 pairs"):
             brute_force_diameter(S, max_pairs=100)
+        assert brute_force_diameter(S, max_pairs=435).ldiam == 29
 
     def test_budget_refuses_the_cheap_residue_path_too(self):
-        # the budget counts pairs whichever path would run
+        # the budget charges the residue path its own cost, not the pairs
         S = PointSet(product(range(10), repeat=2))
         pairs, steps = oracle._path_costs(len(S), S.dim, oracle._residue_bound([9, 9]))
-        assert oracle.RESIDUE_COST * steps < pairs == 4950
-        with pytest.raises(BudgetError):
-            brute_force_diameter(S, max_pairs=pairs - 1)
-        assert brute_force_diameter(S, max_pairs=pairs).ldiam == 9
+        cost = oracle.RESIDUE_COST * steps
+        assert cost == 200 < pairs == 4950
+        with pytest.raises(BudgetError, match="100 residue steps"):
+            brute_force_diameter(S, max_pairs=cost - 1)
+        assert brute_force_diameter(S, max_pairs=cost).ldiam == 9
 
     def test_degree_counts_segments_twice(self):
         S = PointSet([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -97,7 +106,7 @@ def test_specialized_loops_agree_with_generic(seed):
     S = random_point_set(rng, 2, coord=9, n_hi=12)
     naive_best, naive_segs = naive_report(S)
     for T in (S, PointSet([p + (5,) for p in S]), PointSet([p + (5, -7) for p in S])):
-        for scan in (oracle._pair_scan, residue_scan, oracle._scan_pairs):
+        for scan in (oracle._pair_scan, residue_scan, scan_pairs):
             best, hits = scan(T.points)
             assert best == naive_best
             assert len(hits) == len(naive_segs)
