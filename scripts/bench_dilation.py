@@ -1,14 +1,18 @@
 """Scaling ladders of the dilation counts, written as one JSON file.
 
-    PYTHONPATH=src python scripts/bench_dilation.py --out BENCH_12.json
+    PYTHONPATH=src python scripts/bench_dilation.py --out BENCH_13.json
 
 Rows:
-- count_diameter_lines(P, k) for k = 10^1 .. 10^12 on the reference quad
-  conv{(0,0),(5,1),(6,4),(1,3)} and the square [0,2]^2: the value, the best
-  time in seconds, and the floor_sum and level_interval calls of one count
-  (taken in a separate, untimed pass);
+- dilation_profile(P) on the reference quad conv{(0,0),(5,1),(6,4),(1,3)}
+  and the square [0,2]^2: the best time of building the profile;
+- DilationProfile.count(k) for k = 10^1 .. 10^12 on the same two polygons:
+  the value, the best time in seconds of the count alone, and the floor_sum
+  and level_interval calls of one count (taken in a separate, untimed
+  pass). The profile keeps each count, so every timed call gets a fresh
+  profile, built before its timer starts;
 - fit_quasipolynomial on T_m = conv{(0,0),(m-1,1),(-1,m)} for m = 19, 61,
   113 and 229: period, valid_from and the best time;
+- chamber_decomposition(*demo_chamber()): q, w and the best time;
 - the import time of latticediam in a fresh interpreter, apart from the
   compute rows (interpreter start-up excluded).
 
@@ -28,7 +32,14 @@ import sys
 import time
 from collections import Counter
 
-from latticediam import Polygon2, count_diameter_lines, diameter, fit_quasipolynomial
+from latticediam import (
+    Polygon2,
+    chamber_decomposition,
+    demo_chamber,
+    diameter,
+    fit_quasipolynomial,
+)
+from latticediam.diameter import dilation_profile
 
 QUAD = Polygon2(((0, 0), (5, 1), (6, 4), (1, 3)))
 SQUARE = Polygon2(((0, 0), (2, 0), (2, 2), (0, 2)))
@@ -42,6 +53,19 @@ def best_time(fn, repeat: int) -> float:
     for _ in range(repeat):
         start = time.perf_counter()
         fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def best_count_time(P: Polygon2, k: int, repeat: int) -> float:
+    """The best time of DilationProfile.count(k) alone, each call on a fresh
+    profile of P built before the timer starts."""
+    dilation_profile(P).count(k)
+    best = float("inf")
+    for _ in range(repeat):
+        profile = dilation_profile(P)
+        start = time.perf_counter()
+        profile.count(k)
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -87,16 +111,23 @@ def main() -> None:
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args()
 
+    profiles = []
     counts = []
     for name, P in (("quad", QUAD), ("square", SQUARE)):
+        profiles.append({
+            "polygon": name,
+            "seconds": best_time(lambda: dilation_profile(P), REPEAT),
+        })
         for e in range(1, 13):
             k = 10**e
+            profile = dilation_profile(P)
+            calls = kernel_calls(lambda: profile.count(k))
             counts.append({
                 "polygon": name,
                 "k": f"1e{e}",
-                "count": count_diameter_lines(P, k),
-                "seconds": best_time(lambda: count_diameter_lines(P, k), REPEAT),
-                "kernel_calls": kernel_calls(lambda: count_diameter_lines(P, k)),
+                "count": profile.count(k),
+                "seconds": best_count_time(P, k, REPEAT),
+                "kernel_calls": calls,
             })
     fits = []
     for m in (19, 61, 113, 229):
@@ -108,6 +139,12 @@ def main() -> None:
             "valid_from": fit.valid_from,
             "seconds": best_time(lambda: fit_quasipolynomial(T), REPEAT),
         })
+    block = chamber_decomposition(*demo_chamber())
+    chamber = {
+        "q": block.q,
+        "w": block.w,
+        "seconds": best_time(lambda: chamber_decomposition(*demo_chamber()), REPEAT),
+    }
     result = {
         "host": {
             "python": platform.python_version(),
@@ -117,8 +154,10 @@ def main() -> None:
         },
         "repeat": REPEAT,
         "import_latticediam": import_seconds(2 * REPEAT),
-        "count_diameter_lines": counts,
+        "dilation_profile": profiles,
+        "count": counts,
         "fit_quasipolynomial": fits,
+        "chamber_decomposition": chamber,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=2)

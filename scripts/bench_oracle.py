@@ -2,7 +2,8 @@
 
     PYTHONPATH=src python scripts/bench_oracle.py --out BENCH_7.json
 
-Rows, each timing both exact paths of `oracle._scan_pairs` on one point set:
+Rows, each timing both exact paths of `oracle.brute_force_diameter` on one
+point set:
 - dense: the lattice points of the dilates k * conv{(0,0),(5,1),(6,4),(1,3)}
   from 61 points (k = 2) up to 5,641 points (k = 20), and boxes [0, m]^d
   in d = 2..5;
@@ -97,7 +98,9 @@ def row(family: str, name: str, pts) -> dict:
         if steps <= MAX_STEPS
         else None
     )
-    ldiam, hits = oracle._scan_pairs(pts, spreads)
+    # a budget of the pair count admits either path, so this reads the plan
+    residue = oracle.check_pair_budget(n, spreads, pairs) is not None
+    ldiam, hits = oracle._pair_scan(pts)
     out = {
         "family": family,
         "set": name,
@@ -110,7 +113,7 @@ def row(family: str, name: str, pts) -> dict:
         "pairs": pairs,
         "residue_steps": steps,
         "model_ratio": round(ratio, 4),
-        "path": "residue" if oracle.RESIDUE_COST * steps < pairs else "pair",
+        "path": "residue" if residue else "pair",
         "pair_s": pair_s,
         "residue_s": residue_s,
         "break_even": None,

@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, floor, gcd
+from operator import mul
 from typing import Sequence
 
 from .core import Direction, Point, Polygon2, PointSet, as_point, enumerate_lattice_points
@@ -78,21 +79,12 @@ def _normal_through(points: Sequence[Point]) -> Point | None:
 
 
 def _full_dimensional(vertices: list[Point]) -> bool:
-    d = len(vertices[0])
+    """Whether the difference vectors v - v0 span R^d: the matrix M of
+    them has rank d exactly when its Gram matrix M^T M is nonsingular."""
     base = vertices[0]
-    rows = [[Fraction(v[i] - base[i]) for i in range(d)] for v in vertices[1:]]
-    rank = 0
-    for col in range(d):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col] / rows[rank][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank == d
+    diffs = [[a - b for a, b in zip(v, base)] for v in vertices[1:]]
+    cols = list(zip(*diffs))
+    return _int_det([[sum(map(mul, a, b)) for b in cols] for a in cols]) != 0
 
 
 def hull_facets(vertices: Sequence[Sequence[int]]) -> list[tuple[Point, int]]:

@@ -5,6 +5,8 @@ Points are plain tuples of ints, rational points are tuples of Fraction.
 line_bounds is the one loop that clips a line against halfplanes: the
 lattice point counts (level_interval), the exact clips of lines.clip_line
 and the chord reads of the diameter module are all read from its bounds.
+Its halfplane constants and base points are ints, so it works in plain
+integers; a rational clip end is built only by the caller that reports it.
 A PointSet built from outside input is validated, deduplicated and sorted;
 sets the package lists itself in lexicographic order (the lattice points of
 a polygon, the parts of a Borsuk partition) skip that through
@@ -203,10 +205,9 @@ def line_bounds(
     <n, x0> + k <n, u> <= c bounds k by s/t, with s = c - <n, x0> and
     t = <n, u>: from above when t > 0, from below when t < 0. The least upper
     and the greatest lower bound are found by cross-multiplication, so no
-    division is made. A Fraction constant c stays exact (s is then a
-    Fraction). Returns None when a halfplane parallel to u misses the line,
-    and raises ValidationError when the halfplanes do not bound it on both
-    sides.
+    division is made, and the bounds are ints. Returns None when a
+    halfplane parallel to u misses the line, and raises ValidationError when
+    the halfplanes do not bound it on both sides.
     """
     hs = ls = None
     ht = lt = 1
@@ -236,8 +237,6 @@ def level_interval(
     halfplanes, or None when empty: the ceiling and floor of line_bounds.
 
     This is the one kernel that counts lattice points on a lattice line.
-    A Fraction constant c stays exact, since Fraction // int is an exact
-    floor.
     """
     bounds = line_bounds(halfplanes, x0, u)
     if bounds is None:

@@ -504,6 +504,23 @@ def _chord(halfplanes: list[tuple[Point, int]], v: Point, d: Point) -> tuple[int
     return num // g, den // g
 
 
+def _longest_vertex_chord(
+    halfplanes: list[tuple[Point, int]],
+    vertices: Sequence[Point],
+    directions: Sequence[Point],
+) -> tuple[int, int]:
+    """The longest chord num/den (_chord) of the lines through the vertices
+    in the directions. A vertex is an end of its chord, so its line holds
+    floor(num/den) + 1 lattice points."""
+    num, den = 0, 1
+    for u in directions:
+        for v in vertices:
+            n, d = _chord(halfplanes, v, u)
+            if n * den > num * d:
+                num, den = n, d
+    return num, den
+
+
 def dilation_profile(P: Polygon2) -> DilationProfile:
     """One record per candidate line of the dilates of P, with its least
     dilation factor kmin and its chord through P, read once in integers."""
@@ -547,7 +564,7 @@ def u_diameter_line(P: Polygon2, u: Direction | Sequence[int]) -> LatticeLine:
     linear with bends only at vertex levels, so its maximum C is reached on
     the line through some vertex, which is an endpoint of that chord. That
     line holds floor(C) + 1 lattice points and no line of direction u holds
-    more, so the best count is the largest over the n vertex lines. The sweep
+    more, so the best count is read from the longest vertex chord. The sweep
     of its chord window stops at the first level holding it, so ties resolve
     to the smallest level of the perpendicular functional.
     """
@@ -555,9 +572,7 @@ def u_diameter_line(P: Polygon2, u: Direction | Sequence[int]) -> LatticeLine:
     if d.dim != 2:
         raise ValidationError("u_diameter_line is 2-dimensional")
     halfplanes = P.halfplanes()
-    best = 0
-    for v in P.vertices:
-        klo, khi = level_interval(halfplanes, v, d.vec)
-        best = max(best, khi - klo + 1)
+    num, den = _longest_vertex_chord(halfplanes, P.vertices, (d.vec,))
+    best = num // den + 1
     levels = _level_pieces(P.vertices, halfplanes, d.vec)
     return LatticeLine(next(_direction_sweep(halfplanes, levels, d.vec, best)), d)

@@ -12,17 +12,18 @@ line through the last two samples of its residue class, each sample is
 checked against it by cross-multiplication, and Fractions are built only
 for the pieces it reports. The chamber decomposition explains the
 counts inside one parallelogram chamber by splitting its parallel lattice
-lines into translated blocks of q plus a fixed remainder.
+lines into translated blocks of q plus a fixed remainder; its vertices may
+be rational, but its rows are counted against floored, integer constants.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
 from typing import Sequence
 
 from .core import Direction, Point, Polygon2, RationalPoint, level_interval
-from .diameter import DilationProfile, _chord, dilation_profile
+from .diameter import DilationProfile, _longest_vertex_chord, dilation_profile
 from .errors import BudgetError, FitError, ValidationError
 from .frozen import Frozen
 
@@ -140,15 +141,8 @@ def fit_quasipolynomial(
     if profile is None:
         profile = dilation_profile(P)
     # In a diameter direction the longest chord lies on a vertex line, and
-    # that line is itself a diameter line. Chords come in lowest terms and
-    # are compared by cross-multiplication.
-    _, directions = profile.best(1)
-    num, q = 0, 1
-    for u in directions:
-        for v in P.vertices:
-            n, d = _chord(profile.halfplanes, v, u)
-            if n * q > num * d:
-                num, q = n, d
+    # that line is itself a diameter line.
+    _, q = _longest_vertex_chord(profile.halfplanes, P.vertices, profile.best(1)[1])
     explicit = k_max is not None
     if explicit and k_max < 4 * q:
         raise FitError(
@@ -272,14 +266,16 @@ def chamber_decomposition(
         raise ValidationError("transverse direction must leave the horizontal")
     y0 = int(y_bot)
     # <(iy, -ix), x> is constant along a transverse edge: L on the left edge
-    # (through bottom[0]) and R on the right one; both may be Fractions.
+    # (through bottom[0]) and R on the right one; both may be Fractions. An
+    # integer point x has <n, x> <= c exactly when <n, x> <= floor(c), so
+    # the rows are clipped against the floored constants of the dilate.
     L = iy * bottom[0][0] - ix * bottom[0][1]
     R = iy * bottom[1][0] - ix * bottom[1][1]
     per_residue: list[tuple[int, int, int]] = []
     for i in range(q):
         k = q + i  # representative with at least one full block
         total_lines = k * w + 1
-        sides = [((-iy, ix), -k * L), ((iy, -ix), k * R)]
+        sides = [((-iy, ix), floor(-k * L)), ((iy, -ix), floor(k * R))]
         counts = []
         for j in range(total_lines):
             row = level_interval(sides, (0, k * y0 + j), (1, 0))

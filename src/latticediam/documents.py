@@ -3,7 +3,8 @@
 One schema for all inputs and outputs: {"kind", "dimension", coordinate rows,
 optional "name"}. Coordinates travel as strings ("5", "17/3") so that every
 value survives a round trip exactly; raw JSON integers are accepted on input
-for convenience but never emitted.
+for convenience but never emitted. In memory an int coordinate stays an
+int, so the rows of a point set are its own point tuples.
 """
 
 from __future__ import annotations
@@ -95,12 +96,12 @@ def document_for_polygon(
     vertices: Polygon2 | Sequence[Sequence[int | Fraction]], name: str = ""
 ) -> Document:
     verts = vertices.vertices if isinstance(vertices, Polygon2) else vertices
-    rows = tuple(tuple(Fraction(c) for c in v) for v in verts)
+    rows = tuple(tuple(c if type(c) is int else Fraction(c) for c in v) for v in verts)
     return Document(kind="polygon", dimension=2, rows=rows, name=name)
 
 
 def document_for_point_set(points: PointSet, name: str = "") -> Document:
-    rows = tuple(tuple(Fraction(c) for c in p) for p in points)
+    rows = points.points
     return Document(kind="point_set", dimension=points.dim, rows=rows, name=name)
 
 

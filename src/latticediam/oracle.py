@@ -183,34 +183,19 @@ def _path_costs(n: int, d: int, bound: int) -> tuple[int, int]:
     return n * (n - 1) // 2, n * moduli
 
 
-def _scan_pairs(
-    pts: tuple[Point, ...], spreads: list[int]
-) -> tuple[int, list[tuple[int, int]]]:
-    """Max gcd over pairs and the lex-sorted index pairs attaining it.
+def check_pair_budget(n: int, spreads: list[int], max_pairs: int) -> int | None:
+    """Decide the scan of n points with coordinate ranges spreads, and raise
+    BudgetError when it would cost more than max_pairs pair steps.
 
-    Takes the residue scan when RESIDUE_COST times its worst-case steps is
-    below the pair count, and the pair scan otherwise. Both are exact and
-    return the same result. spreads are the coordinate ranges of pts,
-    computed once by the caller for the budget check, the cost model and
-    the residue scan.
-    """
-    bound = _residue_bound(spreads)
-    pairs, steps = _path_costs(len(pts), len(pts[0]), bound)
-    if RESIDUE_COST * steps < pairs:
-        return _residue_scan(pts, spreads, bound)
-    return _pair_scan(pts)
-
-
-def check_pair_budget(n: int, spreads: list[int], max_pairs: int) -> None:
-    """Raise BudgetError when the scan of n points with coordinate ranges
-    spreads would cost more than max_pairs pair steps.
-
-    The cost is that of the path _scan_pairs takes: the pair count
-    n (n - 1) / 2, or RESIDUE_COST times the residue scan's worst-case steps
-    when that is smaller. It needs only n and the ranges, so a polygon is
+    The residue scan is taken when RESIDUE_COST times its worst-case steps
+    is below the pair count n (n - 1) / 2, and the pair scan otherwise; both
+    are exact and give the same result. The budget charges the path taken.
+    Returns the residue bound (_residue_bound) for the residue scan and
+    None for the pair scan. It needs only n and the ranges, so a polygon is
     charged before any of its lattice points is listed.
     """
-    pairs, steps = _path_costs(n, len(spreads), _residue_bound(spreads))
+    bound = _residue_bound(spreads)
+    pairs, steps = _path_costs(n, len(spreads), bound)
     cost = RESIDUE_COST * steps
     if cost < pairs:
         if cost > max_pairs:
@@ -218,10 +203,12 @@ def check_pair_budget(n: int, spreads: list[int], max_pairs: int) -> None:
                 f"{n} points give {steps} residue steps ({cost} pair steps),"
                 f" over the budget of {max_pairs}"
             )
-    elif pairs > max_pairs:
+        return bound
+    if pairs > max_pairs:
         raise BudgetError(
             f"{n} points give {pairs} pairs, over the budget of {max_pairs}"
         )
+    return None
 
 
 def brute_force_diameter(
@@ -229,17 +216,21 @@ def brute_force_diameter(
 ) -> OracleReport:
     """Exact diameter report: every pair of maximal gcd, by the cheaper path.
 
-    Refuses inputs whose scan would cost more than max_pairs pair steps
-    (check_pair_budget), to keep ground-truth runs at desk scale.
+    check_pair_budget decides the path once, and refuses inputs whose scan
+    would cost more than max_pairs pair steps, to keep ground-truth runs at
+    desk scale.
     """
     pts = S.points
     spreads = [max(col) - min(col) for col in zip(*pts)]
-    check_pair_budget(len(pts), spreads, max_pairs)
+    bound = check_pair_budget(len(pts), spreads, max_pairs)
     if len(pts) == 1:
         return OracleReport(
             ldiam=0, segments=(), directions=(), per_point_degree={pts[0]: 0}
         )
-    best, hits = _scan_pairs(pts, spreads)
+    if bound is None:
+        best, hits = _pair_scan(pts)
+    else:
+        best, hits = _residue_scan(pts, spreads, bound)
     segments = tuple((pts[i], pts[j]) for i, j in hits)
     # Direction's own order, compared as plain tuples rather than through
     # a Python-level __lt__ per comparison.

@@ -21,6 +21,7 @@ from latticediam import (
     opposite_pairs,
 )
 from latticediam import borsuk
+from latticediam.dilation import BlockDecomposition
 from latticediam.diameter import DiameterReport, _chord, dilation_profile
 from latticediam.lines import ClippedSegment, level_anchor, level_interval
 from latticediam.svg import MARGIN, PALETTE, SCALE
@@ -480,3 +481,115 @@ def exact_borsuk_oracle(graph, node_budget: int = 1_000_000) -> int:
                 break
         answer = max(answer, best)
     return answer
+
+
+def random_chambers(n: int) -> list[tuple[tuple[Fraction, Fraction], ...]]:
+    """n seeded parallelogram chambers for chamber_decomposition, each as
+    its four vertices in a random order, followed by its mirror image
+    (x -> -x) and an integer translate: 3n vertex tuples.
+
+    The horizontal edges lie w = 1..6 apart at integer heights, the
+    transverse edges have the primitive direction (ix, q) with q = 1..12,
+    and each horizontal edge has an integral vertex. The other two vertices
+    sit at rational offsets from them.
+    """
+    rng = random.Random(20261019)
+    out = []
+    while len(out) < 3 * n:
+        q, w = rng.randint(1, 12), rng.randint(1, 6)
+        ix = rng.randint(-2 * q, 2 * q)
+        if gcd(ix, q) != 1:
+            continue
+        y0, x = rng.randint(-9, 9), rng.randint(-9, 9)
+        shift = Fraction(w * ix, q)  # the top edge over the bottom edge
+        if shift.denominator == 1:
+            # any two vertices of the same side are integral together
+            width = Fraction(rng.randint(1, 6 * q), rng.randint(1, 2 * q))
+            left = x - rng.choice((0, 1)) * width  # x is bottom-left or -right
+        elif rng.random() < 0.5:
+            # bottom-left x and top-right x + width + shift integral
+            width = rng.randint(1, 6) + (-shift) % 1
+            left = x
+        else:
+            # bottom-right x and top-left x - width + shift integral
+            width = rng.randint(0, 5) + shift % 1
+            left = x - width
+        right = left + width
+        verts = [
+            (Fraction(left), Fraction(y0)),
+            (right, Fraction(y0)),
+            (right + shift, Fraction(y0 + w)),
+            (left + shift, Fraction(y0 + w)),
+        ]
+        rng.shuffle(verts)
+        tx, ty = rng.randint(-20, 20), rng.randint(-20, 20)
+        out.append(tuple(verts))
+        out.append(tuple((-a, b) for a, b in verts))
+        out.append(tuple((a + tx, b + ty) for a, b in verts))
+    return out
+
+
+def chamber_decomposition_oracle(vertices) -> BlockDecomposition:
+    """The chamber rows with Fraction halfplane constants that
+    chamber_decomposition replaced by floored ones, kept as its reference:
+    each row of the dilate is clipped by level_interval against the
+    transverse edges' rational constants k L and k R. Valid chambers only;
+    the validation is the library's."""
+    pts = [tuple(map(Fraction, p)) for p in vertices]
+    for perm in ((0, 1, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)):
+        a, b, c, e = (pts[i] for i in perm)
+        if (a[0] + c[0], a[1] + c[1]) == (b[0] + e[0], b[1] + e[1]):
+            break
+    y_bot, y_top = sorted({p[1] for p in pts})
+    bottom = sorted(p for p in pts if p[1] == y_bot)
+    top = sorted(p for p in pts if p[1] == y_top)
+    w = int(y_top - y_bot)
+    dx, dy = top[0][0] - bottom[0][0], top[0][1] - bottom[0][1]
+    denom = dx.denominator * dy.denominator
+    ix, iy = int(dx * denom), int(dy * denom)
+    g = gcd(ix, iy)
+    ix, iy = ix // g, iy // g
+    if iy < 0:
+        ix, iy = -ix, -iy
+    q, y0 = iy, int(y_bot)
+    L = iy * bottom[0][0] - ix * bottom[0][1]
+    R = iy * bottom[1][0] - ix * bottom[1][1]
+    per_residue = []
+    for i in range(q):
+        k = q + i
+        total_lines = k * w + 1
+        sides = [((-iy, ix), -k * L), ((iy, -ix), k * R)]
+        counts = []
+        for j in range(total_lines):
+            row = level_interval(sides, (0, k * y0 + j), (1, 0))
+            counts.append(0 if row is None else row[1] - row[0] + 1)
+        peak = max(counts)
+        flags = [c == peak for c in counts]
+        blocks = total_lines // q
+        n_i = sum(flags[:q])
+        assert all(
+            sum(flags[t * q : (t + 1) * q]) == n_i for t in range(1, blocks)
+        )
+        per_residue.append((n_i, sum(flags[blocks * q :]), total_lines - blocks * q))
+    return BlockDecomposition(q=q, w=w, per_residue=tuple(per_residue))
+
+
+def full_dimensional_oracle(vertices) -> bool:
+    """The Fraction row reduction that constructions._full_dimensional
+    replaced by a Gram determinant, kept as its reference: the rank of the
+    difference vectors v - v0 is d."""
+    d = len(vertices[0])
+    base = vertices[0]
+    rows = [[Fraction(v[i] - base[i]) for i in range(d)] for v in vertices[1:]]
+    rank = 0
+    for col in range(d):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank == d

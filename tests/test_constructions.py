@@ -1,6 +1,7 @@
 """Generators for the extremal polytopes and the hardness gadget."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -27,6 +28,9 @@ from latticediam import (
     verify_hardness_instance,
     vertex_avoiding_polytope,
 )
+from latticediam.constructions import _full_dimensional
+
+from helpers import full_dimensional_oracle
 
 
 class TestHullFacets:
@@ -62,6 +66,31 @@ class TestHullFacets:
     def test_rejects_mixed_dimensions(self):
         with pytest.raises(ValidationError):
             hull_facets(((0, 0, 0), (1, 0), (0, 1, 0), (0, 0, 1)))
+
+    def test_full_dimensional_matches_row_reduction(self):
+        # seeded vertex sets in d = 1..5: base + combinations of r random
+        # integer vectors, so every rank 0..d occurs
+        rng = random.Random(1713)
+        outcomes = Counter()
+        for _ in range(3000):
+            d = rng.randint(1, 5)
+            r = rng.randint(0, d)
+            basis = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(r)]
+            base = [rng.randint(-50, 50) for _ in range(d)]
+            verts = []
+            for _ in range(rng.randint(2, d + 4)):
+                coefs = [rng.randint(-3, 3) for _ in basis]
+                verts.append(tuple(
+                    x + sum(c * b[i] for c, b in zip(coefs, basis))
+                    for i, x in enumerate(base)
+                ))
+            want = full_dimensional_oracle(verts)
+            assert _full_dimensional(verts) == want, verts
+            outcomes[r == d, want] += 1
+        # rank-deficient sets (r < d) are never full-dimensional, and both
+        # verdicts occur on the sets of full rank r = d
+        assert set(outcomes) == {(False, False), (True, False), (True, True)}
+        assert min(outcomes.values()) > 100, outcomes
 
     def test_combination_budget(self):
         many = [(i, i * i, i * i * i) for i in range(300)]

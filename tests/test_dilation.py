@@ -30,10 +30,12 @@ from helpers import (
     QUAD,
     SQUARE,
     best_records_oracle,
+    chamber_decomposition_oracle,
     clip_line_oracle,
     dilate_levels_oracle,
     fit_quasipolynomial_oracle,
     profile_polygons,
+    random_chambers,
     random_polygon,
 )
 from latticediam import compute_diameter, diameter, local_diameter_lines
@@ -360,6 +362,18 @@ class TestChamberDecomposition:
             assert (dec.q, dec.w, dec.per_residue) == (
                 want.q, want.w, want.per_residue
             )
+
+    def test_matches_the_fraction_reference(self):
+        # floored constants count every row as the rational ones do, on
+        # seeded chambers with q up to 12 and w up to 6, their mirror
+        # images and translates
+        u = Direction((1, 0))
+        qs = set()
+        for verts in random_chambers(100):
+            want = chamber_decomposition_oracle(verts)
+            assert chamber_decomposition(verts, u) == want, verts
+            qs.add(want.q)
+        assert qs == set(range(1, 13))
 
     def test_counts_reproduce_quad_counts(self):
         verts, u = demo_chamber()

@@ -92,6 +92,36 @@ class TestRendering:
         assert render_document(doc) == render_document(doc)
         assert render_document(doc).endswith("\n")
 
+    def test_integer_rows_render_as_fraction_rows_did(self):
+        # point sets and Polygon2 vertices keep their int tuples as rows; the
+        # document equals, hashes and renders as its Fraction-row form
+        polygon_rows = (
+            (0, 0), (Fraction(5), 1), (Fraction(13, 2), "4"), (1.5, True), (-1, 3)
+        )
+        cases = [
+            (document_for_point_set(PointSet([(2, -1, 0), (0, 0, 7)]), "s"), True),
+            (document_for_point_set(PointSet([(-3,), (10**30,)])), True),
+            (document_for_polygon(QUAD, name="quad"), True),
+            (document_for_polygon(polygon_rows), False),
+        ]
+        for doc, ints in cases:
+            if ints:
+                assert all(type(c) is int for row in doc.rows for c in row)
+            old = Document(
+                kind=doc.kind,
+                dimension=doc.dimension,
+                rows=tuple(tuple(map(Fraction, row)) for row in doc.rows),
+                name=doc.name,
+            )
+            assert doc == old and hash(doc) == hash(old)
+            assert render_document(doc) == render_document(old)
+        # a coordinate that is not an int goes through Fraction, as before
+        rows = document_for_polygon(polygon_rows).rows
+        assert rows == tuple(tuple(map(Fraction, row)) for row in polygon_rows)
+        assert [type(c).__name__ for row in rows for c in row] == (
+            ["int"] * 2 + ["Fraction", "int"] + ["Fraction"] * 4 + ["int"] * 2
+        )
+
     def test_construction_request_payload(self):
         doc = Document(
             kind="construction_request",

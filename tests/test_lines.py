@@ -13,19 +13,28 @@ from helpers import (
     convex_hull,
     level_interval_oracle,
     profile_polygons,
+    random_chambers,
 )
 from latticediam import (
     Direction,
     LatticeLine,
     Polygon2,
     ValidationError,
+    chamber_decomposition,
     clip_line,
+    compute_diameter,
+    core,
     count_lattice_points_polygon,
+    diameter,
+    enumerate_lattice_points,
+    fit_quasipolynomial,
     lattice_count_on_clip,
+    lines,
     nvol,
+    render_diameter_svg,
 )
 from latticediam.core import line_bounds
-from latticediam.diameter import _chord
+from latticediam.diameter import _chord, dilation_profile
 from latticediam.lines import level_anchor, level_interval
 
 
@@ -230,19 +239,56 @@ class TestClippingKernel:
                     seen["parallel" if u in edges else "random", outcome] += 1
         assert len(seen) == 6 and min(seen.values()) > 100, seen
 
+    def test_every_clip_is_integer(self, polygons, monkeypatch):
+        # no caller of the clipping loop passes a rational constant or base:
+        # it is wrapped where core, lines and diameter look it up
+        calls = Counter()
+
+        def int_only(name):
+            def checked(halfplanes, x0, u):
+                for _, c in halfplanes:
+                    assert type(c) is int, (name, c)
+                for c in x0:
+                    assert type(c) is int, (name, x0)
+                calls[name] += 1
+                return line_bounds(halfplanes, x0, u)
+
+            return checked
+
+        for module in (core, lines, diameter):
+            monkeypatch.setattr(module, "line_bounds", int_only(module.__name__))
+        u = Direction((1, 0))
+        for verts in random_chambers(20):
+            chamber_decomposition(verts, u)
+        for P in polygons:
+            compute_diameter(P)
+            profile = dilation_profile(P)
+            for k in (2, 3, 10**6):
+                profile.count(k)
+        for P in polygons[::10]:
+            fit_quasipolynomial(P)
+        for P in polygons[:20]:
+            enumerate_lattice_points(P)
+            render_diameter_svg(P, compute_diameter(P))
+        assert len(calls) == 3 and min(calls.values()) > 100, calls
+
     def test_fraction_constants(self, polygons):
-        # chamber_decomposition clips against halfplanes with Fraction constants
+        # chamber_decomposition floors its rational halfplane constants: an
+        # integer point x has <n, x> <= c exactly when <n, x> <= floor(c),
+        # so the kernel on the floored halfplanes finds the lattice points
+        # that the Fraction loop finds on the rational ones
         rng = random.Random(910)
         nonempty = 0
         for P in polygons[:300]:
             hps = [(n, c + Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
                    for n, c in P.halfplanes()]
+            floored = [(n, floor(c)) for n, c in hps]
             (xlo, ylo), (xhi, yhi) = P.bounding_box()
             for _ in range(6):
                 x0 = (rng.randint(xlo, xhi), rng.randint(ylo, yhi))
                 u = Direction((rng.randint(-5, 5), rng.randint(1, 5))).vec
                 want = level_interval_oracle(hps, x0, u)
-                assert level_interval(hps, x0, u) == want, (hps, x0, u)
+                assert level_interval(floored, x0, u) == want, (hps, x0, u)
                 nonempty += want is not None
         assert nonempty > 1000
 

@@ -35,14 +35,18 @@ def naive_report(S: PointSet):
 
 
 def residue_scan(pts):
-    """The residue path, given the ranges and bound that _scan_pairs passes it."""
+    """The residue path, given the ranges and bound that brute_force_diameter
+    passes it."""
     spreads = [max(col) - min(col) for col in zip(*pts)]
     return oracle._residue_scan(pts, spreads, oracle._residue_bound(spreads))
 
 
 def scan_pairs(pts):
-    """The dispatch, given the ranges that brute_force_diameter passes it."""
-    return oracle._scan_pairs(pts, [max(col) - min(col) for col in zip(*pts)])
+    """The scan that brute_force_diameter dispatches to, read back from its
+    report as the best gcd and the lex-sorted index pairs attaining it."""
+    index = {p: i for i, p in enumerate(pts)}
+    report = brute_force_diameter(PointSet(pts))
+    return report.ldiam, [(index[p], index[q]) for p, q in report.segments]
 
 
 class TestBruteForce:
@@ -168,6 +172,24 @@ def test_dispatch_takes_each_path(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(oracle, "_residue_scan", refuse)
     assert brute_force_diameter(sparse).ldiam == naive_report(sparse)[0]
+
+
+def test_decides_the_path_once(monkeypatch):
+    # the budget check and the scan share one plan: one cost model per call
+    calls = []
+    path_costs = oracle._path_costs
+
+    def counted(*args):
+        calls.append(args)
+        return path_costs(*args)
+
+    monkeypatch.setattr(oracle, "_path_costs", counted)
+    box = PointSet(product(range(8), repeat=2))
+    sparse = PointSet([(0, 0), (1000, 3), (17, 999), (500, 500), (998, 1)])
+    for S in (box, sparse, PointSet([(3, 4)])):
+        calls.clear()
+        brute_force_diameter(S)
+        assert len(calls) == 1, S
 
 
 class TestDirections:
