@@ -143,9 +143,11 @@ def svg_rows() -> list[dict]:
     return rows
 
 
-def import_seconds(repeat: int, env: dict[str, str]) -> dict[str, float]:
+def import_seconds(repeat: int, env: dict[str, str], module: str) -> dict[str, float]:
+    """Import time of module in repeat fresh interpreters run in env, whose
+    pycache prefix an earlier import of module has warmed."""
     code = (
-        "import time; t = time.perf_counter(); import latticediam.cli; "
+        f"import time; t = time.perf_counter(); import {module}; "
         "print(time.perf_counter() - t)"
     )
     samples = [float(fresh_python(env, "-c", code)) for _ in range(repeat)]
@@ -164,7 +166,7 @@ def main() -> None:
         env = child_env(os.path.join(workdir, "pycache"))
         fresh_python(env, "-c", "import latticediam.cli")  # writes the bytecode
         cli_table = cli_rows(workdir, env)
-        import_table = import_seconds(2 * REPEAT, env)
+        import_table = import_seconds(2 * REPEAT, env, "latticediam.cli")
     result = {
         "host": {
             "python": platform.python_version(),

@@ -14,7 +14,10 @@ Rows:
   113 and 229: period, valid_from and the best time;
 - chamber_decomposition(*demo_chamber()): q, w and the best time;
 - the import time of latticediam in a fresh interpreter, apart from the
-  compute rows (interpreter start-up excluded).
+  compute rows (interpreter start-up excluded), timed by bench_cli's
+  import_seconds: every fresh interpreter reads its bytecode from one
+  temporary PYTHONPYCACHEPREFIX directory, warmed by an import first, so
+  the row never times the compiler.
 
 Times are the best of REPEAT runs of a single call, in this process, after
 one warm-up call.
@@ -26,9 +29,7 @@ import argparse
 import json
 import os
 import platform
-import statistics
-import subprocess
-import sys
+import tempfile
 import time
 from collections import Counter
 
@@ -40,6 +41,9 @@ from latticediam import (
     fit_quasipolynomial,
 )
 from latticediam.diameter import dilation_profile
+
+# scripts/ is this script's directory, so it leads sys.path
+from bench_cli import child_env, fresh_python, import_seconds
 
 QUAD = Polygon2(((0, 0), (5, 1), (6, 4), (1, 3)))
 SQUARE = Polygon2(((0, 0), (2, 0), (2, 2), (0, 2)))
@@ -92,20 +96,6 @@ def kernel_calls(fn) -> dict[str, int]:
     return {name: calls[name] for name in KERNELS}
 
 
-def import_seconds(repeat: int) -> dict[str, float]:
-    code = (
-        "import time; t = time.perf_counter(); import latticediam; "
-        "print(time.perf_counter() - t)"
-    )
-    samples = [
-        float(subprocess.run([sys.executable, "-c", code], check=True,
-                             capture_output=True, text=True, env=os.environ).stdout)
-        for _ in range(repeat)
-    ]
-    return {"median_s": statistics.median(samples), "min_s": min(samples),
-            "samples": len(samples)}
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON file to write")
@@ -139,6 +129,10 @@ def main() -> None:
             "valid_from": fit.valid_from,
             "seconds": best_time(lambda: fit_quasipolynomial(T), REPEAT),
         })
+    with tempfile.TemporaryDirectory() as workdir:
+        env = child_env(os.path.join(workdir, "pycache"))
+        fresh_python(env, "-c", "import latticediam")  # writes the bytecode
+        import_table = import_seconds(2 * REPEAT, env, "latticediam")
     block = chamber_decomposition(*demo_chamber())
     chamber = {
         "q": block.q,
@@ -153,7 +147,8 @@ def main() -> None:
             "cpus": os.cpu_count(),
         },
         "repeat": REPEAT,
-        "import_latticediam": import_seconds(2 * REPEAT),
+        "pycache_prefix": "a temporary directory, warmed by one import",
+        "import_latticediam": import_table,
         "dilation_profile": profiles,
         "count": counts,
         "fit_quasipolynomial": fits,

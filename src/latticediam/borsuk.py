@@ -6,11 +6,15 @@ is exactly proper coloring of that graph, its max degree is at most 2^d - 1,
 so greedy coloring needs at most 2^d parts; the exact minimum is the chromatic
 number, found here by a budgeted branch and bound.
 
-The edges are the few diameter pairs, so after the oracle scan every step
-here walks edge endpoints only: a point on no edge is its own component, and
-the greedy coloring gives it color 0. The Python-level work is O(edges);
-what touches every point (labels of color 0, the part of color 0) is
-C-level dict and filter work.
+build_borsuk_graph is the one function here that reads a point set and
+charges the oracle's pair budget. Every reader (greedy_partition,
+exact_borsuk_number, classify_components) takes the BorsukGraph it builds.
+
+The edges are the few diameter pairs, so every reader walks the graph's one
+neighbour map, over edge endpoints only: a point on no edge is its own
+component, and the greedy coloring gives it color 0. The Python-level work
+is O(edges); what touches every point (labels of color 0, the part of color
+0, the one-point components) is C-level dict and filter work.
 """
 
 from __future__ import annotations
@@ -38,7 +42,13 @@ DEFAULT_NODE_BUDGET = 1_000_000
 
 
 class BorsukGraph(Frozen):
-    """Diameter graph: vertices are the points, edges the diameter pairs."""
+    """Diameter graph: vertices are the points, edges the diameter pairs.
+
+    neighbours maps each edge endpoint, in lexicographic order, to the set of
+    its neighbours; a point on no edge is no key. It is built once, from the
+    edges, and is not a field: eq, hash and repr read the three fields only.
+    Every reader shares it, so it must not be mutated.
+    """
 
     _fields = ("vertices", "edges", "diam")
 
@@ -48,34 +58,14 @@ class BorsukGraph(Frozen):
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "diam", diam)
-
-    def adjacency(self) -> dict[Point, set[Point]]:
-        """Neighbour sets of every vertex, in lexicographic order, built on
-        first use and shared by every later reader of this graph, so they
-        must not be mutated."""
-        adj = self.__dict__.get("_adjacency")
-        if adj is None:
-            adj = {p: set() for p in self.vertices}
-            adj.update(self._neighbours())
-            self.__dict__["_adjacency"] = adj
-        return adj
-
-    def _neighbours(self) -> dict[Point, set[Point]]:
-        """Neighbour sets of the edge endpoints only, in lexicographic order:
-        adjacency() without the points on no edge. Built on first use, from
-        the edges alone, and shared like adjacency()."""
-        nbrs = self.__dict__.get("_nbrs")
-        if nbrs is None:
-            unsorted: dict[Point, set[Point]] = {}
-            for p, q in self.edges:
-                unsorted.setdefault(p, set()).add(q)
-                unsorted.setdefault(q, set()).add(p)
-            nbrs = {p: unsorted[p] for p in sorted(unsorted)}
-            self.__dict__["_nbrs"] = nbrs
-        return nbrs
+        nbrs: dict[Point, set[Point]] = {}
+        for p, q in edges:
+            nbrs.setdefault(p, set()).add(q)
+            nbrs.setdefault(q, set()).add(p)
+        object.__setattr__(self, "neighbours", {p: nbrs[p] for p in sorted(nbrs)})
 
     def max_degree(self) -> int:
-        return max((len(nbrs) for nbrs in self._neighbours().values()), default=0)
+        return max(map(len, self.neighbours.values()), default=0)
 
 
 class BorsukPartition(Frozen):
@@ -121,11 +111,7 @@ def _greedy_labels(
     return labels
 
 
-def greedy_partition(
-    S: PointSet,
-    max_pairs: int = DEFAULT_PAIR_BUDGET,
-    graph: Optional[BorsukGraph] = None,
-) -> BorsukPartition:
+def greedy_partition(graph: BorsukGraph) -> BorsukPartition:
     """Greedy proper coloring of the diameter graph in lexicographic point order.
 
     Always uses at most max_degree + 1 <= 2^d colors. Parts are returned in
@@ -134,14 +120,14 @@ def greedy_partition(
     walked in Python: the part of color 0 is the vertices less the endpoints
     of other colors, filtered at C level.
     """
-    g = graph if graph is not None else build_borsuk_graph(S, max_pairs)
-    nbrs = g._neighbours()
-    labels = _greedy_labels(g.vertices.points, nbrs)
-    for p, q in g.edges:
+    nbrs = graph.neighbours
+    points = graph.vertices.points
+    labels = _greedy_labels(points, nbrs)
+    for p, q in graph.edges:
         if labels[p] == labels[q]:  # pragma: no cover - greedy is always proper
             raise ValidationError("greedy coloring produced an improper part")
     n_colors = 1 + max((labels[p] for p in nbrs), default=0)
-    if n_colors > 2 ** S.dim:
+    if n_colors > 2 ** graph.vertices.dim:
         raise ValidationError(
             "more parts than the degree bound allows; not a diameter graph?"
         )  # pragma: no cover - contradicts the degree bound
@@ -149,7 +135,7 @@ def greedy_partition(
     for p in nbrs:
         buckets[labels[p]].append(p)
     moved = set(chain.from_iterable(buckets[1:]))
-    buckets[0] = list(filterfalse(moved.__contains__, g.vertices.points))
+    buckets[0] = list(filterfalse(moved.__contains__, points))
     parts = tuple(PointSet._sorted(b) for b in buckets)
     return BorsukPartition(parts=parts, labels=labels)
 
@@ -229,10 +215,7 @@ def _k_colorable(
 
 
 def exact_borsuk_number(
-    S: PointSet,
-    max_pairs: int = DEFAULT_PAIR_BUDGET,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    graph: Optional[BorsukGraph] = None,
+    graph: BorsukGraph, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> int:
     """Minimum number of strictly-smaller-diameter parts: the chromatic number
     of the diameter graph, by clique bound plus branch and bound.
@@ -240,8 +223,7 @@ def exact_borsuk_number(
     Only components with an edge need a search, so the walk covers the edge
     endpoints alone; a graph with no edge (a single point) needs one part.
     """
-    g = graph if graph is not None else build_borsuk_graph(S, max_pairs)
-    adj = g._neighbours()
+    adj = graph.neighbours
     # the greedy colors of the endpoints depend on endpoints alone
     labels = _greedy_labels(adj, adj)
     budget = [node_budget]
@@ -284,19 +266,23 @@ class ComponentClass(Frozen):
 
 
 def classify_components(graph: BorsukGraph) -> list[ComponentClass]:
-    adj = graph.adjacency()
+    """The components of the graph, each sorted, in the order of their first
+    point; a point on no edge is a component of its own."""
+    adj = graph.neighbours
+    isolated = [[p] for p in filterfalse(adj.__contains__, graph.vertices.points)]
     out = []
-    for comp in _components(adj):
+    # components are disjoint, so sorting compares their first points only
+    for comp in sorted(_components(adj) + isolated):
         n = len(comp)
-        degrees = [len(adj[v]) for v in comp]  # a component holds its neighbours
+        # a component holds its neighbours; a point on no edge has none
+        degrees = [len(adj.get(v, ())) for v in comp]
         m2 = sum(degrees)
-        delta = max(degrees) if degrees else 0
         complete = m2 == n * (n - 1)
         odd_cycle = n >= 3 and n % 2 == 1 and all(d == 2 for d in degrees)
         out.append(
             ComponentClass(
                 points=tuple(comp),
-                max_degree=delta,
+                max_degree=max(degrees),
                 is_complete=complete,
                 is_odd_cycle=odd_cycle and not complete,
             )

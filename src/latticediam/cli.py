@@ -135,10 +135,17 @@ def _cmd_diam2d(args: argparse.Namespace) -> int:
         )
     if args.verify:
         oracle = brute_force_diameter(_polygon_points(P, args.budget), args.budget)
-        if oracle.ldiam != report.ldiam or oracle.directions != report.directions:
+        # each diameter line holds ldiam + 1 points, so its two ends are the
+        # one segment of gcd ldiam on it: lines and segments are in bijection
+        if (
+            oracle.ldiam != report.ldiam
+            or oracle.directions != report.directions
+            or len(oracle.segments) != len(report.lines)
+        ):
             print(
                 f"verify: MISMATCH oracle ldiam={oracle.ldiam} "
-                f"directions={len(oracle.directions)}",
+                f"directions={len(oracle.directions)} "
+                f"segments={len(oracle.segments)} lines={len(report.lines)}",
                 file=sys.stderr,
             )
             return 4
@@ -212,11 +219,11 @@ def _cmd_borsuk(args: argparse.Namespace) -> int:
         print("single point: diameter 0, partition already minimal", file=sys.stderr)
         return 0
     graph = build_borsuk_graph(S, args.budget)
-    partition = greedy_partition(S, graph=graph)
+    partition = greedy_partition(graph)
     labels = list(partition.labels.values())  # keyed in the order of S
     summary = f"parts={len(partition.parts)} bound=2^{S.dim}={bound}"
     if args.exact:
-        chi = exact_borsuk_number(S, node_budget=args.node_budget, graph=graph)
+        chi = exact_borsuk_number(graph, args.node_budget)
         summary += f" chi={chi}"
     print(summary)
     print(json.dumps({"labels": labels, "parts": len(partition.parts)}, sort_keys=True))

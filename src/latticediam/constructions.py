@@ -355,7 +355,11 @@ def min_f_on_grid(inst: HardnessInstance) -> tuple[int, tuple[int, int]]:
 def hardness_lattice_points(
     inst: HardnessInstance, max_points: int = 500_000
 ) -> PointSet:
-    """All lattice points of K_d, by direct column enumeration."""
+    """All lattice points of K_d, by direct column enumeration.
+
+    The columns come in lexicographic (x, y) order, each rising in z, and in
+    d > 3 the sorted unit-cube prefixes are the outer loop: the list is
+    distinct and sorted already, so it is trusted as it stands."""
     cols = [(x, y, inst.f(x, y)) for x, y in _grid(inst)]
     total = sum(inst.Z - fz + 1 for _, _, fz in cols if fz <= inst.Z)
     total *= 2 ** (inst.dim - 3)
@@ -368,9 +372,9 @@ def hardness_lattice_points(
         for z in range(fz, inst.Z + 1)
     ]
     if inst.dim == 3:
-        return PointSet(core)
-    cubes = list(product((0, 1), repeat=inst.dim - 3))
-    return PointSet([w + p for w in cubes for p in core])
+        return PointSet._sorted(core)
+    cubes = product((0, 1), repeat=inst.dim - 3)
+    return PointSet._sorted([w + p for w in cubes for p in core])
 
 
 class HardnessCheck(Frozen):

@@ -5,7 +5,8 @@ gcd of their coordinate differences. Two exact paths compute it with every
 pair attaining it: a pair scan that skips pairs which cannot reach the best
 gcd so far, and a residue scan that looks for the largest g at which two
 points agree mod g, stopping at the Rabinowitz floor (more than g^d points
-hold two that agree mod g). A cost model picks the cheaper one. This module
+hold two that agree mod g). A cost model picks the cheaper one, and the
+report holds the diameter, its pairs and their directions. This module
 exists to cross-check the polygon algorithms and the constructions; it is
 deliberately independent of the 2D machinery.
 """
@@ -37,20 +38,20 @@ class OracleReport(Frozen):
     """Everything the pair scan learns about a point set.
 
     segments hold each diameter pair once, lexicographically smaller endpoint
-    first; per_point_degree maps each point to the number of diameter segments
-    it ends.
+    first, in lexicographic order; directions are their deduplicated, sorted
+    directions. A point's degree in the diameter graph is the size of its
+    neighbour set in borsuk.BorsukGraph.neighbours.
     """
 
-    _fields = ("ldiam", "segments", "directions", "per_point_degree")
+    _fields = ("ldiam", "segments", "directions")
 
     def __init__(
         self, ldiam: int, segments: tuple[tuple[Point, Point], ...],
-        directions: tuple[Direction, ...], per_point_degree: dict[Point, int],
+        directions: tuple[Direction, ...],
     ):
         object.__setattr__(self, "ldiam", ldiam)
         object.__setattr__(self, "segments", segments)
         object.__setattr__(self, "directions", directions)
-        object.__setattr__(self, "per_point_degree", per_point_degree)
 
 
 def _pair_scan(pts: tuple[Point, ...]) -> tuple[int, list[tuple[int, int]]]:
@@ -223,10 +224,6 @@ def brute_force_diameter(
     pts = S.points
     spreads = [max(col) - min(col) for col in zip(*pts)]
     bound = check_pair_budget(len(pts), spreads, max_pairs)
-    if len(pts) == 1:
-        return OracleReport(
-            ldiam=0, segments=(), directions=(), per_point_degree={pts[0]: 0}
-        )
     if bound is None:
         best, hits = _pair_scan(pts)
     else:
@@ -238,16 +235,7 @@ def brute_force_diameter(
         {Direction(tuple(b - a for a, b in zip(p, q))) for p, q in segments},
         key=attrgetter("vec"),
     )
-    degree: dict[Point, int] = dict.fromkeys(pts, 0)
-    for p, q in segments:
-        degree[p] += 1
-        degree[q] += 1
-    return OracleReport(
-        ldiam=best,
-        segments=segments,
-        directions=tuple(directions),
-        per_point_degree=degree,
-    )
+    return OracleReport(ldiam=best, segments=segments, directions=tuple(directions))
 
 
 def diameter_directions(

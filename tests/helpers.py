@@ -423,6 +423,17 @@ def render_diameter_svg_oracle(polygon: Polygon2, report: DiameterReport) -> str
     return "\n".join(out) + "\n"
 
 
+def adjacency_oracle(graph) -> dict:
+    """The neighbour set of every vertex of a BorsukGraph, in lexicographic
+    order, built from its edges alone: points on no edge get an empty set.
+    It is independent of the graph's own neighbour map."""
+    adj = {p: set() for p in graph.vertices}
+    for p, q in graph.edges:
+        adj[p].add(q)
+        adj[q].add(p)
+    return adj
+
+
 def greedy_labels_oracle(points, adj) -> dict:
     """The all-points greedy coloring that borsuk._greedy_labels replaced,
     kept as its reference: point by point in the given order, the smallest
@@ -465,7 +476,7 @@ def exact_borsuk_oracle(graph, node_budget: int = 1_000_000) -> int:
     """The chromatic number as exact_borsuk_number found it over all-points
     components and labels, kept as its reference; the clique bound and the
     branch and bound are the library's."""
-    adj = graph.adjacency()
+    adj = adjacency_oracle(graph)
     labels = greedy_labels_oracle(graph.vertices, adj)
     budget = [node_budget]
     answer = 1

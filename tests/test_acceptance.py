@@ -178,14 +178,14 @@ def test_08_borsuk_partition_suite():
                 continue
             graph = build_borsuk_graph(S)
             assert graph.max_degree() <= 2**d - 1
-            partition = greedy_partition(S, graph=graph)
+            partition = greedy_partition(graph)
             assert len(partition.parts) <= 2**d
             for part in partition.parts:
                 if len(part) >= 2:
                     assert brute_force_diameter(part).ldiam < graph.diam
     for d in (1, 2, 3):
         cube = PointSet([p for p in product((0, 1), repeat=d)])
-        assert exact_borsuk_number(cube) == 2**d
+        assert exact_borsuk_number(build_borsuk_graph(cube)) == 2**d
     assert time.monotonic() - start < 180.0
 
 

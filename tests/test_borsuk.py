@@ -23,6 +23,7 @@ from latticediam import (
 )
 
 from helpers import (
+    adjacency_oracle,
     components_oracle,
     exact_borsuk_oracle,
     greedy_labels_oracle,
@@ -62,18 +63,13 @@ class TestBorsukGraph:
 class TestGreedyPartition:
     def test_unit_cubes_need_all_parts(self):
         for d in (1, 2, 3):
-            part = greedy_partition(cube(d))
+            part = greedy_partition(build_borsuk_graph(cube(d)))
             assert len(part.parts) == 2**d
 
     def test_labels_match_parts(self):
-        part = greedy_partition(cube(2))
+        part = greedy_partition(build_borsuk_graph(cube(2)))
         for color, block in enumerate(part.parts):
             assert all(part.labels[p] == color for p in block)
-
-    def test_accepts_precomputed_graph(self):
-        S = cube(2)
-        g = build_borsuk_graph(S)
-        assert greedy_partition(S, graph=g).labels == greedy_partition(S).labels
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -82,7 +78,7 @@ class TestGreedyPartition:
         d = rng.choice((1, 2, 3))
         S = random_point_set(rng, d, coord=6, n_lo=2, n_hi=15)
         diam = brute_force_diameter(S).ldiam
-        part = greedy_partition(S)
+        part = greedy_partition(build_borsuk_graph(S))
         assert len(part.parts) <= 2**d
         assert sum(len(b) for b in part.parts) == len(S)
         for block in part.parts:
@@ -93,25 +89,21 @@ class TestGreedyPartition:
 class TestExactNumber:
     def test_unit_cubes_are_tight(self):
         for d in (1, 2, 3):
-            assert exact_borsuk_number(cube(d)) == 2**d
+            assert exact_borsuk_number(build_borsuk_graph(cube(d))) == 2**d
 
     def test_larger_cube_stays_complete(self):
         # [0,2]^2 has diameter 2, realized only between opposite boundary
         # points; the four corner pairs plus center pairs still force 4 parts
-        assert exact_borsuk_number(cube(2, side=2)) == 4
+        assert exact_borsuk_number(build_borsuk_graph(cube(2, side=2))) == 4
 
     def test_collinear_run(self):
         S = PointSet([(i, 0) for i in range(4)])
-        assert exact_borsuk_number(S) == 2
+        assert exact_borsuk_number(build_borsuk_graph(S)) == 2
 
     def test_clique_bound_suffices_without_search_budget(self):
         # on cubes the clique bound meets the greedy bound, so node_budget
         # is never consumed
-        assert exact_borsuk_number(cube(3), node_budget=0) == 8
-
-    def test_pair_budget(self):
-        with pytest.raises(BudgetError):
-            exact_borsuk_number(cube(2), max_pairs=1)
+        assert exact_borsuk_number(build_borsuk_graph(cube(3)), node_budget=0) == 8
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -119,8 +111,9 @@ class TestExactNumber:
         rng = random.Random(seed)
         d = rng.choice((1, 2, 3))
         S = random_point_set(rng, d, coord=5, n_lo=2, n_hi=12)
-        chi = exact_borsuk_number(S)
-        assert 2 <= chi <= len(greedy_partition(S).parts)
+        g = build_borsuk_graph(S)
+        chi = exact_borsuk_number(g)
+        assert 2 <= chi <= len(greedy_partition(g).parts)
 
 
 class TestClassifyComponents:
@@ -240,8 +233,8 @@ class TestEdgeWalkMatchesAllPoints:
 
     def test_labels_and_parts(self):
         for g in self.GRAPHS:
-            want = greedy_labels_oracle(g.vertices, g.adjacency())
-            part = greedy_partition(g.vertices, graph=g)
+            want = greedy_labels_oracle(g.vertices, adjacency_oracle(g))
+            part = greedy_partition(g)
             assert list(part.labels.items()) == list(want.items())
             n_colors = max(want.values()) + 1
             assert part.parts == tuple(
@@ -251,29 +244,28 @@ class TestEdgeWalkMatchesAllPoints:
 
     def test_components(self):
         for g in self.GRAPHS:
-            want = components_oracle(g.adjacency())
-            assert borsuk._components(g._neighbours()) == [c for c in want if len(c) > 1]
+            adj = adjacency_oracle(g)
+            want = components_oracle(adj)
+            assert borsuk._components(g.neighbours) == [c for c in want if len(c) > 1]
             got = classify_components(g)
             assert [c.points for c in got] == [tuple(c) for c in want]
-            adj = g.adjacency()
             for cls, comp in zip(got, want):
                 degrees = [len(adj[v] & set(comp)) for v in comp]
                 assert cls.max_degree == max(degrees)
 
     def test_chi(self):
         for g in self.GRAPHS:
-            assert exact_borsuk_number(g.vertices, graph=g) == exact_borsuk_oracle(g)
+            assert exact_borsuk_number(g) == exact_borsuk_oracle(g)
 
     def test_adjacency_lists_every_point(self):
+        # the neighbour map is the adjacency of every point, less the points
+        # on no edge, in the same lexicographic key order
         for g in self.GRAPHS:
-            adj = g.adjacency()
+            adj = adjacency_oracle(g)
             assert list(adj) == list(g.vertices.points)
-            want = {p: set() for p in g.vertices}
-            for p, q in g.edges:
-                want[p].add(q)
-                want[q].add(p)
-            assert adj == want
-            assert g._neighbours() == {p: n for p, n in adj.items() if n}
+            endpoints = {p: n for p, n in adj.items() if n}
+            assert list(g.neighbours.items()) == list(endpoints.items())
+            assert g.max_degree() == max(map(len, adj.values()))
 
 
 class CountingDict(dict):
@@ -296,25 +288,18 @@ class CountingDict(dict):
             yield item
 
 
-def test_coloring_work_grows_with_edges_not_points(monkeypatch):
-    # 10^4 points, one triangle of edges: the greedy labels, the parts and
-    # the exact number read the neighbour sets O(edges) times
+def test_coloring_work_grows_with_edges_not_points():
+    # 10^4 points, one triangle of edges: the neighbour map holds the three
+    # endpoints only, and the greedy labels, the parts and the exact number
+    # read it O(edges) times
     pts = [(x, y) for x in range(100) for y in range(100)]
     tri = [((0, 0), (3, 0)), ((0, 0), (0, 3)), ((0, 3), (3, 0))]
     g = _graph(pts, tri)
-    neighbours = BorsukGraph._neighbours
-
-    def counted(self):
-        return CountingDict(neighbours(self))
-
-    def refused(self):
-        raise AssertionError("adjacency() of every point was built")
-
-    monkeypatch.setattr(BorsukGraph, "_neighbours", counted)
-    monkeypatch.setattr(BorsukGraph, "adjacency", refused)
+    assert list(g.neighbours) == [(0, 0), (0, 3), (3, 0)]
+    object.__setattr__(g, "neighbours", CountingDict(g.neighbours))
     CountingDict.reads = 0
-    part = greedy_partition(g.vertices, graph=g)
-    chi = exact_borsuk_number(g.vertices, graph=g)
+    part = greedy_partition(g)
+    chi = exact_borsuk_number(g)
     assert CountingDict.reads <= 20 * len(tri)
     assert chi == len(part.parts) == 3
     assert len(part.labels) == 10**4

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from latticediam import (
+    DiameterReport,
     HardnessCheck,
     PointSet,
     Polygon2,
@@ -63,6 +64,24 @@ class TestDiam2d:
         captured = capsys.readouterr()
         assert "verify: oracle agrees" in captured.err
         assert "verify" not in captured.out
+
+    def test_verify_counts_lines_against_segments(self, quad_file, monkeypatch, capsys):
+        # ldiam and the directions still agree; one line is missing
+        compute = cli.compute_diameter
+
+        def one_line_short(P):
+            report = compute(P)
+            return DiameterReport(
+                report.ldiam, report.lines[1:], report.directions,
+                report.representative_segments,
+            )
+
+        monkeypatch.setattr(cli, "compute_diameter", one_line_short)
+        assert cli.run(["diam2d", quad_file, "--verify"]) == 4
+        err = capsys.readouterr().err
+        assert err == (
+            "verify: MISMATCH oracle ldiam=4 directions=1 segments=3 lines=2\n"
+        )
 
     def test_svg_does_not_change_stdout(self, quad_file, tmp_path, capsys):
         assert cli.run(["diam2d", quad_file]) == 0
@@ -411,24 +430,18 @@ class TestBorsuk:
         assert len(calls) == 1
 
     def test_exact_builds_adjacency_once(self, square_file, monkeypatch):
-        # the coloring reads the neighbour sets of the edge endpoints; the
-        # all-points adjacency() is never built on this path
-        adjs = []
-        neighbours = borsuk.BorsukGraph._neighbours
+        # the neighbour map is built in BorsukGraph.__init__, and the CLI
+        # builds one graph for greedy_partition and exact_borsuk_number
+        graphs = []
+        init = borsuk.BorsukGraph.__init__
 
-        def recorded(self):
-            adjs.append(neighbours(self))
-            return adjs[-1]
+        def recorded(self, *args, **kwargs):
+            graphs.append(self)
+            init(self, *args, **kwargs)
 
-        def refused(self):
-            raise AssertionError("adjacency() of every point was built")
-
-        monkeypatch.setattr(borsuk.BorsukGraph, "_neighbours", recorded)
-        monkeypatch.setattr(borsuk.BorsukGraph, "adjacency", refused)
+        monkeypatch.setattr(borsuk.BorsukGraph, "__init__", recorded)
         assert cli.run(["borsuk", square_file, "--exact"]) == 0
-        # greedy_partition and exact_borsuk_number both read it
-        assert len(adjs) >= 2
-        assert all(adj is adjs[0] for adj in adjs)
+        assert len(graphs) == 1
 
     def test_single_point(self, tmp_path, capsys):
         path = write_doc(tmp_path, document_for_point_set(PointSet([(3, 4)])))

@@ -262,6 +262,12 @@ class TestHardnessInstance:
         assert len(lifted) == 4 * len(flat)
         assert {p[2:] for p in lifted} == set(flat.points)
         assert {p[:2] for p in lifted} == set(product((0, 1), repeat=2))
+        # the gadget is listed distinct and sorted without the public
+        # constructor's check, set and sort, which would change nothing
+        for a, b, c, d in ((2, 2, 5, 3), (3, 3, 6, 3), (2, 2, 5, 4), (3, 3, 6, 5)):
+            pts = hardness_lattice_points(hardness_instance(a, b, c, d))
+            assert pts == PointSet(list(pts.points))
+            assert {len(p) for p in pts} == {d}
 
     def test_lift_constraint_count(self):
         assert len(hardness_instance(2, 2, 5, d=4).constraints) == 8

@@ -12,6 +12,7 @@ from latticediam import (
     PointSet,
     ValidationError,
     brute_force_diameter,
+    build_borsuk_graph,
     check_rabinowitz,
     diameter_directions,
     direction_maximal_polytope,
@@ -90,7 +91,8 @@ class TestBruteForce:
     def test_degree_counts_segments_twice(self):
         S = PointSet([(0, 0), (1, 0), (0, 1), (1, 1)])
         rep = brute_force_diameter(S)
-        assert sum(rep.per_point_degree.values()) == 2 * len(rep.segments)
+        nbrs = build_borsuk_graph(S).neighbours
+        assert sum(map(len, nbrs.values())) == 2 * len(rep.segments) == 12
 
     def test_segments_canonical_order(self):
         rep = brute_force_diameter(PointSet([(4, 0), (0, 0), (2, 0)]))
