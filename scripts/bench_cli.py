@@ -1,6 +1,7 @@
 """End-to-end cost of the command line, written as one JSON file.
 
-    PYTHONPATH=src python scripts/bench_cli.py --out BENCH_8.json
+    PYTHONPATH=src python scripts/bench_cli.py --out BENCH_15.json \
+        [--baseline OTHER_CHECKOUT/src]
 
 Rows:
 - cli: in-process `cli.run(argv)` wall time of each subcommand on every
@@ -11,6 +12,12 @@ Rows:
   first run() and pays every one-off cost of it; that call (the median
   over FRESH interpreters) is reported apart from the STEADY calls that
   follow (the median and best over all of them);
+- first_call: one row per subcommand, on the samples named in FIRST_CALLS,
+  that times `import latticediam.cli` plus the first run() together in a
+  fresh interpreter (median and best over FIRST_FRESH interpreters), so a
+  cost moved from the import into a handler shows as well as a cost
+  removed; with the latticediam modules loaded after that run and whether
+  fractions and decimal were;
 - parser: the time to build the argument parser (best of REPEAT builds);
 - svg: render_diameter_svg on the dilates k * conv{(0,0),(5,1),(6,4),(1,3)}
   for a ladder of grid sizes, 63 to about 10^5 dots: dots, bytes and the
@@ -19,12 +26,17 @@ Rows:
 - the import time of latticediam.cli in a fresh interpreter, apart from
   every other row (interpreter start-up excluded).
 
+With --baseline, the import and first_call rows also time the package found
+in that directory, each under "baseline", in fresh interpreters that
+alternate with this package's: on a shared host, timings taken minutes
+apart drift by more than the difference between two trees.
+
 Every fresh interpreter reads its bytecode from one temporary
-PYTHONPYCACHEPREFIX directory, warmed by an import before any timing, and
-PYTHONDONTWRITEBYTECODE is cleared for them. Otherwise, with bytecode
-writes turned off and a stale or missing __pycache__ beside the sources,
-each fresh import would compile every module, and the import and first-call
-rows would time the compiler.
+PYTHONPYCACHEPREFIX directory, warmed by an import of every module before
+any timing, and PYTHONDONTWRITEBYTECODE is cleared for them. Otherwise,
+with bytecode writes turned off and a stale or missing __pycache__ beside
+the sources, each fresh import would compile every module, and the import
+and first-call rows would time the compiler.
 
 stdout and stderr of the timed runs are captured and dropped.
 """
@@ -65,6 +77,48 @@ COMMANDS = {
     ),
     "point_set": (("oracle",), ("directions",), ("borsuk",)),
 }
+
+# One row per subcommand: argv, "{samples}" standing for sample_inputs and
+# "{svg}" for a file to write.
+FIRST_CALLS = (
+    ("diam2d", "{samples}/demo-quad.json"),
+    ("diam2d", "{samples}/demo-quad.json", "--svg", "{svg}"),
+    ("diam2d", "{samples}/demo-quad.json", "--verify"),
+    ("oracle", "{samples}/demo-quad.json"),
+    ("oracle", "{samples}/box-4x2-points.json"),
+    ("directions", "{samples}/demo-quad.json"),
+    ("directions", "{samples}/box-4x2-points.json"),
+    ("borsuk", "{samples}/demo-quad.json"),
+    ("borsuk", "{samples}/box-4x2-points.json"),
+    ("ld-count", "{samples}/demo-quad.json", "--k-max", "12", "--fit"),
+    ("ld-fit", "{samples}/demo-quad.json"),
+    ("construct", "vertex-avoiding", "--m", "3", "--verify"),
+    ("construct", "chamber", "--verify"),
+    ("hardness-verify", "--a", "2", "--b", "2", "--c", "5"),
+)
+FIRST_FRESH = 15
+
+# Run in a fresh interpreter: argv (JSON); the import and the first run()
+# timed together, then the modules they loaded.
+FIRST_CHILD = """
+import contextlib, io, json, sys, time
+argv = json.loads(sys.argv[1])
+before = set(sys.modules)
+sink = io.StringIO()
+start = time.perf_counter()
+import latticediam.cli
+with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+    code = latticediam.cli.run(argv)
+elapsed = time.perf_counter() - start
+loaded = set(sys.modules) - before
+print(json.dumps({
+    "exit_code": code,
+    "seconds": elapsed,
+    "latticediam": sorted(m for m in loaded if m.startswith("latticediam.")),
+    "fractions": "fractions" in loaded,
+    "decimal": "decimal" in loaded,
+}))
+"""
 
 # Run in a fresh interpreter: argv (JSON) and the number of steady calls.
 CHILD = """
@@ -128,6 +182,51 @@ def cli_rows(workdir: str, env: dict[str, str]) -> list[dict]:
     return rows
 
 
+def alternate(envs: dict[str, dict[str, str]], repeat: int, *args: str) -> dict[str, list]:
+    """The JSON stdout of repeat fresh interpreters per environment, run in
+    turn across the environments."""
+    runs: dict[str, list] = {label: [] for label in envs}
+    for _ in range(repeat):
+        for label, env in envs.items():
+            runs[label].append(json.loads(fresh_python(env, *args)))
+    return runs
+
+
+def place(row: dict, label: str, stats: dict) -> None:
+    """This package's figures go in the row itself, the baseline's under its label."""
+    if label == "this":
+        row.update(stats)
+    else:
+        row[label] = stats
+
+
+def first_call_rows(workdir: str, envs: dict[str, dict[str, str]]) -> list[dict]:
+    rows = []
+    for template in FIRST_CALLS:
+        svg = os.path.join(workdir, "first.svg")
+        argv = [a.format(samples=SAMPLES, svg=svg) for a in template]
+        by_env = alternate(envs, FIRST_FRESH, "-c", FIRST_CHILD, json.dumps(argv))
+        row: dict = {
+            "command": " ".join(template).replace("{samples}/", "").replace("{svg}", "PATH"),
+        }
+        for label, runs in by_env.items():
+            seconds = [run["seconds"] for run in runs]
+            last = runs[-1]
+            place(row, label, {
+                "exit_code": last["exit_code"],
+                "import_and_first_median_s": statistics.median(seconds),
+                "import_and_first_min_s": min(seconds),
+                "modules_loaded": {
+                    "latticediam": len(last["latticediam"]),
+                    "fractions": int(last["fractions"]),
+                    "decimal": int(last["decimal"]),
+                },
+                "latticediam_modules": last["latticediam"],
+            })
+        rows.append(row)
+    return rows
+
+
 def svg_rows() -> list[dict]:
     rows = []
     for k in SVG_DILATES:
@@ -143,30 +242,41 @@ def svg_rows() -> list[dict]:
     return rows
 
 
-def import_seconds(repeat: int, env: dict[str, str], module: str) -> dict[str, float]:
-    """Import time of module in repeat fresh interpreters run in env, whose
-    pycache prefix an earlier import of module has warmed."""
+def import_seconds(repeat: int, envs: dict[str, dict[str, str]], module: str) -> dict:
+    """Import time of module in repeat fresh interpreters per environment,
+    whose pycache prefix an earlier import has warmed."""
     code = (
         f"import time; t = time.perf_counter(); import {module}; "
         "print(time.perf_counter() - t)"
     )
-    samples = [float(fresh_python(env, "-c", code)) for _ in range(repeat)]
-    return {"median_s": statistics.median(samples), "min_s": min(samples),
-            "samples": len(samples)}
+    result: dict = {}
+    for label, samples in alternate(envs, repeat, "-c", code).items():
+        place(result, label, {"median_s": statistics.median(samples),
+                              "min_s": min(samples), "samples": len(samples)})
+    return result
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON file to write")
+    parser.add_argument("--baseline", metavar="SRC",
+                        help="a directory holding another latticediam package to time alongside")
     args = parser.parse_args()
 
     # the builder itself, past any cache in front of it
     build = getattr(cli._build_parser, "__wrapped__", cli._build_parser)
     with tempfile.TemporaryDirectory() as workdir:
         env = child_env(os.path.join(workdir, "pycache"))
-        fresh_python(env, "-c", "import latticediam.cli")  # writes the bytecode
+        envs = {"this": env}
+        if args.baseline:
+            envs["baseline"] = {**child_env(os.path.join(workdir, "pycache-baseline")),
+                                "PYTHONPATH": os.path.abspath(args.baseline)}
+        for each in envs.values():
+            # writes the bytecode of every module, since handlers import theirs
+            fresh_python(each, "-c", "import latticediam.cli; from latticediam import *")
         cli_table = cli_rows(workdir, env)
-        import_table = import_seconds(2 * REPEAT, env, "latticediam.cli")
+        first_table = first_call_rows(workdir, envs)
+        import_table = import_seconds(2 * REPEAT, envs, "latticediam.cli")
     result = {
         "host": {
             "python": platform.python_version(),
@@ -176,11 +286,14 @@ def main() -> None:
         },
         "repeat": REPEAT,
         "fresh_interpreters": FRESH,
+        "first_call_fresh_interpreters": FIRST_FRESH,
+        "baseline_timed": bool(args.baseline),
         "steady_calls": STEADY,
-        "pycache_prefix": "a temporary directory, warmed by one import",
+        "pycache_prefix": "a temporary directory, warmed by one import of every module",
         "import_latticediam_cli": import_table,
         "parser_build_s": best_time(build, REPEAT),
         "cli": cli_table,
+        "first_call": first_table,
         "svg": svg_rows(),
     }
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -1,160 +1,118 @@
 """Exact lattice diameter computations for lattice polygons and point sets.
 
-Everything is integer/Fraction arithmetic; no floats anywhere. The main entry
-points are compute_diameter (all diameter lines of a 2D lattice polygon),
-brute_force_diameter (exact ground truth in any dimension: a pair scan or a
-residue-class scan, whichever its cost model finds cheaper),
-count_diameter_lines / fit_quasipolynomial (dilation behavior), the Borsuk
-partition tools, and the reference constructions.
+Everything is integer arithmetic, with Fractions only at report boundaries;
+no floats anywhere. The main entry points are compute_diameter (all diameter
+lines of a 2D lattice polygon), brute_force_diameter (exact ground truth in
+any dimension: a pair scan or a residue-class scan, whichever its cost model
+finds cheaper), count_diameter_lines / fit_quasipolynomial (dilation
+behavior), the Borsuk partition tools, and the reference constructions.
+
+The public names resolve on first access (PEP 562): importing the package
+loads none of its modules, and `from latticediam import compute_diameter`
+loads latticediam.diameter and the modules it imports, and no others.
 """
 
-from .borsuk import (
-    BorsukGraph,
-    BorsukPartition,
-    ComponentClass,
-    build_borsuk_graph,
-    classify_components,
-    conv_is_cube,
-    exact_borsuk_number,
-    greedy_partition,
-)
-from .constructions import (
-    HardnessCheck,
-    HardnessInstance,
-    PolyConstraint,
-    demo_chamber,
-    direction_maximal_polytope,
-    hardness_instance,
-    hardness_lattice_points,
-    hull_facets,
-    integer_points_of_hull,
-    min_f_on_grid,
-    slope_triangle,
-    vertex_avoiding_polytope,
-    verify_hardness_instance,
-)
-from .core import (
-    Direction,
-    Point,
-    PointSet,
-    Polygon2,
-    RationalPoint,
-    count_lattice_points_polygon,
-    enumerate_lattice_points,
-    lattice_width,
-    segment_lattice_count,
-)
-from .diameter import (
-    DiameterReport,
-    OppositePair,
-    compute_diameter,
-    local_diameter_lines,
-    opposite_pairs,
-    u_diameter_line,
-)
-from .dilation import (
-    BlockDecomposition,
-    QuasiPolynomial,
-    chamber_decomposition,
-    count_diameter_lines,
-    fit_quasipolynomial,
-)
-from .documents import (
-    Document,
-    decode_number,
-    document_for_point_set,
-    document_for_polygon,
-    encode_number,
-    load_document,
-    parse_document,
-    point_set_from_document,
-    polygon_from_document,
-    render_document,
-)
-from .errors import (
-    BudgetError,
-    FitError,
-    LatticeDiamError,
-    ParseError,
-    ValidationError,
-)
-from .lines import ClippedSegment, LatticeLine, clip_line, lattice_count_on_clip, nvol
-from .oracle import (
-    OracleReport,
-    brute_force_diameter,
-    check_rabinowitz,
-    diameter_directions,
-)
-from .svg import render_diameter_svg
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlockDecomposition",
-    "BorsukGraph",
-    "BorsukPartition",
-    "BudgetError",
-    "ClippedSegment",
-    "ComponentClass",
-    "DiameterReport",
-    "Direction",
-    "Document",
-    "FitError",
-    "HardnessCheck",
-    "HardnessInstance",
-    "LatticeDiamError",
-    "LatticeLine",
-    "OppositePair",
-    "OracleReport",
-    "ParseError",
-    "Point",
-    "PointSet",
-    "PolyConstraint",
-    "Polygon2",
-    "QuasiPolynomial",
-    "RationalPoint",
-    "ValidationError",
-    "brute_force_diameter",
-    "build_borsuk_graph",
-    "chamber_decomposition",
-    "check_rabinowitz",
-    "classify_components",
-    "clip_line",
-    "compute_diameter",
-    "conv_is_cube",
-    "count_diameter_lines",
-    "count_lattice_points_polygon",
-    "decode_number",
-    "demo_chamber",
-    "diameter_directions",
-    "direction_maximal_polytope",
-    "document_for_point_set",
-    "document_for_polygon",
-    "encode_number",
-    "enumerate_lattice_points",
-    "exact_borsuk_number",
-    "fit_quasipolynomial",
-    "greedy_partition",
-    "hardness_instance",
-    "hardness_lattice_points",
-    "hull_facets",
-    "integer_points_of_hull",
-    "lattice_count_on_clip",
-    "lattice_width",
-    "load_document",
-    "local_diameter_lines",
-    "min_f_on_grid",
-    "nvol",
-    "opposite_pairs",
-    "parse_document",
-    "point_set_from_document",
-    "polygon_from_document",
-    "render_diameter_svg",
-    "render_document",
-    "segment_lattice_count",
-    "slope_triangle",
-    "u_diameter_line",
-    "vertex_avoiding_polytope",
-    "verify_hardness_instance",
-    "__version__",
-]
+# The public names of each module, re-exported here.
+_EXPORTS = {
+    "borsuk": (
+        "BorsukGraph",
+        "BorsukPartition",
+        "ComponentClass",
+        "build_borsuk_graph",
+        "classify_components",
+        "conv_is_cube",
+        "exact_borsuk_number",
+        "greedy_partition",
+    ),
+    "constructions": (
+        "HardnessCheck",
+        "HardnessInstance",
+        "PolyConstraint",
+        "demo_chamber",
+        "direction_maximal_polytope",
+        "hardness_instance",
+        "hardness_lattice_points",
+        "hull_facets",
+        "integer_points_of_hull",
+        "min_f_on_grid",
+        "slope_triangle",
+        "vertex_avoiding_polytope",
+        "verify_hardness_instance",
+    ),
+    "core": (
+        "Direction",
+        "Point",
+        "PointSet",
+        "Polygon2",
+        "RationalPoint",
+        "count_lattice_points_polygon",
+        "enumerate_lattice_points",
+        "lattice_width",
+        "segment_lattice_count",
+    ),
+    "diameter": (
+        "DiameterReport",
+        "OppositePair",
+        "compute_diameter",
+        "local_diameter_lines",
+        "opposite_pairs",
+        "u_diameter_line",
+    ),
+    "dilation": (
+        "BlockDecomposition",
+        "QuasiPolynomial",
+        "chamber_decomposition",
+        "count_diameter_lines",
+        "fit_quasipolynomial",
+    ),
+    "documents": (
+        "Document",
+        "decode_number",
+        "document_for_point_set",
+        "document_for_polygon",
+        "encode_number",
+        "load_document",
+        "parse_document",
+        "point_set_from_document",
+        "polygon_from_document",
+        "render_document",
+    ),
+    "errors": (
+        "BudgetError",
+        "FitError",
+        "LatticeDiamError",
+        "ParseError",
+        "ValidationError",
+    ),
+    "lines": ("ClippedSegment", "LatticeLine", "clip_line", "lattice_count_on_clip", "nvol"),
+    "oracle": (
+        "OracleReport",
+        "brute_force_diameter",
+        "check_rabinowitz",
+        "diameter_directions",
+    ),
+    "svg": ("render_diameter_svg",),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*sorted(_MODULE_OF), "__version__"]
+
+
+def __getattr__(name: str):
+    """Import the module that defines a public name, on its first access."""
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

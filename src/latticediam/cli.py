@@ -3,6 +3,11 @@
 stdout carries data (reports, CSV, JSON, documents); stderr carries
 diagnostics. Exit codes: 0 ok, 2 parse/usage, 3 validation, 4 verification
 mismatch, 5 fit failure, 6 budget exceeded.
+
+This module loads only what every subcommand uses; each handler imports
+the compute modules it calls when it runs, so `oracle` on a point set
+never loads the 2D diameter, dilation, Borsuk, construction or SVG code,
+nor fractions.
 """
 
 from __future__ import annotations
@@ -12,35 +17,16 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 from math import comb
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .borsuk import (
-    DEFAULT_NODE_BUDGET,
-    build_borsuk_graph,
-    exact_borsuk_number,
-    greedy_partition,
-)
-from .constructions import (
-    demo_chamber,
-    direction_maximal_polytope,
-    hardness_instance,
-    hardness_lattice_points,
-    hull_facets,
-    slope_triangle,
-    vertex_avoiding_polytope,
-    verify_hardness_instance,
-)
 from .core import (
-    Direction,
-    PointSet,
+    DEFAULT_PAIR_BUDGET,
     Polygon2,
+    PointSet,
     count_lattice_points_polygon,
     enumerate_lattice_points,
 )
-from .diameter import compute_diameter, dilation_profile
-from .dilation import chamber_decomposition, check_dilate_budget, fit_quasipolynomial
 from .documents import (
     Document,
     document_for_point_set,
@@ -57,8 +43,9 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .oracle import DEFAULT_PAIR_BUDGET, brute_force_diameter, check_pair_budget
-from .svg import check_dot_budget, render_diameter_svg
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = ["run", "main"]
 
@@ -97,6 +84,8 @@ def _polygon_points(P: Polygon2, budget: int) -> PointSet:
     count and the ranges of the bounding box, which are those of the points
     since the vertices are lattice points; then by the number of lines
     across the short side of the bounding box, the fewest the scan can clip."""
+    from .oracle import check_pair_budget
+
     (xmin, ymin), (xmax, ymax) = P.bounding_box()
     check_pair_budget(
         count_lattice_points_polygon(P), [xmax - xmin, ymax - ymin], budget
@@ -119,9 +108,13 @@ def _point_set_from(doc: Document, budget: int) -> PointSet:
 
 
 def _cmd_diam2d(args: argparse.Namespace) -> int:
+    from .diameter import compute_diameter
+
     P = polygon_from_document(load_document(args.input))
     report = compute_diameter(P)
     if args.svg:
+        from .svg import check_dot_budget, render_diameter_svg
+
         check_dot_budget(P, args.budget)
         _write_atomic(args.svg, render_diameter_svg(P, report))
     print(
@@ -134,6 +127,8 @@ def _cmd_diam2d(args: argparse.Namespace) -> int:
             f"segment={_fmt_coords(clip.a)}->{_fmt_coords(clip.b)}"
         )
     if args.verify:
+        from .oracle import brute_force_diameter
+
         oracle = brute_force_diameter(_polygon_points(P, args.budget), args.budget)
         # each diameter line holds ldiam + 1 points, so its two ends are the
         # one segment of gcd ldiam on it: lines and segments are in bijection
@@ -154,6 +149,8 @@ def _cmd_diam2d(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    from .oracle import brute_force_diameter
+
     S = _point_set_from(load_document(args.input), args.budget)
     report = brute_force_diameter(S, args.budget)
     print(
@@ -166,6 +163,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_directions(args: argparse.Namespace) -> int:
+    from .oracle import brute_force_diameter
+
     S = _point_set_from(load_document(args.input), args.budget)
     report = brute_force_diameter(S, args.budget)
     print(f"directions={len(report.directions)}")
@@ -184,6 +183,9 @@ def _quasi_json(qp) -> str:
 
 
 def _cmd_ld(args: argparse.Namespace) -> int:
+    from .diameter import dilation_profile
+    from .dilation import check_dilate_budget, fit_quasipolynomial
+
     P = polygon_from_document(load_document(args.input))
     check_dilate_budget(args.k_max, args.budget)
     profile = dilation_profile(P)
@@ -205,12 +207,21 @@ def _cmd_ld(args: argparse.Namespace) -> int:
 
 
 def _cmd_ld_fit(args: argparse.Namespace) -> int:
+    from .dilation import fit_quasipolynomial
+
     P = polygon_from_document(load_document(args.input))
     print(_quasi_json(fit_quasipolynomial(P, args.k_max, budget=args.budget)))
     return 0
 
 
 def _cmd_borsuk(args: argparse.Namespace) -> int:
+    from .borsuk import (
+        DEFAULT_NODE_BUDGET,
+        build_borsuk_graph,
+        exact_borsuk_number,
+        greedy_partition,
+    )
+
     S = _point_set_from(load_document(args.input), args.budget)
     bound = 2**S.dim
     if len(S) == 1:
@@ -223,7 +234,7 @@ def _cmd_borsuk(args: argparse.Namespace) -> int:
     labels = list(partition.labels.values())  # keyed in the order of S
     summary = f"parts={len(partition.parts)} bound=2^{S.dim}={bound}"
     if args.exact:
-        chi = exact_borsuk_number(graph, args.node_budget)
+        chi = exact_borsuk_number(graph, args.node_budget or DEFAULT_NODE_BUDGET)
         summary += f" chi={chi}"
     print(summary)
     print(json.dumps({"labels": labels, "parts": len(partition.parts)}, sort_keys=True))
@@ -231,6 +242,9 @@ def _cmd_borsuk(args: argparse.Namespace) -> int:
 
 
 def _verify_vertex_avoiding(m: int, pts: PointSet, verts, budget: int) -> str | None:
+    from .constructions import hull_facets
+    from .oracle import brute_force_diameter
+
     report = brute_force_diameter(pts, budget)
     want = ((-(m - 1), 0, 0), (m - 1, 0, 0))
     if report.ldiam != 2 * (m - 1):
@@ -250,6 +264,17 @@ def _verify_vertex_avoiding(m: int, pts: PointSet, verts, budget: int) -> str | 
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
+    from .constructions import (
+        demo_chamber,
+        direction_maximal_polytope,
+        hardness_instance,
+        hardness_lattice_points,
+        slope_triangle,
+        vertex_avoiding_polytope,
+        verify_hardness_instance,
+    )
+    from .oracle import brute_force_diameter
+
     def need(*names: str) -> list[int]:
         vals = []
         for n in names:
@@ -314,6 +339,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         verts, u = demo_chamber()
         doc = document_for_polygon(verts, name="chamber q=3 w=2")
         if args.verify:
+            from .dilation import chamber_decomposition
+
             block = chamber_decomposition(verts, u)
             want = ((1, 1, 1), (3, 0, 0), (2, 2, 2))
             if block.q != 3 or block.w != 2 or block.per_residue != want:
@@ -330,6 +357,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_hardness_verify(args: argparse.Namespace) -> int:
+    from .constructions import hardness_instance, verify_hardness_instance
+
     inst = hardness_instance(args.a, args.b, args.c, args.d)
     check = verify_hardness_instance(inst, args.budget)
     print(
@@ -390,7 +419,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("borsuk", _cmd_borsuk)
     p.add_argument("input")
     p.add_argument("--exact", action="store_true")
-    p.add_argument("--node-budget", type=_positive_int, default=DEFAULT_NODE_BUDGET)
+    # None reads as borsuk.DEFAULT_NODE_BUDGET, so the parser needs no borsuk
+    p.add_argument("--node-budget", type=_positive_int, default=None)
 
     p = add("construct", _cmd_construct)
     p.add_argument(

@@ -1,7 +1,8 @@
 """Exact lattice geometry primitives.
 
 Everything here is integer or rational arithmetic; no floats anywhere.
-Points are plain tuples of ints, rational points are tuples of Fraction.
+Points are plain tuples of ints, rational points are tuples of Fraction;
+this module never builds one, so it does not import fractions.
 line_bounds is the one loop that clips a line against halfplanes: the
 lattice point counts (level_interval), the exact clips of lines.clip_line
 and the chord reads of the diameter module are all read from its bounds.
@@ -15,18 +16,21 @@ PointSet._sorted.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import repeat
 from math import gcd
-from typing import Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from .errors import ValidationError
 from .frozen import Frozen, Ordered
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 Point = tuple[int, ...]
-RationalPoint = tuple[Fraction, ...]
+RationalPoint = tuple["Fraction", ...]
 
 __all__ = [
+    "DEFAULT_PAIR_BUDGET",
     "Point",
     "RationalPoint",
     "Direction",
@@ -41,6 +45,11 @@ __all__ = [
     "count_lattice_points_polygon",
     "lattice_width",
 ]
+
+# Point pairs an oracle scan may examine unless its caller says otherwise;
+# also the default of the command line's --budget, so it lives here, where
+# the parser can read it without loading the oracle.
+DEFAULT_PAIR_BUDGET = 200_000
 
 
 def as_point(coords: Iterable[int]) -> Point:

@@ -4,19 +4,24 @@ One schema for all inputs and outputs: {"kind", "dimension", coordinate rows,
 optional "name"}. Coordinates travel as strings ("5", "17/3") so that every
 value survives a round trip exactly; raw JSON integers are accepted on input
 for convenience but never emitted. In memory an int coordinate stays an
-int, so the rows of a point set are its own point tuples.
+int, so the rows of a point set are its own point tuples. A document whose
+coordinates are all canonical integer strings is read, checked and rendered
+without loading fractions.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
-from typing import Sequence
+from itertools import chain
+from typing import TYPE_CHECKING, Sequence
 
 from .core import Polygon2, PointSet
 from .errors import ParseError, ValidationError
 from .frozen import Frozen
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "Document",
@@ -34,11 +39,16 @@ __all__ = [
 KINDS = ("polygon", "point_set", "construction_request")
 
 _INTEGER = re.compile(r"-?[0-9]+")
+# the coordinate strings of whole rows, joined by commas
+_INTEGERS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
 
 
 def encode_number(v: int | Fraction) -> str:
-    if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
-        raise ValidationError(f"cannot encode {v!r} exactly")
+    if type(v) is not int:
+        from fractions import Fraction
+
+        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+            raise ValidationError(f"cannot encode {v!r} exactly")
     return str(v)
 
 
@@ -55,7 +65,11 @@ def decode_number(raw: object) -> int | Fraction:
         return raw
     if isinstance(raw, str):
         try:
-            return int(raw) if _INTEGER.fullmatch(raw) else Fraction(raw)
+            if _INTEGER.fullmatch(raw):
+                return int(raw)
+            from fractions import Fraction
+
+            return Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad number {raw!r}: {exc}") from None
     raise ParseError(f"expected a string-encoded number, got {type(raw).__name__}")
@@ -95,8 +109,14 @@ class Document(Frozen):
 def document_for_polygon(
     vertices: Polygon2 | Sequence[Sequence[int | Fraction]], name: str = ""
 ) -> Document:
-    verts = vertices.vertices if isinstance(vertices, Polygon2) else vertices
-    rows = tuple(tuple(c if type(c) is int else Fraction(c) for c in v) for v in verts)
+    if isinstance(vertices, Polygon2):
+        rows = vertices.vertices
+    else:
+        from fractions import Fraction
+
+        rows = tuple(
+            tuple(c if type(c) is int else Fraction(c) for c in v) for v in vertices
+        )
     return Document(kind="polygon", dimension=2, rows=rows, name=name)
 
 
@@ -108,19 +128,40 @@ def document_for_point_set(points: PointSet, name: str = "") -> Document:
 _ROW_KEY = {"polygon": "vertices", "point_set": "points"}
 
 
+def _render_rows(rows: tuple[tuple[int | Fraction, ...], ...], dimension: int) -> str:
+    """The rows as json.dumps(indent=2) writes them one level down, in one
+    string format: json.dumps runs its pure Python encoder whenever indent
+    is set, about 7 us a point. Every row has `dimension` coordinates, and
+    an encoded number needs no JSON escapes."""
+    if not rows:
+        return "[]"
+    coords = tuple(chain.from_iterable(rows))
+    types = set(map(type, coords))
+    if types != {int}:
+        from fractions import Fraction
+
+        if not types <= {int, Fraction}:  # encode_number refuses or converts
+            coords = tuple(map(encode_number, coords))
+    row = '    [\n      "' + '",\n      "'.join(["%s"] * dimension) + '"\n    ]'
+    return "[\n" + ",\n".join([row] * len(rows)) % coords + "\n  ]"
+
+
 def render_document(doc: Document) -> str:
-    """Canonical JSON text: sorted keys, two-space indent, trailing newline."""
+    """Canonical JSON text: sorted keys, two-space indent, trailing newline.
+
+    The coordinate rows come last, since "points" and "vertices" sort after
+    every other key, and are written by _render_rows.
+    """
     payload: dict[str, object] = {"kind": doc.kind, "dimension": doc.dimension}
+    if doc.name:
+        payload["name"] = doc.name
     if doc.kind == "construction_request":
         payload["construction"] = doc.construction
         payload["params"] = {k: v for k, v in doc.params}
-    else:
-        payload[_ROW_KEY[doc.kind]] = [
-            [encode_number(c) for c in row] for row in doc.rows
-        ]
-    if doc.name:
-        payload["name"] = doc.name
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    head = json.dumps(payload, indent=2, sort_keys=True)[:-2]  # drop "\n}"
+    rows = _render_rows(doc.rows, doc.dimension)
+    return f'{head},\n  "{_ROW_KEY[doc.kind]}": {rows}\n}}\n'
 
 
 def parse_document(text: str) -> Document:
@@ -161,12 +202,31 @@ def parse_document(text: str) -> Document:
     raw_rows = payload.get(key)
     if not isinstance(raw_rows, list) or not raw_rows:
         raise ParseError(f"{kind} document needs a nonempty {key!r} array")
-    rows = []
-    for raw in raw_rows:
-        if not isinstance(raw, list):
-            raise ParseError(f"each row of {key!r} must be an array")
-        rows.append(tuple(decode_number(c) for c in raw))
+    rows = _integer_rows(raw_rows, dimension)
+    if rows is None:
+        rows = []
+        for raw in raw_rows:
+            if not isinstance(raw, list):
+                raise ParseError(f"each row of {key!r} must be an array")
+            rows.append(tuple(decode_number(c) for c in raw))
     return Document(kind=kind, dimension=dimension, rows=tuple(rows), name=name)
+
+
+def _integer_rows(raw_rows: list, dimension: int) -> list[tuple[int, ...]] | None:
+    """The rows as int tuples, read in one pass when every row is an array of
+    `dimension` canonical integer strings; None otherwise, and the caller
+    decodes row by row, refusing what it always has. One regex match checks
+    every coordinate of the comma-joined rows; a string holding a comma
+    passes it but fails int(), as does one too long to convert."""
+    if set(map(type, raw_rows)) != {list} or set(map(len, raw_rows)) != {dimension}:
+        return None
+    try:
+        if not _INTEGERS.fullmatch(",".join(chain.from_iterable(raw_rows))):
+            return None
+        coords = map(int, chain.from_iterable(raw_rows))
+        return list(zip(*[coords] * dimension))
+    except (TypeError, ValueError):
+        return None
 
 
 def load_document(path: str) -> Document:
@@ -178,7 +238,9 @@ def load_document(path: str) -> Document:
     return parse_document(text)
 
 
-def _integral_rows(doc: Document) -> list[tuple[int, ...]]:
+def _integral_rows(doc: Document) -> Sequence[tuple[int, ...]]:
+    if set(map(type, chain.from_iterable(doc.rows))) == {int}:
+        return doc.rows
     out = []
     for row in doc.rows:
         if any(c.denominator != 1 for c in row):
@@ -198,4 +260,8 @@ def polygon_from_document(doc: Document) -> Polygon2:
 def point_set_from_document(doc: Document) -> PointSet:
     if doc.kind != "point_set":
         raise ValidationError(f"expected a point_set document, got {doc.kind!r}")
-    return PointSet(_integral_rows(doc))
+    rows = _integral_rows(doc)
+    if not rows:
+        raise ValidationError("point sets must be nonempty")
+    # every row has doc.dimension coordinates, checked by Document
+    return PointSet._sorted(sorted(set(rows)))

@@ -18,7 +18,7 @@ from itertools import chain, combinations
 from math import gcd
 from operator import attrgetter, sub
 
-from .core import Direction, Point, PointSet
+from .core import DEFAULT_PAIR_BUDGET, Direction, Point, PointSet
 from .errors import BudgetError, ValidationError
 from .frozen import Frozen
 
@@ -30,8 +30,6 @@ __all__ = [
     "diameter_directions",
     "check_rabinowitz",
 ]
-
-DEFAULT_PAIR_BUDGET = 200_000
 
 
 class OracleReport(Frozen):

@@ -18,7 +18,8 @@ from latticediam import (
     parse_document,
     render_document,
 )
-from latticediam import BudgetError, borsuk, cli, diameter, dilation
+from latticediam import BudgetError, borsuk, cli, constructions, diameter, dilation
+from latticediam import oracle, svg
 
 from helpers import QUAD, SQUARE, dilate_levels_oracle, wide_polygons
 
@@ -67,7 +68,7 @@ class TestDiam2d:
 
     def test_verify_counts_lines_against_segments(self, quad_file, monkeypatch, capsys):
         # ldiam and the directions still agree; one line is missing
-        compute = cli.compute_diameter
+        compute = diameter.compute_diameter
 
         def one_line_short(P):
             report = compute(P)
@@ -76,7 +77,7 @@ class TestDiam2d:
                 report.representative_segments,
             )
 
-        monkeypatch.setattr(cli, "compute_diameter", one_line_short)
+        monkeypatch.setattr(diameter, "compute_diameter", one_line_short)
         assert cli.run(["diam2d", quad_file, "--verify"]) == 4
         err = capsys.readouterr().err
         assert err == (
@@ -97,14 +98,14 @@ class TestDiam2d:
         def failing_render(P, report):
             raise BudgetError("picture too large")
 
-        monkeypatch.setattr(cli, "render_diameter_svg", failing_render)
+        monkeypatch.setattr(svg, "render_diameter_svg", failing_render)
         svg_path = tmp_path / "out.svg"
         assert cli.run(["diam2d", quad_file, "--svg", str(svg_path)]) != 0
         assert not svg_path.exists()
         # A write that fails after the file was opened leaves neither the
         # target nor the temporary file beside it: here the text cannot be
         # encoded half way through, and then the final rename fails.
-        monkeypatch.setattr(cli, "render_diameter_svg", lambda P, report: "<svg>\udc80")
+        monkeypatch.setattr(svg, "render_diameter_svg", lambda P, report: "<svg>\udc80")
         with pytest.raises(UnicodeEncodeError):
             cli.run(["diam2d", quad_file, "--svg", str(svg_path)])
         assert sorted(os.listdir(tmp_path)) == ["input.json"]
@@ -315,7 +316,7 @@ class TestLdCount:
         def no_count(*args):
             raise AssertionError("the count loop started")
 
-        monkeypatch.setattr(cli, "dilation_profile", no_count)
+        monkeypatch.setattr(diameter, "dilation_profile", no_count)
         assert cli.run(["ld-count", quad_file, "--k-max", "201", "--budget", "200"]) == 6
         out, err = capsys.readouterr()
         assert out == ""
@@ -336,7 +337,7 @@ class TestLdCount:
             built.append(P)
             return profile(P)
 
-        monkeypatch.setattr(cli, "dilation_profile", counted)
+        monkeypatch.setattr(diameter, "dilation_profile", counted)
         monkeypatch.setattr(dilation, "dilation_profile", counted)
         assert cli.run(["ld", quad_file, "--k-max", "6", "--fit"]) == 0
         assert len(built) == 1
@@ -425,7 +426,7 @@ class TestBorsuk:
             return scan(*args, **kwargs)
 
         monkeypatch.setattr(borsuk, "brute_force_diameter", counted)
-        monkeypatch.setattr(cli, "brute_force_diameter", counted)
+        monkeypatch.setattr(oracle, "brute_force_diameter", counted)
         assert cli.run(["borsuk", square_file, "--exact"]) == 0
         assert len(calls) == 1
 
@@ -539,7 +540,7 @@ class TestHardnessVerify:
                 direction_ok=False, equivalence_ok=False,
             )
 
-        monkeypatch.setattr(cli, "verify_hardness_instance", broken)
+        monkeypatch.setattr(constructions, "verify_hardness_instance", broken)
         argv = ["hardness-verify", "--a", "2", "--b", "2", "--c", "5"]
         assert cli.run(argv) == 4
         assert "direction_ok=False" in capsys.readouterr().out
