@@ -116,6 +116,9 @@ def _cmd_diam2d(args: argparse.Namespace) -> int:
         from .svg import check_dot_budget, render_diameter_svg
 
         check_dot_budget(P, args.budget)
+    # refused over budget before any output: no line printed, no file written
+    points = _polygon_points(P, args.budget) if args.verify else None
+    if args.svg:
         _write_atomic(args.svg, render_diameter_svg(P, report))
     print(
         f"ldiam={report.ldiam} directions={len(report.directions)} "
@@ -129,7 +132,7 @@ def _cmd_diam2d(args: argparse.Namespace) -> int:
     if args.verify:
         from .oracle import brute_force_diameter
 
-        oracle = brute_force_diameter(_polygon_points(P, args.budget), args.budget)
+        oracle = brute_force_diameter(points, args.budget)
         # each diameter line holds ldiam + 1 points, so its two ends are the
         # one segment of gcd ldiam on it: lines and segments are in bijection
         if (

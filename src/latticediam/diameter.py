@@ -1,20 +1,24 @@
 """Lattice diameter of a convex lattice polygon, exactly and fast.
 
-The algorithm works per (edge, opposite vertex) pair: inside the triangle they
-span, up to three candidate lines through the vertex are located greedily,
-each through the lowest lattice point (in the levels of the edge normal) not
-already covered by an earlier candidate line. In the unimodular basis of the
-level functional, that point is the smallest-denominator fraction of a slope
-interval, found by a continued-fraction descent in O(log) integer steps, so
-the cost grows with the bit length of the vertices, not with their size.
+The algorithm works per (edge, opposite vertex) pair, the pairs found by one
+rotating pointer in O(n): inside the triangle they span, up to three
+candidate lines through the vertex are located greedily, each through the
+lowest lattice point (in the levels of the edge normal) not already covered
+by an earlier candidate line. In the unimodular basis of the level
+functional, that point is the smallest-denominator fraction of a slope
+interval. One continued-fraction descent of O(log) integer steps finds the
+first pick and its two Farey parents, and the later picks follow from the
+parents in O(1), so the cost grows with the bit length of the vertices, not
+with their size.
 
 The same scan serves P and all its dilates kP. The triangle of kP is the
 slope cone of P's triangle cut at level kJ instead of J, and picks come in
 increasing level, so the candidates of kP are a prefix of the cone's first
 three picks: those with kmin = ceil(j / J) <= k, and kmin is 1 or 2.
 dilation_profile runs the scan once and records each candidate line with
-its kmin and its chord c = num/den through P, read once in integers;
-through a vertex of kP the line holds floor(k num / den) + 1 points. So the
+its kmin and its chord c = num/den through P, read from the levels: the
+line of a pick at level j leaves P through the edge at level J, so c = J/j.
+Through a vertex of kP the line holds floor(k num / den) + 1 points. So the
 best count and the diameter directions of kP are a max over the longest
 chord of each direction, tabled once per kmin threshold, and
 compute_diameter reads those of P at k = 1.
@@ -31,7 +35,7 @@ so the cost does not grow with k. The chord window of a piece at any k
 comes from three clip constants that do not depend on k, kept with the
 piece, through one routine (_chord_clip) for the sweep and the counts.
 All of it is integer arithmetic, and every clip of a line goes through
-core.line_bounds.
+core.line_bounds; the profile itself clips no line.
 """
 
 from __future__ import annotations
@@ -98,23 +102,56 @@ class DiameterReport(Frozen):
         object.__setattr__(self, "representative_segments", representative_segments)
 
 
+def _antipodes(
+    vertices: tuple[Point, ...]
+) -> Iterator[tuple[Point, Point, Point, list[Point]]]:
+    """(p, q, a, opposite) for each edge pq of the strictly convex polygon
+    with these counter-clockwise vertices, in edge order: a is the edge's
+    primitive outward normal and opposite the vertices minimizing it, in
+    vertex-index order: one, or two when an edge is parallel to pq.
+
+    As the edges turn counter-clockwise, so do their normals, and the first
+    vertex minimizing the normal moves forward with them: along the vertices
+    from the previous edge's minimizer up to the new one, the new normal
+    strictly decreases. So one pointer, started at the end of the first edge (a
+    maximizer of its normal) and moved forward while the next vertex is
+    lower, finds every edge's minimizer in O(n) moves over the whole polygon.
+    """
+    n = len(vertices)
+    i = 1
+    for e in range(n):
+        p, q = vertices[e], vertices[(e + 1) % n]
+        ax, ay = q[1] - p[1], p[0] - q[0]  # outward for CCW
+        g = gcd(ax, ay)
+        ax, ay = ax // g, ay // g
+        x, y = vertices[i % n]
+        low = ax * x + ay * y
+        while True:
+            x, y = vertices[(i + 1) % n]
+            after = ax * x + ay * y
+            if after >= low:
+                break
+            i, low = i + 1, after
+        if after == low:  # the edge after the minimizer is parallel to pq
+            first, second = sorted((i % n, (i + 1) % n))
+            opposite = [vertices[first], vertices[second]]
+        else:
+            opposite = [vertices[i % n]]
+        yield p, q, (ax, ay), opposite
+
+
 def opposite_pairs(P: Polygon2) -> list[OppositePair]:
     """All (edge, opposite vertex) pairs of P, in edge order.
 
     An edge maximizes its outward normal over P; the opposite vertices are
-    those minimizing it: one generically, two when a parallel edge exists.
+    those minimizing it: one generically, two when a parallel edge exists,
+    in vertex-index order (_antipodes).
     """
-    pairs: list[OppositePair] = []
-    for (a, b) in P.edges():
-        nx, ny = b[1] - a[1], a[0] - b[0]  # outward for CCW
-        g = gcd(nx, ny)
-        nx, ny = nx // g, ny // g
-        vals = [(nx * v[0] + ny * v[1], v) for v in P.vertices]
-        lo = min(val for val, _ in vals)
-        for val, v in vals:
-            if val == lo:
-                pairs.append(OppositePair(edge=(a, b), vertex=v, normal=(nx, ny)))
-    return pairs
+    return [
+        OppositePair(edge=(p, q), vertex=v, normal=a)
+        for p, q, a, opposite in _antipodes(P.vertices)
+        for v in opposite
+    ]
 
 
 def _collinear_case(v: Point, p: Point, q: Point) -> list[LatticeLine]:
@@ -126,39 +163,112 @@ def _collinear_case(v: Point, p: Point, q: Point) -> list[LatticeLine]:
     return []
 
 
-def _lowest_in_sector(
-    sector: tuple[tuple[int, int], bool, tuple[int, int], bool], j_max: int
-) -> tuple[int, int] | None:
-    """The point (j, k) with 1 <= j <= j_max and slope k/j in the sector, with
-    the smallest j and then the smallest k; None when there is none.
+Pick = tuple[int, int]  # a point v + j s + k u of a cone, as (j, k)
 
-    A sector (lo, lo_open, hi, hi_open) is a slope interval whose ends are
-    fractions (numerator, denominator > 0), each open or closed. Its lowest
-    point is the smallest-denominator fraction in it, found by a continued
-    fraction (Stern-Brocot) descent: take the smallest integer of the interval
-    if there is one, else write x = n + 1/y with n = floor(lo) and descend
-    into the interval of y, whose upper end is infinite (denominator 0) when
-    lo is an open integer. The matrix (A, B, C, D) keeps x = (A y + B)/(C y + D);
-    the denominator C m + D of the answer grows with each step, so the
-    descent stops once C + D passes j_max. Each step is one Euclid step on
-    both ends: O(log) steps of integer floor division.
+
+def _descend(lo: int, hi: int, den: int) -> tuple[Pick, Pick, Pick]:
+    """The lowest point (j, k) of the closed slope interval [lo/den, hi/den],
+    with lo < hi and den > 0, and its two Farey parents, the lower first.
+
+    The lowest point is the smallest-denominator fraction k/j of the
+    interval, found by a continued fraction (Stern-Brocot) descent: take the
+    smallest integer of the interval if there is one, else write
+    x = n + 1/y with n = floor(lo) and descend into the interval of y. The
+    matrix (A, B, C, D) keeps x = (A y + B)/(C y + D), so the answer, the
+    smallest integer m of the last interval, is (A m + B)/(C m + D), and its
+    parents are the images of those of m, m - 1 and 1/0: the fractions
+    (A (m - 1) + B)/(C (m - 1) + D) and A/C, which may be 1/0. Each step
+    reverses the order, so the determinant AD - BC says which is lower.
+    Both ends stay closed, since an end can only be an integer at the stop.
+    Each step is one Euclid step on both ends: O(log) steps of integer floor
+    division. Points are (j, k), parents included, with 1/0 as (0, 1).
     """
-    (ln, ld), lo_open, (hn, hd), hi_open = sector
-    if ln * hd > hn * ld or (ln * hd == hn * ld and (lo_open or hi_open)):
-        return None
+    ln, ld, hn, hd = lo, den, hi, den
     A, B, C, D = 1, 0, 0, 1
     while True:
-        m = ln // ld + 1 if lo_open else -(-ln // ld)
-        if m * hd < hn or (m * hd == hn and not hi_open):
-            j = C * m + D
-            return (j, A * m + B) if j <= j_max else None
+        m = -(-ln // ld)
+        if m * hd <= hn:
+            outer = (C * (m - 1) + D, A * (m - 1) + B)
+            if A * D - B * C > 0:
+                return (C * m + D, A * m + B), outer, (C, A)
+            return (C * m + D, A * m + B), (C, A), outer
         n = m - 1
         A, B, C, D = A * n + B, A, C * n + D, C
-        if C + D > j_max:
-            return None
-        (ln, ld), lo_open, (hn, hd), hi_open = (
-            (hd, hn - n * hd), hi_open, (ld, ln - n * ld), lo_open
-        )
+        ln, ld, hn, hd = hd, hn - n * hd, ld, ln - n * ld
+
+
+def _follow(
+    outer: Pick, w: Pick, bound: Pick, bound_open: bool, side: int, j_max: int
+) -> tuple[Pick, Pick] | None:
+    """The lowest point with j <= j_max strictly between the pick w and the
+    slope bound of its sector, and the parent it leaves on the bound's side;
+    None when there is none. side is 1 for the half below w and -1 for the
+    half above.
+
+    outer is w's Farey parent on the bound's side, and it lies outside the
+    sector (or on its open bound). The points strictly between two Farey
+    neighbours are their positive combinations, so the lowest point between
+    w and the bound is outer + t w for the least t >= 1 past the bound: one
+    floor division. Its parents are outer + (t - 1) w and w.
+    """
+    (oj, ok), (j, k), (bj, bk) = outer, w, bound
+    d = side * (k * bj - j * bk)  # 0 when w is on the bound: the half is empty
+    if d <= 0:
+        return None
+    n = side * (bk * oj - bj * ok)  # how far outer lies beyond the bound
+    t = n // d + 1 if bound_open else max(1, -(-n // d))
+    point = (oj + t * j, ok + t * k)
+    if point[0] > j_max:
+        return None
+    return point, (point[0] - j, point[1] - k)
+
+
+def _level_picks(J: int, lo: int, hi: int) -> list[Pick]:
+    """The first three picks (j, k) of the cone of slopes k/j in
+    [lo/J, hi/J], lo < hi, in pick order: each the lowest point, by (j, k),
+    of the cone off the lines of the earlier picks, with j <= 2J.
+
+    A pick splits its sector into the two halves open at its slope. One
+    descent (_descend) finds the first pick and its Farey parents; the
+    lowest point of each half then comes from the parents (_follow), and so
+    do its own parents, so every later pick costs O(1).
+    """
+    j_max = 2 * J
+    w, left, right = _descend(lo, hi, J)
+    # (pick, its lower parent, its upper parent, sector: lo, lo_open, hi, hi_open)
+    sectors = [(w, left, right, (J, lo), False, (J, hi), False)]
+    picks: list[Pick] = []
+    while sectors:
+        entry = min(sectors)
+        sectors.remove(entry)
+        w, left, right, lo_b, lo_open, hi_b, hi_open = entry
+        picks.append(w)
+        if len(picks) == 3:
+            break
+        below = _follow(left, w, lo_b, lo_open, 1, j_max)
+        if below is not None:
+            sectors.append((below[0], below[1], w, lo_b, lo_open, w, True))
+        above = _follow(right, w, hi_b, hi_open, -1, j_max)
+        if above is not None:
+            sectors.append((above[0], w, above[1], w, True, hi_b, hi_open))
+    return picks
+
+
+def _vertex_picks(
+    v: Point, p: Point, q: Point, level_p: int, a: Point,
+    basis: tuple[Point, Point],
+) -> tuple[int, list[tuple[int, Point]]]:
+    """_cone_picks for the edge pq at level level_p of the primitive normal
+    a, with basis = level_anchor(a), computed once per edge by its callers."""
+    (sx, sy), (ux, uy) = basis
+    det = sx * uy - sy * ux  # +-1: {s, u} is unimodular
+    # k of a point w = v + j s + k u is det(s, w - v) / det(s, u)
+    kp = det * (sx * (p[1] - v[1]) - sy * (p[0] - v[0]))
+    kq = det * (sx * (q[1] - v[1]) - sy * (q[0] - v[0]))
+    J = level_p - a[0] * v[0] - a[1] * v[1]
+    picks = _level_picks(J, kp, kq) if kp < kq else _level_picks(J, kq, kp)
+    # (j, k) is a reduced fraction and {s, u} unimodular: j s + k u is primitive
+    return J, [(j, (j * sx + k * ux, j * sy + k * uy)) for j, k in picks]
 
 
 def _cone_picks(
@@ -173,8 +283,9 @@ def _cone_picks(
     j <= kJ. No pick lies above level 2J: the two edge slopes have
     denominators dividing J, so a sector closed at an edge holds a point of
     level at most J, and an open sector between two picks holds their
-    mediant, of level at most 2J. So the descents are capped at 2J, and every
-    pick of every dilate is found. a must be primitive and v off the line pq.
+    mediant, of level at most 2J. So the picks are capped at 2J, and every
+    pick of every dilate is found, with one descent (_level_picks). a must
+    be primitive and v off the line pq.
     """
     level_p = a[0] * p[0] + a[1] * p[1]
     level_q = a[0] * q[0] + a[1] * q[1]
@@ -183,32 +294,7 @@ def _cone_picks(
         raise ValidationError("normal is not perpendicular to the edge")
     if level_p <= level_v:
         raise ValidationError("normal must point from the vertex toward the edge")
-    (sx, sy), (ux, uy) = level_anchor(a)
-    det = sx * uy - sy * ux  # +-1: {s, u} is unimodular
-    # k of a point w = v + j s + k u is det(s, w - v) / det(s, u)
-    kp = det * (sx * (p[1] - v[1]) - sy * (p[0] - v[0]))
-    kq = det * (sx * (q[1] - v[1]) - sy * (q[0] - v[0]))
-    J = level_p - level_v
-    # (lowest point, sector) for each sector that holds a point
-    sectors: list[tuple[tuple[int, int], tuple]] = []
-
-    def add(sector: tuple) -> None:
-        w = _lowest_in_sector(sector, 2 * J)
-        if w is not None:
-            sectors.append((w, sector))
-
-    add(((min(kp, kq), J), False, (max(kp, kq), J), False))
-    found: list[tuple[int, int]] = []
-    while sectors and len(found) < 3:
-        best = min(sectors, key=lambda entry: entry[0])
-        sectors.remove(best)
-        (j, k), (lo, lo_open, hi, hi_open) = best
-        found.append((j, k))
-        if len(found) < 3:
-            add((lo, lo_open, (k, j), True))
-            add(((k, j), True, hi, hi_open))
-    # (j, k) is a reduced fraction and {s, u} unimodular: j s + k u is primitive
-    return J, [(j, (j * sx + k * ux, j * sy + k * uy)) for j, k in found]
+    return _vertex_picks(v, p, q, level_p, a, level_anchor(a))
 
 
 def local_diameter_lines(
@@ -232,9 +318,10 @@ def local_diameter_lines(
     point is the smallest-denominator fraction in that slope interval; a
     pick splits its sector into two halves open at the pick's slope, since
     every point of that slope lies on the pick's line, and the next pick is
-    the lowest of the sectors' lowest points. Three picks take at most five
-    continued-fraction descents, O(log) integer steps each. The picks are
-    those of the uncapped cone (_cone_picks) up to level J.
+    the lowest of the sectors' lowest points. Three picks take one
+    continued-fraction descent of O(log) integer steps, for the first, and
+    O(1) steps each for the others (_level_picks). The picks are those of
+    the uncapped cone (_cone_picks) up to level J.
     """
     p, q = (as_point(edge[0]), as_point(edge[1]))
     v = as_point(vertex)
@@ -255,20 +342,21 @@ def local_diameter_lines(
 LineKey = tuple[Point, int]  # a direction and the perpendicular level of its line
 
 
-def _polygon_picks(P: Polygon2) -> Iterator[tuple[LineKey, Point, Point, int]]:
-    """(line, vertex v, direction d, kmin) for each pick of each opposite
-    pair of P.
+def _polygon_picks(P: Polygon2) -> Iterator[tuple[Point, Point, int, int]]:
+    """(vertex v, direction d, level j, level J) for each pick of each
+    (edge, opposite vertex) cone of P, in edge order.
 
-    d is the pick's primitive vector with canonical sign, and kmin the least
-    dilation factor k whose triangle holds the pick: kmin = ceil(j / J).
+    d is the pick's primitive vector with canonical sign, j its level above
+    v and J the edge's, in the edge's primitive normal.
     """
-    for pair in opposite_pairs(P):
-        p, q = pair.edge
-        v = pair.vertex
-        J, picks = _cone_picks(v, p, q, pair.normal)
-        for j, (x, y) in picks:
-            d = (x, y) if x > 0 or (x == 0 and y > 0) else (-x, -y)
-            yield (d, d[0] * v[1] - d[1] * v[0]), v, d, -(-j // J)
+    for p, q, a, opposite in _antipodes(P.vertices):
+        basis = level_anchor(a)
+        level_p = a[0] * p[0] + a[1] * p[1]
+        for v in opposite:
+            J, picks = _vertex_picks(v, p, q, level_p, a, basis)
+            for j, (x, y) in picks:
+                d = (x, y) if x > 0 or (x == 0 and y > 0) else (-x, -y)
+                yield v, d, j, J
 
 
 Side = tuple[int, int, int]  # (t, e, c) of a halfplane across the levels of u
@@ -496,7 +584,10 @@ def _chord(halfplanes: list[tuple[Point, int]], v: Point, d: Point) -> tuple[int
     through the polygon of the line v + t*d, for v in the polygon.
 
     The ends come from line_bounds, the one clipping loop, as fractions
-    with positive denominators, so no Fraction is built.
+    with positive denominators, so no Fraction is built. Only the lines
+    through the vertices in given directions read it (_longest_vertex_chord,
+    for the fit's period and u_diameter_line); the profile's candidate lines
+    take their chords from the levels of their cones (dilation_profile).
     """
     ls, lt, hs, ht = line_bounds(halfplanes, v, d)
     num, den = hs * lt - ls * ht, ht * lt
@@ -523,16 +614,23 @@ def _longest_vertex_chord(
 
 def dilation_profile(P: Polygon2) -> DilationProfile:
     """One record per candidate line of the dilates of P, with its least
-    dilation factor kmin and its chord through P, read once in integers."""
-    kmins: dict[LineKey, tuple[Point, Point, int]] = {}
-    for line, v, d, kmin in _polygon_picks(P):
-        if line not in kmins or kmin < kmins[line][2]:
-            kmins[line] = (v, d, kmin)
-    halfplanes = P.halfplanes()
-    return DilationProfile(P, halfplanes, tuple(
-        ProfileRecord(v, d, kmin, _chord(halfplanes, v, d))
-        for v, d, kmin in kmins.values()
-    ))
+    dilation factor kmin and its chord through P, in the order the cones
+    first find the lines.
+
+    A pick at level j of a cone holds for the dilates from kmin = ceil(j / J)
+    on. P lies between the levels of the cone's vertex v and its edge, J
+    apart, so the line v + t w of the pick w leaves P through the edge, at
+    t = J / j: the chord is J/j, read from the levels with no clip.
+    """
+    records: dict[LineKey, ProfileRecord] = {}
+    for v, d, j, J in _polygon_picks(P):
+        line = (d, d[0] * v[1] - d[1] * v[0])
+        kmin = -(-j // J)
+        old = records.get(line)
+        if old is None or kmin < old.kmin:
+            g = gcd(J, j)
+            records[line] = ProfileRecord(v, d, kmin, (J // g, j // g))
+    return DilationProfile(P, P.halfplanes(), tuple(records.values()))
 
 
 def compute_diameter(P: Polygon2) -> DiameterReport:
@@ -545,7 +643,7 @@ def compute_diameter(P: Polygon2) -> DiameterReport:
     for u in directions:
         sweep = _direction_sweep(profile.halfplanes, profile.pieces(u.vec), u.vec, best)
         found = sorted((LatticeLine(x0, u) for x0 in sweep), key=lambda L: L.base)
-        clip = clip_line(P, found[0])
+        clip = clip_line(P, found[0], profile.halfplanes)
         assert clip is not None
         reps.append(clip)
         lines.extend(found)

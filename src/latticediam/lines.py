@@ -57,9 +57,6 @@ class LatticeLine(Ordered):
         """The lattice point base + t * dir."""
         return tuple(x + t * c for x, c in zip(self.base, self.dir.vec))
 
-    def rational_point_at(self, t: Fraction) -> RationalPoint:
-        return tuple(Fraction(x) + t * c for x, c in zip(self.base, self.dir.vec))
-
     def __contains__(self, p) -> bool:
         """Exact membership for lattice points (collinearity + integrality)."""
         q = tuple(p)
@@ -97,26 +94,35 @@ class ClippedSegment(Frozen):
         object.__setattr__(self, "t2", t2)
 
 
-def clip_line(P: Polygon2, line: LatticeLine) -> Optional[ClippedSegment]:
+def clip_line(
+    P: Polygon2,
+    line: LatticeLine,
+    halfplanes: Sequence[tuple[Point, int]] | None = None,
+) -> Optional[ClippedSegment]:
     """Clip a lattice line against a polygon, exactly; None when they miss.
 
     Tangency (a single point) yields a degenerate segment with t1 == t2.
+    halfplanes, when the caller holds them, are P.halfplanes(). The ends
+    t = s/d come from line_bounds with d > 0, so each end coordinate
+    x + t c is built as the one Fraction (x d + s c)/d.
     """
     if line.dir.dim != 2:
         raise ValidationError("clipping is 2-dimensional")
-    bounds = line_bounds(P.halfplanes(), line.base, line.dir.vec)
+    if halfplanes is None:
+        halfplanes = P.halfplanes()
+    (x, y), (ux, uy) = line.base, line.dir.vec
+    bounds = line_bounds(halfplanes, (x, y), (ux, uy))
     if bounds is None:
         return None
     ls, lt, hs, ht = bounds
     if ls * ht > hs * lt:
         return None
-    lo, hi = Fraction(ls, lt), Fraction(hs, ht)
     return ClippedSegment(
-        a=line.rational_point_at(lo),
-        b=line.rational_point_at(hi),
+        a=(Fraction(x * lt + ls * ux, lt), Fraction(y * lt + ls * uy, lt)),
+        b=(Fraction(x * ht + hs * ux, ht), Fraction(y * ht + hs * uy, ht)),
         line=line,
-        t1=lo,
-        t2=hi,
+        t1=Fraction(ls, lt),
+        t2=Fraction(hs, ht),
     )
 
 

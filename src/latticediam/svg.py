@@ -92,7 +92,7 @@ def render_diameter_svg(polygon: Polygon2, report: DiameterReport) -> str:
     )
     dir_index = {u: i for i, u in enumerate(report.directions)}
     for line in report.lines:
-        clip = clip_line(polygon, line)
+        clip = clip_line(polygon, line, halfplanes)
         if clip is None:
             continue
         color = PALETTE[dir_index.get(line.dir, 0) % len(PALETTE)]

@@ -21,8 +21,9 @@ from latticediam import (
     opposite_pairs,
 )
 from latticediam import borsuk
+from latticediam.core import line_bounds
 from latticediam.dilation import BlockDecomposition
-from latticediam.diameter import DiameterReport, _chord, dilation_profile
+from latticediam.diameter import DiameterReport, ProfileRecord, _chord, dilation_profile
 from latticediam.lines import ClippedSegment, level_anchor, level_interval
 from latticediam.svg import MARGIN, PALETTE, SCALE
 
@@ -200,6 +201,104 @@ def walk_local_lines(edge, vertex, normal) -> list[LatticeLine]:
     return [LatticeLine(v, Direction((w[0] - v[0], w[1] - v[1]))) for w in found]
 
 
+def lowest_in_sector_oracle(sector, j_max: int) -> tuple[int, int] | None:
+    """The point (j, k) with 1 <= j <= j_max and slope k/j in the sector
+    (lo, lo_open, hi, hi_open), fractions (numerator, denominator > 0), with
+    the smallest j and then the smallest k; None when there is none. A full
+    continued-fraction descent from the sector's two ends."""
+    (ln, ld), lo_open, (hn, hd), hi_open = sector
+    if ln * hd > hn * ld or (ln * hd == hn * ld and (lo_open or hi_open)):
+        return None
+    A, B, C, D = 1, 0, 0, 1
+    while True:
+        m = ln // ld + 1 if lo_open else -(-ln // ld)
+        if m * hd < hn or (m * hd == hn and not hi_open):
+            j = C * m + D
+            return (j, A * m + B) if j <= j_max else None
+        n = m - 1
+        A, B, C, D = A * n + B, A, C * n + D, C
+        if C + D > j_max:
+            return None
+        (ln, ld), lo_open, (hn, hd), hi_open = (
+            (hd, hn - n * hd), hi_open, (ld, ln - n * ld), lo_open
+        )
+
+
+def cone_picks_oracle(v, p, q, a) -> tuple[int, list[tuple[int, tuple[int, int]]]]:
+    """The five-descent scan that diameter._cone_picks replaced, kept as its
+    oracle: (J, [(j, w - v)]) for the first three picks of the cone from v
+    under the edge pq, a the edge's primitive normal. Every sector, the two
+    halves a pick leaves included, gets its own descent
+    (lowest_in_sector_oracle), capped at level 2J."""
+    level_p = a[0] * p[0] + a[1] * p[1]
+    level_v = a[0] * v[0] + a[1] * v[1]
+    (sx, sy), (ux, uy) = level_anchor(a)
+    det = sx * uy - sy * ux
+    kp = det * (sx * (p[1] - v[1]) - sy * (p[0] - v[0]))
+    kq = det * (sx * (q[1] - v[1]) - sy * (q[0] - v[0]))
+    J = level_p - level_v
+    sectors = []
+
+    def add(sector) -> None:
+        w = lowest_in_sector_oracle(sector, 2 * J)
+        if w is not None:
+            sectors.append((w, sector))
+
+    add(((min(kp, kq), J), False, (max(kp, kq), J), False))
+    found: list[tuple[int, int]] = []
+    while sectors and len(found) < 3:
+        best = min(sectors, key=lambda entry: entry[0])
+        sectors.remove(best)
+        (j, k), (lo, lo_open, hi, hi_open) = best
+        found.append((j, k))
+        if len(found) < 3:
+            add((lo, lo_open, (k, j), True))
+            add(((k, j), True, hi, hi_open))
+    return J, [(j, (j * sx + k * ux, j * sy + k * uy)) for j, k in found]
+
+
+def opposite_pairs_oracle(P: Polygon2) -> list[tuple[tuple, tuple, tuple]]:
+    """(edge, vertex, normal) for every edge of P and every vertex minimizing
+    its primitive outward normal, by a scan of all vertices per edge."""
+    pairs = []
+    for a, b in P.edges():
+        nx, ny = b[1] - a[1], a[0] - b[0]
+        g = gcd(nx, ny)
+        nx, ny = nx // g, ny // g
+        vals = [(nx * v[0] + ny * v[1], v) for v in P.vertices]
+        lo = min(val for val, _ in vals)
+        pairs.extend(((a, b), v, (nx, ny)) for val, v in vals if val == lo)
+    return pairs
+
+
+def chord_oracle(halfplanes, v, d) -> tuple[int, int]:
+    """The chord num/den, in lowest terms, of the line v + t d through the
+    halfplanes: the difference of the two ends from core.line_bounds."""
+    ls, lt, hs, ht = line_bounds(halfplanes, v, d)
+    num, den = hs * lt - ls * ht, ht * lt
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def profile_records_oracle(P: Polygon2) -> tuple[ProfileRecord, ...]:
+    """The record scan that dilation_profile replaced, kept as its oracle:
+    every vertex scanned per edge (opposite_pairs_oracle), five descents per
+    cone (cone_picks_oracle) and each chord clipped (chord_oracle)."""
+    kmins = {}
+    for (p, q), v, a in opposite_pairs_oracle(P):
+        J, picks = cone_picks_oracle(v, p, q, a)
+        for j, (x, y) in picks:
+            d = (x, y) if x > 0 or (x == 0 and y > 0) else (-x, -y)
+            line, kmin = (d, d[0] * v[1] - d[1] * v[0]), -(-j // J)
+            if line not in kmins or kmin < kmins[line][2]:
+                kmins[line] = (v, d, kmin)
+    halfplanes = P.halfplanes()
+    return tuple(
+        ProfileRecord(v, d, kmin, chord_oracle(halfplanes, v, d))
+        for v, d, kmin in kmins.values()
+    )
+
+
 def unwindowed_counts(P: Polygon2, u: Direction) -> dict[int, int]:
     """Lattice count of every level of direction u across P, walked level by
     level from the lowest vertex level to the highest (the sweep before the
@@ -355,8 +454,8 @@ def clip_line_oracle(P: Polygon2, line: LatticeLine) -> ClippedSegment | None:
     if lo > hi:
         return None
     return ClippedSegment(
-        a=line.rational_point_at(lo),
-        b=line.rational_point_at(hi),
+        a=tuple(Fraction(x) + lo * c for x, c in zip(line.base, line.dir.vec)),
+        b=tuple(Fraction(x) + hi * c for x, c in zip(line.base, line.dir.vec)),
         line=line,
         t1=lo,
         t2=hi,

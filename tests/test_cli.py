@@ -84,6 +84,19 @@ class TestDiam2d:
             "verify: MISMATCH oracle ldiam=4 directions=1 segments=3 lines=2\n"
         )
 
+    @pytest.mark.parametrize("svg", [False, True], ids=["plain", "svg"])
+    def test_verify_over_budget_prints_nothing(self, svg, tmp_path, capsys):
+        # 50,521 points: the oracle scan is over the default budget, so the
+        # run is refused before the report is printed or the picture written
+        path = write_doc(tmp_path, document_for_polygon(QUAD.dilate(60)))
+        svg_path = tmp_path / "out.svg"
+        argv = ["diam2d", path, "--verify"] + (["--svg", str(svg_path)] if svg else [])
+        assert cli.run(argv) == 6
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "over the budget" in captured.err
+        assert not svg_path.exists()
+
     def test_svg_does_not_change_stdout(self, quad_file, tmp_path, capsys):
         assert cli.run(["diam2d", quad_file]) == 0
         plain = capsys.readouterr().out

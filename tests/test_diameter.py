@@ -9,13 +9,16 @@ from helpers import (
     QUAD,
     SQUARE,
     TRIANGLE,
+    cone_picks_oracle,
     convex_hull,
+    opposite_pairs_oracle,
+    profile_records_oracle,
     random_polygon,
     unwindowed_counts,
     walk_local_lines,
     wide_polygons,
 )
-from latticediam import core, diameter
+from latticediam import core, diameter, lines
 from latticediam import (
     Direction,
     LatticeLine,
@@ -31,6 +34,7 @@ from latticediam import (
     opposite_pairs,
     u_diameter_line,
 )
+from latticediam.diameter import dilation_profile
 
 T19 = Polygon2(((0, 0), (18, 1), (-1, 19)))
 
@@ -155,13 +159,107 @@ class TestLocalDiameterLines:
         assert len(walked) >= 80 and max(walked) > 2 * 10**5
 
 
+def big_polygons(n: int, rng: random.Random):
+    """Hulls of 3 to 10 random points in boxes of side 10^1 to 10^18."""
+    out = []
+    while len(out) < n:
+        reach = 10 ** rng.randint(1, 18)
+        verts = convex_hull(
+            [(rng.randint(-reach, reach), rng.randint(-reach, reach))
+             for _ in range(rng.randint(3, 10))]
+        )
+        if verts is not None:
+            out.append(Polygon2(verts))
+    return out
+
+
+def symmetric_polygons(n: int, rng: random.Random):
+    """Centrally symmetric hulls, up to 10^18 wide: every edge has a parallel
+    edge, so every edge has two opposite vertices."""
+    out = []
+    while len(out) < n:
+        reach = 10 ** rng.randint(0, 18)
+        half = [(rng.randint(-reach, reach), rng.randint(-reach, reach))
+                for _ in range(rng.randint(2, 5))]
+        cx, cy = rng.randint(-reach, reach), rng.randint(-reach, reach)
+        verts = convex_hull([(cx + x, cy + y) for x, y in half]
+                            + [(cx - x, cy - y) for x, y in half])
+        if verts is not None:
+            out.append(Polygon2(verts))
+    return out
+
+
+def random_triangles(n: int, rng: random.Random, top: int = 18):
+    """Triangles with vertices in boxes of side 10^0 to 10^top, some of them
+    sheared thin by (x, y) -> (x + t y, y)."""
+    out = []
+    while len(out) < n:
+        reach = 10 ** rng.randint(0, top)
+        pts = [(rng.randint(-reach, reach), rng.randint(-reach, reach)) for _ in range(3)]
+        if rng.random() < 0.3:
+            t = rng.randint(-(10**9), 10**9)
+            pts = [(x + t * y, y) for x, y in pts]
+        verts = convex_hull(pts)
+        if verts is not None:
+            out.append(Polygon2(verts))
+    return out
+
+
+class TestOneDescentScan:
+    """The scan with one descent per cone, its antipodal pointer and its
+    chords read from the levels, against the scan it replaced."""
+
+    @pytest.fixture(scope="class")
+    def polygons(self):
+        rng = random.Random(20261019)
+        return (
+            big_polygons(1200, rng)
+            + sheared_thin_polygons(300)
+            + symmetric_polygons(600, rng)
+            + random_triangles(900, rng)
+            + wide_polygons(200)
+        )
+
+    def test_opposite_pairs_match_the_vertex_scan(self, polygons):
+        two = 0
+        for P in polygons:
+            got = [(pair.edge, pair.vertex, pair.normal) for pair in opposite_pairs(P)]
+            want = opposite_pairs_oracle(P)
+            assert got == want, P
+            two += len(want) - len(P)
+        assert two > 2000
+
+    def test_picks_match_the_five_descent_oracle(self, polygons):
+        cones = [
+            (v, p, q, a)
+            for P in polygons
+            for (p, q), v, a in opposite_pairs_oracle(P)
+        ]
+        # top up with small triangles, whose descents are short
+        for P in random_triangles((10**5 - len(cones)) // 3 + 1, random.Random(1019), 3):
+            cones += [(v, p, q, a) for (p, q), v, a in opposite_pairs_oracle(P)]
+        assert len(cones) >= 10**5
+        for cone in cones:
+            assert diameter._cone_picks(*cone) == cone_picks_oracle(*cone), cone
+
+    def test_records_match_the_clipping_oracle(self, polygons):
+        for P in polygons:
+            assert dilation_profile(P).records == profile_records_oracle(P), P
+
+    def test_records_of_the_skew_triangles(self):
+        for e in range(2, 31):
+            s = 10**e
+            P = Polygon2(((0, 0), (s, 1), (3 * s + 1, 7)))
+            assert dilation_profile(P).records == profile_records_oracle(P), s
+
+
 class TestLocalScanWork:
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
-        """Calls of the clipping loop (core.line_bounds, wherever it is looked
-        up) and of the diameter module's level_interval, by name."""
+        """Calls of the clipping loop (line_bounds, wherever it is looked up),
+        of the diameter module's level_interval and of its descent, by name."""
         calls = Counter()
-        bounds, kernel = core.line_bounds, diameter.level_interval
+        bounds, kernel, descend = core.line_bounds, diameter.level_interval, diameter._descend
 
         def counted_bounds(*args):
             calls["line_bounds"] += 1
@@ -171,32 +269,47 @@ class TestLocalScanWork:
             calls["level_interval"] += 1
             return kernel(*args)
 
-        monkeypatch.setattr(core, "line_bounds", counted_bounds)
-        monkeypatch.setattr(diameter, "line_bounds", counted_bounds)
+        def counted_descend(*args):
+            calls["descend"] += 1
+            return descend(*args)
+
+        for module in (core, lines, diameter):
+            monkeypatch.setattr(module, "line_bounds", counted_bounds)
         monkeypatch.setattr(diameter, "level_interval", counted_kernel)
+        monkeypatch.setattr(diameter, "_descend", counted_descend)
         return calls
 
     def test_local_scan_calls_no_kernel(self, kernel_calls):
+        cones = 0
         for P in wide_polygons(20) + sheared_thin_polygons(20):
             for pair in opposite_pairs(P):
                 local_diameter_lines(pair.edge, pair.vertex, pair.normal)
-        assert kernel_calls == {}
+                cones += 1
+        assert kernel_calls == {"descend": cones}
+
+    def test_profile_takes_one_descent_per_cone_and_no_clip(self, kernel_calls):
+        rng = random.Random(16)
+        polygons = (wide_polygons(40) + sheared_thin_polygons(20)
+                    + symmetric_polygons(40, rng) + random_triangles(40, rng))
+        for P in polygons:
+            kernel_calls.clear()
+            dilation_profile(P)
+            assert kernel_calls == {"descend": len(opposite_pairs(P))}, P
 
     @pytest.mark.parametrize(
         "s, ldiam",
         [(10**2, 57), (10**4, 5714), (10**5, 57142), (10**8, 57142857),
-         (10**12, 571428571428)],
+         (10**12, 571428571428), (10**30, 571428571428571428571428571428)],
     )
     def test_skew_triangle_work_does_not_grow(self, s, ldiam, kernel_calls):
         report = compute_diameter(Polygon2(((0, 0), (s, 1), (3 * s + 1, 7))))
         assert report.ldiam == ldiam
         assert len(report.lines) == 1
-        # one level_interval call, for the one level of the chord window, and
-        # one line_bounds call per distinct candidate line (its chord read),
-        # under that call and for the representative segment; when 7 divides
-        # 3s + 1 the long edge's line is a candidate from both ends
-        records = 7 if (3 * s + 1) % 7 == 0 else 8
-        assert kernel_calls == {"level_interval": 1, "line_bounds": records + 2}
+        # one descent per (edge, opposite vertex) cone; one level_interval
+        # call, for the one level of the chord window; and two line_bounds
+        # calls, under that call and for the representative segment: the
+        # chords of the candidate lines come from the levels, with no clip
+        assert kernel_calls == {"descend": 3, "level_interval": 1, "line_bounds": 2}
 
 
 class TestComputeDiameter:
