@@ -1,6 +1,6 @@
 """Scaling ladders of the dilation counts, written as one JSON file.
 
-    PYTHONPATH=src python scripts/bench_dilation.py --out BENCH_16.json \
+    PYTHONPATH=src python scripts/bench_dilation.py --out BENCH_17.json \
         [--baseline OTHER_CHECKOUT/src]
 
 Rows:
@@ -14,21 +14,28 @@ Rows:
 - fit_quasipolynomial on T_m = conv{(0,0),(m-1,1),(-1,m)} for m = 19, 61,
   113 and 229: period, valid_from and the best time;
 - chamber_decomposition(*demo_chamber()): q, w and the best time;
-- profile_ladder: dilation_profile(P) and compute_diameter(P), the best
-  time of each, on the parabola polygons conv{(i, i^2) : 0 <= i < n} for
-  n = 8 .. 512 and on the skew triangles conv{(0,0),(s,1),(3s+1,7)} for
-  s = 10^2 .. 10^30, with the records, ldiam and line count of each. With
-  --baseline, the same rows are timed on the package found in that
-  directory, in a child interpreter that imports this script, and each
-  row holds them under "baseline";
+- profile_ladder: dilation_profile(P), compute_diameter(P) and
+  fit_quasipolynomial(P), the best time of each, and the best time of one
+  _level_pieces call in the first diameter direction of P, on the parabola
+  polygons conv{(i, i^2) : 0 <= i < n} for n = 8 .. 512, on the lattice
+  "circles" (one edge per primitive vector (a, b) with |a|, |b| <= m, in
+  angle order) for m = 3 .. 11, n = 32 .. 336, and on the skew triangles
+  conv{(0,0),(s,1),(3s+1,7)} for s = 10^2 .. 10^30, with the records,
+  ldiam, line count and fitted period of each. With --baseline, the same
+  rows are timed on the package found in that directory, in a child
+  interpreter that imports this script, and each row holds them under
+  "baseline";
 - the import time of latticediam in a fresh interpreter, apart from the
   compute rows (interpreter start-up excluded), timed by bench_cli's
   import_seconds: every fresh interpreter reads its bytecode from one
   temporary PYTHONPYCACHEPREFIX directory, warmed by an import first, so
   the row never times the compiler.
 
-Times are the best of REPEAT runs of a single call, in this process, after
-one warm-up call.
+Times are the best of at least REPEAT runs of a single call, and of as
+many more as fit in MIN_SECONDS, in this process, after one warm-up call.
+The profile ladder is timed in LADDER_ROUNDS rounds, alternating this
+package and the baseline, and keeps the best of each time over the rounds,
+so a slow spell of a shared host weighs on both sides alike.
 """
 
 from __future__ import annotations
@@ -42,6 +49,8 @@ import sys
 import tempfile
 import time
 from collections import Counter
+from functools import cmp_to_key
+from math import gcd
 
 from latticediam import (
     Polygon2,
@@ -51,7 +60,7 @@ from latticediam import (
     diameter,
     fit_quasipolynomial,
 )
-from latticediam.diameter import dilation_profile
+from latticediam.diameter import _level_pieces, dilation_profile
 
 # scripts/ is this script's directory, so it leads sys.path
 from bench_cli import child_env, fresh_python, import_seconds
@@ -60,7 +69,10 @@ QUAD = Polygon2(((0, 0), (5, 1), (6, 4), (1, 3)))
 SQUARE = Polygon2(((0, 0), (2, 0), (2, 2), (0, 2)))
 KERNELS = ("floor_sum", "level_interval")
 REPEAT = 5
+MIN_SECONDS = 0.05
+LADDER_ROUNDS = 3
 PARABOLA_SIZES = (8, 16, 32, 64, 128, 256, 512)
+CIRCLE_RADII = (3, 4, 5, 7, 9, 11)
 SKEW_EXPONENTS = (2, 4, 6, 9, 12, 18, 24, 30)
 SCRIPTS = os.path.dirname(os.path.abspath(__file__))
 # Run in a child interpreter whose path leads to another package.
@@ -69,11 +81,12 @@ LADDER_CHILD = "import json, bench_dilation; print(json.dumps(bench_dilation.pro
 
 def best_time(fn, repeat: int) -> float:
     fn()
-    best = float("inf")
-    for _ in range(repeat):
+    best, runs, spent = float("inf"), 0, 0.0
+    while runs < repeat or spent < MIN_SECONDS:
         start = time.perf_counter()
         fn()
-        best = min(best, time.perf_counter() - start)
+        elapsed = time.perf_counter() - start
+        best, runs, spent = min(best, elapsed), runs + 1, spent + elapsed
     return best
 
 
@@ -81,12 +94,13 @@ def best_count_time(P: Polygon2, k: int, repeat: int) -> float:
     """The best time of DilationProfile.count(k) alone, each call on a fresh
     profile of P built before the timer starts."""
     dilation_profile(P).count(k)
-    best = float("inf")
-    for _ in range(repeat):
+    best, runs, spent = float("inf"), 0, 0.0
+    while runs < repeat or spent < MIN_SECONDS:
         profile = dilation_profile(P)
         start = time.perf_counter()
         profile.count(k)
-        best = min(best, time.perf_counter() - start)
+        elapsed = time.perf_counter() - start
+        best, runs, spent = min(best, elapsed), runs + 1, spent + elapsed
     return best
 
 
@@ -112,10 +126,27 @@ def kernel_calls(fn) -> dict[str, int]:
     return {name: calls[name] for name in KERNELS}
 
 
+def lattice_circle(m: int) -> Polygon2:
+    """One edge per primitive vector (a, b) with |a|, |b| <= m, the vectors
+    in counter-clockwise order from (1, 0) and summed from the origin."""
+    vectors = [(a, b) for a in range(-m, m + 1) for b in range(-m, m + 1) if gcd(a, b) == 1]
+    turn = cmp_to_key(lambda v, w: w[0] * v[1] - v[0] * w[1])
+    upper = sorted((v for v in vectors if v[1] > 0 or (v[1] == 0 and v[0] > 0)), key=turn)
+    lower = sorted((v for v in vectors if v[1] < 0 or (v[1] == 0 and v[0] < 0)), key=turn)
+    x = y = 0
+    vertices = []
+    for a, b in upper + lower:
+        vertices.append((x, y))
+        x, y = x + a, y + b
+    return Polygon2(vertices)
+
+
 def ladder_polygons():
     """(row label, polygon) for each rung of the profile ladder."""
     for n in PARABOLA_SIZES:
         yield {"polygon": "parabola", "n": n}, Polygon2([(i, i * i) for i in range(n)])
+    for m in CIRCLE_RADII:
+        yield {"polygon": "circle", "m": m}, lattice_circle(m)
     for e in SKEW_EXPONENTS:
         s = 10**e
         yield {"polygon": "skew", "s": f"1e{e}"}, Polygon2(((0, 0), (s, 1), (3 * s + 1, 7)))
@@ -125,16 +156,41 @@ def profile_ladder() -> list[dict]:
     rows = []
     for row, P in ladder_polygons():
         report = compute_diameter(P)
+        profile = dilation_profile(P)
+        vertices, halfplanes, u = P.vertices, P.halfplanes(), profile.best(1)[1][0]
         row.update({
             "vertices": len(P),
-            "records": len(dilation_profile(P).records),
+            "records": len(profile.records),
             "ldiam": report.ldiam,
             "lines": len(report.lines),
+            "period": fit_quasipolynomial(P).period,
             "dilation_profile_s": best_time(lambda: dilation_profile(P), REPEAT),
             "compute_diameter_s": best_time(lambda: compute_diameter(P), REPEAT),
+            "fit_quasipolynomial_s": best_time(lambda: fit_quasipolynomial(P), REPEAT),
+            "level_pieces_s": best_time(lambda: _level_pieces(vertices, halfplanes, u), REPEAT),
         })
         rows.append(row)
     return rows
+
+
+def baseline_ladder(src: str) -> list[dict]:
+    """profile_ladder() of the package in the directory src, timed in a
+    child interpreter."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((os.path.abspath(src), SCRIPTS))}
+    return json.loads(subprocess.run(
+        [sys.executable, "-c", LADDER_CHILD], check=True, capture_output=True,
+        text=True, env=env,
+    ).stdout)
+
+
+def best_of(row: dict, other: dict) -> dict:
+    """row with each time (a key ending in _s, also under "baseline") the
+    smaller of its value in row and in other, the same rung timed again."""
+    out = {key: min(value, other[key]) if key.endswith("_s") else value
+           for key, value in row.items()}
+    if "baseline" in row:
+        out["baseline"] = best_of(row["baseline"], other["baseline"])
+    return out
 
 
 def main() -> None:
@@ -144,17 +200,14 @@ def main() -> None:
                         help="a directory holding another latticediam package to time alongside")
     args = parser.parse_args()
 
-    ladder = profile_ladder()
-    if args.baseline:
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join((os.path.abspath(args.baseline), SCRIPTS))}
-        baseline = json.loads(subprocess.run(
-            [sys.executable, "-c", LADDER_CHILD], check=True, capture_output=True,
-            text=True, env=env,
-        ).stdout)
-        for row, other in zip(ladder, baseline):
-            row["baseline"] = {key: value for key, value in other.items()
-                               if key not in ("polygon", "n", "s")}
+    ladder: list[dict] = []
+    for _ in range(LADDER_ROUNDS):
+        rows = profile_ladder()
+        if args.baseline:
+            for row, other in zip(rows, baseline_ladder(args.baseline)):
+                row["baseline"] = {key: value for key, value in other.items()
+                                   if key not in ("polygon", "n", "m", "s")}
+        ladder = rows if not ladder else [best_of(*pair) for pair in zip(ladder, rows)]
 
     profiles = []
     counts = []

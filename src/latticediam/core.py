@@ -262,20 +262,22 @@ def floor_sum(n: int, m: int, a: int, b: int) -> int:
 
     Euclid-like: reduce a and b mod m, then the sum counts the lattice points
     under a line, which is counted again with the roles of a and m swapped.
-    O(log m) integer steps, whatever the size of n.
+    O(log m) integer steps, whatever the size of n. A sum of one term is
+    floor(b / m), whatever a, so the loop stops when one term is left: a
+    one-level chord window of the dilate counts costs one division.
     """
     total = 0
-    while n > 0:
+    while n > 1:
         q, a = divmod(a, m)
         total += q * (n * (n - 1) // 2)
         q, b = divmod(b, m)
         total += q * n
         top = a * n + b
         if top < m:
-            break
+            return total
         n, b = divmod(top, m)
         m, a = a, m
-    return total
+    return total + b // m if n == 1 else total
 
 
 class PointSet(Frozen):

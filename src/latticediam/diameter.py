@@ -19,30 +19,37 @@ dilation_profile runs the scan once and records each candidate line with
 its kmin and its chord c = num/den through P, read from the levels: the
 line of a pick at level j leaves P through the edge at level J, so c = J/j.
 Through a vertex of kP the line holds floor(k num / den) + 1 points. So the
-best count and the diameter directions of kP are a max over the longest
-chord of each direction, tabled once per kmin threshold, and
-compute_diameter reads those of P at k = 1.
+best count and the diameter directions of kP are a max over the records:
+compute_diameter takes those of P in one pass over them, and the dilate
+counts read a table of the longest chord of each direction, built once per
+kmin threshold.
 
 Per diameter direction, the vertex levels split the level range into
 pieces on which the upper and lower bounds U and L of the chord are single
-linear functions of the level. Only the levels of a piece's best - 1 chord
-window can hold the best count, and every one of them holds best - 1 or
-best points. compute_diameter sweeps those windows, one kernel call per
-level, to list the diameter lines (some pass through no vertex at all). The
-dilates count them in closed form instead: over a piece, the count is
-sum floor(U) - sum ceil(L) + (2 - best) |piece|, two Euclid-like floor sums,
-so the cost does not grow with k. The chord window of a piece at any k
-comes from three clip constants that do not depend on k, kept with the
-piece, through one routine (_chord_clip) for the sweep and the counts.
-All of it is integer arithmetic, and every clip of a line goes through
-core.line_bounds; the profile itself clips no line.
+linear functions of the level; both arcs of the boundary are monotone in
+level, so one merge of them gives the pieces in O(n). Only the levels of a
+piece's best - 1 chord window can hold the best count, and every one of
+them holds best - 1 or best points. compute_diameter sweeps those windows,
+one kernel call per level, to list the diameter lines (some pass through no
+vertex at all). The dilates count them in closed form instead: over a
+piece, the count is sum floor(U) - sum ceil(L) + (2 - best) |piece|, two
+Euclid-like floor sums, so the cost does not grow with k. The chord window
+of a piece at any k comes from three clip constants that do not depend on
+k, kept in the piece's flat row, through one routine (_chord_clip) for the
+sweep and the counts. The chord is concave across the levels and bends only
+at piece ends, so the longest chord of a direction, the fit's period and
+u_diameter_line's best count, is read from the rows too, in O(n). All of
+it is integer arithmetic, and this module clips no line itself: the
+sweep's level_interval and the representative segments' clip_line go
+through core.line_bounds.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import cmp_to_key
 from math import gcd
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (
     Direction,
@@ -51,7 +58,6 @@ from .core import (
     as_point,
     floor_sum,
     level_interval,
-    line_bounds,
 )
 from .errors import ValidationError
 from .frozen import Frozen
@@ -359,28 +365,31 @@ def _polygon_picks(P: Polygon2) -> Iterator[tuple[Point, Point, int, int]]:
                 yield v, d, j, J
 
 
-Side = tuple[int, int, int]  # (t, e, c) of a halfplane across the levels of u
-# (lo, hi, closed, A, ti * tj, ti * cj - tj * ci, upper, lower): see _level_pieces
-Piece = tuple[int, int, bool, int, int, int, Side, Side]
+# (lo, hi, cut, A, ti * tj, ti * cj - tj * ci, ti, -ei, ci, -tj, -ej, cj): see _level_pieces
+Piece = tuple[int, int, int, int, int, int, int, int, int, int, int, int]
 
 
 def _chord_clip(piece: Piece, k: int, min_chord: int) -> tuple[int, int]:
     """The levels of the piece of kP where its chord is at least min_chord;
     an empty range has lo > hi.
 
-    The piece's k-free constants (_level_pieces) give the chord inequality
-    A*beta <= B with B = min_chord * ti * tj + k * (ti * cj - tj * ci), since
-    scaling P by k scales the halfplane constants ci and cj by k; it is
-    solved with floor divisions.
+    The piece of kP runs from level k * lo to k * hi - cut. Its k-free
+    constants (_level_pieces) give the chord inequality A*beta <= B with
+    B = min_chord * ti * tj + k * (ti * cj - tj * ci), since scaling P by k
+    scales the halfplane constants ci and cj by k; it is solved with floor
+    divisions. This is the one copy of the clip: the sweep reads it at k = 1
+    and the dilate counts at every k.
     """
-    lo, hi, closed, A, titj, C, _, _ = piece
-    lo, hi = k * lo, k * hi if closed else k * hi - 1
+    lo, hi, cut, A, titj, C, _, _, _, _, _, _ = piece
+    first, last = k * lo, k * hi - cut
     B = min_chord * titj + k * C
     if A > 0:
-        return lo, min(hi, B // A)  # beta <= floor(B / A)
+        x = B // A  # beta <= floor(B / A)
+        return first, x if x < last else last
     if A < 0:
-        return max(lo, -(B // -A)), hi  # beta >= ceil(B / A)
-    return (lo, hi) if B >= 0 else (lo, lo - 1)
+        x = -(B // -A)  # beta >= ceil(B / A)
+        return x if x > first else first, last
+    return (first, last) if B >= 0 else (first, first - 1)
 
 
 class ProfileRecord(NamedTuple):
@@ -401,18 +410,21 @@ def _level_pieces(
     vertices: tuple[Point, ...], halfplanes: list[tuple[Point, int]], u: Point
 ) -> tuple[Point, list[Piece]]:
     """The level anchor of u, and the vertex level range of the polygon in
-    direction u split at the vertex levels: per piece
-    (lo, hi, closed, A, ti * tj, ti * cj - tj * ci, upper, lower), on which
-    U and L are the single linear functions of the sides upper = (ti, ei, ci)
-    and lower = (tj, ej, cj).
+    direction u split at the vertex levels: per piece the flat row
+    (lo, hi, cut, A, ti * tj, ti * cj - tj * ci, ti, -ei, ci, -tj, -ej, cj),
+    on which U and L are the single linear functions of the upper side
+    (ti, ei, ci) and the lower side (tj, ej, cj).
 
     The side of the halfplane (n, c) is (t, e, c) with t = <n, u> and
     e = <n, anchor>. Along its edge the level grows by t, so the edges with
     t > 0 bound the chord from above and rise, and those with t < 0 bound it
-    from below and fall. The pieces are the overlaps of the level ranges of
-    an upper and a lower edge, in increasing level; each is half-open
-    [lo, hi), except the topmost, which is closed. Edges parallel to u bound
-    no level range and are skipped.
+    from below and fall; edges parallel to u bound no level range. From a
+    vertex of least level, the boundary climbs the upper edges to the top
+    level and comes down the lower ones, so both arcs are sorted by level,
+    and one merge of the two gives the pieces, the overlaps of the level
+    ranges of an upper and a lower edge, in increasing level: O(n). Each
+    piece is half-open, [lo, hi) with cut = 1, except the topmost, which is
+    closed, cut = 0.
 
     On the line anchor*beta + k*u, the halfplane (n, c) bounds k by
     (c - beta*e) / t: from above when t > 0, from below when t < 0. The chord
@@ -420,59 +432,68 @@ def _level_pieces(
     A*beta <= m * ti * tj + ti * cj - tj * ci with A = ti * ej - tj * ei,
     cleared of the positive denominator ti * |tj|. The three constants do
     not depend on m or on the dilation factor, so they are kept with the
-    piece (_chord_clip).
+    piece (_chord_clip), and so are the sides, signed as the floor sums of
+    the counts read them (DilationProfile._count).
     """
-    a = (-u[1], u[0])
-    anchor, _ = level_anchor(a)
-    levels = [a[0] * x + a[1] * y for x, y in vertices]
-    upper, lower = [], []
-    # edge i runs from vertex i to vertex i + 1
-    for ((nx, ny), c), start, end in zip(halfplanes, levels, levels[1:] + levels[:1]):
-        t = nx * u[0] + ny * u[1]
-        side = (t, nx * anchor[0] + ny * anchor[1], c)
+    ux, uy = u
+    anchor, _ = level_anchor((-uy, ux))
+    sx, sy = anchor
+    levels = [ux * y - uy * x for x, y in vertices]
+    low, top = min(levels), max(levels)
+    start = levels.index(low)
+    upper, lower = [], []  # (the level at the top of the edge, t, e, c)
+    # edge i runs from vertex i to vertex i + 1; negative indices wrap
+    for i in range(start - len(levels), start):
+        (nx, ny), c = halfplanes[i]
+        t = nx * ux + ny * uy
         if t > 0:
-            upper.append((start, end, side))
+            upper.append((levels[i + 1], t, nx * sx + ny * sy, c))
         elif t < 0:
-            lower.append((end, start, side))
-    top = max(levels)
+            lower.append((levels[i], t, nx * sx + ny * sy, c))
+    lower.reverse()
     pieces = []
-    for lo_u, hi_u, up in upper:
-        for lo_l, hi_l, low in lower:
-            lo, hi = max(lo_u, lo_l), min(hi_u, hi_l)
-            if lo < hi:
-                ti, ei, ci = up
-                tj, ej, cj = low
-                pieces.append((
-                    lo, hi, hi == top,
-                    ti * ej - tj * ei, ti * tj, ti * cj - tj * ci, up, low,
-                ))
-    pieces.sort()
-    return anchor, pieces
+    i = j = 0
+    lo = low
+    hi_u, ti, ei, ci = upper[0]
+    hi_l, tj, ej, cj = lower[0]
+    while True:
+        hi = hi_u if hi_u < hi_l else hi_l
+        pieces.append((
+            lo, hi, 0 if hi == top else 1, ti * ej - tj * ei, ti * tj,
+            ti * cj - tj * ci, ti, -ei, ci, -tj, -ej, cj,
+        ))
+        if hi == top:
+            return anchor, pieces
+        if hi_u == hi:
+            i += 1
+            hi_u, ti, ei, ci = upper[i]
+        if hi_l == hi:
+            j += 1
+            hi_l, tj, ej, cj = lower[j]
+        lo = hi
 
 
-def _diameter_level_count(pieces: list[Piece], k: int, best: int) -> int:
-    """The number of levels of kP in the direction of `pieces` that hold
-    best lattice points, where best is the largest count in that direction.
+def _longest_vertex_chord(piece_lists: Iterable[list[Piece]]) -> tuple[int, int]:
+    """The longest chord num/den, in lowest terms and in units of its
+    direction, over the directions of the piece lists (_level_pieces).
 
-    Scaling P by k scales every level and every halfplane constant c by k.
-    Inside the best - 1 chord window every level holds best - 1 or best
-    points (the floor/+1 sandwich), and outside it at most best - 1. A level
-    holds floor(U) + floor(-L) + 1 points, so the count over a window piece
-    of n levels is sum floor(U) + sum floor(-L) + (2 - best) n, two floor
-    sums. O(n^2 log) integer steps, whatever the size of k.
+    On a piece the chord is (C - A*beta) / -(ti * tj), with
+    C = ti * cj - tj * ci, so across the levels of one direction it is
+    concave and bends only at vertex levels, and every vertex level is the
+    end of a piece: the longest chord is the longest at a piece end, at lo
+    when A >= 0 and at hi when A < 0, compared by cross-multiplication and
+    reduced once. A vertex sits on that level and is an end of its chord, so
+    the line through it holds floor(num/den) + 1 lattice points. O(n) per
+    direction.
     """
-    total = 0
-    for piece in pieces:
-        first, last = _chord_clip(piece, k, best - 1)
-        n = last - first + 1
-        if n > 0:
-            _, _, _, _, _, _, (ti, ei, ci), (tj, ej, cj) = piece
-            total += (
-                floor_sum(n, ti, -ei, k * ci - first * ei)
-                + floor_sum(n, -tj, -ej, k * cj - first * ej)
-                + (2 - best) * n
-            )
-    return total
+    num, den = 0, 1
+    for pieces in piece_lists:
+        for lo, hi, _, A, titj, C, _, _, _, _, _, _ in pieces:
+            n = C - A * (lo if A >= 0 else hi)
+            if n * den > -num * titj:
+                num, den = n, -titj
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def _direction_sweep(
@@ -499,17 +520,20 @@ def _direction_sweep(
                 yield x0
 
 
+# longest chord first: (n1, d1) sorts before (n2, d2) when n1 * d2 > n2 * d1
+_chord_order = cmp_to_key(lambda x, y: y[0] * x[1] - x[0] * y[1])
+
+
 class DilationProfile:
     """The candidate lines of all dilates kP from one local scan of P.
 
     The triangle of kP is the slope cone of P's triangle cut at level kJ, so
-    the candidates of kP are the records with kmin <= k. Of the records of
-    one direction, the longest chord holds the most points at every k, so
-    best(k) and the diameter directions of kP are a max over one longest
-    chord per direction, tabled once for each kmin threshold; count(k) sums
-    the closed-form level count of each direction. Everything that does not
-    depend on k (the tables and the level pieces of each direction) is
-    computed once, when first needed, and so is each count.
+    the candidates of kP are the records with kmin <= k, and best(k) reads
+    them in one pass. Of the records of one direction, the longest chord
+    holds the most points at every k, so count(k) reads a flat table of one
+    longest chord per direction, built once for each kmin threshold, and
+    sums the closed-form level count of each diameter direction over its
+    level pieces, built once per direction. Each count is kept.
     """
 
     def __init__(
@@ -521,41 +545,27 @@ class DilationProfile:
         self.polygon = P
         self.halfplanes = halfplanes
         self.records = records
-        self._kmins = sorted({kmin for _, _, kmin, _ in records})
-        self._chords: dict[int, dict[Point, tuple[int, int]]] = {}
+        self._kmins: list[int] | None = None
+        self._tables: dict[int, list[tuple[int, int, Point]]] = {}
         self._pieces: dict[Point, tuple[Point, list[Piece]]] = {}
         self._counts: dict[int, int] = {}
 
-    def _longest_chords(self, kmin: int) -> dict[Point, tuple[int, int]]:
-        """The longest chord (num, den) of each direction over the records
-        with kmin at most kmin; chords are compared by cross-multiplication."""
-        table = self._chords.get(kmin)
-        if table is None:
-            table = self._chords[kmin] = {}
-            for _, d, record_kmin, chord in self.records:
-                if record_kmin <= kmin:
-                    old = table.get(d)
-                    if old is None or chord[0] * old[1] > old[0] * chord[1]:
-                        table[d] = chord
-        return table
-
     def best(self, k: int) -> tuple[int, list[Point]]:
         """The best lattice count of a line through kP, and the sorted
-        primitive vectors of the directions attaining it."""
+        primitive vectors of the directions attaining it: one pass over the
+        records with kmin <= k."""
         if not isinstance(k, int) or k < 1:
             raise ValidationError("dilation factor must be a positive int")
-        i = bisect_right(self._kmins, k)
         best = 0
-        directions: list[Point] = []
-        if i:
-            for d, (num, den) in self._longest_chords(self._kmins[i - 1]).items():
+        directions: set[Point] = set()
+        for _, d, kmin, (num, den) in self.records:
+            if kmin <= k:
                 count = k * num // den + 1
                 if count > best:
-                    best, directions = count, [d]
+                    best, directions = count, {d}
                 elif count == best:
-                    directions.append(d)
-            directions.sort()
-        return best, directions
+                    directions.add(d)
+        return best, sorted(directions)
 
     def pieces(self, u: Point) -> tuple[Point, list[Piece]]:
         """The level anchor of u and the level pieces of P in direction u
@@ -567,49 +577,76 @@ class DilationProfile:
             )
         return levels
 
+    def _table(self, k: int) -> list[tuple[int, int, Point]]:
+        """(num, den, direction) of the longest chord of each direction over
+        the records with kmin <= k, longest first, chords compared by
+        cross-multiplication; built once for each kmin threshold, the
+        largest kmin <= k."""
+        kmins = self._kmins
+        if kmins is None:
+            kmins = self._kmins = sorted({kmin for _, _, kmin, _ in self.records})
+        i = bisect_right(kmins, k)
+        if not i:
+            return []
+        threshold = kmins[i - 1]
+        table = self._tables.get(threshold)
+        if table is None:
+            longest: dict[Point, tuple[int, int]] = {}
+            for _, d, kmin, chord in self.records:
+                if kmin <= threshold:
+                    old = longest.get(d)
+                    if old is None or chord[0] * old[1] > old[0] * chord[1]:
+                        longest[d] = chord
+            table = self._tables[threshold] = sorted(
+                ((num, den, d) for d, (num, den) in longest.items()),
+                key=_chord_order,
+            )
+        return table
+
     def count(self, k: int) -> int:
         """The number of lattice diameter lines of kP, counted once per k."""
         count = self._counts.get(k) if isinstance(k, int) else None
         if count is None:
-            best, directions = self.best(k)
-            count = 0
-            for u in directions:
-                count += _diameter_level_count(self.pieces(u)[1], k, best)
-            self._counts[k] = count
+            if not isinstance(k, int) or k < 1:
+                raise ValidationError("dilation factor must be a positive int")
+            count = self._counts[k] = self._count(k)
         return count
 
+    def _count(self, k: int) -> int:
+        """The count kernel: one pass over the table for the chord window m
+        = best - 1 of kP and its diameter directions, then over the pieces
+        of each of them.
 
-def _chord(halfplanes: list[tuple[Point, int]], v: Point, d: Point) -> tuple[int, int]:
-    """The length num/den, in lowest terms and in units of d, of the chord
-    through the polygon of the line v + t*d, for v in the polygon.
-
-    The ends come from line_bounds, the one clipping loop, as fractions
-    with positive denominators, so no Fraction is built. Only the lines
-    through the vertices in given directions read it (_longest_vertex_chord,
-    for the fit's period and u_diameter_line); the profile's candidate lines
-    take their chords from the levels of their cones (dilation_profile).
-    """
-    ls, lt, hs, ht = line_bounds(halfplanes, v, d)
-    num, den = hs * lt - ls * ht, ht * lt
-    g = gcd(num, den)
-    return num // g, den // g
-
-
-def _longest_vertex_chord(
-    halfplanes: list[tuple[Point, int]],
-    vertices: Sequence[Point],
-    directions: Sequence[Point],
-) -> tuple[int, int]:
-    """The longest chord num/den (_chord) of the lines through the vertices
-    in the directions. A vertex is an end of its chord, so its line holds
-    floor(num/den) + 1 lattice points."""
-    num, den = 0, 1
-    for u in directions:
-        for v in vertices:
-            n, d = _chord(halfplanes, v, u)
-            if n * den > num * d:
-                num, den = n, d
-    return num, den
+        Scaling P by k scales every level and every halfplane constant c by
+        k. Inside the m chord window every level holds m or m + 1 points
+        (the floor/+1 sandwich), and outside it at most m. A level holds
+        floor(U) + floor(-L) + 1 points, so the count over a window piece of
+        n levels from first is sum floor(U) + sum floor(-L) + (1 - m) n, two
+        floor sums. There are O(n) pieces per direction, so a count costs
+        O(n log) integer steps, whatever the size of k.
+        """
+        m, directions = -1, []
+        for num, den, d in self._table(k):
+            chord = k * num // den
+            if chord < m:
+                break  # the table is longest first, so no later chord ties
+            m = chord
+            directions.append(d)
+        total = 0
+        built = self._pieces
+        for d in directions:
+            levels = built.get(d) or self.pieces(d)
+            for piece in levels[1]:
+                first, last = _chord_clip(piece, k, m)
+                n = last - first + 1
+                if n > 0:
+                    _, _, _, _, _, _, ti, nei, ci, ntj, nej, cj = piece
+                    total += (
+                        floor_sum(n, ti, nei, k * ci + first * nei)
+                        + floor_sum(n, ntj, nej, k * cj + first * nej)
+                        + (1 - m) * n
+                    )
+        return total
 
 
 def dilation_profile(P: Polygon2) -> DilationProfile:
@@ -662,15 +699,16 @@ def u_diameter_line(P: Polygon2, u: Direction | Sequence[int]) -> LatticeLine:
     linear with bends only at vertex levels, so its maximum C is reached on
     the line through some vertex, which is an endpoint of that chord. That
     line holds floor(C) + 1 lattice points and no line of direction u holds
-    more, so the best count is read from the longest vertex chord. The sweep
-    of its chord window stops at the first level holding it, so ties resolve
-    to the smallest level of the perpendicular functional.
+    more, so the best count is read from the longest chord at a piece end
+    (_longest_vertex_chord), in O(n). The sweep of its chord window stops at
+    the first level holding it, so ties resolve to the smallest level of the
+    perpendicular functional.
     """
     d = u if isinstance(u, Direction) else Direction(u)
     if d.dim != 2:
         raise ValidationError("u_diameter_line is 2-dimensional")
     halfplanes = P.halfplanes()
-    num, den = _longest_vertex_chord(halfplanes, P.vertices, (d.vec,))
-    best = num // den + 1
     levels = _level_pieces(P.vertices, halfplanes, d.vec)
+    num, den = _longest_vertex_chord((levels[1],))
+    best = num // den + 1
     return LatticeLine(next(_direction_sweep(halfplanes, levels, d.vec, best)), d)

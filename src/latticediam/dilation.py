@@ -141,8 +141,9 @@ def fit_quasipolynomial(
     if profile is None:
         profile = dilation_profile(P)
     # In a diameter direction the longest chord lies on a vertex line, and
-    # that line is itself a diameter line.
-    _, q = _longest_vertex_chord(profile.halfplanes, P.vertices, profile.best(1)[1])
+    # that line is itself a diameter line; it is read from the level pieces
+    # of those directions, which the counts below read again.
+    _, q = _longest_vertex_chord(profile.pieces(u)[1] for u in profile.best(1)[1])
     explicit = k_max is not None
     if explicit and k_max < 4 * q:
         raise FitError(

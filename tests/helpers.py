@@ -5,7 +5,8 @@ from __future__ import annotations
 import random
 
 from fractions import Fraction
-from math import gcd
+from functools import cmp_to_key
+from math import gcd, isqrt
 
 from latticediam import (
     Direction,
@@ -23,7 +24,7 @@ from latticediam import (
 from latticediam import borsuk
 from latticediam.core import line_bounds
 from latticediam.dilation import BlockDecomposition
-from latticediam.diameter import DiameterReport, ProfileRecord, _chord, dilation_profile
+from latticediam.diameter import DiameterReport, ProfileRecord, dilation_profile
 from latticediam.lines import ClippedSegment, level_anchor, level_interval
 from latticediam.svg import MARGIN, PALETTE, SCALE
 
@@ -280,6 +281,97 @@ def chord_oracle(halfplanes, v, d) -> tuple[int, int]:
     return num // g, den // g
 
 
+def longest_vertex_chord_oracle(halfplanes, vertices, directions) -> tuple[int, int]:
+    """The per-vertex clip that diameter._longest_vertex_chord replaced by a
+    read of the level pieces, kept as its oracle: the chord (chord_oracle)
+    of the line through every vertex in every direction, the longest by
+    cross-multiplication. O(n^2) per direction."""
+    num, den = 0, 1
+    for u in directions:
+        for v in vertices:
+            n, d = chord_oracle(halfplanes, v, u)
+            if n * den > num * d:
+                num, den = n, d
+    return num, den
+
+
+def level_pieces_oracle(vertices, halfplanes, u):
+    """The pairing that diameter._level_pieces replaced by a merge, kept as
+    its oracle: every upper edge against every lower edge, the overlaps of
+    their level ranges sorted by level, in _level_pieces' row form. O(n^2)
+    per direction."""
+    a = (-u[1], u[0])
+    anchor, _ = level_anchor(a)
+    levels = [a[0] * x + a[1] * y for x, y in vertices]
+    upper, lower = [], []
+    for ((nx, ny), c), start, end in zip(halfplanes, levels, levels[1:] + levels[:1]):
+        t = nx * u[0] + ny * u[1]
+        side = (t, nx * anchor[0] + ny * anchor[1], c)
+        if t > 0:
+            upper.append((start, end, side))
+        elif t < 0:
+            lower.append((end, start, side))
+    top = max(levels)
+    pieces = []
+    for lo_u, hi_u, (ti, ei, ci) in upper:
+        for lo_l, hi_l, (tj, ej, cj) in lower:
+            lo, hi = max(lo_u, lo_l), min(hi_u, hi_l)
+            if lo < hi:
+                pieces.append((
+                    lo, hi, 0 if hi == top else 1, ti * ej - tj * ei, ti * tj,
+                    ti * cj - tj * ci, ti, -ei, ci, -tj, -ej, cj,
+                ))
+    pieces.sort()
+    return anchor, pieces
+
+
+def lattice_circle(m: int) -> Polygon2:
+    """The lattice "circle" of radius m: one edge per primitive vector
+    (a, b) with |a|, |b| <= m, the vectors in counter-clockwise order from
+    (1, 0) and summed from the origin. The set is symmetric, so the edges
+    close up; m = 3 gives 32 vertices and m = 10 gives 256."""
+    def turn(v, w):  # v before w when w is counter-clockwise of v
+        return w[0] * v[1] - v[0] * w[1]
+
+    vectors = [
+        (a, b) for a in range(-m, m + 1) for b in range(-m, m + 1) if gcd(a, b) == 1
+    ]
+    upper = sorted((v for v in vectors if v[1] > 0 or (v[1] == 0 and v[0] > 0)),
+                   key=cmp_to_key(turn))
+    lower = sorted((v for v in vectors if v[1] < 0 or (v[1] == 0 and v[0] < 0)),
+                   key=cmp_to_key(turn))
+    x = y = 0
+    vertices = []
+    for a, b in upper + lower:
+        vertices.append((x, y))
+        x, y = x + a, y + b
+    return Polygon2(vertices)
+
+
+def parabola(n: int) -> Polygon2:
+    """conv{(i, i^2) : 0 <= i < n}: every point is a vertex."""
+    return Polygon2([(i, i * i) for i in range(n)])
+
+
+def ring_polygons(n: int, rng: random.Random) -> list[Polygon2]:
+    """Seeded convex hulls of 40 to 400 lattice points near circles of
+    radius 200 to 3000: from about 20 to 170 vertices each."""
+    out = []
+    while len(out) < n:
+        r = rng.randint(200, 3000)
+        size = rng.randint(40, 400)
+        pts = set()
+        while len(pts) < size:
+            x = rng.randint(-r, r)
+            y2 = r * r - x * x
+            y = isqrt(y2) - rng.randint(0, 3)
+            pts.add((x, y if rng.randrange(2) else -y))
+        verts = convex_hull(pts)
+        if verts is not None:
+            out.append(Polygon2(verts))
+    return out
+
+
 def profile_records_oracle(P: Polygon2) -> tuple[ProfileRecord, ...]:
     """The record scan that dilation_profile replaced, kept as its oracle:
     every vertex scanned per edge (opposite_pairs_oracle), five descents per
@@ -360,12 +452,7 @@ def fit_quasipolynomial_oracle(P: Polygon2, k_max: int | None = None):
     evaluating it."""
     profile = dilation_profile(P)
     _, directions = profile.best(1)
-    num, q = 0, 1
-    for u in directions:
-        for v in P.vertices:
-            n, d = _chord(profile.halfplanes, v, u)
-            if n * q > num * d:
-                num, q = n, d
+    _, q = longest_vertex_chord_oracle(profile.halfplanes, P.vertices, directions)
     explicit = k_max is not None
     if explicit and k_max < 4 * q:
         raise FitError(

@@ -359,16 +359,15 @@ class TestLdCount:
     def test_fit_counts_each_dilate_once(self, quad_file, capsys, monkeypatch):
         # the table covers k = 1..12 and the fit samples its 4q = 12 again
         counted = []
-        kernel = diameter._diameter_level_count
+        kernel = diameter.DilationProfile._count
 
-        def recorded(pieces, k, best):
-            counted.append((id(pieces), k))
-            return kernel(pieces, k, best)
+        def recorded(profile, k):
+            counted.append(k)
+            return kernel(profile, k)
 
-        monkeypatch.setattr(diameter, "_diameter_level_count", recorded)
+        monkeypatch.setattr(diameter.DilationProfile, "_count", recorded)
         assert cli.run(["ld", quad_file, "--k-max", "12", "--fit"]) == 0
-        assert len(counted) == len(set(counted))
-        assert {k for _, k in counted} == set(range(1, 13))
+        assert sorted(counted) == list(range(1, 13))
         out = capsys.readouterr().out
         assert out.startswith("k,count\n1,3\n2,4\n3,3\n")
         assert json.loads(out.split("12,", 1)[1].split("\n", 1)[1])["period"] == 3

@@ -11,9 +11,14 @@ from helpers import (
     TRIANGLE,
     cone_picks_oracle,
     convex_hull,
+    lattice_circle,
+    level_pieces_oracle,
+    longest_vertex_chord_oracle,
     opposite_pairs_oracle,
+    parabola,
     profile_records_oracle,
     random_polygon,
+    ring_polygons,
     unwindowed_counts,
     walk_local_lines,
     wide_polygons,
@@ -273,7 +278,8 @@ class TestLocalScanWork:
             calls["descend"] += 1
             return descend(*args)
 
-        for module in (core, lines, diameter):
+        assert not hasattr(diameter, "line_bounds")
+        for module in (core, lines):
             monkeypatch.setattr(module, "line_bounds", counted_bounds)
         monkeypatch.setattr(diameter, "level_interval", counted_kernel)
         monkeypatch.setattr(diameter, "_descend", counted_descend)
@@ -492,6 +498,57 @@ class TestChordWindow:
             for a, b in P.edges():
                 u = Direction((b[0] - a[0], b[1] - a[1]))
                 assert piece_windows(P, u, 0) == list(unwindowed_counts(P, u))
+
+
+class TestLevelPieces:
+    """The merged level pieces and the longest vertex chord read from them
+    against the O(n^2) pairing and per-vertex clip they replaced."""
+
+    @pytest.fixture(scope="class")
+    def polygons(self):
+        rng = random.Random(1700)
+        small = [random_polygon(rng, span_hi=rng.choice((6, 12, 25)), coord=10**4)
+                 for _ in range(300)]
+        large = ([lattice_circle(m) for m in range(2, 9)]
+                 + [parabola(n) for n in (3, 8, 40, 150)] + ring_polygons(12, rng))
+        assert max(map(len, large)) >= 150
+        return small + wide_polygons(60) + large
+
+    def test_merge_matches_the_pairing(self, polygons):
+        rng = random.Random(1701)
+        cases = 0
+        for P in polygons:
+            hps = P.halfplanes()
+            records = sorted({record.direction for record in dilation_profile(P).records})
+            directions = set(rng.sample(records, min(12, len(records))))
+            directions |= {
+                Direction((b[0] - a[0], b[1] - a[1])).vec for a, b in P.edges()[:6]
+            }
+            directions |= {
+                Direction((rng.randint(-9, 9), rng.randint(1, 9))).vec for _ in range(3)
+            }
+            for u in directions:
+                want = level_pieces_oracle(P.vertices, hps, u)
+                assert diameter._level_pieces(P.vertices, hps, u) == want, (P, u)
+                cases += 1
+        assert cases > 4000
+
+    def test_longest_chord_matches_the_vertex_clips(self, polygons):
+        rng = random.Random(1702)
+        for P in polygons:
+            hps = P.halfplanes()
+            profile = dilation_profile(P)
+            records = sorted({record.direction for record in profile.records})
+            edges = [Direction((b[0] - a[0], b[1] - a[1])).vec for a, b in P.edges()[:3]]
+            for directions in ([u] for u in records[:4] + edges):
+                pieces = (profile.pieces(u)[1] for u in directions)
+                want = longest_vertex_chord_oracle(hps, P.vertices, directions)
+                assert diameter._longest_vertex_chord(pieces) == want, (P, directions)
+            # over several directions at once, as the fit reads them
+            directions = profile.best(1)[1] + rng.sample(records, min(3, len(records)))
+            pieces = (profile.pieces(u)[1] for u in directions)
+            want = longest_vertex_chord_oracle(hps, P.vertices, directions)
+            assert diameter._longest_vertex_chord(pieces) == want, P
 
 
 class TestSweepWork:

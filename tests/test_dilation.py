@@ -31,6 +31,7 @@ from helpers import (
     SQUARE,
     best_records_oracle,
     chamber_decomposition_oracle,
+    chord_oracle,
     clip_line_oracle,
     dilate_levels_oracle,
     fit_quasipolynomial_oracle,
@@ -43,7 +44,6 @@ from latticediam.core import floor_sum
 from latticediam.diameter import (
     DilationProfile,
     ProfileRecord,
-    _chord,
     dilation_profile,
     opposite_pairs,
 )
@@ -51,6 +51,8 @@ from latticediam.diameter import (
 # conv{(0,0),(2,0),(3,4)}: the count drops from 4 to its eventual constant 2
 LATE_START = Polygon2(((0, 0), (2, 0), (3, 4)))
 UNIT_TRIANGLE = Polygon2(((0, 0), (1, 0), (0, 1)))
+# the pair-step budget of the oracle runs on dilates of up to 10^4 points
+ORACLE_PAIRS = 10**7
 
 
 def oracle_line_count(P: Polygon2, k: int) -> int:
@@ -78,6 +80,31 @@ class TestCountDiameterLines:
     def test_matches_pairwise_oracle(self, seed, k):
         P = random_polygon(random.Random(seed), span_lo=3, span_hi=4)
         assert count_diameter_lines(P, k) == oracle_line_count(P, k)
+
+    def test_matches_the_pair_oracle_up_to_ten_thousand_points(self):
+        """count(k) and best(k) against the pair oracle on the lattice
+        points of kP, which shares no code with the profile's line model:
+        each diameter line of kP holds exactly one pair of maximal gcd, its
+        two ends. Dilates of seeded small polygons, up to 10^4 points."""
+        rng = random.Random(1703)
+        polygons = [QUAD, SQUARE, LATE_START, UNIT_TRIANGLE,
+                    Polygon2(((0, 0), (6, 1), (-1, 7)))]
+        polygons += [random_polygon(rng, span_lo=2, span_hi=6) for _ in range(40)]
+        cases = largest = 0
+        for P in polygons:
+            profile = dilation_profile(P)
+            for k in (1, 2, 3, 4, 5, 6, 7, 9, 11, 14, 17, 22, 28, 35, 44, 56, 71):
+                points = enumerate_lattice_points(P.dilate(k))
+                if len(points) > 10**4:
+                    break
+                report = brute_force_diameter(PointSet(points), max_pairs=ORACLE_PAIRS)
+                best, directions = profile.best(k)
+                assert profile.count(k) == len(report.segments), (P, k)
+                assert best == report.ldiam + 1, (P, k)
+                assert directions == [u.vec for u in report.directions], (P, k)
+                cases += 1
+                largest = max(largest, len(points))
+        assert cases >= 400 and largest > 8000, (cases, largest)
 
     def test_matches_the_report(self):
         rng = random.Random(31)
@@ -158,7 +185,7 @@ class TestDilationProfile:
             for v in P.vertices:
                 for d in directions:
                     chord = nvol(clip_line_oracle(P, LatticeLine(v, d)))
-                    assert _chord(halfplanes, v, d) == (chord.numerator, chord.denominator)
+                    assert chord_oracle(halfplanes, v, d) == (chord.numerator, chord.denominator)
                     reads += 1
         assert reads > 10_000
 
@@ -174,9 +201,12 @@ class TestDilationProfile:
                 assert profile.best(k) == best_records_oracle(profile, k), (P, k)
 
     def test_best_tables_follow_any_kmin(self):
-        """Records of P have kmin 1 or 2, but the tables are keyed by the
-        largest kmin <= k whatever the kmins are: on made-up records with
-        kmin up to 6, k below the smallest kmin has no line at all."""
+        """Records of P have kmin 1 or 2, but best(k) and the chord tables
+        of the counts, keyed by the largest kmin <= k, follow any kmins: on
+        made-up records with kmin up to 6, k below the smallest kmin has no
+        line at all, and each table holds the longest chord of each
+        direction over the records with kmin <= k, longest first, so its
+        largest floor(k c) and the directions reaching it are best(k)."""
         rng = random.Random(5)
         for _ in range(300):
             records = tuple(
@@ -190,8 +220,22 @@ class TestDilationProfile:
             )
             profile = DilationProfile(QUAD, QUAD.halfplanes(), records)
             for k in range(1, 10):
-                assert profile.best(k) == best_records_oracle(profile, k), (records, k)
-            assert profile.best(1) == (0, [])
+                best = best_records_oracle(profile, k)
+                assert profile.best(k) == best, (records, k)
+                longest = {}
+                for _, d, kmin, (num, den) in records:
+                    if kmin <= k and (d not in longest
+                                      or num * longest[d][1] > longest[d][0] * den):
+                        longest[d] = (num, den)
+                table = profile._table(k)
+                assert {d: (num, den) for num, den, d in table} == longest, (records, k)
+                chords = [Fraction(num, den) for num, den, _ in table]
+                assert chords == sorted(chords, reverse=True), (records, k)
+                floors = [k * num // den for num, den, _ in table]
+                m = max(floors, default=-1)
+                directions = sorted(d for (_, _, d), f in zip(table, floors) if f == m)
+                assert (m + 1, directions) == best, (records, k)
+            assert profile.best(1) == (0, []) and profile.count(1) == 0
 
     def test_floor_sum_matches_a_loop(self):
         rng = random.Random(99)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     QUAD,
     SQUARE,
+    chord_oracle,
     clip_line_oracle,
     convex_hull,
     level_interval_oracle,
@@ -34,7 +35,7 @@ from latticediam import (
     render_diameter_svg,
 )
 from latticediam.core import line_bounds
-from latticediam.diameter import _chord, dilation_profile
+from latticediam.diameter import dilation_profile
 from latticediam.lines import level_anchor, level_interval
 
 
@@ -234,7 +235,7 @@ class TestClippingKernel:
                     assert clip_line(P, line) == clip, (P, line)
                     if x0 in P.vertices:
                         chord = nvol(clip)
-                        assert _chord(hps, x0, u) == (chord.numerator, chord.denominator)
+                        assert chord_oracle(hps, x0, u) == (chord.numerator, chord.denominator)
                     outcome = "missed" if clip is None else "empty" if want is None else "met"
                     seen["parallel" if u in edges else "random", outcome] += 1
         assert len(seen) == 6 and min(seen.values()) > 100, seen
@@ -255,7 +256,9 @@ class TestClippingKernel:
 
             return checked
 
-        for module in (core, lines, diameter):
+        # diameter clips no line: its chords come from levels and pieces
+        assert not hasattr(diameter, "line_bounds")
+        for module in (core, lines):
             monkeypatch.setattr(module, "line_bounds", int_only(module.__name__))
         u = Direction((1, 0))
         for verts in random_chambers(20):
@@ -270,7 +273,7 @@ class TestClippingKernel:
         for P in polygons[:20]:
             enumerate_lattice_points(P)
             render_diameter_svg(P, compute_diameter(P))
-        assert len(calls) == 3 and min(calls.values()) > 100, calls
+        assert len(calls) == 2 and min(calls.values()) > 100, calls
 
     def test_fraction_constants(self, polygons):
         # chamber_decomposition floors its rational halfplane constants: an
