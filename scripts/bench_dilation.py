@@ -7,10 +7,15 @@ Rows:
 - dilation_profile(P) on the reference quad conv{(0,0),(5,1),(6,4),(1,3)}
   and the square [0,2]^2: the best time of building the profile;
 - DilationProfile.count(k) for k = 10^1 .. 10^12 on the same two polygons:
-  the value, the best time in seconds of the count alone, and the floor_sum
-  and level_interval calls of one count (taken in a separate, untimed
-  pass). The profile keeps each count, so every timed call gets a fresh
-  profile, built before its timer starts;
+  the value, the best time in seconds of the first count of a profile
+  ("seconds"), the best time of the count kernel alone ("warm_seconds"),
+  and the floor_sum and level_interval calls of one first count (taken in
+  a separate, untimed pass). A first count also builds the profile's
+  longest-chord table and the level pieces of its diameter directions, and
+  the profile keeps each count, so every "seconds" call gets a fresh
+  profile, built before its timer starts. "warm_seconds" times
+  DilationProfile._count(k), the kernel under count(k), on one profile
+  whose table and pieces are already built: the cost of each further k;
 - fit_quasipolynomial on T_m = conv{(0,0),(m-1,1),(-1,m)} for m = 19, 61,
   113 and 229: period, valid_from and the best time;
 - chamber_decomposition(*demo_chamber()): q, w and the best time;
@@ -225,6 +230,7 @@ def main() -> None:
                 "k": f"1e{e}",
                 "count": profile.count(k),
                 "seconds": best_count_time(P, k, REPEAT),
+                "warm_seconds": best_time(lambda: profile._count(k), REPEAT),
                 "kernel_calls": calls,
             })
     fits = []

@@ -21,10 +21,7 @@ _EXPORTS = {
     "borsuk": (
         "BorsukGraph",
         "BorsukPartition",
-        "ComponentClass",
         "build_borsuk_graph",
-        "classify_components",
-        "conv_is_cube",
         "exact_borsuk_number",
         "greedy_partition",
     ),
@@ -51,16 +48,12 @@ _EXPORTS = {
         "RationalPoint",
         "count_lattice_points_polygon",
         "enumerate_lattice_points",
-        "lattice_width",
         "segment_lattice_count",
     ),
     "diameter": (
         "DiameterReport",
-        "OppositePair",
         "compute_diameter",
         "local_diameter_lines",
-        "opposite_pairs",
-        "u_diameter_line",
     ),
     "dilation": (
         "BlockDecomposition",
@@ -93,7 +86,6 @@ _EXPORTS = {
         "OracleReport",
         "brute_force_diameter",
         "check_rabinowitz",
-        "diameter_directions",
     ),
     "svg": ("render_diameter_svg",),
 }

@@ -7,8 +7,8 @@ so greedy coloring needs at most 2^d parts; the exact minimum is the chromatic
 number, found here by a budgeted branch and bound.
 
 build_borsuk_graph is the one function here that reads a point set and
-charges the oracle's pair budget. Every reader (greedy_partition,
-exact_borsuk_number, classify_components) takes the BorsukGraph it builds.
+charges the oracle's pair budget. Both readers, greedy_partition and
+exact_borsuk_number, take the BorsukGraph it builds.
 
 The edges are the few diameter pairs, so every reader walks the graph's one
 neighbour map, over edge endpoints only: a point on no edge is its own
@@ -30,12 +30,9 @@ from .oracle import DEFAULT_PAIR_BUDGET, brute_force_diameter
 __all__ = [
     "BorsukGraph",
     "BorsukPartition",
-    "ComponentClass",
     "build_borsuk_graph",
     "greedy_partition",
     "exact_borsuk_number",
-    "classify_components",
-    "conv_is_cube",
 ]
 
 DEFAULT_NODE_BUDGET = 1_000_000
@@ -240,71 +237,3 @@ def exact_borsuk_number(
                 break
         answer = max(answer, best)
     return answer
-
-
-class ComponentClass(Frozen):
-    """Shape summary of one diameter-graph component for the degree bound.
-
-    The greedy bound max_degree + 1 is tight only for complete components and
-    odd cycles; everywhere else one fewer color suffices.
-    """
-
-    _fields = ("points", "max_degree", "is_complete", "is_odd_cycle")
-
-    def __init__(
-        self, points: tuple[Point, ...], max_degree: int, is_complete: bool,
-        is_odd_cycle: bool,
-    ):
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "max_degree", max_degree)
-        object.__setattr__(self, "is_complete", is_complete)
-        object.__setattr__(self, "is_odd_cycle", is_odd_cycle)
-
-    @property
-    def degree_bound_tight(self) -> bool:
-        return self.is_complete or self.is_odd_cycle
-
-
-def classify_components(graph: BorsukGraph) -> list[ComponentClass]:
-    """The components of the graph, each sorted, in the order of their first
-    point; a point on no edge is a component of its own."""
-    adj = graph.neighbours
-    isolated = [[p] for p in filterfalse(adj.__contains__, graph.vertices.points)]
-    out = []
-    # components are disjoint, so sorting compares their first points only
-    for comp in sorted(_components(adj) + isolated):
-        n = len(comp)
-        # a component holds its neighbours; a point on no edge has none
-        degrees = [len(adj.get(v, ())) for v in comp]
-        m2 = sum(degrees)
-        complete = m2 == n * (n - 1)
-        odd_cycle = n >= 3 and n % 2 == 1 and all(d == 2 for d in degrees)
-        out.append(
-            ComponentClass(
-                points=tuple(comp),
-                max_degree=max(degrees),
-                is_complete=complete,
-                is_odd_cycle=odd_cycle and not complete,
-            )
-        )
-    return out
-
-
-def conv_is_cube(S: PointSet) -> bool:
-    """Whether conv(S) is a coordinate box with equal positive sides.
-
-    Boxes are preserved by axis permutations and reflections, so checking the
-    bounding box itself covers those symmetries: conv(S) equals the box iff
-    every corner of the bounding box belongs to S.
-    """
-    d = S.dim
-    los = [min(p[i] for p in S) for i in range(d)]
-    his = [max(p[i] for p in S) for i in range(d)]
-    sides = [hi - lo for lo, hi in zip(los, his)]
-    if len(set(sides)) != 1 or sides[0] < 1:
-        return False
-    pts = set(S.points)
-    corners = [()]
-    for i in range(d):
-        corners = [c + (v,) for c in corners for v in (los[i], his[i])]
-    return all(c in pts for c in corners)

@@ -4,8 +4,10 @@ Everything here is integer or rational arithmetic; no floats anywhere.
 Points are plain tuples of ints, rational points are tuples of Fraction;
 this module never builds one, so it does not import fractions.
 line_bounds is the one loop that clips a line against halfplanes: the
-lattice point counts (level_interval), the exact clips of lines.clip_line
-and the chord reads of the diameter module are all read from its bounds.
+lattice point counts (level_interval) and the exact clips of
+lines.clip_line are read from its bounds. The diameter module does not
+import it: the chord of a candidate line is read from its levels (J/j),
+and the longest chord of a direction from the rows of its level pieces.
 Its halfplane constants and base points are ints, so it works in plain
 integers; a rational clip end is built only by the caller that reports it.
 A PointSet built from outside input is validated, deduplicated and sorted;
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from itertools import repeat
 from math import gcd
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .errors import ValidationError
 from .frozen import Frozen, Ordered
@@ -43,7 +45,6 @@ __all__ = [
     "floor_sum",
     "enumerate_lattice_points",
     "count_lattice_points_polygon",
-    "lattice_width",
 ]
 
 # Point pairs an oracle scan may examine unless its caller says otherwise;
@@ -360,15 +361,3 @@ def enumerate_lattice_points(P: Polygon2) -> PointSet:
 def count_lattice_points_polygon(P: Polygon2) -> int:
     """|P ∩ Z^2| by Pick's theorem: area + boundary/2 + 1, exactly."""
     return (P.doubled_area() + P.boundary_lattice_count() + 2) // 2
-
-
-def lattice_width(
-    obj: Union[Polygon2, PointSet], direction: Sequence[int]
-) -> int:
-    """max <a, x> - min <a, x> over the vertices/points, for integer a."""
-    a = as_point(direction)
-    pts = obj.vertices if isinstance(obj, Polygon2) else obj.points
-    if len(a) != len(pts[0]):
-        raise ValidationError("direction dimension does not match")
-    vals = [sum(c * x for c, x in zip(a, p)) for p in pts]
-    return max(vals) - min(vals)

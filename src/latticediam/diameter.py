@@ -37,11 +37,11 @@ Euclid-like floor sums, so the cost does not grow with k. The chord window
 of a piece at any k comes from three clip constants that do not depend on
 k, kept in the piece's flat row, through one routine (_chord_clip) for the
 sweep and the counts. The chord is concave across the levels and bends only
-at piece ends, so the longest chord of a direction, the fit's period and
-u_diameter_line's best count, is read from the rows too, in O(n). All of
-it is integer arithmetic, and this module clips no line itself: the
-sweep's level_interval and the representative segments' clip_line go
-through core.line_bounds.
+at piece ends, so the longest chord of a direction, and with it the fit's
+period, is read from the rows too, in O(n). All of it is integer
+arithmetic, and this module clips no line itself: the sweep's
+level_interval and the representative segments' clip_line go through
+core.line_bounds.
 """
 
 from __future__ import annotations
@@ -64,27 +64,13 @@ from .frozen import Frozen
 from .lines import ClippedSegment, LatticeLine, clip_line, level_anchor
 
 __all__ = [
-    "OppositePair",
     "DiameterReport",
-    "opposite_pairs",
     "local_diameter_lines",
     "ProfileRecord",
     "DilationProfile",
     "dilation_profile",
     "compute_diameter",
-    "u_diameter_line",
 ]
-
-
-class OppositePair(Frozen):
-    """An edge, its primitive outward normal, and a vertex minimizing it."""
-
-    _fields = ("edge", "vertex", "normal")
-
-    def __init__(self, edge: tuple[Point, Point], vertex: Point, normal: Point):
-        object.__setattr__(self, "edge", edge)
-        object.__setattr__(self, "vertex", vertex)
-        object.__setattr__(self, "normal", normal)
 
 
 class DiameterReport(Frozen):
@@ -144,20 +130,6 @@ def _antipodes(
         else:
             opposite = [vertices[i % n]]
         yield p, q, (ax, ay), opposite
-
-
-def opposite_pairs(P: Polygon2) -> list[OppositePair]:
-    """All (edge, opposite vertex) pairs of P, in edge order.
-
-    An edge maximizes its outward normal over P; the opposite vertices are
-    those minimizing it: one generically, two when a parallel edge exists,
-    in vertex-index order (_antipodes).
-    """
-    return [
-        OppositePair(edge=(p, q), vertex=v, normal=a)
-        for p, q, a, opposite in _antipodes(P.vertices)
-        for v in opposite
-    ]
 
 
 def _collinear_case(v: Point, p: Point, q: Point) -> list[LatticeLine]:
@@ -690,25 +662,3 @@ def compute_diameter(P: Polygon2) -> DiameterReport:
         directions=directions,
         representative_segments=tuple(reps),
     )
-
-
-def u_diameter_line(P: Polygon2, u: Direction | Sequence[int]) -> LatticeLine:
-    """A lattice line of direction u maximizing |line ∩ P ∩ Z^2|.
-
-    The chord length of P across the levels of u is concave and piecewise
-    linear with bends only at vertex levels, so its maximum C is reached on
-    the line through some vertex, which is an endpoint of that chord. That
-    line holds floor(C) + 1 lattice points and no line of direction u holds
-    more, so the best count is read from the longest chord at a piece end
-    (_longest_vertex_chord), in O(n). The sweep of its chord window stops at
-    the first level holding it, so ties resolve to the smallest level of the
-    perpendicular functional.
-    """
-    d = u if isinstance(u, Direction) else Direction(u)
-    if d.dim != 2:
-        raise ValidationError("u_diameter_line is 2-dimensional")
-    halfplanes = P.halfplanes()
-    levels = _level_pieces(P.vertices, halfplanes, d.vec)
-    num, den = _longest_vertex_chord((levels[1],))
-    best = num // den + 1
-    return LatticeLine(next(_direction_sweep(halfplanes, levels, d.vec, best)), d)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import floor, gcd
 from typing import Sequence
 
-from .core import Direction, Point, Polygon2, RationalPoint, level_interval
+from .core import Direction, Polygon2, RationalPoint, level_interval
 from .diameter import DilationProfile, _longest_vertex_chord, dilation_profile
 from .errors import BudgetError, FitError, ValidationError
 from .frozen import Frozen

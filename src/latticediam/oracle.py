@@ -27,7 +27,6 @@ __all__ = [
     "OracleReport",
     "check_pair_budget",
     "brute_force_diameter",
-    "diameter_directions",
     "check_rabinowitz",
 ]
 
@@ -234,15 +233,6 @@ def brute_force_diameter(
         key=attrgetter("vec"),
     )
     return OracleReport(ldiam=best, segments=segments, directions=tuple(directions))
-
-
-def diameter_directions(
-    S: PointSet, max_pairs: int = DEFAULT_PAIR_BUDGET
-) -> tuple[Direction, ...]:
-    """Deduplicated, sorted diameter directions of a set with >= 2 points."""
-    if len(S) < 2:
-        raise ValidationError("diameter directions need at least 2 points")
-    return brute_force_diameter(S, max_pairs).directions
 
 
 def check_rabinowitz(

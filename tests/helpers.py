@@ -19,7 +19,6 @@ from latticediam import (
     count_lattice_points_polygon,
     enumerate_lattice_points,
     local_diameter_lines,
-    opposite_pairs,
 )
 from latticediam import borsuk
 from latticediam.core import line_bounds
@@ -415,8 +414,8 @@ def dilate_levels_oracle(P: Polygon2, k: int) -> tuple[int, int, list[tuple[int,
     kP = P.dilate(k)
     halfplanes = kP.halfplanes()
     best, directions = 0, set()
-    for pair in opposite_pairs(kP):
-        for line in local_diameter_lines(pair.edge, pair.vertex, pair.normal):
+    for pair in opposite_pairs_oracle(kP):
+        for line in local_diameter_lines(*pair):
             klo, khi = level_interval(halfplanes, line.base, line.dir.vec)
             count = khi - klo + 1
             if count > best:

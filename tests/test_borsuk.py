@@ -14,9 +14,7 @@ from latticediam import (
     ValidationError,
     brute_force_diameter,
     build_borsuk_graph,
-    classify_components,
     borsuk,
-    conv_is_cube,
     enumerate_lattice_points,
     exact_borsuk_number,
     greedy_partition,
@@ -116,70 +114,6 @@ class TestExactNumber:
         assert 2 <= chi <= len(greedy_partition(g).parts)
 
 
-class TestClassifyComponents:
-    def test_complete_component(self):
-        comps = classify_components(build_borsuk_graph(cube(2)))
-        assert len(comps) == 1
-        assert comps[0].is_complete
-        assert not comps[0].is_odd_cycle
-        assert comps[0].degree_bound_tight
-
-    def test_odd_cycle_component(self):
-        pts = ((0, 0), (1, 0), (2, 0), (3, 0), (4, 0))
-        ring = BorsukGraph(
-            vertices=PointSet(pts),
-            edges=tuple(
-                (pts[i], pts[(i + 1) % 5]) for i in range(5)
-            ),
-            diam=1,
-        )
-        (comp,) = classify_components(ring)
-        assert comp.is_odd_cycle
-        assert not comp.is_complete
-        assert comp.degree_bound_tight
-        assert comp.max_degree == 2
-
-    def test_path_is_not_tight(self):
-        pts = ((0, 0), (1, 0), (2, 0))
-        path = BorsukGraph(
-            vertices=PointSet(pts),
-            edges=((pts[0], pts[1]), (pts[1], pts[2])),
-            diam=1,
-        )
-        (comp,) = classify_components(path)
-        assert not comp.is_complete
-        assert not comp.is_odd_cycle
-        assert not comp.degree_bound_tight
-
-    def test_isolated_points_split_off(self):
-        pts = ((0, 0), (1, 0), (5, 5))
-        g = BorsukGraph(
-            vertices=PointSet(pts), edges=((pts[0], pts[1]),), diam=1
-        )
-        sizes = sorted(len(c.points) for c in classify_components(g))
-        assert sizes == [1, 2]
-
-
-class TestConvIsCube:
-    def test_full_box(self):
-        assert conv_is_cube(cube(2, side=2))
-        assert conv_is_cube(cube(3))
-
-    def test_corners_only(self):
-        assert conv_is_cube(PointSet(list(product((5, 7), repeat=3))))
-
-    def test_rectangle_is_not(self):
-        S = PointSet([(x, y) for x in range(3) for y in range(2)])
-        assert not conv_is_cube(S)
-
-    def test_missing_corner(self):
-        S = PointSet([p for p in product((0, 1), repeat=2) if p != (1, 1)])
-        assert not conv_is_cube(S)
-
-    def test_single_point_has_no_side(self):
-        assert not conv_is_cube(PointSet([(3, 3)]))
-
-
 def _graph(points, edges) -> BorsukGraph:
     return BorsukGraph(vertices=PointSet(points), edges=tuple(edges), diam=1)
 
@@ -194,6 +128,79 @@ def _complete(n: int, isolated=()) -> BorsukGraph:
     pts = [(i, i * i, 0) for i in range(n)]
     edges = [(p, q) for i, p in enumerate(pts) for q in pts[i + 1 :]]
     return _graph(pts + list(isolated), edges)
+
+
+class TestComponentShapes:
+    """The component shapes the degree bound 2^d - 1 and the part counts
+    tell apart: complete, odd cycle, path, and points on no edge."""
+
+    def test_complete_component(self):
+        g = build_borsuk_graph(cube(2))
+        (comp,) = borsuk._components(g.neighbours)
+        assert comp == list(g.vertices.points)
+        # every degree meets the bound 2^d - 1: K_4, tight
+        assert {len(g.neighbours[v]) for v in comp} == {3}
+        assert exact_borsuk_number(g) == len(greedy_partition(g).parts) == 4
+
+    def test_odd_cycle_component(self):
+        ring = _ring(5)
+        (comp,) = borsuk._components(ring.neighbours)
+        assert comp == [(i, 0) for i in range(5)]
+        assert {len(ring.neighbours[v]) for v in comp} == {2}
+        assert ring.max_degree() == 2
+        # an odd cycle needs one color more than its degree
+        assert exact_borsuk_number(ring) == len(greedy_partition(ring).parts) == 3
+
+    def test_path_is_not_tight(self):
+        pts = ((0, 0), (1, 0), (2, 0))
+        path = _graph(pts, [(pts[0], pts[1]), (pts[1], pts[2])])
+        assert borsuk._components(path.neighbours) == [list(pts)]
+        assert path.max_degree() == 2 < 2**path.vertices.dim - 1
+        assert exact_borsuk_number(path) == len(greedy_partition(path).parts) == 2
+
+    def test_isolated_points_split_off(self):
+        pts = ((0, 0), (1, 0), (5, 5))
+        g = _graph(pts, [(pts[0], pts[1])])
+        # a point on no edge is its own component, which needs no search
+        assert borsuk._components(g.neighbours) == [[(0, 0), (1, 0)]]
+        assert sorted(map(len, components_oracle(adjacency_oracle(g)))) == [1, 2]
+        part = greedy_partition(g)
+        assert part.labels == {(0, 0): 0, (1, 0): 1, (5, 5): 0}
+        assert part.parts == (PointSet([(0, 0), (5, 5)]), PointSet([(1, 0)]))
+        assert exact_borsuk_number(g) == 2
+
+
+class TestCubeShapes:
+    """2^d parts are needed when the diameter graph holds a clique on the
+    2^d corners of a cube; other boxes and cut cubes need fewer."""
+
+    def test_full_box(self):
+        # the points of [0, 2]^3 with even coordinates are 8 corners, each
+        # pair at diameter 2
+        g = build_borsuk_graph(cube(3, side=2))
+        assert g.diam == 2
+        assert exact_borsuk_number(g) == len(greedy_partition(g).parts) == 8
+
+    def test_corners_only(self):
+        g = build_borsuk_graph(PointSet(list(product((5, 7), repeat=3))))
+        assert g.diam == 2 and len(g.edges) == 28
+        assert exact_borsuk_number(g, node_budget=0) == 8
+
+    def test_rectangle_is_not(self):
+        # diameter 2 only along x: the pairs (0, y), (2, y) are a matching
+        g = build_borsuk_graph(PointSet([(x, y) for x in range(3) for y in range(2)]))
+        assert g.edges == (((0, 0), (2, 0)), ((0, 1), (2, 1)))
+        assert exact_borsuk_number(g) == len(greedy_partition(g).parts) == 2
+
+    def test_missing_corner(self):
+        g = build_borsuk_graph(PointSet([p for p in product((0, 1), repeat=2) if p != (1, 1)]))
+        assert len(g.edges) == 3
+        assert exact_borsuk_number(g) == len(greedy_partition(g).parts) == 3
+
+    def test_single_point_has_no_side(self):
+        g = BorsukGraph(PointSet([(3, 3)]), (), 0)
+        assert exact_borsuk_number(g) == 1
+        assert greedy_partition(g).parts == (PointSet([(3, 3)]),)
 
 
 def reference_graphs() -> list[BorsukGraph]:
@@ -225,10 +232,21 @@ class TestEdgeWalkMatchesAllPoints:
     GRAPHS = reference_graphs()
 
     def test_cases_cover_isolated_points_cycles_and_cliques(self):
-        classes = [c for g in self.GRAPHS for c in classify_components(g)]
-        assert any(len(c.points) == 1 for c in classes)
-        assert any(c.is_odd_cycle for c in classes)
-        assert any(c.is_complete and len(c.points) >= 4 for c in classes)
+        # the degrees of each component, points on no edge included
+        components = []
+        for g in self.GRAPHS:
+            adj = adjacency_oracle(g)
+            components += [[len(adj[v]) for v in c] for c in components_oracle(adj)]
+        assert any(len(degrees) == 1 for degrees in components)
+        # an odd cycle longer than a triangle, which is complete
+        assert any(
+            len(degrees) >= 5 and len(degrees) % 2 == 1 and set(degrees) == {2}
+            for degrees in components
+        )
+        assert any(
+            len(degrees) >= 4 and set(degrees) == {len(degrees) - 1}
+            for degrees in components
+        )
         assert {g.vertices.dim for g in self.GRAPHS} == {2, 3, 4}
 
     def test_labels_and_parts(self):
@@ -244,14 +262,8 @@ class TestEdgeWalkMatchesAllPoints:
 
     def test_components(self):
         for g in self.GRAPHS:
-            adj = adjacency_oracle(g)
-            want = components_oracle(adj)
+            want = components_oracle(adjacency_oracle(g))
             assert borsuk._components(g.neighbours) == [c for c in want if len(c) > 1]
-            got = classify_components(g)
-            assert [c.points for c in got] == [tuple(c) for c in want]
-            for cls, comp in zip(got, want):
-                degrees = [len(adj[v] & set(comp)) for v in comp]
-                assert cls.max_degree == max(degrees)
 
     def test_chi(self):
         for g in self.GRAPHS:

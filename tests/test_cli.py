@@ -191,6 +191,11 @@ class TestOracleAndDirections:
         assert out[0] == "directions=4"
         assert set(out[1:]) == {"(1,0)", "(0,1)", "(1,1)", "(1,-1)"}
 
+    def test_directions_of_one_point(self, tmp_path, capsys):
+        path = write_doc(tmp_path, document_for_point_set(PointSet([(3, 4)])))
+        assert cli.run(["directions", path]) == 0
+        assert capsys.readouterr().out == "directions=0\n"
+
     def test_budget_exit_code(self, capsys):
         path = str(SAMPLES / "box-4x2-points.json")
         assert cli.run(["oracle", path, "--budget", "1"]) == 6

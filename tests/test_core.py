@@ -22,7 +22,6 @@ from latticediam import (
     ValidationError,
     count_lattice_points_polygon,
     enumerate_lattice_points,
-    lattice_width,
     segment_lattice_count,
 )
 
@@ -129,11 +128,6 @@ class TestPolygonGeometry:
         assert SQUARE.contains((1, 1))
         assert SQUARE.contains((0, 2))
         assert not SQUARE.contains((3, 1))
-
-    def test_lattice_width(self):
-        assert lattice_width(SQUARE, (1, 0)) == 2
-        assert lattice_width(SQUARE, (1, 1)) == 4
-        assert lattice_width(TRIANGLE, (0, 1)) == 2
 
     def test_enumeration_is_lex_sorted(self):
         pts = list(enumerate_lattice_points(QUAD))

@@ -19,6 +19,7 @@ from helpers import (
     profile_records_oracle,
     random_polygon,
     ring_polygons,
+    unimodular,
     unwindowed_counts,
     walk_local_lines,
     wide_polygons,
@@ -36,36 +37,45 @@ from latticediam import (
     lattice_count_on_clip,
     local_diameter_lines,
     nvol,
-    opposite_pairs,
-    u_diameter_line,
 )
 from latticediam.diameter import dilation_profile
 
 T19 = Polygon2(((0, 0), (18, 1), (-1, 19)))
 
 
+def antipodal_pairs(P: Polygon2) -> list[tuple[tuple, tuple, tuple]]:
+    """(edge, vertex, normal) for each (edge, opposite vertex) pair found by
+    the rotating pointer of diameter._antipodes, in edge order, opposite
+    vertices in vertex-index order: the shape of opposite_pairs_oracle."""
+    return [
+        ((p, q), v, a)
+        for p, q, a, opposite in diameter._antipodes(P.vertices)
+        for v in opposite
+    ]
+
+
 class TestOppositePairs:
     def test_square_has_eight(self):
         # each edge of a parallelogram sees both endpoints of the far edge
-        pairs = opposite_pairs(SQUARE)
+        pairs = antipodal_pairs(SQUARE)
         assert len(pairs) == 8
-        for pair in pairs:
-            a, b = pair.edge
-            nx, ny = pair.normal
+        for (a, _), v, (nx, ny) in pairs:
             # vertex minimizes the outward normal over all vertices
             vals = [nx * x + ny * y for x, y in SQUARE.vertices]
-            assert nx * pair.vertex[0] + ny * pair.vertex[1] == min(vals)
+            assert nx * v[0] + ny * v[1] == min(vals)
             assert nx * a[0] + ny * a[1] == max(vals)
+        assert pairs == opposite_pairs_oracle(SQUARE)
 
     def test_triangle_has_three_or_more(self):
-        pairs = opposite_pairs(TRIANGLE)
+        pairs = antipodal_pairs(TRIANGLE)
         assert len(pairs) == 3
-        assert {p.vertex for p in pairs} == set(TRIANGLE.vertices)
+        assert {v for _, v, _ in pairs} == set(TRIANGLE.vertices)
+        assert pairs == opposite_pairs_oracle(TRIANGLE)
 
 
 def opposite_pair_levels(pair) -> int:
     """J: the number of levels of the normal from the vertex to the edge."""
-    (nx, ny), (x, y), (vx, vy) = pair.normal, pair.edge[0], pair.vertex
+    ((x, y), _), (vx, vy), (nx, ny) = pair
     return nx * (x - vx) + ny * (y - vy)
 
 
@@ -131,9 +141,8 @@ class TestLocalDiameterLines:
             LatticeLine((0, 0), (2, 1)),
         ]
         P = Polygon2(((0, 0), (3, 0), (3, 3)))
-        for pair in opposite_pairs(P):
-            got = local_diameter_lines(pair.edge, pair.vertex, pair.normal)
-            assert got == walk_local_lines(pair.edge, pair.vertex, pair.normal)
+        for pair in opposite_pairs_oracle(P):
+            assert local_diameter_lines(*pair) == walk_local_lines(*pair)
 
     def test_primitive_edge_far_from_the_vertex(self):
         # 12,345 levels between the vertex and a primitive edge
@@ -144,23 +153,21 @@ class TestLocalDiameterLines:
         rng = random.Random(4242)
         polygons = [random_polygon(rng, span_hi=rng.choice((6, 12))) for _ in range(2000)]
         polygons += wide_polygons(150)
-        pairs = [pair for P in polygons for pair in opposite_pairs(P)]
+        pairs = [pair for P in polygons for pair in opposite_pairs_oracle(P)]
         for pair in pairs:
-            got = local_diameter_lines(pair.edge, pair.vertex, pair.normal)
-            assert got == walk_local_lines(pair.edge, pair.vertex, pair.normal), pair
+            assert local_diameter_lines(*pair) == walk_local_lines(*pair), pair
         assert len(pairs) > 10**4
 
     def test_matches_the_walk_on_sheared_thin_polygons(self):
         walked = []
         for P in sheared_thin_polygons(20):
-            for pair in opposite_pairs(P):
+            for pair in opposite_pairs_oracle(P):
                 levels = opposite_pair_levels(pair)
                 # the oracle walks every level; skip the few walks too long for a test
                 if levels > 3 * 10**5:
                     continue
                 walked.append(levels)
-                got = local_diameter_lines(pair.edge, pair.vertex, pair.normal)
-                assert got == walk_local_lines(pair.edge, pair.vertex, pair.normal), pair
+                assert local_diameter_lines(*pair) == walk_local_lines(*pair), pair
         assert len(walked) >= 80 and max(walked) > 2 * 10**5
 
 
@@ -228,9 +235,8 @@ class TestOneDescentScan:
     def test_opposite_pairs_match_the_vertex_scan(self, polygons):
         two = 0
         for P in polygons:
-            got = [(pair.edge, pair.vertex, pair.normal) for pair in opposite_pairs(P)]
             want = opposite_pairs_oracle(P)
-            assert got == want, P
+            assert antipodal_pairs(P) == want, P
             two += len(want) - len(P)
         assert two > 2000
 
@@ -288,8 +294,8 @@ class TestLocalScanWork:
     def test_local_scan_calls_no_kernel(self, kernel_calls):
         cones = 0
         for P in wide_polygons(20) + sheared_thin_polygons(20):
-            for pair in opposite_pairs(P):
-                local_diameter_lines(pair.edge, pair.vertex, pair.normal)
+            for pair in opposite_pairs_oracle(P):
+                local_diameter_lines(*pair)
                 cones += 1
         assert kernel_calls == {"descend": cones}
 
@@ -300,7 +306,7 @@ class TestLocalScanWork:
         for P in polygons:
             kernel_calls.clear()
             dilation_profile(P)
-            assert kernel_calls == {"descend": len(opposite_pairs(P))}, P
+            assert kernel_calls == {"descend": len(opposite_pairs_oracle(P))}, P
 
     @pytest.mark.parametrize(
         "s, ldiam",
@@ -361,7 +367,30 @@ class TestComputeDiameter:
         assert list(rep.lines) == sorted(rep.lines, key=lambda l: (l.dir.vec, l.base))
 
 
+def u_diameter_line(P: Polygon2, u) -> LatticeLine:
+    """A lattice line of direction u holding the most lattice points of P,
+    at the smallest level of the perpendicular functional among those.
+
+    The chord of P across the levels of u is concave and bends only at
+    vertex levels, so its maximum C is reached on the line through some
+    vertex, an end of that chord: that line holds floor(C) + 1 points and no
+    line of direction u holds more. So the best count is read from the
+    longest chord at a piece end (diameter._longest_vertex_chord), and the
+    first level of the sweep of its chord window holding it is the line.
+    """
+    d = u if isinstance(u, Direction) else Direction(u)
+    halfplanes = P.halfplanes()
+    levels = diameter._level_pieces(P.vertices, halfplanes, d.vec)
+    num, den = diameter._longest_vertex_chord((levels[1],))
+    best = num // den + 1
+    return LatticeLine(next(diameter._direction_sweep(halfplanes, levels, d.vec, best)), d)
+
+
 class TestUDiameterLine:
+    """The longest vertex chord, read from the level pieces, gives the best
+    count of a direction, and its sweep finds the smallest level holding it
+    (u_diameter_line)."""
+
     def test_square_directions(self):
         for u, want in (((1, 0), 3), ((0, 1), 3), ((1, 1), 3), ((1, -1), 3), ((1, 2), 2)):
             line = u_diameter_line(SQUARE, u)
@@ -459,6 +488,42 @@ def test_line_set_is_complete(seed):
                     assert line in reported
 
 
+def test_unimodular_images_keep_the_lines_and_counts():
+    """An affine map x -> M x + t with M unimodular maps the lattice points
+    and lattice lines of P one to one onto those of the image, and kP onto
+    the image's kth dilate, less k t. So the image has the diameter of P,
+    the mapped diameter lines and directions, and the diameter line count of
+    P at every k. No oracle: the image is checked against the algorithm's
+    own output on P, at coordinates far beyond an oracle's reach."""
+    rng = random.Random(1800)
+    digits = 0
+    for _ in range(300):
+        P = random_polygon(rng, span_hi=rng.choice((6, 12)))
+        a, b, c, d = unimodular(rng, 10 ** rng.randint(0, 9))
+        tx, ty = (rng.randint(-(10**18), 10**18) for _ in range(2))
+
+        def linear(x, y):
+            return a * x + b * y, c * x + d * y
+
+        def affine(x, y):
+            return a * x + b * y + tx, c * x + d * y + ty
+
+        image = Polygon2(tuple(affine(*v) for v in P.vertices))
+        digits = max(digits, max(len(str(abs(x))) for v in image.vertices for x in v))
+        report, mapped = compute_diameter(P), compute_diameter(image)
+        assert mapped.ldiam == report.ldiam, (P, image)
+        assert len(mapped.lines) == len(report.lines), (P, image)
+        assert mapped.directions == tuple(
+            sorted(Direction(linear(*u.vec)) for u in report.directions)
+        ), (P, image)
+        want = {LatticeLine(affine(*L.base), linear(*L.dir.vec)) for L in report.lines}
+        assert set(mapped.lines) == want, (P, image)
+        profile, image_profile = dilation_profile(P), dilation_profile(image)
+        for k in (2, 3, 7):
+            assert image_profile.count(k) == profile.count(k), (P, image, k)
+    assert digits >= 30
+
+
 def piece_windows(P: Polygon2, u: Direction, m: int) -> list[int]:
     """The levels of direction u whose chord through P is at least m: the
     union of the m chord windows of the level pieces, in sweep order."""
@@ -532,6 +597,23 @@ class TestLevelPieces:
                 assert diameter._level_pieces(P.vertices, hps, u) == want, (P, u)
                 cases += 1
         assert cases > 4000
+
+    def test_pieces_split_the_width_at_the_vertex_levels(self, polygons):
+        # the level of v in direction u is <(-u_y, u_x), v>, so the pieces run
+        # over the lattice width of P for that functional: 2, 4 and 2 here
+        for P, u, width in ((SQUARE, (0, 1), 2), (SQUARE, (1, -1), 4),
+                            (TRIANGLE, (1, 0), 2)):
+            _, pieces = diameter._level_pieces(P.vertices, P.halfplanes(), u)
+            assert pieces[-1][1] - pieces[0][0] == width
+        rng = random.Random(1703)
+        for P in polygons[::4]:
+            u = Direction((rng.randint(-9, 9), rng.randint(1, 9))).vec
+            _, pieces = diameter._level_pieces(P.vertices, P.halfplanes(), u)
+            levels = sorted({u[0] * y - u[1] * x for x, y in P.vertices})
+            assert [piece[0] for piece in pieces] == levels[:-1]
+            assert [piece[1] for piece in pieces] == levels[1:]
+            # half-open pieces, the topmost closed
+            assert [piece[2] for piece in pieces] == [1] * (len(pieces) - 1) + [0]
 
     def test_longest_chord_matches_the_vertex_clips(self, polygons):
         rng = random.Random(1702)

@@ -35,18 +35,14 @@ from helpers import (
     clip_line_oracle,
     dilate_levels_oracle,
     fit_quasipolynomial_oracle,
+    opposite_pairs_oracle,
     profile_polygons,
     random_chambers,
     random_polygon,
 )
 from latticediam import compute_diameter, diameter, local_diameter_lines
 from latticediam.core import floor_sum
-from latticediam.diameter import (
-    DilationProfile,
-    ProfileRecord,
-    dilation_profile,
-    opposite_pairs,
-)
+from latticediam.diameter import DilationProfile, ProfileRecord, dilation_profile
 
 # conv{(0,0),(2,0),(3,4)}: the count drops from 4 to its eventual constant 2
 LATE_START = Polygon2(((0, 0), (2, 0), (3, 4)))
@@ -156,8 +152,8 @@ class TestDilationProfile:
                 kP = P.dilate(k)
                 want = {
                     line
-                    for pair in opposite_pairs(kP)
-                    for line in local_diameter_lines(pair.edge, pair.vertex, pair.normal)
+                    for pair in opposite_pairs_oracle(kP)
+                    for line in local_diameter_lines(*pair)
                 }
                 got = {
                     LatticeLine((k * v[0], k * v[1]), d)

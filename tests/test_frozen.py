@@ -14,14 +14,12 @@ from latticediam import (
     BlockDecomposition,
     BorsukGraph,
     BorsukPartition,
-    ComponentClass,
     DiameterReport,
     Direction,
     Document,
     HardnessCheck,
     HardnessInstance,
     LatticeLine,
-    OppositePair,
     OracleReport,
     ParseError,
     PointSet,
@@ -65,11 +63,6 @@ CASES = [
         "t1=Fraction(1, 3), t2=Fraction(5, 1))",
     ),
     (
-        OppositePair, {"edge": ((0, 0), (1, 0)), "vertex": (0, 1), "normal": (0, -1)},
-        (((0, 0), (1, 0)), (0, 1), (0, -1)),
-        "OppositePair(edge=((0, 0), (1, 0)), vertex=(0, 1), normal=(0, -1))",
-    ),
-    (
         DiameterReport,
         {"ldiam": 4, "lines": (LINE,), "directions": (X,),
          "representative_segments": (SEGMENT,)},
@@ -109,14 +102,6 @@ CASES = [
         ((PointSet([(0, 0)]), PointSet([(1, 0)])), {(0, 0): 0, (1, 0): 1}),
         "BorsukPartition(parts=(PointSet(points=((0, 0),)), PointSet(points=((1, 0),))), "
         "labels={(0, 0): 0, (1, 0): 1})",
-    ),
-    (
-        ComponentClass,
-        {"points": ((0, 0), (1, 0)), "max_degree": 1, "is_complete": True,
-         "is_odd_cycle": False},
-        (((0, 0), (1, 0)), 1, True, False),
-        "ComponentClass(points=((0, 0), (1, 0)), max_degree=1, is_complete=True, "
-        "is_odd_cycle=False)",
     ),
     (PolyConstraint, {"terms": ((1, (1, 0, 0)),), "rhs": 2}, (((1, (1, 0, 0)),), 2),
      "PolyConstraint(terms=((1, (1, 0, 0)),), rhs=2)"),
@@ -200,6 +185,24 @@ class TestValueClass:
         with pytest.raises(AttributeError):
             obj.extra = 1
         assert fields_of(obj, kwargs) == fields
+
+
+def test_every_value_class_has_a_case():
+    import importlib
+    import pkgutil
+
+    import latticediam
+    from latticediam.frozen import Frozen, Ordered
+
+    found = set()
+    for info in pkgutil.iter_modules(latticediam.__path__):
+        module = importlib.import_module(f"latticediam.{info.name}")
+        found |= {
+            obj for obj in vars(module).values()
+            if isinstance(obj, type) and issubclass(obj, Frozen)
+            and obj.__module__ == module.__name__
+        }
+    assert found - {Frozen, Ordered} == {case[0] for case in CASES}
 
 
 def test_two_classes_with_equal_fields_differ():

@@ -73,6 +73,28 @@ def test_every_public_name_is_its_defining_module_object():
     assert set(star) - {"__builtins__"} == set(latticediam.__all__)
 
 
+# names with no caller, deleted from the package and from their modules
+DELETED = {
+    "ComponentClass": "borsuk",
+    "classify_components": "borsuk",
+    "conv_is_cube": "borsuk",
+    "lattice_width": "core",
+    "diameter_directions": "oracle",
+    "OppositePair": "diameter",
+    "opposite_pairs": "diameter",
+    "u_diameter_line": "diameter",
+}
+
+
+@pytest.mark.parametrize("name", DELETED)
+def test_deleted_names_are_gone(name):
+    module = importlib.import_module(f"latticediam.{DELETED[name]}")
+    assert name not in latticediam.__all__ and name not in module.__all__
+    assert not hasattr(module, name)
+    with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+        getattr(latticediam, name)
+
+
 def test_unknown_names_and_submodules():
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         latticediam.no_such_name

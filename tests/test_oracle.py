@@ -14,7 +14,6 @@ from latticediam import (
     brute_force_diameter,
     build_borsuk_graph,
     check_rabinowitz,
-    diameter_directions,
     direction_maximal_polytope,
     enumerate_lattice_points,
     hardness_instance,
@@ -195,13 +194,14 @@ def test_decides_the_path_once(monkeypatch):
 
 
 class TestDirections:
-    def test_needs_two_points(self):
-        with pytest.raises(ValidationError):
-            diameter_directions(PointSet([(0, 0)]))
+    def test_one_point_has_no_direction(self):
+        # a single point spans no segment, so no diameter direction
+        report = brute_force_diameter(PointSet([(0, 0)]))
+        assert (report.ldiam, report.segments, report.directions) == (0, (), ())
 
     def test_sorted_and_primitive(self):
         S = PointSet([(0, 0), (2, 2), (0, 2), (2, 0)])
-        dirs = diameter_directions(S)
+        dirs = brute_force_diameter(S).directions
         assert list(dirs) == sorted(dirs)
         for u in dirs:
             assert gcd(*u.vec) == 1
