@@ -1,6 +1,6 @@
 """Scaling ladders of the dilation counts, written as one JSON file.
 
-    PYTHONPATH=src python scripts/bench_dilation.py --out BENCH_17.json \
+    PYTHONPATH=src python scripts/bench_dilation.py --out BENCH_19.json \
         [--baseline OTHER_CHECKOUT/src]
 
 Rows:
@@ -8,14 +8,24 @@ Rows:
   and the square [0,2]^2: the best time of building the profile;
 - DilationProfile.count(k) for k = 10^1 .. 10^12 on the same two polygons:
   the value, the best time in seconds of the first count of a profile
-  ("seconds"), the best time of the count kernel alone ("warm_seconds"),
-  and the floor_sum and level_interval calls of one first count (taken in
-  a separate, untimed pass). A first count also builds the profile's
-  longest-chord table and the level pieces of its diameter directions, and
-  the profile keeps each count, so every "seconds" call gets a fresh
-  profile, built before its timer starts. "warm_seconds" times
-  DilationProfile._count(k), the kernel under count(k), on one profile
-  whose table and pieces are already built: the cost of each further k;
+  ("seconds"), the best time of a count on a warm profile
+  ("warm_seconds"), and the floor_sum and level_interval calls of one first
+  count (taken in a separate, untimed pass). A first count also builds the
+  profile's longest-chord table and the level pieces of its diameter
+  directions, and the profile keeps each count, so every "seconds" call
+  gets a fresh profile, built before its timer starts. "warm_seconds" times
+  counts((k,)) on one profile whose table and pieces are already built and
+  whose kept counts are dropped before each call: the cost of each
+  further k;
+- range_counts: the best time per k ("per_k_s") of counts(range(1, K + 1))
+  on a warm profile, its kept counts dropped before each call, with the sum
+  of the K counts, for the quad and the square at K = 100 and for the 4q
+  windows of T_m (below) for m = 19, 61, 113 and 229, the K = 4q samples
+  the fit takes first. With --baseline, the same rows are timed on the
+  package found in that directory, as the ladder below is, and each row
+  holds them under "baseline"; a package without counts, before the range
+  kernel, is timed on its per-k loop [count(k) for k in range(1, K + 1)]
+  ("kernel": "count loop");
 - fit_quasipolynomial on T_m = conv{(0,0),(m-1,1),(-1,m)} for m = 19, 61,
   113 and 229: period, valid_from and the best time;
 - chamber_decomposition(*demo_chamber()): q, w and the best time;
@@ -27,9 +37,8 @@ Rows:
   angle order) for m = 3 .. 11, n = 32 .. 336, and on the skew triangles
   conv{(0,0),(s,1),(3s+1,7)} for s = 10^2 .. 10^30, with the records,
   ldiam, line count and fitted period of each. With --baseline, the same
-  rows are timed on the package found in that directory, in a child
-  interpreter that imports this script, and each row holds them under
-  "baseline";
+  rows are timed on the package found in that directory, and each row
+  holds them under "baseline";
 - the import time of latticediam in a fresh interpreter, apart from the
   compute rows (interpreter start-up excluded), timed by bench_cli's
   import_seconds: every fresh interpreter reads its bytecode from one
@@ -37,10 +46,14 @@ Rows:
   the row never times the compiler.
 
 Times are the best of at least REPEAT runs of a single call, and of as
-many more as fit in MIN_SECONDS, in this process, after one warm-up call.
-The profile ladder is timed in LADDER_ROUNDS rounds, alternating this
-package and the baseline, and keeps the best of each time over the rounds,
-so a slow spell of a shared host weighs on both sides alike.
+many more as fit in MIN_SECONDS, after one warm-up call. The profile
+ladder and the range counts are timed in LADDER_ROUNDS rounds,
+alternating this package and the baseline, and keep the best of each
+time over the rounds, so a slow spell of a shared host weighs on both
+sides alike. Each round of each package runs in a fresh child
+interpreter that imports this script, so neither side is timed in a
+process whose heap already holds the other rows; the other rows are
+timed in this process.
 """
 
 from __future__ import annotations
@@ -57,6 +70,7 @@ from collections import Counter
 from functools import cmp_to_key
 from math import gcd
 
+import latticediam
 from latticediam import (
     Polygon2,
     chamber_decomposition,
@@ -65,7 +79,7 @@ from latticediam import (
     diameter,
     fit_quasipolynomial,
 )
-from latticediam.diameter import _level_pieces, dilation_profile
+from latticediam.diameter import _level_pieces, _longest_vertex_chord, dilation_profile
 
 # scripts/ is this script's directory, so it leads sys.path
 from bench_cli import child_env, fresh_python, import_seconds
@@ -79,9 +93,13 @@ LADDER_ROUNDS = 3
 PARABOLA_SIZES = (8, 16, 32, 64, 128, 256, 512)
 CIRCLE_RADII = (3, 4, 5, 7, 9, 11)
 SKEW_EXPONENTS = (2, 4, 6, 9, 12, 18, 24, 30)
+FIT_SIZES = (19, 61, 113, 229)
 SCRIPTS = os.path.dirname(os.path.abspath(__file__))
-# Run in a child interpreter whose path leads to another package.
-LADDER_CHILD = "import json, bench_dilation; print(json.dumps(bench_dilation.profile_ladder()))"
+# the directory holding the latticediam package this script imported
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(latticediam.__file__)))
+RANGE_K = 100
+# Run in a child interpreter whose path leads to the package to time.
+CHILD = "import json, bench_dilation; print(json.dumps(bench_dilation.{}()))"
 
 
 def best_time(fn, repeat: int) -> float:
@@ -107,6 +125,52 @@ def best_count_time(P: Polygon2, k: int, repeat: int) -> float:
         elapsed = time.perf_counter() - start
         best, runs, spent = min(best, elapsed), runs + 1, spent + elapsed
     return best
+
+
+def best_warm_time(profile, ks, repeat: int) -> float:
+    """The best time of counting ks on profile, its kept counts dropped
+    before each call, after one warm-up call: counts(ks), or the per-k
+    count loop of a package without counts."""
+    if hasattr(profile, "counts"):
+        run = profile.counts
+    else:
+        def run(ks):
+            return [profile.count(k) for k in ks]
+    run(ks)
+    best, runs, spent = float("inf"), 0, 0.0
+    while runs < repeat or spent < MIN_SECONDS:
+        profile._counts.clear()
+        start = time.perf_counter()
+        run(ks)
+        elapsed = time.perf_counter() - start
+        best, runs, spent = min(best, elapsed), runs + 1, spent + elapsed
+    return best
+
+
+def triangle(m: int) -> Polygon2:
+    """T_m = conv{(0,0),(m-1,1),(-1,m)}."""
+    return Polygon2(((0, 0), (m - 1, 1), (-1, m)))
+
+
+def range_count_rows() -> list[dict]:
+    windows = [({"polygon": "quad"}, QUAD, RANGE_K), ({"polygon": "square"}, SQUARE, RANGE_K)]
+    for m in FIT_SIZES:
+        T = triangle(m)
+        profile = dilation_profile(T)
+        _, q = _longest_vertex_chord(profile.pieces(u)[1] for u in profile.best(1)[1])
+        windows.append(({"polygon": "T", "m": m}, T, 4 * q))
+    rows = []
+    for row, P, K in windows:
+        profile = dilation_profile(P)
+        ks = range(1, K + 1)
+        row.update({
+            "K": K,
+            "kernel": "counts" if hasattr(profile, "counts") else "count loop",
+            "counts_sum": sum(map(profile.count, ks)),
+            "per_k_s": best_warm_time(profile, ks, REPEAT) / K,
+        })
+        rows.append(row)
+    return rows
 
 
 def kernel_calls(fn) -> dict[str, int]:
@@ -178,12 +242,12 @@ def profile_ladder() -> list[dict]:
     return rows
 
 
-def baseline_ladder(src: str) -> list[dict]:
-    """profile_ladder() of the package in the directory src, timed in a
-    child interpreter."""
+def in_child(src: str, rows: str) -> list[dict]:
+    """The rows of the function of this script named rows, for the package
+    in the directory src, timed in a fresh child interpreter."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join((os.path.abspath(src), SCRIPTS))}
     return json.loads(subprocess.run(
-        [sys.executable, "-c", LADDER_CHILD], check=True, capture_output=True,
+        [sys.executable, "-c", CHILD.format(rows)], check=True, capture_output=True,
         text=True, env=env,
     ).stdout)
 
@@ -205,14 +269,22 @@ def main() -> None:
                         help="a directory holding another latticediam package to time alongside")
     args = parser.parse_args()
 
-    ladder: list[dict] = []
-    for _ in range(LADDER_ROUNDS):
-        rows = profile_ladder()
-        if args.baseline:
-            for row, other in zip(rows, baseline_ladder(args.baseline)):
-                row["baseline"] = {key: value for key, value in other.items()
-                                   if key not in ("polygon", "n", "m", "s")}
-        ladder = rows if not ladder else [best_of(*pair) for pair in zip(ladder, rows)]
+    def rounds(rows: str) -> list[dict]:
+        """The rows of the function named rows, with those of the baseline,
+        each time the best over LADDER_ROUNDS rounds that alternate the two
+        packages."""
+        best: list[dict] = []
+        for _ in range(LADDER_ROUNDS):
+            ours = in_child(SRC, rows)
+            if args.baseline:
+                for row, other in zip(ours, in_child(args.baseline, rows)):
+                    row["baseline"] = {key: value for key, value in other.items()
+                                       if key not in ("polygon", "n", "m", "s", "K")}
+            best = ours if not best else [best_of(*pair) for pair in zip(best, ours)]
+        return best
+
+    ladder = rounds("profile_ladder")
+    range_counts = rounds("range_count_rows")
 
     profiles = []
     counts = []
@@ -230,12 +302,12 @@ def main() -> None:
                 "k": f"1e{e}",
                 "count": profile.count(k),
                 "seconds": best_count_time(P, k, REPEAT),
-                "warm_seconds": best_time(lambda: profile._count(k), REPEAT),
+                "warm_seconds": best_warm_time(profile, (k,), REPEAT),
                 "kernel_calls": calls,
             })
     fits = []
-    for m in (19, 61, 113, 229):
-        T = Polygon2(((0, 0), (m - 1, 1), (-1, m)))
+    for m in FIT_SIZES:
+        T = triangle(m)
         fit = fit_quasipolynomial(T)
         fits.append({
             "m": m,
@@ -265,6 +337,7 @@ def main() -> None:
         "import_latticediam": import_table,
         "dilation_profile": profiles,
         "count": counts,
+        "range_counts": range_counts,
         "fit_quasipolynomial": fits,
         "chamber_decomposition": chamber,
         "baseline_timed": bool(args.baseline),

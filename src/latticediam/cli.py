@@ -192,7 +192,8 @@ def _cmd_ld(args: argparse.Namespace) -> int:
     P = polygon_from_document(load_document(args.input))
     check_dilate_budget(args.k_max, args.budget)
     profile = dilation_profile(P)
-    counts = [(k, profile.count(k)) for k in range(1, args.k_max + 1)]
+    ks = range(1, args.k_max + 1)
+    counts = list(zip(ks, profile.counts(ks)))
     # Fit sampling is sized from the discovered period, not the table range;
     # it runs before any output, so a refused fit prints nothing.
     fit = None

@@ -264,8 +264,7 @@ def floor_sum(n: int, m: int, a: int, b: int) -> int:
     Euclid-like: reduce a and b mod m, then the sum counts the lattice points
     under a line, which is counted again with the roles of a and m swapped.
     O(log m) integer steps, whatever the size of n. A sum of one term is
-    floor(b / m), whatever a, so the loop stops when one term is left: a
-    one-level chord window of the dilate counts costs one division.
+    floor(b / m), whatever a, so the loop stops when one term is left.
     """
     total = 0
     while n > 1:

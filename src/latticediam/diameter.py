@@ -32,16 +32,19 @@ piece's best - 1 chord window can hold the best count, and every one of
 them holds best - 1 or best points. compute_diameter sweeps those windows,
 one kernel call per level, to list the diameter lines (some pass through no
 vertex at all). The dilates count them in closed form instead: over a
-piece, the count is sum floor(U) - sum ceil(L) + (2 - best) |piece|, two
-Euclid-like floor sums, so the cost does not grow with k. The chord window
-of a piece at any k comes from three clip constants that do not depend on
-k, kept in the piece's flat row, through one routine (_chord_clip) for the
-sweep and the counts. The chord is concave across the levels and bends only
-at piece ends, so the longest chord of a direction, and with it the fit's
-period, is read from the rows too, in O(n). All of it is integer
-arithmetic, and this module clips no line itself: the sweep's
-level_interval and the representative segments' clip_line go through
-core.line_bounds.
+window of n levels, the count is sum floor(U) - sum ceil(L) + (2 - best) n,
+two Euclid-like floor sums, or two floor divisions when n = 1, so the cost
+does not grow with k. The chord window of a piece at any k comes from three
+clip constants that do not depend on k, kept in the piece's flat row. One
+generator (_chord_clip) clips a piece for a run of (k, m) pairs: the sweep
+passes the one pair (1, best - 1), and a range of dilates is counted in one
+pass, which groups the ks by their diameter directions and passes, to each
+piece of those directions, the pairs of the whole group. The chord is
+concave across the levels and bends only at piece ends, so the longest
+chord of a direction, and with it the fit's period, is read from the rows
+too, in O(n). All of it is integer arithmetic, and this module clips no
+line itself: the sweep's level_interval and the representative segments'
+clip_line go through core.line_bounds.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import cmp_to_key
 from math import gcd
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (
     Direction,
@@ -341,27 +344,35 @@ def _polygon_picks(P: Polygon2) -> Iterator[tuple[Point, Point, int, int]]:
 Piece = tuple[int, int, int, int, int, int, int, int, int, int, int, int]
 
 
-def _chord_clip(piece: Piece, k: int, min_chord: int) -> tuple[int, int]:
-    """The levels of the piece of kP where its chord is at least min_chord;
-    an empty range has lo > hi.
+def _chord_clip(
+    piece: Piece, pairs: Iterable[tuple[int, int]]
+) -> Iterator[tuple[int, int, int, int]]:
+    """(k, m, first, last) for each pair (k, m) whose window is not empty:
+    the levels first..last of the piece of kP where its chord is at least m.
 
     The piece of kP runs from level k * lo to k * hi - cut. Its k-free
     constants (_level_pieces) give the chord inequality A*beta <= B with
-    B = min_chord * ti * tj + k * (ti * cj - tj * ci), since scaling P by k
-    scales the halfplane constants ci and cj by k; it is solved with floor
-    divisions. This is the one copy of the clip: the sweep reads it at k = 1
-    and the dilate counts at every k.
+    B = m * ti * tj + k * (ti * cj - tj * ci), since scaling P by k scales
+    the halfplane constants ci and cj by k; it is solved with floor
+    divisions. This is the one copy of the clip: the sweep reads it with
+    the one pair (1, best - 1) and the dilate counts with a pair per k.
     """
     lo, hi, cut, A, titj, C, _, _, _, _, _, _ = piece
-    first, last = k * lo, k * hi - cut
-    B = min_chord * titj + k * C
-    if A > 0:
-        x = B // A  # beta <= floor(B / A)
-        return first, x if x < last else last
-    if A < 0:
-        x = -(B // -A)  # beta >= ceil(B / A)
-        return x if x > first else first, last
-    return (first, last) if B >= 0 else (first, first - 1)
+    for k, m in pairs:
+        first, last = k * lo, k * hi - cut
+        B = m * titj + k * C
+        if A > 0:
+            x = B // A  # beta <= floor(B / A)
+            if x < last:
+                last = x
+        elif A < 0:
+            x = -(B // -A)  # beta >= ceil(B / A)
+            if x > first:
+                first = x
+        elif B < 0:
+            continue
+        if first <= last:
+            yield k, m, first, last
 
 
 class ProfileRecord(NamedTuple):
@@ -484,12 +495,12 @@ def _direction_sweep(
     """
     anchor, pieces = levels
     for piece in pieces:
-        first, last = _chord_clip(piece, 1, best - 1)
-        for beta in range(first, last + 1):
-            x0 = (anchor[0] * beta, anchor[1] * beta)
-            iv = level_interval(halfplanes, x0, u)
-            if iv is not None and iv[1] - iv[0] + 1 == best:
-                yield x0
+        for _, _, first, last in _chord_clip(piece, ((1, best - 1),)):
+            for beta in range(first, last + 1):
+                x0 = (anchor[0] * beta, anchor[1] * beta)
+                iv = level_interval(halfplanes, x0, u)
+                if iv is not None and iv[1] - iv[0] + 1 == best:
+                    yield x0
 
 
 # longest chord first: (n1, d1) sorts before (n2, d2) when n1 * d2 > n2 * d1
@@ -502,10 +513,12 @@ class DilationProfile:
     The triangle of kP is the slope cone of P's triangle cut at level kJ, so
     the candidates of kP are the records with kmin <= k, and best(k) reads
     them in one pass. Of the records of one direction, the longest chord
-    holds the most points at every k, so count(k) reads a flat table of one
-    longest chord per direction, built once for each kmin threshold, and
-    sums the closed-form level count of each diameter direction over its
-    level pieces, built once per direction. Each count is kept.
+    holds the most points at every k, so counts(ks) reads, for each k, a
+    flat table of one longest chord per direction, built once for each kmin
+    threshold. It then sums the closed-form level count of each diameter
+    direction over its level pieces, built once per direction, with the
+    pieces outer and the ks that share the direction inner. count(k) is
+    counts((k,))[0]. Each count is kept.
     """
 
     def __init__(
@@ -577,48 +590,69 @@ class DilationProfile:
 
     def count(self, k: int) -> int:
         """The number of lattice diameter lines of kP, counted once per k."""
-        count = self._counts.get(k) if isinstance(k, int) else None
-        if count is None:
+        return self.counts((k,))[0]
+
+    def counts(self, ks: Iterable[int]) -> list[int]:
+        """count(k) for each k of ks, in order. Every k is checked before
+        any is counted, and the ks not counted before go to the kernel in
+        one batch, each once."""
+        ks = tuple(ks)
+        cache = self._counts
+        new: dict[int, None] = {}
+        for k in ks:
             if not isinstance(k, int) or k < 1:
                 raise ValidationError("dilation factor must be a positive int")
-            count = self._counts[k] = self._count(k)
-        return count
+            if k not in cache:
+                new[k] = None
+        if new:
+            cache.update(self._count(new))
+        return [cache[k] for k in ks]
 
-    def _count(self, k: int) -> int:
-        """The count kernel: one pass over the table for the chord window m
-        = best - 1 of kP and its diameter directions, then over the pieces
-        of each of them.
+    def _count(self, ks: Collection[int]) -> dict[int, int]:
+        """The count kernel over distinct ks: per k, one pass over the table
+        for the chord window m = best - 1 of kP and its diameter directions;
+        then, per tuple of directions, one pass over the pieces of each,
+        with the (k, m) pairs of that tuple inside each piece.
 
         Scaling P by k scales every level and every halfplane constant c by
         k. Inside the m chord window every level holds m or m + 1 points
         (the floor/+1 sandwich), and outside it at most m. A level holds
         floor(U) + floor(-L) + 1 points, so the count over a window piece of
         n levels from first is sum floor(U) + sum floor(-L) + (1 - m) n, two
-        floor sums. There are O(n) pieces per direction, so a count costs
-        O(n log) integer steps, whatever the size of k.
+        floor sums, or two floor divisions when n = 1. There are O(n) pieces
+        per direction, so a count costs O(n log) integer steps, whatever the
+        size of k.
         """
-        m, directions = -1, []
-        for num, den, d in self._table(k):
-            chord = k * num // den
-            if chord < m:
-                break  # the table is longest first, so no later chord ties
-            m = chord
-            directions.append(d)
-        total = 0
+        groups: dict[tuple[Point, ...], list[tuple[int, int]]] = {}
+        for k in ks:
+            m, directions = -1, []
+            for num, den, d in self._table(k):
+                chord = k * num // den
+                if chord < m:
+                    break  # the table is longest first, so no later chord ties
+                m = chord
+                directions.append(d)
+            groups.setdefault(tuple(directions), []).append((k, m))
+        totals = dict.fromkeys(ks, 0)
         built = self._pieces
-        for d in directions:
-            levels = built.get(d) or self.pieces(d)
-            for piece in levels[1]:
-                first, last = _chord_clip(piece, k, m)
-                n = last - first + 1
-                if n > 0:
+        for directions, pairs in groups.items():
+            for d in directions:
+                for piece in (built.get(d) or self.pieces(d))[1]:
                     _, _, _, _, _, _, ti, nei, ci, ntj, nej, cj = piece
-                    total += (
-                        floor_sum(n, ti, nei, k * ci + first * nei)
-                        + floor_sum(n, ntj, nej, k * cj + first * nej)
-                        + (1 - m) * n
-                    )
-        return total
+                    for k, m, first, last in _chord_clip(piece, pairs):
+                        n = last - first + 1
+                        if n == 1:
+                            totals[k] += (
+                                (k * ci + first * nei) // ti
+                                + (k * cj + first * nej) // ntj + 1 - m
+                            )
+                        else:
+                            totals[k] += (
+                                floor_sum(n, ti, nei, k * ci + first * nei)
+                                + floor_sum(n, ntj, nej, k * cj + first * nej)
+                                + (1 - m) * n
+                            )
+        return totals
 
 
 def dilation_profile(P: Polygon2) -> DilationProfile:

@@ -133,7 +133,8 @@ def fit_quasipolynomial(
     sample matches; that start can exceed q when a chord that is not
     asymptotically longest still ties for small dilates. Every count comes
     from one dilation profile of P, built here unless the caller passes
-    dilation_profile(P) as profile; the profile counts each k once, so
+    dilation_profile(P) as profile, in one range call per sample horizon,
+    profile.counts(range(1, horizon + 1)); the profile keeps each count, so
     neither a doubled window nor a fit after ld-count's table recounts a
     dilate. With a budget, a sample horizon over it (the first one, each
     doubling or k_max) raises BudgetError before any sample of it is taken.
@@ -154,7 +155,7 @@ def fit_quasipolynomial(
     while True:
         if budget is not None:
             check_dilate_budget(horizon, budget)
-        counts = [0, *map(profile.count, range(1, horizon + 1))]
+        counts = [0, *profile.counts(range(1, horizon + 1))]
         # per residue, (delta, c1, k1) from its last two samples k1 and
         # k1 + q: the piece is c1 + delta (k - k1) / q
         pieces: list[tuple[int, int, int]] = []

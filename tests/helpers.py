@@ -21,7 +21,7 @@ from latticediam import (
     local_diameter_lines,
 )
 from latticediam import borsuk
-from latticediam.core import line_bounds
+from latticediam.core import floor_sum, line_bounds
 from latticediam.dilation import BlockDecomposition
 from latticediam.diameter import DiameterReport, ProfileRecord, dilation_profile
 from latticediam.lines import ClippedSegment, level_anchor, level_interval
@@ -426,6 +426,48 @@ def dilate_levels_oracle(P: Polygon2, k: int) -> tuple[int, int, list[tuple[int,
         list(unwindowed_counts(kP, u).values()).count(best) for u in directions
     )
     return lines, best, sorted(u.vec for u in directions)
+
+
+def count_oracle(profile, k: int) -> int:
+    """The per-k count kernel that DilationProfile's range kernel replaced,
+    kept as its oracle: one pass over the table for the chord window
+    m = best - 1 of kP and its diameter directions, then, per piece of
+    each, the window clipped for this k alone and two floor sums over it,
+    whatever its length."""
+    m, directions = -1, []
+    for num, den, d in profile._table(k):
+        chord = k * num // den
+        if chord < m:
+            break
+        m = chord
+        directions.append(d)
+    total = 0
+    for d in directions:
+        for piece in profile.pieces(d)[1]:
+            lo, hi, cut, A, titj, C, ti, nei, ci, ntj, nej, cj = piece
+            first, last = k * lo, k * hi - cut
+            B = m * titj + k * C
+            if A > 0:
+                last = min(last, B // A)
+            elif A < 0:
+                first = max(first, -(B // -A))
+            elif B < 0:
+                continue
+            n = last - first + 1
+            if n > 0:
+                total += (
+                    floor_sum(n, ti, nei, k * ci + first * nei)
+                    + floor_sum(n, ntj, nej, k * cj + first * nej)
+                    + (1 - m) * n
+                )
+    return total
+
+
+def plateau(H: int) -> Polygon2:
+    """The parallelogram (0,0), (2H,0), (2H+1,H), (1,H): every one of its
+    H + 1 levels in direction (1, 0) has a chord of exactly 2H, so each is
+    in the chord window, but only levels 0 and H hold 2H + 1 points."""
+    return Polygon2(((0, 0), (2 * H, 0), (2 * H + 1, H), (1, H)))
 
 
 def best_records_oracle(profile, k: int) -> tuple[int, list[tuple[int, int]]]:

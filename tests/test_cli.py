@@ -362,17 +362,18 @@ class TestLdCount:
         assert json.loads(capsys.readouterr().out.split("6,5\n", 1)[1])["period"] == 3
 
     def test_fit_counts_each_dilate_once(self, quad_file, capsys, monkeypatch):
-        # the table covers k = 1..12 and the fit samples its 4q = 12 again
-        counted = []
+        # the table counts k = 1..12 in one batch, and the fit's 4q = 12
+        # samples are all cached, so the kernel sees no second batch
+        batches = []
         kernel = diameter.DilationProfile._count
 
-        def recorded(profile, k):
-            counted.append(k)
-            return kernel(profile, k)
+        def recorded(profile, ks):
+            batches.append(list(ks))
+            return kernel(profile, ks)
 
         monkeypatch.setattr(diameter.DilationProfile, "_count", recorded)
         assert cli.run(["ld", quad_file, "--k-max", "12", "--fit"]) == 0
-        assert sorted(counted) == list(range(1, 13))
+        assert batches == [list(range(1, 13))]
         out = capsys.readouterr().out
         assert out.startswith("k,count\n1,3\n2,4\n3,3\n")
         assert json.loads(out.split("12,", 1)[1].split("\n", 1)[1])["period"] == 3

@@ -530,8 +530,8 @@ def piece_windows(P: Polygon2, u: Direction, m: int) -> list[int]:
     levels = []
     _, pieces = diameter._level_pieces(P.vertices, P.halfplanes(), u.vec)
     for piece in pieces:
-        first, last = diameter._chord_clip(piece, 1, m)
-        levels.extend(range(first, last + 1))
+        for _, _, first, last in diameter._chord_clip(piece, ((1, m),)):
+            levels.extend(range(first, last + 1))
     return levels
 
 

@@ -33,12 +33,15 @@ from helpers import (
     chamber_decomposition_oracle,
     chord_oracle,
     clip_line_oracle,
+    count_oracle,
     dilate_levels_oracle,
     fit_quasipolynomial_oracle,
     opposite_pairs_oracle,
+    plateau,
     profile_polygons,
     random_chambers,
     random_polygon,
+    ring_polygons,
 )
 from latticediam import compute_diameter, diameter, local_diameter_lines
 from latticediam.core import floor_sum
@@ -277,6 +280,75 @@ class TestDilationWork:
         assert work[0] == work[1] == work[2]
         assert work[0]["floor_sum"] > 0
         assert built == []
+
+
+class TestRangeCounts:
+    """DilationProfile.counts, the one range kernel under count, against
+    the per-k kernel it replaced (helpers.count_oracle)."""
+
+    def test_matches_the_per_k_kernel(self):
+        rng = random.Random(19)
+        polygons = [
+            *profile_polygons(), *ring_polygons(10, rng),
+            plateau(10**6), plateau(10**15), QUAD, SQUARE,
+        ]
+        for P in polygons:
+            profile = dilation_profile(P)
+            ks = [*range(1, 41), *rng.sample(range(1, 41), 5)]
+            for base in (10**9, 10**12):
+                r = rng.randint(0, 10**6)
+                ks += [base + r, base + r]
+            rng.shuffle(ks)
+            want = [count_oracle(profile, k) for k in ks]
+            assert profile.counts(ks) == want, P
+            assert dilation_profile(P).counts(reversed(ks)) == want[::-1], P
+            assert [profile.count(k) for k in ks] == want, P
+
+    def test_each_k_is_counted_once(self, monkeypatch):
+        batches = []
+        kernel = DilationProfile._count
+
+        def recorded(profile, ks):
+            batches.append(list(ks))
+            return kernel(profile, ks)
+
+        monkeypatch.setattr(DilationProfile, "_count", recorded)
+        profile = dilation_profile(QUAD)
+        assert profile.counts([3, 1, 3, 2]) == [3, 3, 3, 4]
+        assert profile.counts(range(1, 7)) == [3, 4, 3, 9, 8, 5]
+        assert profile.count(2) == 4 and profile.counts([]) == []
+        assert batches == [[3, 1, 2], [4, 5, 6]]
+
+    @pytest.mark.parametrize(
+        "ks", [[0], [1, 2, 0], [-3, 4], [2.0], [1, "2"], [None], [3, 10**12, 1.5]]
+    )
+    def test_bad_ks_are_refused_before_any_count(self, ks, monkeypatch):
+        def no_count(*args):
+            raise AssertionError("the kernel ran")
+
+        profile = dilation_profile(QUAD)
+        bad = next(k for k in ks if not isinstance(k, int) or k < 1)
+        with pytest.raises(ValidationError) as refused:
+            profile.count(bad)
+        monkeypatch.setattr(DilationProfile, "_count", no_count)
+        with pytest.raises(ValidationError) as exc:
+            profile.counts(ks)
+        assert str(exc.value) == str(refused.value)
+        assert profile._counts == {}
+
+    def test_count_keeps_its_checks_and_cache(self, monkeypatch):
+        profile = dilation_profile(QUAD)
+        for k in (0, -1, 2.0, "3", None, [1]):
+            with pytest.raises(ValidationError, match="positive int"):
+                profile.count(k)
+        assert profile.count(5) == 8
+
+        def no_count(*args):
+            raise AssertionError("the kernel ran")
+
+        monkeypatch.setattr(DilationProfile, "_count", no_count)
+        assert profile.count(5) == 8 and profile.counts((5, 5)) == [8, 8]
+        assert profile._counts == {5: 8}
 
 
 class TestFit:
