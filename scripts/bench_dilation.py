@@ -1,6 +1,6 @@
 """Scaling ladders of the dilation counts, written as one JSON file.
 
-    PYTHONPATH=src python scripts/bench_dilation.py --out BENCH_19.json \
+    PYTHONPATH=src python scripts/bench_dilation.py --out BENCH_20.json \
         [--baseline OTHER_CHECKOUT/src]
 
 Rows:
@@ -11,12 +11,11 @@ Rows:
   ("seconds"), the best time of a count on a warm profile
   ("warm_seconds"), and the floor_sum and level_interval calls of one first
   count (taken in a separate, untimed pass). A first count also builds the
-  profile's longest-chord table and the level pieces of its diameter
-  directions, and the profile keeps each count, so every "seconds" call
-  gets a fresh profile, built before its timer starts. "warm_seconds" times
-  counts((k,)) on one profile whose table and pieces are already built and
-  whose kept counts are dropped before each call: the cost of each
-  further k;
+  level pieces of the profile's diameter directions, and the profile keeps
+  each count, so every "seconds" call gets a fresh profile, built before
+  its timer starts. "warm_seconds" times counts((k,)) on one profile whose
+  pieces are already built and whose kept counts are dropped before each
+  call: the cost of each further k;
 - range_counts: the best time per k ("per_k_s") of counts(range(1, K + 1))
   on a warm profile, its kept counts dropped before each call, with the sum
   of the K counts, for the quad and the square at K = 100 and for the 4q

@@ -8,16 +8,18 @@ sizes built here.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, floor, gcd
+from math import gcd
 from operator import mul
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .core import Direction, Point, Polygon2, PointSet, as_point, enumerate_lattice_points
 from .errors import BudgetError, ValidationError
 from .frozen import Frozen
 from .oracle import DEFAULT_PAIR_BUDGET, brute_force_diameter
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "PolyConstraint",
@@ -244,6 +246,8 @@ class HardnessInstance(Frozen):
     f(x, y) = (x^2 - a - b y)^2 and R the box 1 <= x <= c-1,
     (1-a)/b <= y <= ((c-1)^2 - a)/b. Its lattice diameter is Z - min f, so
     reading the diameter answers whether x^2 = a + b y is solvable on R.
+    x_range and y_range are the integer ranges of x and y on R, ends
+    included: y_range is (ceil((1-a)/b), floor(((c-1)^2 - a)/b)).
     """
 
     _fields = (
@@ -252,7 +256,7 @@ class HardnessInstance(Frozen):
 
     def __init__(
         self, a: int, b: int, c: int, dim: int, Z: int, x_range: tuple[int, int],
-        y_range: tuple[Fraction, Fraction], base_point: tuple[int, int],
+        y_range: tuple[int, int], base_point: tuple[int, int],
         constraints: tuple[PolyConstraint, ...],
     ):
         object.__setattr__(self, "a", a)
@@ -278,9 +282,8 @@ def hardness_instance(a: int, b: int, c: int, d: int = 3) -> HardnessInstance:
         raise ValidationError("need a, b >= 1 and c > max(2, b)")
     if d < 3:
         raise ValidationError("the gadget needs dimension d >= 3")
-    y_lo = Fraction(1 - a, b)
-    y_hi = Fraction((c - 1) ** 2 - a, b)
-    p = (1, ceil(y_lo))
+    y_range = (-((a - 1) // b), ((c - 1) ** 2 - a) // b)
+    p = (1, y_range[0])
     f_p = (1 - a - b * p[1]) ** 2
     Z = f_p + max((c * c - 2 * c) // b + 1, c - 1)
     nw = d - 3
@@ -327,7 +330,7 @@ def hardness_instance(a: int, b: int, c: int, d: int = 3) -> HardnessInstance:
         dim=d,
         Z=Z,
         x_range=(1, c - 1),
-        y_range=(y_lo, y_hi),
+        y_range=y_range,
         base_point=p,
         constraints=tuple(cons),
     )
@@ -337,7 +340,7 @@ def _grid(inst: HardnessInstance) -> list[tuple[int, int]]:
     return [
         (x, y)
         for x in range(inst.x_range[0], inst.x_range[1] + 1)
-        for y in range(ceil(inst.y_range[0]), floor(inst.y_range[1]) + 1)
+        for y in range(inst.y_range[0], inst.y_range[1] + 1)
     ]
 
 
@@ -427,6 +430,8 @@ def demo_chamber() -> tuple[tuple[tuple[Fraction, Fraction], ...], Direction]:
     This is the middle horizontal chamber of conv{(0,0),(5,1),(6,4),(1,3)};
     the fourth vertex is the parallelogram completion of the three others.
     """
+    from fractions import Fraction
+
     verts = (
         (Fraction(1, 3), Fraction(1)),
         (Fraction(1), Fraction(3)),

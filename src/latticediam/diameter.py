@@ -13,16 +13,20 @@ with their size.
 
 The same scan serves P and all its dilates kP. The triangle of kP is the
 slope cone of P's triangle cut at level kJ instead of J, and picks come in
-increasing level, so the candidates of kP are a prefix of the cone's first
-three picks: those with kmin = ceil(j / J) <= k, and kmin is 1 or 2.
-dilation_profile runs the scan once and records each candidate line with
-its kmin and its chord c = num/den through P, read from the levels: the
-line of a pick at level j leaves P through the edge at level J, so c = J/j.
-Through a vertex of kP the line holds floor(k num / den) + 1 points. So the
-best count and the diameter directions of kP are a max over the records:
-compute_diameter takes those of P in one pass over them, and the dilate
-counts read a table of the longest chord of each direction, built once per
-kmin threshold.
+increasing level, so the candidates of kP are the cone's picks with
+j <= kJ. Only those with j <= J can reach the best count of kP: the edge
+ends sit at level J, so the cone's first pick has j <= J, and its line
+through kv holds at least k + 1 points of kP, while a pick with j > J has
+chord J/j < 1 and holds at most k. So the scan stops at level J, and
+dilation_profile runs it once and records each candidate line with its
+chord c = num/den through P, read from the levels: the line of a pick at
+level j leaves P through the edge at level J, so c = J/j. Through a vertex
+of kP the line holds floor(k num / den) + 1 points. So the best count and
+the diameter directions of kP are a max over the records, and one window
+pass over a table built with the profile gives them to compute_diameter
+and to the dilate counts alike: the longest chord of each direction, kept
+for the directions whose longest chord has the top floor, since no other
+chord reaches a window.
 
 Per diameter direction, the vertex levels split the level range into
 pieces on which the upper and lower bounds U and L of the chord are single
@@ -49,8 +53,6 @@ clip_line go through core.line_bounds.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from functools import cmp_to_key
 from math import gcd
 from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
@@ -207,14 +209,15 @@ def _follow(
 def _level_picks(J: int, lo: int, hi: int) -> list[Pick]:
     """The first three picks (j, k) of the cone of slopes k/j in
     [lo/J, hi/J], lo < hi, in pick order: each the lowest point, by (j, k),
-    of the cone off the lines of the earlier picks, with j <= 2J.
+    of the cone off the lines of the earlier picks, with j <= J. Picks come
+    in increasing j, so these are a prefix of the uncapped cone's picks, and
+    no pick past level J can reach a best count (_cone_picks).
 
     A pick splits its sector into the two halves open at its slope. One
     descent (_descend) finds the first pick and its Farey parents; the
     lowest point of each half then comes from the parents (_follow), and so
     do its own parents, so every later pick costs O(1).
     """
-    j_max = 2 * J
     w, left, right = _descend(lo, hi, J)
     # (pick, its lower parent, its upper parent, sector: lo, lo_open, hi, hi_open)
     sectors = [(w, left, right, (J, lo), False, (J, hi), False)]
@@ -226,10 +229,10 @@ def _level_picks(J: int, lo: int, hi: int) -> list[Pick]:
         picks.append(w)
         if len(picks) == 3:
             break
-        below = _follow(left, w, lo_b, lo_open, 1, j_max)
+        below = _follow(left, w, lo_b, lo_open, 1, J)
         if below is not None:
             sectors.append((below[0], below[1], w, lo_b, lo_open, w, True))
-        above = _follow(right, w, hi_b, hi_open, -1, j_max)
+        above = _follow(right, w, hi_b, hi_open, -1, J)
         if above is not None:
             sectors.append((above[0], w, above[1], w, True, hi_b, hi_open))
     return picks
@@ -256,17 +259,18 @@ def _cone_picks(
     v: Point, p: Point, q: Point, a: Point
 ) -> tuple[int, list[tuple[int, Point]]]:
     """The level J of the edge pq above v, and the level j and primitive
-    vector w - v of each of the first three picks of the cone from v.
+    vector w - v of each of the first three picks of the triangle
+    conv{v, p, q}, the picks with j <= J.
 
-    The cone is the triangle conv{v, p, q} without its level cap: the
-    triangle of the dilate kP is the same slope cone cut at level kJ, and
-    picks come in increasing level, so the picks of kP are the picks with
-    j <= kJ. No pick lies above level 2J: the two edge slopes have
-    denominators dividing J, so a sector closed at an edge holds a point of
-    level at most J, and an open sector between two picks holds their
-    mediant, of level at most 2J. So the picks are capped at 2J, and every
-    pick of every dilate is found, with one descent (_level_picks). a must
-    be primitive and v off the line pq.
+    The triangle of the dilate kP is the same slope cone cut at level kJ,
+    and picks come in increasing level, so the picks of kP are the cone's
+    picks with j <= kJ. Those past level J never reach the best count of
+    kP. The edge ends p and q sit at level J, so the first pick, the
+    smallest-denominator slope of the cone, has j <= J and chord J/j >= 1:
+    through kv it holds at least k + 1 points of kP. A pick with j > J has
+    chord J/j < 1, so it holds at most k. So one descent (_level_picks),
+    capped at J, serves every dilate. a must be primitive and v off the
+    line pq.
     """
     level_p = a[0] * p[0] + a[1] * p[1]
     level_q = a[0] * q[0] + a[1] * q[1]
@@ -301,8 +305,7 @@ def local_diameter_lines(
     every point of that slope lies on the pick's line, and the next pick is
     the lowest of the sectors' lowest points. Three picks take one
     continued-fraction descent of O(log) integer steps, for the first, and
-    O(1) steps each for the others (_level_picks). The picks are those of
-    the uncapped cone (_cone_picks) up to level J.
+    O(1) steps each for the others (_level_picks, _cone_picks).
     """
     p, q = (as_point(edge[0]), as_point(edge[1]))
     v = as_point(vertex)
@@ -316,8 +319,8 @@ def local_diameter_lines(
     cross = (p[0] - v[0]) * (q[1] - v[1]) - (p[1] - v[1]) * (q[0] - v[0])
     if cross == 0:
         return _collinear_case(v, p, q)
-    J, picks = _cone_picks(v, p, q, a)
-    return [LatticeLine(v, Direction(w)) for j, w in picks if j <= J]
+    _, picks = _cone_picks(v, p, q, a)
+    return [LatticeLine(v, Direction(w)) for _, w in picks]
 
 
 LineKey = tuple[Point, int]  # a direction and the perpendicular level of its line
@@ -376,16 +379,17 @@ def _chord_clip(
 
 
 class ProfileRecord(NamedTuple):
-    """A candidate line of every dilate kP with k >= kmin.
+    """A candidate line of every dilate kP: the line of a cone pick at level
+    j <= J (_cone_picks).
 
-    The line passes through k * vertex with the primitive direction, and v is
-    an end of P's chord on it, of length chord = (num, den) in units of the
-    direction. So it holds floor(k * num / den) + 1 lattice points of kP.
+    The line passes through k * vertex with the primitive direction, and
+    vertex is an end of P's chord on it, of length chord = (num, den) in
+    units of the direction. So it holds floor(k * num / den) + 1 lattice
+    points of kP.
     """
 
     vertex: Point
     direction: Point
-    kmin: int
     chord: tuple[int, int]
 
 
@@ -503,19 +507,19 @@ def _direction_sweep(
                     yield x0
 
 
-# longest chord first: (n1, d1) sorts before (n2, d2) when n1 * d2 > n2 * d1
-_chord_order = cmp_to_key(lambda x, y: y[0] * x[1] - x[0] * y[1])
-
-
 class DilationProfile:
     """The candidate lines of all dilates kP from one local scan of P.
 
-    The triangle of kP is the slope cone of P's triangle cut at level kJ, so
-    the candidates of kP are the records with kmin <= k, and best(k) reads
-    them in one pass. Of the records of one direction, the longest chord
-    holds the most points at every k, so counts(ks) reads, for each k, a
-    flat table of one longest chord per direction, built once for each kmin
-    threshold. It then sums the closed-form level count of each diameter
+    Every record is a candidate line of every dilate kP, and a candidate of
+    kP that is no record holds at most k points, fewer than the best
+    (_cone_picks). Of the records of one direction, the longest chord holds
+    the most points at every k, and a chord c whose floor is below floor(C),
+    C the longest chord of all, holds fewer points than C at every k:
+    k c < k floor(C) <= floor(k C). So the profile keeps one table, built
+    with it in one pass over the records, of the longest chord of each
+    direction whose floor is floor(C), and one window pass over the table
+    (_window) gives best(k) and the chord window of each k of counts(ks).
+    The counts then sum the closed-form level count of each diameter
     direction over its level pieces, built once per direction, with the
     pieces outer and the ks that share the direction inner. count(k) is
     counts((k,))[0]. Each count is kept.
@@ -530,27 +534,42 @@ class DilationProfile:
         self.polygon = P
         self.halfplanes = halfplanes
         self.records = records
-        self._kmins: list[int] | None = None
-        self._tables: dict[int, list[tuple[int, int, Point]]] = {}
+        # direction -> its longest chord (num, den), over the chords whose
+        # floor is top, the largest floor so far
+        top = -1
+        table: dict[Point, tuple[int, int]] = {}
+        for _, d, (num, den) in records:
+            whole = num // den
+            if whole > top:
+                top, table = whole, {}
+            if whole == top:
+                old = table.get(d)
+                if old is None or num * old[1] > old[0] * den:
+                    table[d] = (num, den)
+        self._table = table
         self._pieces: dict[Point, tuple[Point, list[Piece]]] = {}
         self._counts: dict[int, int] = {}
 
+    def _window(self, k: int) -> tuple[int, list[Point]]:
+        """The chord window m = best - 1 of kP, the largest floor(k c) over
+        the chords c of the table (-1 when it is empty), and the directions
+        reaching it, in table order."""
+        m, directions = -1, []
+        for d, (num, den) in self._table.items():
+            chord = k * num // den
+            if chord > m:
+                m, directions = chord, [d]
+            elif chord == m:
+                directions.append(d)
+        return m, directions
+
     def best(self, k: int) -> tuple[int, list[Point]]:
         """The best lattice count of a line through kP, and the sorted
-        primitive vectors of the directions attaining it: one pass over the
-        records with kmin <= k."""
+        primitive vectors of the directions attaining it (_window)."""
         if not isinstance(k, int) or k < 1:
             raise ValidationError("dilation factor must be a positive int")
-        best = 0
-        directions: set[Point] = set()
-        for _, d, kmin, (num, den) in self.records:
-            if kmin <= k:
-                count = k * num // den + 1
-                if count > best:
-                    best, directions = count, {d}
-                elif count == best:
-                    directions.add(d)
-        return best, sorted(directions)
+        m, directions = self._window(k)
+        return m + 1, sorted(directions)
 
     def pieces(self, u: Point) -> tuple[Point, list[Piece]]:
         """The level anchor of u and the level pieces of P in direction u
@@ -561,32 +580,6 @@ class DilationProfile:
                 self.polygon.vertices, self.halfplanes, u
             )
         return levels
-
-    def _table(self, k: int) -> list[tuple[int, int, Point]]:
-        """(num, den, direction) of the longest chord of each direction over
-        the records with kmin <= k, longest first, chords compared by
-        cross-multiplication; built once for each kmin threshold, the
-        largest kmin <= k."""
-        kmins = self._kmins
-        if kmins is None:
-            kmins = self._kmins = sorted({kmin for _, _, kmin, _ in self.records})
-        i = bisect_right(kmins, k)
-        if not i:
-            return []
-        threshold = kmins[i - 1]
-        table = self._tables.get(threshold)
-        if table is None:
-            longest: dict[Point, tuple[int, int]] = {}
-            for _, d, kmin, chord in self.records:
-                if kmin <= threshold:
-                    old = longest.get(d)
-                    if old is None or chord[0] * old[1] > old[0] * chord[1]:
-                        longest[d] = chord
-            table = self._tables[threshold] = sorted(
-                ((num, den, d) for d, (num, den) in longest.items()),
-                key=_chord_order,
-            )
-        return table
 
     def count(self, k: int) -> int:
         """The number of lattice diameter lines of kP, counted once per k."""
@@ -609,10 +602,10 @@ class DilationProfile:
         return [cache[k] for k in ks]
 
     def _count(self, ks: Collection[int]) -> dict[int, int]:
-        """The count kernel over distinct ks: per k, one pass over the table
-        for the chord window m = best - 1 of kP and its diameter directions;
-        then, per tuple of directions, one pass over the pieces of each,
-        with the (k, m) pairs of that tuple inside each piece.
+        """The count kernel over distinct ks: per k, one window pass
+        (_window) for the chord window m = best - 1 of kP and its diameter
+        directions; then, per tuple of directions, one pass over the pieces
+        of each, with the (k, m) pairs of that tuple inside each piece.
 
         Scaling P by k scales every level and every halfplane constant c by
         k. Inside the m chord window every level holds m or m + 1 points
@@ -625,13 +618,7 @@ class DilationProfile:
         """
         groups: dict[tuple[Point, ...], list[tuple[int, int]]] = {}
         for k in ks:
-            m, directions = -1, []
-            for num, den, d in self._table(k):
-                chord = k * num // den
-                if chord < m:
-                    break  # the table is longest first, so no later chord ties
-                m = chord
-                directions.append(d)
+            m, directions = self._window(k)
             groups.setdefault(tuple(directions), []).append((k, m))
         totals = dict.fromkeys(ks, 0)
         built = self._pieces
@@ -656,23 +643,23 @@ class DilationProfile:
 
 
 def dilation_profile(P: Polygon2) -> DilationProfile:
-    """One record per candidate line of the dilates of P, with its least
-    dilation factor kmin and its chord through P, in the order the cones
-    first find the lines.
+    """One record per line of the cone picks of P, all at levels j <= J,
+    with its chord through P, in the order the cones first find the lines:
+    the candidate lines of every dilate that can reach its best count
+    (_cone_picks).
 
-    A pick at level j of a cone holds for the dilates from kmin = ceil(j / J)
-    on. P lies between the levels of the cone's vertex v and its edge, J
-    apart, so the line v + t w of the pick w leaves P through the edge, at
-    t = J / j: the chord is J/j, read from the levels with no clip.
+    P lies between the levels of the cone's vertex v and its edge, J apart,
+    so the line v + t w of the pick w leaves P through the edge, at
+    t = J / j: the chord is J/j, read from the levels with no clip. That is
+    P's whole chord on the line, whichever cone finds it, so the first
+    record of each line stands.
     """
     records: dict[LineKey, ProfileRecord] = {}
     for v, d, j, J in _polygon_picks(P):
         line = (d, d[0] * v[1] - d[1] * v[0])
-        kmin = -(-j // J)
-        old = records.get(line)
-        if old is None or kmin < old.kmin:
+        if line not in records:
             g = gcd(J, j)
-            records[line] = ProfileRecord(v, d, kmin, (J // g, j // g))
+            records[line] = ProfileRecord(v, d, (J // g, j // g))
     return DilationProfile(P, P.halfplanes(), tuple(records.values()))
 
 

@@ -54,8 +54,8 @@ class QuasiPolynomial(Frozen):
         object.__setattr__(self, "valid_from", valid_from)
 
     def evaluate(self, k: int) -> int:
-        if k < 1:
-            raise ValidationError("dilation factors are positive ints")
+        if not isinstance(k, int) or k < 1:
+            raise ValidationError("dilation factor must be a positive int")
         slope, intercept = self.pieces[k % self.period]
         value = slope * k + intercept
         if value.denominator != 1 or value < 0:
@@ -86,8 +86,8 @@ class BlockDecomposition(Frozen):
         return (k * self.w + 1) // self.q
 
     def count(self, k: int) -> int:
-        if k < 1:
-            raise ValidationError("dilation factors are positive ints")
+        if not isinstance(k, int) or k < 1:
+            raise ValidationError("dilation factor must be a positive int")
         n_i, r_i, _ = self.per_residue[k % self.q]
         return n_i * self.blocks(k) + r_i
 

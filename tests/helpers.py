@@ -229,7 +229,8 @@ def cone_picks_oracle(v, p, q, a) -> tuple[int, list[tuple[int, tuple[int, int]]
     oracle: (J, [(j, w - v)]) for the first three picks of the cone from v
     under the edge pq, a the edge's primitive normal. Every sector, the two
     halves a pick leaves included, gets its own descent
-    (lowest_in_sector_oracle), capped at level 2J."""
+    (lowest_in_sector_oracle), capped at level 2J, past the scan's cap at J,
+    so the readers keep its picks with j <= J themselves."""
     level_p = a[0] * p[0] + a[1] * p[1]
     level_v = a[0] * v[0] + a[1] * v[1]
     (sx, sy), (ux, uy) = level_anchor(a)
@@ -374,19 +375,19 @@ def ring_polygons(n: int, rng: random.Random) -> list[Polygon2]:
 def profile_records_oracle(P: Polygon2) -> tuple[ProfileRecord, ...]:
     """The record scan that dilation_profile replaced, kept as its oracle:
     every vertex scanned per edge (opposite_pairs_oracle), five descents per
-    cone (cone_picks_oracle) and each chord clipped (chord_oracle)."""
-    kmins = {}
+    cone (cone_picks_oracle), its picks kept up to level J, the first find
+    of each line kept, and each chord clipped (chord_oracle)."""
+    found = {}
     for (p, q), v, a in opposite_pairs_oracle(P):
         J, picks = cone_picks_oracle(v, p, q, a)
         for j, (x, y) in picks:
             d = (x, y) if x > 0 or (x == 0 and y > 0) else (-x, -y)
-            line, kmin = (d, d[0] * v[1] - d[1] * v[0]), -(-j // J)
-            if line not in kmins or kmin < kmins[line][2]:
-                kmins[line] = (v, d, kmin)
+            line = (d, d[0] * v[1] - d[1] * v[0])
+            if j <= J and line not in found:
+                found[line] = (v, d)
     halfplanes = P.halfplanes()
     return tuple(
-        ProfileRecord(v, d, kmin, chord_oracle(halfplanes, v, d))
-        for v, d, kmin in kmins.values()
+        ProfileRecord(v, d, chord_oracle(halfplanes, v, d)) for v, d in found.values()
     )
 
 
@@ -430,17 +431,12 @@ def dilate_levels_oracle(P: Polygon2, k: int) -> tuple[int, int, list[tuple[int,
 
 def count_oracle(profile, k: int) -> int:
     """The per-k count kernel that DilationProfile's range kernel replaced,
-    kept as its oracle: one pass over the table for the chord window
-    m = best - 1 of kP and its diameter directions, then, per piece of
-    each, the window clipped for this k alone and two floor sums over it,
-    whatever its length."""
-    m, directions = -1, []
-    for num, den, d in profile._table(k):
-        chord = k * num // den
-        if chord < m:
-            break
-        m = chord
-        directions.append(d)
+    kept as its oracle: the chord window m = best - 1 of kP and its
+    diameter directions from the loop over every record
+    (best_records_oracle), then, per piece of each, the window clipped for
+    this k alone and two floor sums over it, whatever its length."""
+    best, directions = best_records_oracle(profile, k)
+    m = best - 1
     total = 0
     for d in directions:
         for piece in profile.pieces(d)[1]:
@@ -472,16 +468,15 @@ def plateau(H: int) -> Polygon2:
 
 def best_records_oracle(profile, k: int) -> tuple[int, list[tuple[int, int]]]:
     """The loop over every record that DilationProfile.best replaced by its
-    longest-chord tables, kept as its oracle: the best count of kP over the
-    records with kmin <= k, and the sorted directions attaining it."""
+    longest-chord table, kept as its oracle: the best count of kP over the
+    records, and the sorted directions attaining it."""
     best, directions = 0, set()
-    for _, d, kmin, (num, den) in profile.records:
-        if kmin <= k:
-            count = k * num // den + 1
-            if count > best:
-                best, directions = count, set()
-            if count == best:
-                directions.add(d)
+    for _, d, (num, den) in profile.records:
+        count = k * num // den + 1
+        if count > best:
+            best, directions = count, set()
+        if count == best:
+            directions.add(d)
     return best, sorted(directions)
 
 

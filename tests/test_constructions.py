@@ -4,7 +4,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import ceil, floor, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -227,7 +227,7 @@ class TestHardnessInstance:
         inst = hardness_instance(2, 2, 5)
         assert inst.Z == 9
         assert inst.x_range == (1, 4)
-        assert inst.y_range == (Fraction(-1, 2), Fraction(7))
+        assert inst.y_range == (0, 7)
         assert inst.base_point == (1, 0)
         assert len(inst.constraints) == 6
         # x = 2, y = 1 solves x^2 = a + b y
@@ -238,6 +238,14 @@ class TestHardnessInstance:
         inst = hardness_instance(3, 5, 7)
         assert inst.Z == 12
         assert min_f_on_grid(inst)[0] == 1
+
+    def test_y_range_is_the_integer_range_of_the_fraction_bounds(self):
+        for a in range(1, 12):
+            for b in range(1, 7):
+                for c in (max(2, b) + 1, max(2, b) + 4):
+                    lo = Fraction(1 - a, b)
+                    hi = Fraction((c - 1) ** 2 - a, b)
+                    assert hardness_instance(a, b, c).y_range == (ceil(lo), floor(hi))
 
     def test_base_point_is_feasible(self):
         for a, b, c in ((1, 1, 3), (2, 2, 5), (3, 5, 7), (6, 4, 9)):

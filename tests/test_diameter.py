@@ -251,7 +251,11 @@ class TestOneDescentScan:
             cones += [(v, p, q, a) for (p, q), v, a in opposite_pairs_oracle(P)]
         assert len(cones) >= 10**5
         for cone in cones:
-            assert diameter._cone_picks(*cone) == cone_picks_oracle(*cone), cone
+            J, picks = cone_picks_oracle(*cone)
+            # the lemma behind the cap: the first pick lies at a level j <= J
+            assert picks[0][0] <= J, cone
+            want = (J, [(j, w) for j, w in picks if j <= J])
+            assert diameter._cone_picks(*cone) == want, cone
 
     def test_records_match_the_clipping_oracle(self, polygons):
         for P in polygons:

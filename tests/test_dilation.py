@@ -44,8 +44,8 @@ from helpers import (
     ring_polygons,
 )
 from latticediam import compute_diameter, diameter, local_diameter_lines
-from latticediam.core import floor_sum
-from latticediam.diameter import DilationProfile, ProfileRecord, dilation_profile
+from latticediam.core import floor_sum, level_interval
+from latticediam.diameter import DilationProfile, dilation_profile
 
 # conv{(0,0),(2,0),(3,4)}: the count drops from 4 to its eventual constant 2
 LATE_START = Polygon2(((0, 0), (2, 0), (3, 4)))
@@ -136,34 +136,38 @@ class TestDilationProfile:
         cases = 0
         for P in polygons:
             profile = dilation_profile(P)
-            ks = {1, 2, 3, 5, 7, 12}
-            for record in profile.records:
-                ks.update((record.kmin - 1, record.kmin))
-            for k in sorted(ks - {0}):
+            for k in (1, 2, 3, 5, 7, 12):
                 best, directions = profile.best(k)
                 assert (profile.count(k), best, directions) == dilate_levels_oracle(P, k), (P, k)
                 cases += 1
         assert cases >= 500 * 6
 
     def test_candidates_are_the_local_scans_of_the_dilate(self, polygons):
-        """The records with kmin <= k are the candidate lines of the local
-        scans of kP, and no pick lies above level 2J, so kmin <= 2."""
-        for P in polygons[::5]:
+        """The records are candidate lines of the local scans of every kP,
+        and the lemma behind the cap at level J: every other candidate line
+        of kP holds at most k lattice points of kP, while the best holds at
+        least k + 1."""
+        others = 0
+        for P in polygons:
             profile = dilation_profile(P)
-            assert all(record.kmin <= 2 for record in profile.records)
-            for k in (1, 2, 12):
+            for k in (1, 2, 3, 12):
                 kP = P.dilate(k)
+                halfplanes = kP.halfplanes()
                 want = {
                     line
                     for pair in opposite_pairs_oracle(kP)
                     for line in local_diameter_lines(*pair)
                 }
                 got = {
-                    LatticeLine((k * v[0], k * v[1]), d)
-                    for v, d, kmin, _ in profile.records
-                    if kmin <= k
+                    LatticeLine((k * v[0], k * v[1]), d) for v, d, _ in profile.records
                 }
-                assert got == want, (P, k)
+                assert got <= want, (P, k)
+                for line in want - got:
+                    lo, hi = level_interval(halfplanes, line.base, line.dir.vec)
+                    assert hi - lo + 1 <= k, (P, k, line)
+                    others += 1
+                assert profile.best(k)[0] >= k + 1, (P, k)
+        assert others > 100
 
     def test_chords_match_clip_line(self, polygons):
         """The integer chord read agrees with the Fraction clipping loop on
@@ -189,52 +193,19 @@ class TestDilationProfile:
         assert reads > 10_000
 
     def test_best_matches_the_record_loop(self, polygons):
-        """The longest-chord tables give the best count and directions of
-        the loop over every record, below, at and above each kmin."""
+        """The table holds the longest chord of each direction whose longest
+        chord has the top floor, and its window pass gives the best count
+        and directions of the loop over every record."""
         for P in polygons:
             profile = dilation_profile(P)
-            ks = {1, 2, 3, 7, 12, 10**9}
-            for record in profile.records:
-                ks.update((record.kmin - 1, record.kmin, record.kmin + 1))
-            for k in sorted(ks - {0}):
+            longest = {}
+            for _, d, chord in profile.records:
+                longest[d] = max(longest.get(d, 0), Fraction(*chord))
+            top = max(longest.values()) // 1
+            want = {d: (c.numerator, c.denominator) for d, c in longest.items() if c >= top}
+            assert profile._table == want, P
+            for k in (1, 2, 3, 4, 5, 7, 12, 17, 10**6, 10**9):
                 assert profile.best(k) == best_records_oracle(profile, k), (P, k)
-
-    def test_best_tables_follow_any_kmin(self):
-        """Records of P have kmin 1 or 2, but best(k) and the chord tables
-        of the counts, keyed by the largest kmin <= k, follow any kmins: on
-        made-up records with kmin up to 6, k below the smallest kmin has no
-        line at all, and each table holds the longest chord of each
-        direction over the records with kmin <= k, longest first, so its
-        largest floor(k c) and the directions reaching it are best(k)."""
-        rng = random.Random(5)
-        for _ in range(300):
-            records = tuple(
-                ProfileRecord(
-                    (0, 0),
-                    rng.choice(((1, 0), (0, 1), (1, 1), (1, -1), (2, 1))),
-                    rng.randint(2, 6),
-                    (rng.randint(1, 12), rng.randint(1, 5)),
-                )
-                for _ in range(rng.randint(1, 8))
-            )
-            profile = DilationProfile(QUAD, QUAD.halfplanes(), records)
-            for k in range(1, 10):
-                best = best_records_oracle(profile, k)
-                assert profile.best(k) == best, (records, k)
-                longest = {}
-                for _, d, kmin, (num, den) in records:
-                    if kmin <= k and (d not in longest
-                                      or num * longest[d][1] > longest[d][0] * den):
-                        longest[d] = (num, den)
-                table = profile._table(k)
-                assert {d: (num, den) for num, den, d in table} == longest, (records, k)
-                chords = [Fraction(num, den) for num, den, _ in table]
-                assert chords == sorted(chords, reverse=True), (records, k)
-                floors = [k * num // den for num, den, _ in table]
-                m = max(floors, default=-1)
-                directions = sorted(d for (_, _, d), f in zip(table, floors) if f == m)
-                assert (m + 1, directions) == best, (records, k)
-            assert profile.best(1) == (0, []) and profile.count(1) == 0
 
     def test_floor_sum_matches_a_loop(self):
         rng = random.Random(99)
@@ -408,8 +379,9 @@ class TestFit:
 
     def test_evaluate_guards(self):
         fit = fit_quasipolynomial(SQUARE)
-        with pytest.raises(ValidationError):
-            fit.evaluate(0)
+        for k in (0, 2.5, "3", None):
+            with pytest.raises(ValidationError, match="^dilation factor must be a positive int$"):
+                fit.evaluate(k)
         fractional = QuasiPolynomial(
             period=1, pieces=((Fraction(1, 2), Fraction(0)),), valid_from=1
         )
@@ -501,8 +473,9 @@ class TestChamberDecomposition:
 
     def test_count_rejects_nonpositive_k(self):
         dec = BlockDecomposition(q=3, w=2, per_residue=((1, 1, 1),) * 3)
-        with pytest.raises(ValidationError):
-            dec.count(0)
+        for k in (0, 2.5, "3", None):
+            with pytest.raises(ValidationError, match="^dilation factor must be a positive int$"):
+                dec.count(k)
 
     def test_rejects_wrong_direction(self):
         verts, _ = demo_chamber()

@@ -108,11 +108,11 @@ CASES = [
     (
         HardnessInstance,
         {"a": 2, "b": 2, "c": 5, "dim": 3, "Z": 9, "x_range": (1, 4),
-         "y_range": (Fraction(-1, 2), Fraction(7)), "base_point": (1, 0),
+         "y_range": (0, 7), "base_point": (1, 0),
          "constraints": (CONSTRAINT,)},
-        (2, 2, 5, 3, 9, (1, 4), (Fraction(-1, 2), Fraction(7)), (1, 0), (CONSTRAINT,)),
+        (2, 2, 5, 3, 9, (1, 4), (0, 7), (1, 0), (CONSTRAINT,)),
         "HardnessInstance(a=2, b=2, c=5, dim=3, Z=9, x_range=(1, 4), "
-        "y_range=(Fraction(-1, 2), Fraction(7, 1)), base_point=(1, 0), "
+        "y_range=(0, 7), base_point=(1, 0), "
         "constraints=(PolyConstraint(terms=((1, (1, 0, 0)),), rhs=2),))",
     ),
     (

@@ -28,6 +28,15 @@ def fresh(*args: str) -> subprocess.CompletedProcess:
     )
 
 
+def imported(done: subprocess.CompletedProcess) -> set[str]:
+    """The modules a run under -X importtime imported, named on its stderr."""
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in done.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
 def test_cli_import_loads_no_compute_module_and_no_fractions():
     done = fresh(
         "-c",
@@ -43,21 +52,31 @@ def test_cli_import_loads_no_compute_module_and_no_fractions():
 
 
 def test_oracle_on_an_integer_document_loads_no_fractions():
-    # -X importtime names every module the run imports, on stderr
     done = fresh(
         "-X", "importtime", "-m", "latticediam", "oracle",
         "sample_inputs/box-4x2-points.json",
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "ldiam=4 segments=3 directions=1\ndirection=(1,0)\n"
-    loaded = {
-        line.rsplit("|", 1)[1].strip()
-        for line in done.stderr.splitlines()
-        if line.startswith("import time:")
-    }
+    loaded = imported(done)
     assert "latticediam.oracle" in loaded
     assert not loaded & {"fractions", "decimal"}
     assert not loaded & (COMPUTE - {"latticediam.oracle"})
+
+
+def test_hardness_verify_loads_no_fractions():
+    # the gadget's y range is an integer pair, so no Fraction is built
+    done = fresh(
+        "-X", "importtime", "-m", "latticediam", "hardness-verify",
+        "--a", "3", "--b", "5", "--c", "7",
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (
+        "Z=12 min_f=1 ldiam=11 points=63 direction_ok=True equivalence_ok=True\n"
+    )
+    loaded = imported(done)
+    assert "latticediam.constructions" in loaded
+    assert not loaded & {"fractions", "decimal"}
 
 
 def test_every_public_name_is_its_defining_module_object():
