@@ -1,6 +1,6 @@
 """Scaling ladders of the dilation counts, written as one JSON file.
 
-    PYTHONPATH=src python scripts/bench_dilation.py --out BENCH_20.json \
+    PYTHONPATH=src python scripts/bench_dilation.py --out BENCH_21.json \
         [--baseline OTHER_CHECKOUT/src]
 
 Rows:
@@ -20,10 +20,11 @@ Rows:
   on a warm profile, its kept counts dropped before each call, with the sum
   of the K counts, for the quad and the square at K = 100 and for the 4q
   windows of T_m (below) for m = 19, 61, 113 and 229, the K = 4q samples
-  the fit takes first. With --baseline, the same rows are timed on the
-  package found in that directory, as the ladder below is, and each row
-  holds them under "baseline"; a package without counts, before the range
-  kernel, is timed on its per-k loop [count(k) for k in range(1, K + 1)]
+  the fit takes first, q the denominator of the longest record chord.
+  With --baseline, the same rows are timed on the package found in that
+  directory, as the ladder below is, and each row holds them under
+  "baseline"; a package without counts, before the range kernel, is timed
+  on its per-k loop [count(k) for k in range(1, K + 1)]
   ("kernel": "count loop");
 - fit_quasipolynomial on T_m = conv{(0,0),(m-1,1),(-1,m)} for m = 19, 61,
   113 and 229: period, valid_from and the best time;
@@ -34,10 +35,12 @@ Rows:
   polygons conv{(i, i^2) : 0 <= i < n} for n = 8 .. 512, on the lattice
   "circles" (one edge per primitive vector (a, b) with |a|, |b| <= m, in
   angle order) for m = 3 .. 11, n = 32 .. 336, and on the skew triangles
-  conv{(0,0),(s,1),(3s+1,7)} for s = 10^2 .. 10^30, with the records,
-  ldiam, line count and fitted period of each. With --baseline, the same
-  rows are timed on the package found in that directory, and each row
-  holds them under "baseline";
+  conv{(0,0),(s,1),(3s+1,7)} for s = 10^2 .. 10^30, and on the plateaus
+  conv{(0,0),(2H,0),(2H+1,H),(1,H)} for H = 10^3 .. 10^6, whose chord
+  window in direction (1, 0) holds all H + 1 levels but only two diameter
+  lines, with the records, ldiam, line count and fitted period of each.
+  With --baseline, the same rows are timed on the package found in that
+  directory, and each row holds them under "baseline";
 - the import time of latticediam in a fresh interpreter, apart from the
   compute rows (interpreter start-up excluded), timed by bench_cli's
   import_seconds: every fresh interpreter reads its bytecode from one
@@ -46,13 +49,14 @@ Rows:
 
 Times are the best of at least REPEAT runs of a single call, and of as
 many more as fit in MIN_SECONDS, after one warm-up call. The profile
-ladder and the range counts are timed in LADDER_ROUNDS rounds,
-alternating this package and the baseline, and keep the best of each
-time over the rounds, so a slow spell of a shared host weighs on both
-sides alike. Each round of each package runs in a fresh child
-interpreter that imports this script, so neither side is timed in a
-process whose heap already holds the other rows; the other rows are
-timed in this process.
+ladder and the range counts are timed in ROUNDS rounds, alternating this
+package and the baseline, and which of the two runs first in a round, so
+a slow spell of a shared host, or the order, weighs on both sides alike,
+and each of their times is reported as its quartiles [q1, median, q3] over
+the rounds, so a change can be read against the spread of the rows. Each
+round of each package runs in a fresh child interpreter that imports this
+script, so neither side is timed in a process whose heap already holds
+the other rows; the other rows are timed in this process.
 """
 
 from __future__ import annotations
@@ -66,8 +70,10 @@ import sys
 import tempfile
 import time
 from collections import Counter
+from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
+from statistics import quantiles
 
 import latticediam
 from latticediam import (
@@ -78,7 +84,7 @@ from latticediam import (
     diameter,
     fit_quasipolynomial,
 )
-from latticediam.diameter import _level_pieces, _longest_vertex_chord, dilation_profile
+from latticediam.diameter import _level_pieces, dilation_profile
 
 # scripts/ is this script's directory, so it leads sys.path
 from bench_cli import child_env, fresh_python, import_seconds
@@ -88,10 +94,11 @@ SQUARE = Polygon2(((0, 0), (2, 0), (2, 2), (0, 2)))
 KERNELS = ("floor_sum", "level_interval")
 REPEAT = 5
 MIN_SECONDS = 0.05
-LADDER_ROUNDS = 3
+ROUNDS = 7
 PARABOLA_SIZES = (8, 16, 32, 64, 128, 256, 512)
 CIRCLE_RADII = (3, 4, 5, 7, 9, 11)
 SKEW_EXPONENTS = (2, 4, 6, 9, 12, 18, 24, 30)
+PLATEAU_EXPONENTS = (3, 4, 5, 6)
 FIT_SIZES = (19, 61, 113, 229)
 SCRIPTS = os.path.dirname(os.path.abspath(__file__))
 # the directory holding the latticediam package this script imported
@@ -156,7 +163,9 @@ def range_count_rows() -> list[dict]:
     for m in FIT_SIZES:
         T = triangle(m)
         profile = dilation_profile(T)
-        _, q = _longest_vertex_chord(profile.pieces(u)[1] for u in profile.best(1)[1])
+        # the fit's period: the denominator of the longest chord, which a
+        # record holds
+        _, q = max((record.chord for record in profile.records), key=lambda c: Fraction(*c))
         windows.append(({"polygon": "T", "m": m}, T, 4 * q))
     rows = []
     for row, P, K in windows:
@@ -218,6 +227,11 @@ def ladder_polygons():
     for e in SKEW_EXPONENTS:
         s = 10**e
         yield {"polygon": "skew", "s": f"1e{e}"}, Polygon2(((0, 0), (s, 1), (3 * s + 1, 7)))
+    for e in PLATEAU_EXPONENTS:
+        H = 10**e
+        yield {"polygon": "plateau", "H": f"1e{e}"}, Polygon2(
+            ((0, 0), (2 * H, 0), (2 * H + 1, H), (1, H))
+        )
 
 
 def profile_ladder() -> list[dict]:
@@ -251,13 +265,15 @@ def in_child(src: str, rows: str) -> list[dict]:
     ).stdout)
 
 
-def best_of(row: dict, other: dict) -> dict:
-    """row with each time (a key ending in _s, also under "baseline") the
-    smaller of its value in row and in other, the same rung timed again."""
-    out = {key: min(value, other[key]) if key.endswith("_s") else value
-           for key, value in row.items()}
-    if "baseline" in row:
-        out["baseline"] = best_of(row["baseline"], other["baseline"])
+def quartiles(rounds: list[dict]) -> dict:
+    """The first of the rounds of one row, with each time (a key ending in
+    _s, also under "baseline") replaced by its quartiles [q1, median, q3]
+    over the rounds."""
+    first = rounds[0]
+    out = {key: quantiles([row[key] for row in rounds], n=4, method="inclusive")
+           if key.endswith("_s") else value for key, value in first.items()}
+    if "baseline" in first:
+        out["baseline"] = quartiles([row["baseline"] for row in rounds])
     return out
 
 
@@ -270,17 +286,20 @@ def main() -> None:
 
     def rounds(rows: str) -> list[dict]:
         """The rows of the function named rows, with those of the baseline,
-        each time the best over LADDER_ROUNDS rounds that alternate the two
-        packages."""
-        best: list[dict] = []
-        for _ in range(LADDER_ROUNDS):
+        each time given by its quartiles over ROUNDS rounds that alternate
+        the two packages: the baseline runs first in the odd rounds."""
+        runs: list[list[dict]] = []
+        for r in range(ROUNDS):
+            theirs = in_child(args.baseline, rows) if args.baseline and r % 2 else None
             ours = in_child(SRC, rows)
             if args.baseline:
-                for row, other in zip(ours, in_child(args.baseline, rows)):
+                if theirs is None:
+                    theirs = in_child(args.baseline, rows)
+                for row, other in zip(ours, theirs):
                     row["baseline"] = {key: value for key, value in other.items()
-                                       if key not in ("polygon", "n", "m", "s", "K")}
-            best = ours if not best else [best_of(*pair) for pair in zip(best, ours)]
-        return best
+                                       if key not in ("polygon", "n", "m", "s", "H", "K")}
+            runs.append(ours)
+        return [quartiles(list(row_rounds)) for row_rounds in zip(*runs)]
 
     ladder = rounds("profile_ladder")
     range_counts = rounds("range_count_rows")
@@ -332,6 +351,7 @@ def main() -> None:
             "cpus": os.cpu_count(),
         },
         "repeat": REPEAT,
+        "rounds": ROUNDS,
         "pycache_prefix": "a temporary directory, warmed by one import",
         "import_latticediam": import_table,
         "dilation_profile": profiles,

@@ -33,22 +33,22 @@ pieces on which the upper and lower bounds U and L of the chord are single
 linear functions of the level; both arcs of the boundary are monotone in
 level, so one merge of them gives the pieces in O(n). Only the levels of a
 piece's best - 1 chord window can hold the best count, and every one of
-them holds best - 1 or best points. compute_diameter sweeps those windows,
-one kernel call per level, to list the diameter lines (some pass through no
-vertex at all). The dilates count them in closed form instead: over a
-window of n levels, the count is sum floor(U) - sum ceil(L) + (2 - best) n,
-two Euclid-like floor sums, or two floor divisions when n = 1, so the cost
-does not grow with k. The chord window of a piece at any k comes from three
-clip constants that do not depend on k, kept in the piece's flat row. One
-generator (_chord_clip) clips a piece for a run of (k, m) pairs: the sweep
-passes the one pair (1, best - 1), and a range of dilates is counted in one
-pass, which groups the ks by their diameter directions and passes, to each
-piece of those directions, the pairs of the whole group. The chord is
-concave across the levels and bends only at piece ends, so the longest
-chord of a direction, and with it the fit's period, is read from the rows
-too, in O(n). All of it is integer arithmetic, and this module clips no
-line itself: the sweep's level_interval and the representative segments'
-clip_line go through core.line_bounds.
+them holds best - 1 or best points, floor(U) + floor(-L) + 1 of them.
+compute_diameter sweeps those windows to list the diameter lines (some
+pass through no vertex at all), reading each level's count from the
+piece's flat row with two floor divisions. The dilates count them in
+closed form instead: over a window of n levels, the count is
+sum floor(U) - sum ceil(L) + (2 - best) n, two Euclid-like floor sums, or
+the same two floor divisions when n = 1, so the cost does not grow with k.
+The chord window of a piece at any k comes from three clip constants that
+do not depend on k, kept in the row too. One generator (_chord_clip) clips
+a piece for a run of (k, m) pairs: the sweep passes the one pair
+(1, best - 1), and a range of dilates is counted in one pass, which groups
+the ks by their diameter directions and passes, to each piece of those
+directions, the pairs of the whole group. The fit's period is the
+denominator of the longest chord of P, which the chord table holds. All of
+it is integer arithmetic, and this module clips no line itself: the
+representative segments' clip_line goes through core.line_bounds.
 """
 
 from __future__ import annotations
@@ -56,14 +56,11 @@ from __future__ import annotations
 from math import gcd
 from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
-from .core import (
-    Direction,
-    Point,
-    Polygon2,
-    as_point,
-    floor_sum,
-    level_interval,
-)
+from .core import Direction, Point, Polygon2, as_point, floor_sum
+
+# Not called here: perfbench's self-test and the tests' kernel counters look
+# the kernel up by the name diameter.level_interval, so the name must resolve.
+from .core import level_interval  # noqa: F401
 from .errors import ValidationError
 from .frozen import Frozen
 from .lines import ClippedSegment, LatticeLine, clip_line, level_anchor
@@ -460,51 +457,24 @@ def _level_pieces(
         lo = hi
 
 
-def _longest_vertex_chord(piece_lists: Iterable[list[Piece]]) -> tuple[int, int]:
-    """The longest chord num/den, in lowest terms and in units of its
-    direction, over the directions of the piece lists (_level_pieces).
-
-    On a piece the chord is (C - A*beta) / -(ti * tj), with
-    C = ti * cj - tj * ci, so across the levels of one direction it is
-    concave and bends only at vertex levels, and every vertex level is the
-    end of a piece: the longest chord is the longest at a piece end, at lo
-    when A >= 0 and at hi when A < 0, compared by cross-multiplication and
-    reduced once. A vertex sits on that level and is an end of its chord, so
-    the line through it holds floor(num/den) + 1 lattice points. O(n) per
-    direction.
-    """
-    num, den = 0, 1
-    for pieces in piece_lists:
-        for lo, hi, _, A, titj, C, _, _, _, _, _, _ in pieces:
-            n = C - A * (lo if A >= 0 else hi)
-            if n * den > -num * titj:
-                num, den = n, -titj
-    g = gcd(num, den)
-    return num // g, den // g
-
-
-def _direction_sweep(
-    halfplanes: list[tuple[Point, int]],
-    levels: tuple[Point, list[Piece]],
-    u: Point,
-    best: int,
-) -> Iterator[Point]:
+def _direction_sweep(levels: tuple[Point, list[Piece]], best: int) -> Iterator[Point]:
     """Anchors of the lattice lines of direction u that meet the polygon in
     exactly best lattice points, in increasing level.
 
     best must be the largest count of a line of direction u, and levels the
     level anchor and pieces of u (_level_pieces); only the levels of the
-    best - 1 chord window of each piece can hold it, and each such level
-    costs one kernel call.
+    best - 1 chord window of each piece can hold it. A level beta of a piece
+    holds floor(U) + floor(-L) + 1 points, read from the piece's row with
+    two floor divisions, as DilationProfile._count reads a one-level window
+    at k = 1: O(1) per level, with no clip.
     """
     anchor, pieces = levels
     for piece in pieces:
+        _, _, _, _, _, _, ti, nei, ci, ntj, nej, cj = piece
         for _, _, first, last in _chord_clip(piece, ((1, best - 1),)):
             for beta in range(first, last + 1):
-                x0 = (anchor[0] * beta, anchor[1] * beta)
-                iv = level_interval(halfplanes, x0, u)
-                if iv is not None and iv[1] - iv[0] + 1 == best:
-                    yield x0
+                if (ci + beta * nei) // ti + (cj + beta * nej) // ntj + 1 == best:
+                    yield anchor[0] * beta, anchor[1] * beta
 
 
 class DilationProfile:
@@ -519,10 +489,16 @@ class DilationProfile:
     with it in one pass over the records, of the longest chord of each
     direction whose floor is floor(C), and one window pass over the table
     (_window) gives best(k) and the chord window of each k of counts(ks).
-    The counts then sum the closed-form level count of each diameter
-    direction over its level pieces, built once per direction, with the
-    pieces outer and the ks that share the direction inner. count(k) is
-    counts((k,))[0]. Each count is kept.
+    The same pass keeps longest_chord, C as (num, den) in lowest terms,
+    whose denominator is the fit's period. C equals C*, the longest chord
+    of P in any lattice direction: through kv, the line of C* holds
+    floor(k C*) + 1 points of kP and no line of kP holds more, so records
+    right at every k hold a chord equal to C*, since a shorter chord c
+    falls a point behind once k (C* - c) >= 1. The counts then sum the
+    closed-form level count of each diameter direction over its level
+    pieces, built once per direction, with the pieces outer and the ks
+    that share the direction inner. count(k) is counts((k,))[0]. Each count
+    is kept.
     """
 
     def __init__(
@@ -535,8 +511,8 @@ class DilationProfile:
         self.halfplanes = halfplanes
         self.records = records
         # direction -> its longest chord (num, den), over the chords whose
-        # floor is top, the largest floor so far
-        top = -1
+        # floor is top, the largest floor so far; and the longest of all
+        top, longest = -1, (0, 1)
         table: dict[Point, tuple[int, int]] = {}
         for _, d, (num, den) in records:
             whole = num // den
@@ -546,7 +522,10 @@ class DilationProfile:
                 old = table.get(d)
                 if old is None or num * old[1] > old[0] * den:
                     table[d] = (num, den)
+                    if num * longest[1] > longest[0] * den:
+                        longest = (num, den)
         self._table = table
+        self.longest_chord = longest
         self._pieces: dict[Point, tuple[Point, list[Piece]]] = {}
         self._counts: dict[int, int] = {}
 
@@ -671,7 +650,7 @@ def compute_diameter(P: Polygon2) -> DiameterReport:
     lines: list[LatticeLine] = []
     reps: list[ClippedSegment] = []
     for u in directions:
-        sweep = _direction_sweep(profile.halfplanes, profile.pieces(u.vec), u.vec, best)
+        sweep = _direction_sweep(profile.pieces(u.vec), best)
         found = sorted((LatticeLine(x0, u) for x0 in sweep), key=lambda L: L.base)
         clip = clip_line(P, found[0], profile.halfplanes)
         assert clip is not None

@@ -3,7 +3,8 @@
 LD(P, k) is the number of lattice diameter lines of the dilate kP. For all
 large k, LD agrees with a piecewise linear function of k with one linear
 piece per residue class mod q, where q is the denominator of the maximal
-normalized chord length over the diameter lines of P. The regime usually
+normalized chord length over the diameter lines of P, the longest chord of
+P, which the dilation profile keeps with its chord table. The regime usually
 starts at k = q but can start later: a chord that is not asymptotically
 longest may still tie for small dilates, so the fitter recovers the pieces
 from exact samples, verifies them, and reports the first sampled k from
@@ -23,7 +24,7 @@ from math import floor, gcd
 from typing import Sequence
 
 from .core import Direction, Polygon2, RationalPoint, level_interval
-from .diameter import DilationProfile, _longest_vertex_chord, dilation_profile
+from .diameter import DilationProfile, dilation_profile
 from .errors import BudgetError, FitError, ValidationError
 from .frozen import Frozen
 
@@ -123,28 +124,30 @@ def fit_quasipolynomial(
 ) -> QuasiPolynomial:
     """Fit and verify the diameter line count of dilates of P up to k_max.
 
-    The candidate period q is the denominator of the maximal normalized chord
-    length over the diameter lines of P. k_max must cover at least three full
+    The candidate period q is the denominator of the maximal normalized
+    chord length over the diameter lines of P
+    (DilationProfile.longest_chord). k_max must cover at least three full
     periods beyond q so that every residue class has fit and verification
-    samples. Passing None starts at that minimum and doubles the window while
-    the samples have not yet settled into one linear piece per residue; an
-    explicit k_max is never extended. The result uses the minimal verified
-    period (a divisor of q) and the smallest sampled k from which every later
-    sample matches; that start can exceed q when a chord that is not
-    asymptotically longest still ties for small dilates. Every count comes
-    from one dilation profile of P, built here unless the caller passes
-    dilation_profile(P) as profile, in one range call per sample horizon,
-    profile.counts(range(1, horizon + 1)); the profile keeps each count, so
-    neither a doubled window nor a fit after ld-count's table recounts a
-    dilate. With a budget, a sample horizon over it (the first one, each
-    doubling or k_max) raises BudgetError before any sample of it is taken.
+    samples. Passing None starts at that minimum and doubles the window
+    while the samples have not yet settled into one linear piece per
+    residue; an explicit k_max is never extended. The result uses the
+    minimal verified period (a divisor of q) and the smallest sampled k from
+    which every later sample matches; that start can exceed q when a chord
+    that is not asymptotically longest still ties for small dilates. Every
+    count comes from one dilation profile of P, built here unless the caller
+    passes dilation_profile(P) as profile, in one range call per sample
+    horizon, profile.counts(range(1, horizon + 1)); the profile keeps each
+    count, so neither a doubled window nor a fit after ld-count's table
+    recounts a dilate. With a budget, a sample horizon over it (the first
+    one, each doubling or k_max) raises BudgetError before any sample of it
+    is taken.
     """
     if profile is None:
         profile = dilation_profile(P)
-    # In a diameter direction the longest chord lies on a vertex line, and
-    # that line is itself a diameter line; it is read from the level pieces
-    # of those directions, which the counts below read again.
-    _, q = _longest_vertex_chord(profile.pieces(u)[1] for u in profile.best(1)[1])
+    # The longest chord of P lies on a vertex line of a diameter direction,
+    # and that line is itself a diameter line; the profile's chord table
+    # holds it, in lowest terms.
+    _, q = profile.longest_chord
     explicit = k_max is not None
     if explicit and k_max < 4 * q:
         raise FitError(

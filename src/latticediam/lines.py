@@ -143,8 +143,8 @@ def lattice_count_on_clip(segment: ClippedSegment) -> int:
 # Integer-only level machinery. A primitive functional a and an integer level
 # beta define the lattice line {x : <a, x> = beta}; its lattice points are
 # anchor(beta) + k * u with u perpendicular to a. Clipping in the k-parameter
-# (level_interval) needs only floor divisions, which keeps the diameter sweeps
-# fast.
+# (level_interval) needs only floor divisions, and the diameter's cone picks
+# and level pieces are written in these coordinates.
 
 
 def level_anchor(a: Point) -> tuple[Point, Point]:

@@ -23,7 +23,7 @@ from latticediam import (
 from latticediam import borsuk
 from latticediam.core import floor_sum, line_bounds
 from latticediam.dilation import BlockDecomposition
-from latticediam.diameter import DiameterReport, ProfileRecord, dilation_profile
+from latticediam.diameter import DiameterReport, ProfileRecord, _chord_clip, dilation_profile
 from latticediam.lines import ClippedSegment, level_anchor, level_interval
 from latticediam.svg import MARGIN, PALETTE, SCALE
 
@@ -282,10 +282,10 @@ def chord_oracle(halfplanes, v, d) -> tuple[int, int]:
 
 
 def longest_vertex_chord_oracle(halfplanes, vertices, directions) -> tuple[int, int]:
-    """The per-vertex clip that diameter._longest_vertex_chord replaced by a
-    read of the level pieces, kept as its oracle: the chord (chord_oracle)
-    of the line through every vertex in every direction, the longest by
-    cross-multiplication. O(n^2) per direction."""
+    """The longest chord over the lines through every vertex in every one of
+    the directions, kept as the oracle of DilationProfile.longest_chord:
+    each chord clipped (chord_oracle), the longest by cross-multiplication.
+    O(n^2) per direction."""
     num, den = 0, 1
     for u in directions:
         for v in vertices:
@@ -323,6 +323,31 @@ def level_pieces_oracle(vertices, halfplanes, u):
                 ))
     pieces.sort()
     return anchor, pieces
+
+
+def sweep_diameter_oracle(P: Polygon2) -> DiameterReport:
+    """The sweep that diameter._direction_sweep replaced by a read of the
+    piece rows, kept as its oracle: compute_diameter with one level_interval
+    call, over all the halfplanes, per level of each chord window."""
+    profile = dilation_profile(P)
+    best, vectors = profile.best(1)
+    directions = tuple(map(Direction, vectors))
+    halfplanes = profile.halfplanes
+    lines, reps = [], []
+    for u in directions:
+        anchor, pieces = profile.pieces(u.vec)
+        found = []
+        for piece in pieces:
+            for _, _, first, last in _chord_clip(piece, ((1, best - 1),)):
+                for beta in range(first, last + 1):
+                    x0 = (anchor[0] * beta, anchor[1] * beta)
+                    iv = level_interval(halfplanes, x0, u.vec)
+                    if iv is not None and iv[1] - iv[0] + 1 == best:
+                        found.append(LatticeLine(x0, u))
+        found.sort(key=lambda line: line.base)
+        reps.append(clip_line(P, found[0], halfplanes))
+        lines.extend(found)
+    return DiameterReport(best - 1, tuple(lines), directions, tuple(reps))
 
 
 def lattice_circle(m: int) -> Polygon2:

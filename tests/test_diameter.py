@@ -1,5 +1,4 @@
 import random
-import sys
 from collections import Counter
 
 import pytest
@@ -16,9 +15,12 @@ from helpers import (
     longest_vertex_chord_oracle,
     opposite_pairs_oracle,
     parabola,
+    plateau,
+    profile_polygons,
     profile_records_oracle,
     random_polygon,
     ring_polygons,
+    sweep_diameter_oracle,
     unimodular,
     unwindowed_counts,
     walk_local_lines,
@@ -268,33 +270,34 @@ class TestOneDescentScan:
             assert dilation_profile(P).records == profile_records_oracle(P), s
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Calls of the clipping loop (line_bounds, wherever it is looked up),
+    of the diameter module's level_interval and of its descent, by name."""
+    calls = Counter()
+    bounds, kernel, descend = core.line_bounds, diameter.level_interval, diameter._descend
+
+    def counted_bounds(*args):
+        calls["line_bounds"] += 1
+        return bounds(*args)
+
+    def counted_kernel(*args):
+        calls["level_interval"] += 1
+        return kernel(*args)
+
+    def counted_descend(*args):
+        calls["descend"] += 1
+        return descend(*args)
+
+    assert not hasattr(diameter, "line_bounds")
+    for module in (core, lines):
+        monkeypatch.setattr(module, "line_bounds", counted_bounds)
+    monkeypatch.setattr(diameter, "level_interval", counted_kernel)
+    monkeypatch.setattr(diameter, "_descend", counted_descend)
+    return calls
+
+
 class TestLocalScanWork:
-    @pytest.fixture
-    def kernel_calls(self, monkeypatch):
-        """Calls of the clipping loop (line_bounds, wherever it is looked up),
-        of the diameter module's level_interval and of its descent, by name."""
-        calls = Counter()
-        bounds, kernel, descend = core.line_bounds, diameter.level_interval, diameter._descend
-
-        def counted_bounds(*args):
-            calls["line_bounds"] += 1
-            return bounds(*args)
-
-        def counted_kernel(*args):
-            calls["level_interval"] += 1
-            return kernel(*args)
-
-        def counted_descend(*args):
-            calls["descend"] += 1
-            return descend(*args)
-
-        assert not hasattr(diameter, "line_bounds")
-        for module in (core, lines):
-            monkeypatch.setattr(module, "line_bounds", counted_bounds)
-        monkeypatch.setattr(diameter, "level_interval", counted_kernel)
-        monkeypatch.setattr(diameter, "_descend", counted_descend)
-        return calls
-
     def test_local_scan_calls_no_kernel(self, kernel_calls):
         cones = 0
         for P in wide_polygons(20) + sheared_thin_polygons(20):
@@ -321,11 +324,11 @@ class TestLocalScanWork:
         report = compute_diameter(Polygon2(((0, 0), (s, 1), (3 * s + 1, 7))))
         assert report.ldiam == ldiam
         assert len(report.lines) == 1
-        # one descent per (edge, opposite vertex) cone; one level_interval
-        # call, for the one level of the chord window; and two line_bounds
-        # calls, under that call and for the representative segment: the
-        # chords of the candidate lines come from the levels, with no clip
-        assert kernel_calls == {"descend": 3, "level_interval": 1, "line_bounds": 2}
+        # one descent per (edge, opposite vertex) cone and one line_bounds
+        # call, for the representative segment: the chords of the candidate
+        # lines come from the levels, and the count of the one level of the
+        # chord window from its piece row, with no clip
+        assert kernel_calls == {"descend": 3, "line_bounds": 1}
 
 
 class TestComputeDiameter:
@@ -371,6 +374,42 @@ class TestComputeDiameter:
         assert list(rep.lines) == sorted(rep.lines, key=lambda l: (l.dir.vec, l.base))
 
 
+class TestSweepOracle:
+    """compute_diameter, whose sweep reads each window level's count from
+    its piece row, against the level_interval sweep it replaced
+    (sweep_diameter_oracle)."""
+
+    @staticmethod
+    def assert_matches(P):
+        got, want = compute_diameter(P), sweep_diameter_oracle(P)
+        assert got.ldiam == want.ldiam, P
+        assert got.lines == want.lines, P
+        assert got.directions == want.directions, P
+        assert got.representative_segments == want.representative_segments, P
+
+    def test_random_polygons(self):
+        rng = random.Random(2101)
+        for _ in range(2000):
+            self.assert_matches(random_polygon(rng, span_lo=2, span_hi=14))
+
+    def test_profile_polygons(self):
+        for P in profile_polygons():
+            self.assert_matches(P)
+
+    def test_lattice_circles(self):
+        for m in range(3, 12):
+            self.assert_matches(lattice_circle(m))
+
+    def test_dilates(self):
+        for P in (QUAD, T19, SQUARE):
+            for k in (1, 2, 3, 10, 100):
+                self.assert_matches(P.dilate(k))
+
+    def test_plateaus(self):
+        for e in range(1, 5):
+            self.assert_matches(plateau(10**e))
+
+
 def u_diameter_line(P: Polygon2, u) -> LatticeLine:
     """A lattice line of direction u holding the most lattice points of P,
     at the smallest level of the perpendicular functional among those.
@@ -379,21 +418,19 @@ def u_diameter_line(P: Polygon2, u) -> LatticeLine:
     vertex levels, so its maximum C is reached on the line through some
     vertex, an end of that chord: that line holds floor(C) + 1 points and no
     line of direction u holds more. So the best count is read from the
-    longest chord at a piece end (diameter._longest_vertex_chord), and the
-    first level of the sweep of its chord window holding it is the line.
+    longest vertex chord (longest_vertex_chord_oracle), and the first level
+    of the sweep of its chord window holding it is the line.
     """
     d = u if isinstance(u, Direction) else Direction(u)
     halfplanes = P.halfplanes()
+    num, den = longest_vertex_chord_oracle(halfplanes, P.vertices, (d.vec,))
     levels = diameter._level_pieces(P.vertices, halfplanes, d.vec)
-    num, den = diameter._longest_vertex_chord((levels[1],))
-    best = num // den + 1
-    return LatticeLine(next(diameter._direction_sweep(halfplanes, levels, d.vec, best)), d)
+    return LatticeLine(next(diameter._direction_sweep(levels, num // den + 1)), d)
 
 
 class TestUDiameterLine:
-    """The longest vertex chord, read from the level pieces, gives the best
-    count of a direction, and its sweep finds the smallest level holding it
-    (u_diameter_line)."""
+    """The longest vertex chord gives the best count of a direction, and its
+    sweep finds the smallest level holding it (u_diameter_line)."""
 
     def test_square_directions(self):
         for u, want in (((1, 0), 3), ((0, 1), 3), ((1, 1), 3), ((1, -1), 3), ((1, 2), 2)):
@@ -446,20 +483,29 @@ class TestUDiameterLine:
                 (2, -1),
                 ((-13529645, -27059292), (2, -1)),
             ),
+            # a chord window of 1 level, the widest, among 1,001
+            (((0, 0), (50, 500), (0, 1000), (-50, 500)), (1, 0), ((0, 500), (1, 0))),
         ],
-        ids=["thin-quad", "thin-triangle"],
+        ids=["thin-quad", "thin-triangle", "diamond"],
     )
     def test_bounded_work(self, vertices, u, want, monkeypatch):
-        calls = []
-        kernel = diameter.level_interval
+        """The sweep tests at most 16 levels before its first hit: every
+        level of each chord window it takes from _chord_clip, in order, up
+        to the level of the line it returns."""
+        windows = []
+        clip = diameter._chord_clip
 
-        def counted(*args):
-            calls.append(args)
-            return kernel(*args)
+        def recorded(piece, pairs):
+            for window in clip(piece, pairs):
+                windows.append(window)
+                yield window
 
-        monkeypatch.setattr(diameter, "level_interval", counted)
-        assert u_diameter_line(Polygon2(vertices), u) == LatticeLine(*want)
-        assert len(calls) <= 16
+        monkeypatch.setattr(diameter, "_chord_clip", recorded)
+        line = u_diameter_line(Polygon2(vertices), u)
+        assert line == LatticeLine(*want)
+        beta = u[0] * line.base[1] - u[1] * line.base[0]
+        assert windows and windows[-1][2] <= beta <= windows[-1][3]
+        assert sum(min(last, beta) - first + 1 for _, _, first, last in windows) <= 16
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -620,38 +666,52 @@ class TestLevelPieces:
             assert [piece[2] for piece in pieces] == [1] * (len(pieces) - 1) + [0]
 
     def test_longest_chord_matches_the_vertex_clips(self, polygons):
+        """The profile's longest chord, kept with its chord table, is the
+        longest vertex chord over the diameter directions, which the fit
+        read before, and over all the record directions. The oracle costs
+        O(n^2) per direction, so a polygon of over 100 vertices, with some
+        300 to 500 record directions, is checked on 40 of them besides the
+        diameter directions."""
         rng = random.Random(1702)
         for P in polygons:
             hps = P.halfplanes()
             profile = dilation_profile(P)
             records = sorted({record.direction for record in profile.records})
-            edges = [Direction((b[0] - a[0], b[1] - a[1])).vec for a, b in P.edges()[:3]]
-            for directions in ([u] for u in records[:4] + edges):
-                pieces = (profile.pieces(u)[1] for u in directions)
+            if len(P) > 100:
+                records = profile.best(1)[1] + rng.sample(records, 40)
+            for directions in (profile.best(1)[1], records):
                 want = longest_vertex_chord_oracle(hps, P.vertices, directions)
-                assert diameter._longest_vertex_chord(pieces) == want, (P, directions)
-            # over several directions at once, as the fit reads them
-            directions = profile.best(1)[1] + rng.sample(records, min(3, len(records)))
-            pieces = (profile.pieces(u)[1] for u in directions)
-            want = longest_vertex_chord_oracle(hps, P.vertices, directions)
-            assert diameter._longest_vertex_chord(pieces) == want, P
+                assert profile.longest_chord == want, (P, directions)
 
 
+@pytest.mark.parametrize(
+    "P",
+    [T19.dilate(k) for k in (10, 100, 1000)]
+    + [QUAD.dilate(k) for k in (10, 100, 1000)]
+    + [SQUARE.dilate(k) for k in (10, 100, 1000)]
+    + [plateau(10**e) for e in range(2, 6)],
+    ids=[f"{name}-{k}" for name in ("T19", "QUAD", "SQUARE") for k in (10, 100, 1000)]
+    + [f"plateau-1e{e}" for e in range(2, 6)],
+)
 class TestSweepWork:
-    @pytest.mark.parametrize("P", [T19, QUAD, SQUARE], ids=["T19", "QUAD", "SQUARE"])
-    @pytest.mark.parametrize("k", [10, 100, 1000])
-    def test_one_level_call_per_diameter_line(self, P, k, monkeypatch):
-        sweep_calls = []
-        kernel, sweep = diameter.level_interval, diameter._direction_sweep.__code__
+    """The sweep reads the count of each window level from its piece row."""
 
-        def counted(*args):
-            if sys._getframe(1).f_code is sweep:
-                sweep_calls.append(args)
-            return kernel(*args)
+    def test_sweep_clips_nothing(self, P, kernel_calls):
+        profile = dilation_profile(P)
+        best, vectors = profile.best(1)
+        found = sum(
+            len(list(diameter._direction_sweep(profile.pieces(u), best)))
+            for u in vectors
+        )
+        # the profile and the sweeps: descents, with no clip at all
+        assert set(kernel_calls) == {"descend"}
+        assert found == len(compute_diameter(P).lines)
 
-        monkeypatch.setattr(diameter, "level_interval", counted)
-        report = compute_diameter(P.dilate(k))
-        assert len(sweep_calls) == len(report.lines)
+    def test_one_clip_per_diameter_direction(self, P, kernel_calls):
+        # the representative segment's clip_line, and nothing else
+        report = compute_diameter(P)
+        assert kernel_calls["line_bounds"] == len(report.directions)
+        assert "level_interval" not in kernel_calls
 
 
 class TestLongestChord:
