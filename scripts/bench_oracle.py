@@ -1,6 +1,7 @@
-"""Oracle ladder: the pair path and the residue path of the exact pair scan.
+"""Oracle ladder: the pair path and the residue path of the exact pair scan,
+and the line phase of the planar pair path.
 
-    PYTHONPATH=src python scripts/bench_oracle.py --out BENCH_7.json
+    PYTHONPATH=src python scripts/bench_oracle.py --out BENCH_22.json
 
 Rows, each timing both exact paths of `oracle.brute_force_diameter` on one
 point set:
@@ -9,7 +10,8 @@ point set:
   in d = 2..5;
 - sparse: seeded sets of 100, 300 and 1,000 distinct points in [0, top]^d
   for d = 2..5, with top from n / 8 to 8 n, which puts the two paths' costs
-  on both sides of each other;
+  on both sides of each other, and planar sets of the same sizes at
+  top = 10^5 and 10^6, where the pairs far outnumber the short lines;
 - gadgets: the hardness gadget (3, 3, 6) in d = 3..5 and
   direction_maximal_polytope(d) for d = 2..6 (every pair ties at gcd 1).
 
@@ -22,6 +24,20 @@ pair): the dispatch picks the faster path on a row exactly when
 RESIDUE_COST lies on the same side of it as pairs / steps. The residue
 path is not run on a set whose model steps are over MAX_STEPS, and its
 time is null there.
+
+A planar sparse row also times the two parts of the planar pair path: the
+line phase (`line_s`; `line_end` says whether it stopped on lines or handed
+its best over) and the plain row loop with no seed (`row_s`, the pair path
+before the line phase), with their steps: a line step is one point keyed
+for one direction, as the line phase counts them, and a row step one pair
+read, counted as calls of the `gcd` the oracle looks up in one more untimed
+call. On the rows that stop on lines, `line_break_even` is (line seconds
+per line step) / (row seconds per row step), the constant LINE_COST
+stands for, and the summary gives its median. A line step also carries
+the phase's fixed costs (the y-sorted copy, the slab lists), so the
+break-even falls as the steps grow; `line_cost_sweep` therefore times the
+whole planar pair path on every planar sparse row at each LINE_COST of
+SWEEP and sums the times, and LINE_COST is the fastest of them.
 
 Times are the best of REPEAT calls after one warm-up call, or the single
 warm-up call when that took over a second.
@@ -48,6 +64,7 @@ from latticediam.constructions import (
 QUAD = Polygon2(((0, 0), (5, 1), (6, 4), (1, 3)))
 REPEAT = 3
 MAX_STEPS = 3_000_000
+SWEEP = (1, 2, 3)
 
 
 def best_time(fn) -> float:
@@ -64,6 +81,52 @@ def best_time(fn) -> float:
     return best
 
 
+def sparse_set(rng: random.Random, n: int, d: int, top: int) -> tuple:
+    """n distinct seeded points of [0, top]^d, lex-sorted."""
+    pts: set[tuple[int, ...]] = set()
+    while len(pts) < n:
+        pts.add(tuple(rng.randint(0, top) for _ in range(d)))
+    return tuple(sorted(pts))
+
+
+def row_steps(pts) -> int:
+    """Pairs the plain row loop reads: calls of the gcd the oracle looks up."""
+    inner = oracle.gcd
+    calls = 0
+
+    def count(*args):
+        nonlocal calls
+        calls += 1
+        return inner(*args)
+
+    oracle.gcd = count
+    try:
+        oracle._row_loop(pts)
+    finally:
+        oracle.gcd = inner
+    return calls
+
+
+def line_columns(pts) -> dict:
+    """The line phase and the plain row loop of a planar set, timed and
+    counted."""
+    best, hits, steps = oracle._line_phase(pts)
+    out = {
+        "line_s": best_time(lambda: oracle._line_phase(pts)),
+        "line_end": "stop" if hits is not None else "handover",
+        "line_best": best,
+        "line_steps": steps,
+        "row_s": best_time(lambda: oracle._row_loop(pts)),
+        "row_steps": row_steps(pts),
+        "line_break_even": None,
+    }
+    if hits is not None and out["line_s"] and out["row_s"]:
+        out["line_break_even"] = round(
+            (out["line_s"] / out["line_steps"]) / (out["row_s"] / out["row_steps"]), 4
+        )
+    return out
+
+
 def point_sets():
     for k in (2, 3, 5, 8, 12, 20):
         yield "dense", f"quad*{k}", enumerate_lattice_points(QUAD.dilate(k)).points
@@ -73,10 +136,11 @@ def point_sets():
     for d in (2, 3, 4, 5):
         for n in (100, 300, 1000):
             for top in (n // 8, n // 2, 2 * n, 8 * n):
-                pts: set[tuple[int, ...]] = set()
-                while len(pts) < n:
-                    pts.add(tuple(rng.randint(0, top) for _ in range(d)))
-                yield "sparse", f"top={top}", tuple(sorted(pts))
+                yield "sparse", f"top={top}", sparse_set(rng, n, d, top)
+    rng = random.Random("bench_oracle/wide")
+    for n in (100, 200, 300, 400, 1000):
+        for top in (10**5, 10**6):
+            yield "sparse", f"top={top}", sparse_set(rng, n, 2, top)
     for d in (3, 4, 5):
         yield "gadget", "hardness (3,3,6)", hardness_lattice_points(
             hardness_instance(3, 3, 6, d)
@@ -120,7 +184,25 @@ def row(family: str, name: str, pts) -> dict:
     }
     if pair_s and residue_s:
         out["break_even"] = round((residue_s / steps) / (pair_s / pairs), 4)
+    if family == "sparse" and d == 2:
+        out.update(line_columns(pts))
     return out
+
+
+def line_cost_sweep(planar: list) -> dict[str, float]:
+    """Total planar pair path seconds over the planar sets at each LINE_COST
+    of SWEEP."""
+    fitted = oracle.LINE_COST
+    totals = {}
+    try:
+        for cost in SWEEP:
+            oracle.LINE_COST = cost
+            totals[str(cost)] = sum(
+                best_time(lambda: oracle._pair_scan(pts)) for pts in planar
+            )
+    finally:
+        oracle.LINE_COST = fitted
+    return totals
 
 
 def summary(rows: list[dict]) -> dict:
@@ -133,7 +215,16 @@ def summary(rows: list[dict]) -> dict:
         for r in both
         if (r["path"] == "residue") != (r["residue_s"] < r["pair_s"])
     ]
+    planar = [r for r in rows if "line_s" in r]
+    stops = [r["line_break_even"] for r in planar if r["line_break_even"] is not None]
     return {
+        "line_cost": oracle.LINE_COST,
+        "line_probe": oracle.LINE_PROBE,
+        "planar_rows": len(planar),
+        "planar_stop_rows": len(stops),
+        "line_break_even_median": statistics.median(stops) if stops else None,
+        "planar_row_loop_s": sum(r["row_s"] for r in planar),
+        "planar_pair_path_s": sum(r["pair_s"] for r in planar),
         "residue_cost": oracle.RESIDUE_COST,
         "rows_timed_both": len(both),
         "break_even_median": statistics.median(r["break_even"] for r in both),
@@ -147,7 +238,11 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args()
-    rows = [row(*case) for case in point_sets()]
+    cases = list(point_sets())
+    rows = [row(*case) for case in cases]
+    planar = [
+        pts for family, _, pts in cases if family == "sparse" and len(pts[0]) == 2
+    ]
     result = {
         "host": {
             "python": platform.python_version(),
@@ -158,6 +253,7 @@ def main() -> None:
         "repeat": REPEAT,
         "max_steps": MAX_STEPS,
         "summary": summary(rows),
+        "line_cost_sweep": line_cost_sweep(planar),
         "oracle": rows,
     }
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -9,9 +9,9 @@ sizes built here.
 from __future__ import annotations
 
 from itertools import combinations, product
-from math import gcd
+from math import gcd, isqrt
 from operator import mul
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .core import Direction, Point, Polygon2, PointSet, as_point, enumerate_lattice_points
 from .errors import BudgetError, ValidationError
@@ -336,21 +336,38 @@ def hardness_instance(a: int, b: int, c: int, d: int = 3) -> HardnessInstance:
     )
 
 
-def _grid(inst: HardnessInstance) -> list[tuple[int, int]]:
-    return [
-        (x, y)
-        for x in range(inst.x_range[0], inst.x_range[1] + 1)
-        for y in range(inst.y_range[0], inst.y_range[1] + 1)
-    ]
+def _columns(inst: HardnessInstance) -> Iterator[tuple[int, int, int, int]]:
+    """(x, r, y0, y1) for each x of x_range, with r = x^2 - a: the points of
+    K_3 over x are the (x, y, z) with y0 <= y <= y1 and f(x, y) <= z <= Z.
+
+    f(x, y) = (r - b y)^2 <= Z exactly when |r - b y| <= isqrt(Z), one
+    interval of y, cut to y_range; it is empty when y0 > y1.
+    """
+    s = isqrt(inst.Z)
+    lo, hi = inst.y_range
+    b = inst.b
+    for x in range(inst.x_range[0], inst.x_range[1] + 1):
+        r = x * x - inst.a
+        yield x, r, max(lo, -((s - r) // b)), min(hi, (r + s) // b)
 
 
 def min_f_on_grid(inst: HardnessInstance) -> tuple[int, tuple[int, int]]:
-    """Exact minimum of f over the integer points of R, with an argmin."""
+    """Exact minimum of f over the integer points of R, with its first argmin
+    in lexicographic order.
+
+    For each x, f(x, y) = (x^2 - a - b y)^2 is least at the integer y
+    nearest (x^2 - a) / b, clamped to y_range: the floor or the one above
+    it. O(c) steps, whatever the size of y_range.
+    """
     best: tuple[int, tuple[int, int]] | None = None
-    for x, y in _grid(inst):
-        v = inst.f(x, y)
-        if best is None or v < best[0]:
-            best = (v, (x, y))
+    lo, hi = inst.y_range
+    for x in range(inst.x_range[0], inst.x_range[1] + 1):
+        r = x * x - inst.a
+        below = r // inst.b
+        for y in (min(max(below, lo), hi), min(max(below + 1, lo), hi)):
+            v = (r - inst.b * y) ** 2
+            if best is None or v < best[0]:
+                best = (v, (x, y))
     assert best is not None
     return best
 
@@ -360,23 +377,37 @@ def hardness_lattice_points(
 ) -> PointSet:
     """All lattice points of K_d, by direct column enumeration.
 
-    The columns come in lexicographic (x, y) order, each rising in z, and in
-    d > 3 the sorted unit-cube prefixes are the outer loop: the list is
-    distinct and sorted already, so it is trusted as it stands."""
-    cols = [(x, y, inst.f(x, y)) for x, y in _grid(inst)]
-    total = sum(inst.Z - fz + 1 for _, _, fz in cols if fz <= inst.Z)
-    total *= 2 ** (inst.dim - 3)
-    if total > max_points:
-        raise BudgetError(f"{total} lattice points exceed the budget {max_points}")
+    The points are counted first, without listing any: over the y interval
+    of a column (_columns), Z - f + 1 sums in closed form, since r - b y runs
+    down an arithmetic progression; BudgetError is raised as soon as the
+    count passes max_points. The columns come in lexicographic (x, y) order,
+    each rising in z, and in d > 3 the sorted unit-cube prefixes are the
+    outer loop: the list is distinct and sorted already, so it is trusted as
+    it stands."""
+    Z, b, lift = inst.Z, inst.b, inst.dim - 3
+    total = 0
+    for _, r, y0, y1 in _columns(inst):
+        m = y1 - y0 + 1
+        if m > 0:
+            # sum over k < m of Z + 1 - (t - b k)^2, t = r - b y0
+            t = r - b * y0
+            total += (
+                m * (Z + 1 - t * t) + b * t * m * (m - 1)
+                - b * b * (m - 1) * m * (2 * m - 1) // 6
+            )
+            if total << lift > max_points:
+                raise BudgetError(
+                    f"the gadget has more than {max_points} lattice points (the budget)"
+                )
     core = [
         (x, y, z)
-        for x, y, fz in cols
-        if fz <= inst.Z
-        for z in range(fz, inst.Z + 1)
+        for x, r, y0, y1 in _columns(inst)
+        for y in range(y0, y1 + 1)
+        for z in range((r - b * y) ** 2, Z + 1)
     ]
     if inst.dim == 3:
         return PointSet._sorted(core)
-    cubes = product((0, 1), repeat=inst.dim - 3)
+    cubes = product((0, 1), repeat=lift)
     return PointSet._sorted([w + p for w in cubes for p in core])
 
 

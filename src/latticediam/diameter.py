@@ -41,11 +41,12 @@ closed form instead: over a window of n levels, the count is
 sum floor(U) - sum ceil(L) + (2 - best) n, two Euclid-like floor sums, or
 the same two floor divisions when n = 1, so the cost does not grow with k.
 The chord window of a piece at any k comes from three clip constants that
-do not depend on k, kept in the row too. One generator (_chord_clip) clips
-a piece for a run of (k, m) pairs: the sweep passes the one pair
-(1, best - 1), and a range of dilates is counted in one pass, which groups
-the ks by their diameter directions and passes, to each piece of those
-directions, the pairs of the whole group. The fit's period is the
+do not depend on k, kept in the row too: the sweep clips each piece at
+(1, best - 1) (_chord_clip), and one kernel (_piece_counts) clips and
+counts a piece for a run of (k, m) pairs. A range of dilates is counted in
+one pass, which groups the ks by their diameter directions and passes, to
+each piece of those directions, the pairs of the whole group; a lone k
+passes its one pair. The fit's period is the
 denominator of the longest chord of P, which the chord table holds. All of
 it is integer arithmetic, and this module clips no line itself: the
 representative segments' clip_line goes through core.line_bounds.
@@ -344,35 +345,70 @@ def _polygon_picks(P: Polygon2) -> Iterator[tuple[Point, Point, int, int]]:
 Piece = tuple[int, int, int, int, int, int, int, int, int, int, int, int]
 
 
-def _chord_clip(
-    piece: Piece, pairs: Iterable[tuple[int, int]]
-) -> Iterator[tuple[int, int, int, int]]:
-    """(k, m, first, last) for each pair (k, m) whose window is not empty:
-    the levels first..last of the piece of kP where its chord is at least m.
+def _chord_clip(piece: Piece, k: int, m: int) -> tuple[int, int]:
+    """The levels first..last of the piece of kP where its chord is at least
+    m; the window is empty when first > last.
 
     The piece of kP runs from level k * lo to k * hi - cut. Its k-free
     constants (_level_pieces) give the chord inequality A*beta <= B with
     B = m * ti * tj + k * (ti * cj - tj * ci), since scaling P by k scales
     the halfplane constants ci and cj by k; it is solved with floor
-    divisions. This is the one copy of the clip: the sweep reads it with
-    the one pair (1, best - 1) and the dilate counts with a pair per k.
+    divisions. The sweep reads it at (1, best - 1), and _piece_counts
+    repeats it inline for each (k, m) pair of a batch.
     """
     lo, hi, cut, A, titj, C, _, _, _, _, _, _ = piece
+    first, last = k * lo, k * hi - cut
+    B = m * titj + k * C
+    if A > 0:
+        x = B // A  # beta <= floor(B / A)
+        if x < last:
+            last = x
+    elif A < 0:
+        x = -(B // -A)  # beta >= ceil(B / A)
+        if x > first:
+            first = x
+    elif B < 0:
+        return first, first - 1
+    return first, last
+
+
+def _piece_counts(
+    piece: Piece, pairs: Iterable[tuple[int, int]], totals: dict[int, int]
+) -> None:
+    """Add to totals[k], for each pair (k, m), the lattice points of kP on
+    the levels of the piece's m chord window (_chord_clip).
+
+    A level holds floor(U) + floor(-L) + 1 points, so a window of n levels
+    from first holds sum floor(U) + sum floor(-L) + (1 - m) n points beyond
+    m per level: two floor sums, or two floor divisions when n = 1. This is
+    the one count kernel: a batch passes its pairs, a lone count its one.
+    """
+    lo, hi, cut, A, titj, C, ti, nei, ci, ntj, nej, cj = piece
     for k, m in pairs:
+        # the clip of _chord_clip
         first, last = k * lo, k * hi - cut
         B = m * titj + k * C
         if A > 0:
-            x = B // A  # beta <= floor(B / A)
+            x = B // A
             if x < last:
                 last = x
         elif A < 0:
-            x = -(B // -A)  # beta >= ceil(B / A)
+            x = -(B // -A)
             if x > first:
                 first = x
         elif B < 0:
             continue
-        if first <= last:
-            yield k, m, first, last
+        n = last - first + 1
+        if n == 1:
+            totals[k] += (
+                (k * ci + first * nei) // ti + (k * cj + first * nej) // ntj + 1 - m
+            )
+        elif n > 1:
+            totals[k] += (
+                floor_sum(n, ti, nei, k * ci + first * nei)
+                + floor_sum(n, ntj, nej, k * cj + first * nej)
+                + (1 - m) * n
+            )
 
 
 class ProfileRecord(NamedTuple):
@@ -471,10 +507,10 @@ def _direction_sweep(levels: tuple[Point, list[Piece]], best: int) -> Iterator[P
     anchor, pieces = levels
     for piece in pieces:
         _, _, _, _, _, _, ti, nei, ci, ntj, nej, cj = piece
-        for _, _, first, last in _chord_clip(piece, ((1, best - 1),)):
-            for beta in range(first, last + 1):
-                if (ci + beta * nei) // ti + (cj + beta * nej) // ntj + 1 == best:
-                    yield anchor[0] * beta, anchor[1] * beta
+        first, last = _chord_clip(piece, 1, best - 1)
+        for beta in range(first, last + 1):
+            if (ci + beta * nei) // ti + (cj + beta * nej) // ntj + 1 == best:
+                yield anchor[0] * beta, anchor[1] * beta
 
 
 class DilationProfile:
@@ -497,8 +533,8 @@ class DilationProfile:
     falls a point behind once k (C* - c) >= 1. The counts then sum the
     closed-form level count of each diameter direction over its level
     pieces, built once per direction, with the pieces outer and the ks
-    that share the direction inner. count(k) is counts((k,))[0]. Each count
-    is kept.
+    that share the direction inner; count(k) runs the same kernel for its
+    one k, with no batch, and equals counts((k,))[0]. Each count is kept.
     """
 
     def __init__(
@@ -561,8 +597,19 @@ class DilationProfile:
         return levels
 
     def count(self, k: int) -> int:
-        """The number of lattice diameter lines of kP, counted once per k."""
-        return self.counts((k,))[0]
+        """The number of lattice diameter lines of kP, counted once per k:
+        the kernel of _count for the one pair (k, m), with no batch."""
+        if not isinstance(k, int) or k < 1:
+            raise ValidationError("dilation factor must be a positive int")
+        total = self._counts.get(k)
+        if total is None:
+            m, directions = self._window(k)
+            totals, pairs = {k: 0}, ((k, m),)
+            for d in directions:
+                for piece in self.pieces(d)[1]:
+                    _piece_counts(piece, pairs, totals)
+            total = self._counts[k] = totals[k]
+        return total
 
     def counts(self, ks: Iterable[int]) -> list[int]:
         """count(k) for each k of ks, in order. Every k is checked before
@@ -588,12 +635,10 @@ class DilationProfile:
 
         Scaling P by k scales every level and every halfplane constant c by
         k. Inside the m chord window every level holds m or m + 1 points
-        (the floor/+1 sandwich), and outside it at most m. A level holds
-        floor(U) + floor(-L) + 1 points, so the count over a window piece of
-        n levels from first is sum floor(U) + sum floor(-L) + (1 - m) n, two
-        floor sums, or two floor divisions when n = 1. There are O(n) pieces
-        per direction, so a count costs O(n log) integer steps, whatever the
-        size of k.
+        (the floor/+1 sandwich), and outside it at most m, so the count of
+        kP is the sum over the window pieces of their points beyond m per
+        level (_piece_counts). There are O(n) pieces per direction, so a
+        count costs O(n log) integer steps, whatever the size of k.
         """
         groups: dict[tuple[Point, ...], list[tuple[int, int]]] = {}
         for k in ks:
@@ -604,20 +649,7 @@ class DilationProfile:
         for directions, pairs in groups.items():
             for d in directions:
                 for piece in (built.get(d) or self.pieces(d))[1]:
-                    _, _, _, _, _, _, ti, nei, ci, ntj, nej, cj = piece
-                    for k, m, first, last in _chord_clip(piece, pairs):
-                        n = last - first + 1
-                        if n == 1:
-                            totals[k] += (
-                                (k * ci + first * nei) // ti
-                                + (k * cj + first * nej) // ntj + 1 - m
-                            )
-                        else:
-                            totals[k] += (
-                                floor_sum(n, ti, nei, k * ci + first * nei)
-                                + floor_sum(n, ntj, nej, k * cj + first * nej)
-                                + (1 - m) * n
-                            )
+                    _piece_counts(piece, pairs, totals)
         return totals
 
 

@@ -5,16 +5,21 @@ gcd of their coordinate differences. Two exact paths compute it with every
 pair attaining it: a pair scan that skips pairs which cannot reach the best
 gcd so far, and a residue scan that looks for the largest g at which two
 points agree mod g, stopping at the Rabinowitz floor (more than g^d points
-hold two that agree mod g). A cost model picks the cheaper one, and the
-report holds the diameter, its pairs and their directions. This module
-exists to cross-check the polygon algorithms and the constructions; it is
+hold two that agree mod g). In the plane the pair scan first reads lattice
+lines of short primitive direction u: a pair of gcd g spans g |u|_inf along
+its direction, so once the best gcd times the next norm exceeds the
+coordinate range, no pair left can reach it, and the phase stops exact;
+when the lines left would cost more than the pairs, its best seeds the
+pair loop. A cost model picks the cheaper path, and the report holds the
+diameter, its pairs and their directions. This module exists to
+cross-check the polygon algorithms and the constructions; it is
 deliberately independent of the 2D machinery.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 from math import gcd
 from operator import attrgetter, sub
 
@@ -51,37 +56,194 @@ class OracleReport(Frozen):
         object.__setattr__(self, "directions", directions)
 
 
-def _pair_scan(pts: tuple[Point, ...]) -> tuple[int, list[tuple[int, int]]]:
-    """Max gcd over pairs and the index pairs attaining it, pair by pair.
+def _row_loop(
+    pts: tuple[Point, ...], best: int = 0
+) -> tuple[int, list[tuple[int, int]]]:
+    """Max gcd over pairs of planar points and the index pairs attaining it,
+    pair by pair, seeded with a lower bound best on the maximum.
 
-    Points arrive lex-sorted, so recorded pairs are already canonical. Once
-    best is known, a pair with 0 < dx < best cannot reach it (the gcd divides
-    dx), so each row skips that x window by bisection. In d >= 3 the gcd of
-    dx and dy bounds the full gcd when it is nonzero, so the rest of the
-    coordinates are read only when it is 0 or at least best. A set in d = 1
-    is scanned as its copy on the line y = 0 of Z^2, which keeps every gcd.
+    Points arrive lex-sorted, so recorded pairs are already canonical. A pair
+    with 0 < dx < best cannot reach best (the gcd divides dx), so each row
+    skips that x window by bisection; every pair of gcd at least the seed is
+    read, so the hits are complete when the seed is at most the maximum.
+    """
+    n = len(pts)
+    xs = [p[0] for p in pts]
+    hits: list[tuple[int, int]] = []
+    for i in range(n - 1):
+        xi, yi = pts[i]
+        a = bisect_right(xs, xi, i + 1)
+        for j in chain(range(i + 1, a), range(bisect_left(xs, xi + best, a), n)):
+            pj = pts[j]
+            g = gcd(pj[0] - xi, pj[1] - yi)
+            if g >= best:
+                if g > best:
+                    best = g
+                    hits = [(i, j)]
+                else:
+                    hits.append((i, j))
+    return best, hits
+
+
+# A line step (one point keyed for one direction) costs about LINE_COST pair
+# steps of the row loop: of the costs 1, 2 and 3, 1 gave the fastest planar
+# pair path over the planar rows of scripts/bench_oracle.py (BENCH_22.json).
+# While no best lets the lines finish cheaper than the rows, the line phase
+# spends at most 1 / LINE_PROBE of the row loop's steps looking for one; 4
+# did better than 3 and 8 on planar sets of 100 to 400 points in
+# [0, 10^5]^2, where a first long line turns up within a few shells or not
+# at all.
+LINE_COST = 1
+LINE_PROBE = 4
+
+
+def _slab_steps(
+    doms: tuple[list[int], list[int]], best: int, K: int, limit: int
+) -> int:
+    """The line steps of the shells after K up to the stop, with best as it
+    is, or a first partial sum over limit.
+
+    Shell K keys, in each half, the points of the two end slabs of width
+    best * K along the sorted dominant coordinate doms[h], once for each of
+    its about 2 K directions; past the stop, best * K > R, the slabs are
+    empty.
+    """
+    n = len(doms[0])
+    steps = 0
+    while steps <= limit:
+        K += 1
+        w = best * K
+        slabs = 0
+        for dom in doms:
+            hi = bisect_right(dom, dom[-1] - w)
+            if hi:
+                lo = bisect_left(dom, dom[0] + w)
+                slabs += n if lo <= hi else hi + n - lo
+        if not slabs:
+            break
+        steps += 2 * K * slabs
+    return steps
+
+
+def _line_phase(
+    pts: tuple[Point, ...]
+) -> tuple[int, list[tuple[int, int]] | None, int]:
+    """Max gcd over pairs of planar points, the index pairs attaining it and
+    the line steps taken, line by line; or a lower bound on the max, None
+    and the steps, when the row loop is cheaper.
+
+    A pair with gcd g differs by g * u for a primitive u, and g is at most
+    R / |u|_inf, R the wider coordinate range. The phase scans the shells
+    K = 1, 2, ... of primitive u with |u|_inf = K, the x-dominant u = (K, b),
+    |b| <= K, on the lex-sorted points and the y-dominant u = (b, K),
+    |b| < K, on a y-sorted copy. In direction u a point's line is keyed by
+    K * other - b * dominant coordinate, and the first and last point of a
+    key are the ends of its line. After shell K every pair not yet read has
+    g <= R / (K + 1), so once best * (K + 1) > R the hits are the end pairs
+    of the lines of span best, and the phase stops. A pair of gcd at least
+    best in shell K spans best * K along the dominant coordinate, so only
+    the two end slabs of that width are keyed, found by bisection.
+
+    After each shell the phase weighs the line steps left to the stop
+    (_slab_steps) against the pairs the row loop would read with best as
+    its seed. When the lines cost less (LINE_COST) it commits to them and
+    goes on to the stop without weighing again: a larger best only narrows
+    the slabs. Otherwise it goes on only while its steps stay under
+    1 / LINE_PROBE of the row loop's, and then hands best over. The steps
+    counted are the points keyed, one per direction.
+    """
+    n = len(pts)
+    if n < 2:
+        return 0, [], 0
+    xs = [p[0] for p in pts]
+    ys = [p[1] for p in pts]
+    # sorting the lex order stably by y gives the (y, x) order
+    order = sorted(range(n), key=ys.__getitem__)
+    yd = [ys[i] for i in order]
+    halves = ((xs, ys, range(n), 0), (yd, [xs[i] for i in order], order, 1))
+    doms = (xs, yd)
+    R = max(xs[-1] - xs[0], yd[-1] - yd[0])
+    best, hits = 0, []
+    spent, committed = 0, False
+    K = 0
+    while True:
+        K += 1
+        for dom, oth, index, edge in halves:
+            keys = None
+            for b in range(edge - K, K + 1 - edge):
+                if keys is None:
+                    # key the two end slabs of width w, or every point when
+                    # they meet; rebuilt whenever best grows
+                    w = max(best, 1) * K
+                    hi = bisect_right(dom, dom[-1] - w)
+                    if not hi:
+                        break
+                    lo = bisect_left(dom, dom[0] + w)
+                    if lo <= hi:
+                        idx, do, oo = range(n), dom, oth
+                    else:
+                        idx = [*range(hi), *range(lo, n)]
+                        do, oo = dom[:hi] + dom[lo:], oth[:hi] + oth[lo:]
+                    keys = [K * o - b * x for o, x in zip(oo, do)]
+                else:
+                    # the next b: subtract the dominant coordinate
+                    keys = list(map(sub, keys, do))
+                spent += len(keys)
+                if gcd(K, b) != 1 or len(set(keys)) == len(keys):
+                    continue  # not primitive, or no two points share a line
+                last = dict(zip(keys, idx))
+                first = dict(zip(reversed(keys), reversed(idx)))
+                m = max(map(sub, map(dom.__getitem__, last.values()),
+                            map(dom.__getitem__, map(first.__getitem__, last))))
+                if m < w:
+                    continue
+                if m // K > best:
+                    best, hits = m // K, []
+                for key, j in last.items():
+                    i = first[key]
+                    if dom[j] - dom[i] == m:
+                        p, q = index[i], index[j]
+                        hits.append((p, q) if p < q else (q, p))
+                if best * K > w:
+                    keys = None
+        if best * (K + 1) > R:
+            return best, sorted(hits), spent
+        if not committed:
+            # the row loop reads, from each point, the points at least best
+            # to the right of it
+            left = n * n - sum(map(bisect_left, repeat(xs, n), map(best.__add__, xs)))
+            if best and LINE_COST * _slab_steps(doms, best, K, left // LINE_COST) <= left:
+                committed = True
+            elif (
+                LINE_COST * LINE_PROBE * (spent + _slab_steps(doms, max(best, 1), K, 0))
+                > left
+            ):
+                return best, None, spent
+
+
+def _pair_scan(pts: tuple[Point, ...]) -> tuple[int, list[tuple[int, int]]]:
+    """Max gcd over pairs and the index pairs attaining it.
+
+    Points arrive lex-sorted, and the index pairs come out lex-sorted. A set
+    in d = 1 is scanned as its copy on the line y = 0 of Z^2, which keeps
+    every gcd. In d = 2 the line phase (_line_phase) runs first, and the row
+    loop (_row_loop) takes over, seeded with its best, when the lines left
+    cost more than the pairs. In d >= 3 the pairs are read one by one:
+    once best is known, a pair with 0 < dx < best cannot reach it (the gcd
+    divides dx), so each row skips that x window by bisection, and the gcd
+    of dx and dy bounds the full gcd when it is nonzero, so the rest of the
+    coordinates are read only when it is 0 or at least best.
     """
     n = len(pts)
     d = len(pts[0])
     if d == 1:
         pts = tuple((x, 0) for (x,) in pts)
+    if d <= 2:
+        best, hits, _ = _line_phase(pts)
+        return (best, hits) if hits is not None else _row_loop(pts, best)
     xs = [p[0] for p in pts]
     best = 0
     hits: list[tuple[int, int]] = []
-    if d <= 2:
-        for i in range(n - 1):
-            xi, yi = pts[i]
-            a = bisect_right(xs, xi, i + 1)
-            for j in chain(range(i + 1, a), range(bisect_left(xs, xi + best, a), n)):
-                pj = pts[j]
-                g = gcd(pj[0] - xi, pj[1] - yi)
-                if g >= best:
-                    if g > best:
-                        best = g
-                        hits = [(i, j)]
-                    else:
-                        hits.append((i, j))
-        return best, hits
     rest = [p[2:] for p in pts]
     for i in range(n - 1):
         xi, yi = pts[i][0], pts[i][1]

@@ -338,12 +338,12 @@ def sweep_diameter_oracle(P: Polygon2) -> DiameterReport:
         anchor, pieces = profile.pieces(u.vec)
         found = []
         for piece in pieces:
-            for _, _, first, last in _chord_clip(piece, ((1, best - 1),)):
-                for beta in range(first, last + 1):
-                    x0 = (anchor[0] * beta, anchor[1] * beta)
-                    iv = level_interval(halfplanes, x0, u.vec)
-                    if iv is not None and iv[1] - iv[0] + 1 == best:
-                        found.append(LatticeLine(x0, u))
+            first, last = _chord_clip(piece, 1, best - 1)
+            for beta in range(first, last + 1):
+                x0 = (anchor[0] * beta, anchor[1] * beta)
+                iv = level_interval(halfplanes, x0, u.vec)
+                if iv is not None and iv[1] - iv[0] + 1 == best:
+                    found.append(LatticeLine(x0, u))
         found.sort(key=lambda line: line.base)
         reps.append(clip_line(P, found[0], halfplanes))
         lines.extend(found)

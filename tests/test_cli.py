@@ -568,6 +568,17 @@ class TestHardnessVerify:
         assert cli.run(argv) == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_huge_gadget_is_refused_before_listing(self):
+        # R holds about 5 * 10^14 grid points (x, y); the closed-form column
+        # counts pass the point budget in the first column, so the run exits
+        # 6 at once instead of listing the grid
+        done = run_module(
+            "latticediam", ["hardness-verify", "--a", "1", "--b", "2", "--c", "100000"],
+            timeout=10,
+        )
+        assert done.returncode == 6
+        assert "more than 500000 lattice points" in done.stderr
+
 
 class TestTopLevel:
     def test_parse_error_exit_code(self, tmp_path, capsys):

@@ -222,6 +222,45 @@ class TestDirectionMaximal:
             direction_maximal_polytope(10)
 
 
+def grid_points(inst) -> list[tuple[int, ...]]:
+    """Reference: every lattice point of K_d, from the whole (x, y) grid of R,
+    sorted."""
+    core = [
+        (x, y, z)
+        for x in range(inst.x_range[0], inst.x_range[1] + 1)
+        for y in range(inst.y_range[0], inst.y_range[1] + 1)
+        for z in range(inst.f(x, y), inst.Z + 1)
+    ]
+    return sorted(w + p for w in product((0, 1), repeat=inst.dim - 3) for p in core)
+
+
+def grid_min_f(inst) -> tuple[int, tuple[int, int]]:
+    """Reference: min f over the whole (x, y) grid of R, first argmin in
+    lexicographic order."""
+    return min(
+        (inst.f(x, y), (x, y))
+        for x in range(inst.x_range[0], inst.x_range[1] + 1)
+        for y in range(inst.y_range[0], inst.y_range[1] + 1)
+    )
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_columns_match_the_grid(d):
+    # the closed-form column counts and the nearest-y minimum against the
+    # whole grid, on seeded gadgets; the budget refuses a gadget exactly
+    # when it has more points than the budget
+    rng = random.Random(f"hardness-columns/{d}")
+    for _ in range(30):
+        b = rng.randint(1, 6)
+        c = rng.randint(max(2, b) + 1, 11)
+        inst = hardness_instance(rng.randint(1, 40), b, c, d)
+        want = grid_points(inst)
+        assert list(hardness_lattice_points(inst, max_points=len(want)).points) == want
+        with pytest.raises(BudgetError):
+            hardness_lattice_points(inst, max_points=len(want) - 1)
+        assert min_f_on_grid(inst) == grid_min_f(inst)
+
+
 class TestHardnessInstance:
     def test_solvable_instance(self):
         inst = hardness_instance(2, 2, 5)

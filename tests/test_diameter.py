@@ -495,17 +495,18 @@ class TestUDiameterLine:
         windows = []
         clip = diameter._chord_clip
 
-        def recorded(piece, pairs):
-            for window in clip(piece, pairs):
+        def recorded(piece, k, m):
+            first, last = window = clip(piece, k, m)
+            if first <= last:
                 windows.append(window)
-                yield window
+            return window
 
         monkeypatch.setattr(diameter, "_chord_clip", recorded)
         line = u_diameter_line(Polygon2(vertices), u)
         assert line == LatticeLine(*want)
         beta = u[0] * line.base[1] - u[1] * line.base[0]
-        assert windows and windows[-1][2] <= beta <= windows[-1][3]
-        assert sum(min(last, beta) - first + 1 for _, _, first, last in windows) <= 16
+        assert windows and windows[-1][0] <= beta <= windows[-1][1]
+        assert sum(min(last, beta) - first + 1 for first, last in windows) <= 16
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -580,8 +581,8 @@ def piece_windows(P: Polygon2, u: Direction, m: int) -> list[int]:
     levels = []
     _, pieces = diameter._level_pieces(P.vertices, P.halfplanes(), u.vec)
     for piece in pieces:
-        for _, _, first, last in diameter._chord_clip(piece, ((1, m),)):
-            levels.extend(range(first, last + 1))
+        first, last = diameter._chord_clip(piece, 1, m)
+        levels.extend(range(first, last + 1))
     return levels
 
 

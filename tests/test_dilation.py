@@ -274,6 +274,18 @@ class TestRangeCounts:
             assert profile.counts(ks) == want, P
             assert dilation_profile(P).counts(reversed(ks)) == want[::-1], P
             assert [profile.count(k) for k in ks] == want, P
+            # count(k) on a fresh profile runs its own one-pair pass
+            lone = dilation_profile(P)
+            assert [lone.count(k) for k in ks] == want, P
+
+    def test_a_lone_count_takes_no_batch(self, monkeypatch):
+        def no_batch(*args):
+            raise AssertionError("the batch kernel ran")
+
+        monkeypatch.setattr(DilationProfile, "_count", no_batch)
+        profile = dilation_profile(QUAD)
+        assert [profile.count(k) for k in range(1, 7)] == [3, 4, 3, 9, 8, 5]
+        assert profile.counts(range(1, 7)) == [3, 4, 3, 9, 8, 5]
 
     def test_each_k_is_counted_once(self, monkeypatch):
         batches = []

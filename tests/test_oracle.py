@@ -162,6 +162,105 @@ def test_pair_and_residue_paths_match_naive(d):
             assert [(pts[i], pts[j]) for i, j in hits] == naive_segs, (name, scan.__name__)
 
 
+def planar_cases():
+    """Seeded planar sets for the line phase, named, lex-sorted: spreads from
+    1 to 10^6 and 2 to 1,000 points, sets on one line, sets of a few long
+    lines in noise, and sets of Z^1 on the line y = 0."""
+    rng = random.Random("line-phase")
+
+    def box(n, top):
+        pts = set()
+        while len(pts) < min(n, (top + 1) ** 2):
+            pts.add((rng.randint(0, top), rng.randint(0, top)))
+        return tuple(sorted(pts))
+
+    for top in (1, 3, 30, 10**3, 10**5, 10**6):
+        for n in (2, 5, 40, 200):
+            yield f"box top={top} n={n}", box(n, top)
+    for top in (10**5, 10**6):
+        yield f"box top={top} n=1000", box(1000, top)
+    for k in range(6):
+        u = (rng.randint(-5, 5), rng.randint(1, 5))
+        if k % 2:
+            u = u[::-1]
+        p = (rng.randint(0, 100), rng.randint(0, 100))
+        ts = rng.sample(range(rng.choice((3, 50, 10**5))), rng.randint(2, 3))
+        line = {(p[0] + t * u[0], p[1] + t * u[1]) for t in ts}
+        yield f"one line {u}", tuple(sorted(line))
+    for k in range(6):
+        pts = set(box(rng.choice((5, 60)), rng.choice((50, 10**4))))
+        for _ in range(rng.randint(1, 4)):
+            u = (rng.randint(-3, 3), rng.randint(-3, 3))
+            p = (rng.randint(0, 10**3), rng.randint(0, 10**3))
+            ts = rng.sample(range(300), 12)
+            pts.update((p[0] + t * u[0], p[1] + t * u[1]) for t in ts)
+        yield f"collinear-heavy {k}", tuple(sorted(pts))
+    for top in (1, 10, 10**6):
+        xs = rng.sample(range(top + 1), min(30, top + 1))
+        yield f"d=1 top={top}", tuple(sorted((x, 0) for x in xs))
+
+
+def test_line_phase_and_seeded_loop_match_naive():
+    # every set either stops on lines, exact, or hands a lower bound to the
+    # row loop; the row loop is exact from any seed up to the maximum
+    ends = set()
+    for name, pts in planar_cases():
+        naive_best, naive_segs = naive_report(PointSet(pts))
+        best, hits, steps = oracle._line_phase(pts)
+        if hits is not None:
+            ends.add("stop")
+            assert best == naive_best, name
+            assert [(pts[i], pts[j]) for i, j in hits] == naive_segs, name
+        else:
+            ends.add("handover")
+            assert best <= naive_best, name
+        for seed in {0, best, naive_best}:
+            got, rows = oracle._row_loop(pts, seed)
+            assert got == naive_best, (name, seed)
+            assert [(pts[i], pts[j]) for i, j in rows] == naive_segs, (name, seed)
+        scanned = oracle._pair_scan(pts)
+        assert scanned[0] == naive_best, name
+        assert [(pts[i], pts[j]) for i, j in scanned[1]] == naive_segs, name
+        if name.startswith("d=1"):
+            # _pair_scan reads a set of Z^1 as this copy on y = 0
+            assert oracle._pair_scan(tuple((x,) for x, _ in pts)) == scanned, name
+    assert ends == {"stop", "handover"}
+
+
+def test_line_phase_stops_by_the_norm_bound():
+    # 1,000 points in [0, 10^5]^2 share lines of gcd over R / 2, so the
+    # phase stops after the first shell, keying at most 4 directions of
+    # every point; 100 points in [0, 10^6]^2 hand over
+    rng = random.Random("line-phase/stop")
+    dense = set()
+    while len(dense) < 1000:
+        dense.add((rng.randint(0, 10**5), rng.randint(0, 10**5)))
+    best, hits, steps = oracle._line_phase(tuple(sorted(dense)))
+    assert hits is not None and 2 * best > 10**5 - 1
+    assert steps <= 4 * 1000
+    sparse = set()
+    while len(sparse) < 100:
+        sparse.add((rng.randint(0, 10**6), rng.randint(0, 10**6)))
+    best, hits, steps = oracle._line_phase(tuple(sorted(sparse)))
+    assert hits is None
+    # the probe stays within 1 / LINE_PROBE of the pairs, give or take a shell
+    assert oracle.LINE_COST * steps <= 2 * (100 * 99 // 2) // oracle.LINE_PROBE
+
+
+def test_planar_budget_still_charges_the_pairs():
+    # the line phase reads far fewer than the pairs, yet the budget charges
+    # the pair path its n (n - 1) / 2 pairs, as before the line phase
+    rng = random.Random("line-phase/budget")
+    pts = set()
+    while len(pts) < 1000:
+        pts.add((rng.randint(0, 10**6), rng.randint(0, 10**6)))
+    S = PointSet(pts)
+    assert oracle.check_pair_budget(1000, [10**6, 10**6], 499_500) is None
+    with pytest.raises(BudgetError, match="499500 pairs, over the budget of 499499"):
+        brute_force_diameter(S, max_pairs=499_499)
+    assert brute_force_diameter(S, max_pairs=499_500).ldiam == naive_report(S)[0]
+
+
 def test_dispatch_takes_each_path(monkeypatch):
     def refuse(*args):
         raise AssertionError("the other path was expected")

@@ -1,0 +1,63 @@
+"""Smoke tests for the benchmark scripts under scripts/.
+
+The scripts reach into private routines of the package (the oracle's scans
+and cost model, the dilation kernels), so a renamed internal would break
+them without failing any other test. These tests import each script and
+run the oracle ladder's row on one small set of each family.
+"""
+
+import importlib
+import random
+from pathlib import Path
+
+import pytest
+
+from latticediam import (
+    PointSet,
+    Polygon2,
+    brute_force_diameter,
+    enumerate_lattice_points,
+    oracle,
+)
+from latticediam.constructions import direction_maximal_polytope
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.fixture
+def scripts_on_path(monkeypatch):
+    # each script runs with its own directory first on sys.path
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+
+
+@pytest.mark.parametrize("name", ["bench_cli", "bench_dilation", "bench_oracle"])
+def test_scripts_import(scripts_on_path, name):
+    assert callable(importlib.import_module(name).main)
+
+
+def test_oracle_rows_run_on_each_family(scripts_on_path, monkeypatch):
+    bench = importlib.import_module("bench_oracle")
+    monkeypatch.setattr(bench, "REPEAT", 1)
+    quad = Polygon2(((0, 0), (5, 1), (6, 4), (1, 3)))
+    sets = [
+        ("dense", "quad*2", enumerate_lattice_points(quad.dilate(2)).points),
+        ("sparse", "top=1000", bench.sparse_set(random.Random(1), 40, 2, 1000)),
+        ("sparse", "top=50", bench.sparse_set(random.Random(2), 20, 3, 50)),
+        ("gadget", "direction-maximal", direction_maximal_polytope(3)[0].points),
+    ]
+    rows = [bench.row(*case) for case in sets]
+    for r, (_, _, pts) in zip(rows, sets):
+        assert (r["n"], r["d"]) == (len(pts), len(pts[0]))
+        assert r["ldiam"] == brute_force_diameter(PointSet(pts)).ldiam
+    # the planar sparse row also times the line phase and the row loop
+    planar = rows[1]
+    assert planar["line_end"] in ("stop", "handover")
+    assert planar["line_steps"] > 0 and planar["row_steps"] > 0
+    assert "line_s" not in rows[2]
+    summary = bench.summary(rows)
+    assert summary["line_cost"] == oracle.LINE_COST
+    assert summary["planar_rows"] == 1
+    # the sweep puts the fitted constant back
+    sweep = bench.line_cost_sweep([sets[1][2]])
+    assert list(sweep) == [str(c) for c in bench.SWEEP]
+    assert oracle.LINE_COST == summary["line_cost"]
