@@ -1,6 +1,6 @@
 """Scaling ladders of the dilation counts, written as one JSON file.
 
-    PYTHONPATH=src python scripts/bench_dilation.py --out BENCH_21.json \
+    PYTHONPATH=src python scripts/bench_dilation.py --out BENCH_23.json \
         [--baseline OTHER_CHECKOUT/src]
 
 Rows:
@@ -41,6 +41,14 @@ Rows:
   lines, with the records, ldiam, line count and fitted period of each.
   With --baseline, the same rows are timed on the package found in that
   directory, and each row holds them under "baseline";
+- prune: dilation_profile(P) and compute_diameter(P), the best time of
+  each, with the cones of P (its (edge, opposite vertex) pairs), the
+  cones that take a descent and those skipped below the running top, and
+  the records kept, on the skew triangles conv{(0,0),(s,1),(3s+1,7)} for
+  s = 10^2 .. 5 10^4 and 10^12, and on thin hulls of 7 to 12 random points
+  of heights 3 to 8 and widths 10^2 .. 5 10^4, drawn by a seeded generator
+  of this script. With --baseline, the same rows are timed on the package
+  found in that directory, and each row holds them under "baseline";
 - the import time of latticediam in a fresh interpreter, apart from the
   compute rows (interpreter start-up excluded), timed by bench_cli's
   import_seconds: every fresh interpreter reads its bytecode from one
@@ -49,7 +57,7 @@ Rows:
 
 Times are the best of at least REPEAT runs of a single call, and of as
 many more as fit in MIN_SECONDS, after one warm-up call. The profile
-ladder and the range counts are timed in ROUNDS rounds, alternating this
+ladder, the prune rows and the range counts are timed in ROUNDS rounds, alternating this
 package and the baseline, and which of the two runs first in a round, so
 a slow spell of a shared host, or the order, weighs on both sides alike,
 and each of their times is reported as its quartiles [q1, median, q3] over
@@ -65,6 +73,7 @@ import argparse
 import json
 import os
 import platform
+import random
 import subprocess
 import sys
 import tempfile
@@ -100,6 +109,7 @@ CIRCLE_RADII = (3, 4, 5, 7, 9, 11)
 SKEW_EXPONENTS = (2, 4, 6, 9, 12, 18, 24, 30)
 PLATEAU_EXPONENTS = (3, 4, 5, 6)
 FIT_SIZES = (19, 61, 113, 229)
+PRUNE_WIDTHS = (100, 300, 1000, 3000, 10000, 50000)
 SCRIPTS = os.path.dirname(os.path.abspath(__file__))
 # the directory holding the latticediam package this script imported
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(latticediam.__file__)))
@@ -181,10 +191,10 @@ def range_count_rows() -> list[dict]:
     return rows
 
 
-def kernel_calls(fn) -> dict[str, int]:
-    """Calls of the diameter module's integer kernels made by fn()."""
+def kernel_calls(fn, kernels=KERNELS) -> dict[str, int]:
+    """Calls of the diameter module's functions named kernels made by fn()."""
     calls: Counter[str] = Counter()
-    saved = {name: getattr(diameter, name) for name in KERNELS}
+    saved = {name: getattr(diameter, name) for name in kernels}
 
     def counter(name):
         def counted(*args):
@@ -194,13 +204,13 @@ def kernel_calls(fn) -> dict[str, int]:
         return counted
 
     try:
-        for name in KERNELS:
+        for name in kernels:
             setattr(diameter, name, counter(name))
         fn()
     finally:
         for name, kernel in saved.items():
             setattr(diameter, name, kernel)
-    return {name: calls[name] for name in KERNELS}
+    return {name: calls[name] for name in kernels}
 
 
 def lattice_circle(m: int) -> Polygon2:
@@ -255,6 +265,50 @@ def profile_ladder() -> list[dict]:
     return rows
 
 
+def thin_hull(rng, width: int) -> Polygon2:
+    """The hull of two points at x = 0 and x = width and 5 to 10 more, all
+    at heights 0 to h, h from 3 to 8."""
+    h = rng.randint(3, 8)
+    pts = {(0, rng.randint(0, h)), (width, rng.randint(0, h))}
+    pts.update((rng.randint(0, width), rng.randint(0, h)) for _ in range(rng.randint(5, 10)))
+    pts = sorted(pts)
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and ((out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
+                                     - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    return Polygon2(half(pts)[:-1] + half(pts[::-1])[:-1])
+
+
+def prune_rows() -> list[dict]:
+    polygons = [({"polygon": "skew", "s": s}, Polygon2(((0, 0), (s, 1), (3 * s + 1, 7))))
+                for s in (*PRUNE_WIDTHS, 10**12)]
+    rng = random.Random("bench-dilation/thin")
+    polygons += [({"polygon": "thin", "width": w, "seed": i}, thin_hull(rng, w))
+                 for w in PRUNE_WIDTHS for i in range(3)]
+    rows = []
+    for row, P in polygons:
+        cones = sum(len(opposite) for *_, opposite in diameter._antipodes(P.vertices))
+        # one continued-fraction descent per cone visited
+        visited = kernel_calls(lambda: dilation_profile(P), ("_descend",))["_descend"]
+        row.update({
+            "vertices": len(P),
+            "cones": cones,
+            "visited": visited,
+            "skipped": cones - visited,
+            "records": len(dilation_profile(P).records),
+            "dilation_profile_s": best_time(lambda: dilation_profile(P), REPEAT),
+            "compute_diameter_s": best_time(lambda: compute_diameter(P), REPEAT),
+        })
+        rows.append(row)
+    return rows
+
+
 def in_child(src: str, rows: str) -> list[dict]:
     """The rows of the function of this script named rows, for the package
     in the directory src, timed in a fresh child interpreter."""
@@ -297,12 +351,14 @@ def main() -> None:
                     theirs = in_child(args.baseline, rows)
                 for row, other in zip(ours, theirs):
                     row["baseline"] = {key: value for key, value in other.items()
-                                       if key not in ("polygon", "n", "m", "s", "H", "K")}
+                                       if key not in ("polygon", "n", "m", "s", "H", "K",
+                                                      "width", "seed")}
             runs.append(ours)
         return [quartiles(list(row_rounds)) for row_rounds in zip(*runs)]
 
     ladder = rounds("profile_ladder")
     range_counts = rounds("range_count_rows")
+    prune = rounds("prune_rows")
 
     profiles = []
     counts = []
@@ -361,6 +417,7 @@ def main() -> None:
         "chamber_decomposition": chamber,
         "baseline_timed": bool(args.baseline),
         "profile_ladder": ladder,
+        "prune": prune,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=2)

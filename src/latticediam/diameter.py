@@ -21,12 +21,18 @@ chord J/j < 1 and holds at most k. So the scan stops at level J, and
 dilation_profile runs it once and records each candidate line with its
 chord c = num/den through P, read from the levels: the line of a pick at
 level j leaves P through the edge at level J, so c = J/j. Through a vertex
-of kP the line holds floor(k num / den) + 1 points. So the best count and
-the diameter directions of kP are a max over the records, and one window
-pass over a table built with the profile gives them to compute_diameter
-and to the dilate counts alike: the longest chord of each direction, kept
-for the directions whose longest chord has the top floor, since no other
-chord reaches a window.
+of kP the line holds floor(k num / den) + 1 points. A chord whose floor is
+below that of the longest chord C* never reaches a best count, so the scan
+also stops below the running top, the largest floor J // j found so far: a
+cone whose edge level J is below it is skipped before its descent, since
+each of its chords is at most J, and a cone's picks are cut at the first
+one below it. So the best count and the diameter directions of kP are a
+max over the records, kept in a table built with the profile: the longest
+chord of each direction, for the directions whose longest chord has the
+top floor. They come from C* itself: floor(k C*) is the chord window, and
+a shorter chord of the table ties with C* only below its threshold K0, past
+which k (C* - c) >= 1, so from the largest K0 on the directions of C* alone
+reach it, for compute_diameter and the dilate counts alike.
 
 Per diameter direction, the vertex levels split the level range into
 pieces on which the upper and lower bounds U and L of the chord are single
@@ -204,12 +210,14 @@ def _follow(
     return point, (point[0] - j, point[1] - k)
 
 
-def _level_picks(J: int, lo: int, hi: int) -> list[Pick]:
+def _level_picks(J: int, lo: int, hi: int, j_max: int) -> list[Pick]:
     """The first three picks (j, k) of the cone of slopes k/j in
-    [lo/J, hi/J], lo < hi, in pick order: each the lowest point, by (j, k),
-    of the cone off the lines of the earlier picks, with j <= J. Picks come
-    in increasing j, so these are a prefix of the uncapped cone's picks, and
-    no pick past level J can reach a best count (_cone_picks).
+    [lo/J, hi/J], lo < hi, in pick order, with j <= j_max: each the lowest
+    point, by (j, k), of the cone off the lines of the earlier picks. Picks
+    come in increasing j, so these are a prefix of the uncapped cone's
+    picks. The local scan caps them at level J, since no pick past it can
+    reach a best count (_cone_picks); the profile caps them lower, at the
+    running top (_polygon_picks).
 
     A pick splits its sector into the two halves open at its slope. One
     descent (_descend) finds the first pick and its Farey parents; the
@@ -217,6 +225,8 @@ def _level_picks(J: int, lo: int, hi: int) -> list[Pick]:
     do its own parents, so every later pick costs O(1).
     """
     w, left, right = _descend(lo, hi, J)
+    if w[0] > j_max:
+        return []
     # (pick, its lower parent, its upper parent, sector: lo, lo_open, hi, hi_open)
     sectors = [(w, left, right, (J, lo), False, (J, hi), False)]
     picks: list[Pick] = []
@@ -227,30 +237,29 @@ def _level_picks(J: int, lo: int, hi: int) -> list[Pick]:
         picks.append(w)
         if len(picks) == 3:
             break
-        below = _follow(left, w, lo_b, lo_open, 1, J)
+        below = _follow(left, w, lo_b, lo_open, 1, j_max)
         if below is not None:
             sectors.append((below[0], below[1], w, lo_b, lo_open, w, True))
-        above = _follow(right, w, hi_b, hi_open, -1, J)
+        above = _follow(right, w, hi_b, hi_open, -1, j_max)
         if above is not None:
             sectors.append((above[0], w, above[1], w, True, hi_b, hi_open))
     return picks
 
 
 def _vertex_picks(
-    v: Point, p: Point, q: Point, level_p: int, a: Point,
-    basis: tuple[Point, Point],
-) -> tuple[int, list[tuple[int, Point]]]:
-    """_cone_picks for the edge pq at level level_p of the primitive normal
-    a, with basis = level_anchor(a), computed once per edge by its callers."""
+    v: Point, p: Point, q: Point, J: int, basis: tuple[Point, Point], j_max: int
+) -> list[tuple[int, Point]]:
+    """The picks of _cone_picks with j <= j_max, for the edge pq at level J
+    above v, with basis = level_anchor(a) for the edge's primitive normal a,
+    computed once per edge by its callers."""
     (sx, sy), (ux, uy) = basis
     det = sx * uy - sy * ux  # +-1: {s, u} is unimodular
     # k of a point w = v + j s + k u is det(s, w - v) / det(s, u)
     kp = det * (sx * (p[1] - v[1]) - sy * (p[0] - v[0]))
     kq = det * (sx * (q[1] - v[1]) - sy * (q[0] - v[0]))
-    J = level_p - a[0] * v[0] - a[1] * v[1]
-    picks = _level_picks(J, kp, kq) if kp < kq else _level_picks(J, kq, kp)
+    picks = _level_picks(J, kp, kq, j_max) if kp < kq else _level_picks(J, kq, kp, j_max)
     # (j, k) is a reduced fraction and {s, u} unimodular: j s + k u is primitive
-    return J, [(j, (j * sx + k * ux, j * sy + k * uy)) for j, k in picks]
+    return [(j, (j * sx + k * ux, j * sy + k * uy)) for j, k in picks]
 
 
 def _cone_picks(
@@ -277,7 +286,8 @@ def _cone_picks(
         raise ValidationError("normal is not perpendicular to the edge")
     if level_p <= level_v:
         raise ValidationError("normal must point from the vertex toward the edge")
-    return _vertex_picks(v, p, q, level_p, a, level_anchor(a))
+    J = level_p - level_v
+    return J, _vertex_picks(v, p, q, J, level_anchor(a), J)
 
 
 def local_diameter_lines(
@@ -326,17 +336,32 @@ LineKey = tuple[Point, int]  # a direction and the perpendicular level of its li
 
 def _polygon_picks(P: Polygon2) -> Iterator[tuple[Point, Point, int, int]]:
     """(vertex v, direction d, level j, level J) for each pick of each
-    (edge, opposite vertex) cone of P, in edge order.
+    (edge, opposite vertex) cone of P, in edge order, whose chord J/j has a
+    floor at least the running top, the largest floor J // j of the picks
+    yielded before it.
 
     d is the pick's primitive vector with canonical sign, j its level above
-    v and J the edge's, in the edge's primitive normal.
+    v and J the edge's, in the edge's primitive normal. A chord whose floor
+    is below the top never reaches a best count (DilationProfile), and
+    every pick of a cone has j >= 1, so chord J/j <= J: a cone whose level
+    J is below the top is skipped before its level anchor and its descent,
+    and a cone's picks, in increasing j, are cut at the top, at level
+    J // top in the descent and at the first pick below the top after it.
     """
+    top = 1  # J // j >= 1 is the local scan's cap, j <= J
     for p, q, a, opposite in _antipodes(P.vertices):
+        ax, ay = a
+        w = opposite[0]  # two opposite vertices share their level
+        J = ax * (p[0] - w[0]) + ay * (p[1] - w[1])
+        if J < top:
+            continue
         basis = level_anchor(a)
-        level_p = a[0] * p[0] + a[1] * p[1]
         for v in opposite:
-            J, picks = _vertex_picks(v, p, q, level_p, a, basis)
-            for j, (x, y) in picks:
+            for j, (x, y) in _vertex_picks(v, p, q, J, basis, J // top):
+                whole = J // j
+                if whole < top:
+                    break
+                top = whole
                 d = (x, y) if x > 0 or (x == 0 and y > 0) else (-x, -y)
                 yield v, d, j, J
 
@@ -413,7 +438,9 @@ def _piece_counts(
 
 class ProfileRecord(NamedTuple):
     """A candidate line of every dilate kP: the line of a cone pick at level
-    j <= J (_cone_picks).
+    j <= J (_cone_picks) whose chord floor had reached the running top of
+    the scan when it was found (_polygon_picks), so every line whose chord
+    has the floor of the longest chord has one.
 
     The line passes through k * vertex with the primitive direction, and
     vertex is an end of P's chord on it, of length chord = (num, den) in
@@ -517,24 +544,28 @@ class DilationProfile:
     """The candidate lines of all dilates kP from one local scan of P.
 
     Every record is a candidate line of every dilate kP, and a candidate of
-    kP that is no record holds at most k points, fewer than the best
-    (_cone_picks). Of the records of one direction, the longest chord holds
-    the most points at every k, and a chord c whose floor is below floor(C),
-    C the longest chord of all, holds fewer points than C at every k:
-    k c < k floor(C) <= floor(k C). So the profile keeps one table, built
-    with it in one pass over the records, of the longest chord of each
-    direction whose floor is floor(C), and one window pass over the table
-    (_window) gives best(k) and the chord window of each k of counts(ks).
-    The same pass keeps longest_chord, C as (num, den) in lowest terms,
-    whose denominator is the fit's period. C equals C*, the longest chord
-    of P in any lattice direction: through kv, the line of C* holds
-    floor(k C*) + 1 points of kP and no line of kP holds more, so records
-    right at every k hold a chord equal to C*, since a shorter chord c
-    falls a point behind once k (C* - c) >= 1. The counts then sum the
-    closed-form level count of each diameter direction over its level
-    pieces, built once per direction, with the pieces outer and the ks
-    that share the direction inner; count(k) runs the same kernel for its
-    one k, with no batch, and equals counts((k,))[0]. Each count is kept.
+    kP that is no record holds fewer points than the best: past level J it
+    holds at most k (_cone_picks), and below the running top it has a chord
+    whose floor is below floor(C) (_polygon_picks). Of the records of one
+    direction, the longest chord holds the most points at every k, and a
+    chord c whose floor is below floor(C), C the longest chord of all, holds
+    fewer points than C at every k: k c < k floor(C) <= floor(k C). So the
+    profile keeps one table, built with it in one pass over the records, of
+    the longest chord of each direction whose floor is floor(C), and the
+    same pass keeps longest_chord, C as (num, den) in lowest terms, whose
+    denominator is the fit's period. C equals C*, the longest chord of P in
+    any lattice direction: through kv, the line of C* holds floor(k C*) + 1
+    points of kP and no line of kP holds more, so the chord window of kP is
+    floor(k C*), and a shorter chord c of the table reaches it only while
+    k < K0(c) = ceil(1 / (C* - c)): from there on k (C* - c) >= 1. So each k
+    from the largest K0 on has the directions of C* alone, and only the ks
+    below it read the table (_directions); best(k) and the counts take the
+    window from there. The counts then sum the closed-form level count of
+    each diameter direction over its level pieces, built once per
+    direction, with the pieces outer and the ks that share the directions
+    inner, every k past the largest K0 in one group; count(k) runs the same
+    kernel for its one k, with no batch, and equals counts((k,))[0]. Each
+    count is kept.
     """
 
     def __init__(
@@ -562,28 +593,38 @@ class DilationProfile:
                         longest = (num, den)
         self._table = table
         self.longest_chord = longest
+        # the directions of C*, and the largest K0: from it on, no shorter
+        # chord of the table ties with C*
+        N, D = longest
+        self._longest_directions = tuple(d for d, chord in table.items() if chord == longest)
+        self._tie_bound = max(
+            (-(-D * den // (N * den - num * D))
+             for num, den in table.values() if (num, den) != longest),
+            default=0,
+        )
         self._pieces: dict[Point, tuple[Point, list[Piece]]] = {}
         self._counts: dict[int, int] = {}
 
-    def _window(self, k: int) -> tuple[int, list[Point]]:
-        """The chord window m = best - 1 of kP, the largest floor(k c) over
-        the chords c of the table (-1 when it is empty), and the directions
-        reaching it, in table order."""
-        m, directions = -1, []
-        for d, (num, den) in self._table.items():
-            chord = k * num // den
-            if chord > m:
-                m, directions = chord, [d]
-            elif chord == m:
-                directions.append(d)
-        return m, directions
+    def _directions(self, k: int) -> tuple[int, tuple[Point, ...]]:
+        """The chord window m = best - 1 of kP, floor(k C*), and the
+        directions of the table reaching it, in table order.
+
+        A table chord c = num/den shorter than C* = N/D falls below m once
+        k (C* - c) >= 1, that is from K0(c) = ceil(D den / (N den - num D))
+        on, since then k c <= k C* - 1. So every k from the largest K0 on
+        has the directions of C* alone, with no pass over the table."""
+        N, D = self.longest_chord
+        m = k * N // D
+        if k >= self._tie_bound:
+            return m, self._longest_directions
+        return m, tuple(d for d, (num, den) in self._table.items() if k * num // den == m)
 
     def best(self, k: int) -> tuple[int, list[Point]]:
         """The best lattice count of a line through kP, and the sorted
-        primitive vectors of the directions attaining it (_window)."""
+        primitive vectors of the directions attaining it (_directions)."""
         if not isinstance(k, int) or k < 1:
             raise ValidationError("dilation factor must be a positive int")
-        m, directions = self._window(k)
+        m, directions = self._directions(k)
         return m + 1, sorted(directions)
 
     def pieces(self, u: Point) -> tuple[Point, list[Piece]]:
@@ -603,7 +644,7 @@ class DilationProfile:
             raise ValidationError("dilation factor must be a positive int")
         total = self._counts.get(k)
         if total is None:
-            m, directions = self._window(k)
+            m, directions = self._directions(k)
             totals, pairs = {k: 0}, ((k, m),)
             for d in directions:
                 for piece in self.pieces(d)[1]:
@@ -627,11 +668,21 @@ class DilationProfile:
             cache.update(self._count(new))
         return [cache[k] for k in ks]
 
+    def _groups(self, ks: Iterable[int]) -> dict[tuple[Point, ...], list[tuple[int, int]]]:
+        """The (k, m) pairs of the ks, m = best - 1 of kP, grouped by the
+        diameter directions of kP (_directions): every k past the largest
+        K0 falls in the one group of the directions of C*."""
+        groups: dict[tuple[Point, ...], list[tuple[int, int]]] = {}
+        for k in ks:
+            m, directions = self._directions(k)
+            groups.setdefault(directions, []).append((k, m))
+        return groups
+
     def _count(self, ks: Collection[int]) -> dict[int, int]:
-        """The count kernel over distinct ks: per k, one window pass
-        (_window) for the chord window m = best - 1 of kP and its diameter
-        directions; then, per tuple of directions, one pass over the pieces
-        of each, with the (k, m) pairs of that tuple inside each piece.
+        """The count kernel over distinct ks: per group of ks that share
+        their diameter directions (_groups), one pass over the pieces of
+        each direction, with the (k, m) pairs of the group inside each
+        piece.
 
         Scaling P by k scales every level and every halfplane constant c by
         k. Inside the m chord window every level holds m or m + 1 points
@@ -640,13 +691,9 @@ class DilationProfile:
         level (_piece_counts). There are O(n) pieces per direction, so a
         count costs O(n log) integer steps, whatever the size of k.
         """
-        groups: dict[tuple[Point, ...], list[tuple[int, int]]] = {}
-        for k in ks:
-            m, directions = self._window(k)
-            groups.setdefault(tuple(directions), []).append((k, m))
         totals = dict.fromkeys(ks, 0)
         built = self._pieces
-        for directions, pairs in groups.items():
+        for directions, pairs in self._groups(ks).items():
             for d in directions:
                 for piece in (built.get(d) or self.pieces(d))[1]:
                     _piece_counts(piece, pairs, totals)
@@ -654,10 +701,12 @@ class DilationProfile:
 
 
 def dilation_profile(P: Polygon2) -> DilationProfile:
-    """One record per line of the cone picks of P, all at levels j <= J,
-    with its chord through P, in the order the cones first find the lines:
-    the candidate lines of every dilate that can reach its best count
-    (_cone_picks).
+    """One record per line of the cone picks of P, all at levels j <= J and
+    none below the running top (_polygon_picks), with its chord through P,
+    in the order the cones first find the lines: the candidate lines of
+    every dilate that can reach its best count. The profile takes the
+    window of each k from the longest chord C* and the tie bound K0
+    (DilationProfile).
 
     P lies between the levels of the cone's vertex v and its edge, J apart,
     so the line v + t w of the pick w leaves P through the edge, at

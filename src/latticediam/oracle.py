@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from itertools import chain, combinations, repeat
 from math import gcd
-from operator import attrgetter, sub
+from operator import sub
 
 from .core import DEFAULT_PAIR_BUDGET, Direction, Point, PointSet
 from .errors import BudgetError, ValidationError
@@ -388,13 +388,13 @@ def brute_force_diameter(
     else:
         best, hits = _residue_scan(pts, spreads, bound)
     segments = tuple((pts[i], pts[j]) for i, j in hits)
-    # Direction's own order, compared as plain tuples rather than through
-    # a Python-level __lt__ per comparison.
-    directions = sorted(
-        {Direction(tuple(b - a for a, b in zip(p, q))) for p, q in segments},
-        key=attrgetter("vec"),
-    )
-    return OracleReport(ldiam=best, segments=segments, directions=tuple(directions))
+    # Each segment (p, q) has p < q, so q - p is sign-canonical, and every
+    # q - p has gcd best, so dividing by it keeps their order: the plain
+    # differences are deduplicated and sorted, and each distinct one is
+    # made a Direction once.
+    differences = sorted({tuple(map(sub, q, p)) for p, q in segments})
+    directions = tuple(map(Direction, differences))
+    return OracleReport(ldiam=best, segments=segments, directions=directions)
 
 
 def check_rabinowitz(

@@ -505,6 +505,41 @@ def best_records_oracle(profile, k: int) -> tuple[int, list[tuple[int, int]]]:
     return best, sorted(directions)
 
 
+def window_oracle(profile, k: int) -> tuple[int, list[tuple[int, int]]]:
+    """The window pass over the chord table that DilationProfile replaced
+    by its longest chord C* and tie bound K0, kept as its oracle: the chord
+    window m = best - 1 of kP, the largest floor(k c) over the chords c of
+    the table (-1 when it is empty), and the directions reaching it, in
+    table order."""
+    m, directions = -1, []
+    for d, (num, den) in profile._table.items():
+        chord = k * num // den
+        if chord > m:
+            m, directions = chord, [d]
+        elif chord == m:
+            directions.append(d)
+    return m, directions
+
+
+def groups_oracle(profile, ks) -> dict[tuple[tuple[int, int], ...], list[tuple[int, int]]]:
+    """The (k, m) pairs of the ks grouped by their diameter directions, each
+    window from window_oracle: the groups of DilationProfile._count."""
+    groups: dict = {}
+    for k in ks:
+        m, directions = window_oracle(profile, k)
+        groups.setdefault(tuple(directions), []).append((k, m))
+    return groups
+
+
+def tie_bound_oracle(profile) -> int:
+    """K0, the largest ceil(1 / (C* - c)) over the chords c of the table
+    shorter than its longest chord C*, in Fractions; 0 when there is none.
+    From K0 on, k (C* - c) >= 1 for every such c."""
+    longest = Fraction(*profile.longest_chord)
+    shorter = [Fraction(*c) for c in profile._table.values() if Fraction(*c) < longest]
+    return max((-(-1 // (longest - c)) for c in shorter), default=0)
+
+
 def fit_quasipolynomial_oracle(P: Polygon2, k_max: int | None = None):
     """The Fraction fitter that fit_quasipolynomial replaced by its integer
     verification, kept as its oracle: (period, pieces, valid_from), or the

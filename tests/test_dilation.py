@@ -36,12 +36,16 @@ from helpers import (
     count_oracle,
     dilate_levels_oracle,
     fit_quasipolynomial_oracle,
+    groups_oracle,
+    lattice_circle,
     opposite_pairs_oracle,
     plateau,
     profile_polygons,
     random_chambers,
     random_polygon,
     ring_polygons,
+    tie_bound_oracle,
+    window_oracle,
 )
 from latticediam import compute_diameter, diameter, local_diameter_lines
 from latticediam.core import floor_sum, level_interval
@@ -144,9 +148,8 @@ class TestDilationProfile:
 
     def test_candidates_are_the_local_scans_of_the_dilate(self, polygons):
         """The records are candidate lines of the local scans of every kP,
-        and the lemma behind the cap at level J: every other candidate line
-        of kP holds at most k lattice points of kP, while the best holds at
-        least k + 1."""
+        and every other candidate line of kP, past level J or below the
+        running top, holds fewer lattice points of kP than the best."""
         others = 0
         for P in polygons:
             profile = dilation_profile(P)
@@ -162,11 +165,12 @@ class TestDilationProfile:
                     LatticeLine((k * v[0], k * v[1]), d) for v, d, _ in profile.records
                 }
                 assert got <= want, (P, k)
+                best = profile.best(k)[0]
                 for line in want - got:
                     lo, hi = level_interval(halfplanes, line.base, line.dir.vec)
-                    assert hi - lo + 1 <= k, (P, k, line)
+                    assert hi - lo + 1 < best, (P, k, line)
                     others += 1
-                assert profile.best(k)[0] >= k + 1, (P, k)
+                assert best >= k + 1, (P, k)
         assert others > 100
 
     def test_chords_match_clip_line(self, polygons):
@@ -332,6 +336,68 @@ class TestRangeCounts:
         monkeypatch.setattr(DilationProfile, "_count", no_count)
         assert profile.count(5) == 8 and profile.counts((5, 5)) == [8, 8]
         assert profile._counts == {5: 8}
+
+
+def triangle(m: int) -> Polygon2:
+    """T_m = conv{(0,0),(m-1,1),(-1,m)}."""
+    return Polygon2(((0, 0), (m - 1, 1), (-1, m)))
+
+
+class TestTieBound:
+    """The window of each k from the longest chord C* and the tie bound K0
+    (DilationProfile._directions), against the window pass over the chord
+    table that it replaced (helpers.window_oracle)."""
+
+    @pytest.fixture(scope="class")
+    def polygons(self):
+        rng = random.Random(2301)
+        small = [random_polygon(rng, span_hi=rng.choice((4, 8, 16, 25)), coord=10**4)
+                 for _ in range(300)]
+        return (small + profile_polygons() + [lattice_circle(m) for m in range(2, 9)]
+                + [triangle(m) for m in range(3, 40)])
+
+    def test_windows_match_the_table_pass(self, polygons):
+        """best(k) and the groups of _count equal the table pass for every
+        k up to K0 + 2q and at two large ks, and from K0 on the table pass
+        finds the directions of C* alone."""
+        rng = random.Random(2302)
+        ties = 0
+        for P in polygons:
+            profile = dilation_profile(P)
+            K0, (N, D) = tie_bound_oracle(profile), profile.longest_chord
+            assert profile._tie_bound == K0, P
+            top = [d for d, chord in profile._table.items() if chord == (N, D)]
+            ks = [*range(1, K0 + 2 * D + 1)]
+            ks += [10**6 + rng.randrange(D), 10**12 + rng.randrange(D)]
+            for k in ks:
+                m, directions = window_oracle(profile, k)
+                assert profile.best(k) == (m + 1, sorted(directions)), (P, k)
+                if k >= K0:
+                    assert directions == top, (P, k)
+            assert profile._groups(ks) == groups_oracle(profile, ks), P
+            ties += K0 > 0
+        assert ties > 50
+
+    def test_directions_match_the_pair_oracle_on_the_dilates(self):
+        """best(k) on the small polygons against the pair oracle on the
+        lattice points of kP, for every k up to K0 + 2."""
+        rng = random.Random(2303)
+        polygons = [LATE_START, QUAD, SQUARE, triangle(5), triangle(6)]
+        polygons += [random_polygon(rng, span_lo=2, span_hi=8) for _ in range(300)]
+        cases = ties = 0
+        for P in polygons:
+            profile = dilation_profile(P)
+            K0 = tie_bound_oracle(profile)
+            for k in range(1, K0 + 3):
+                points = enumerate_lattice_points(P.dilate(k))
+                assert len(points) <= 10**4, (P, k)
+                report = brute_force_diameter(PointSet(points), max_pairs=ORACLE_PAIRS)
+                best, directions = profile.best(k)
+                assert best == report.ldiam + 1, (P, k)
+                assert directions == [u.vec for u in report.directions], (P, k)
+                cases += 1
+            ties += K0 > 0
+        assert cases > 700 and ties > 30, (cases, ties)
 
 
 class TestFit:

@@ -2,8 +2,10 @@
 
 The scripts reach into private routines of the package (the oracle's scans
 and cost model, the dilation kernels), so a renamed internal would break
-them without failing any other test. These tests import each script and
-run the oracle ladder's row on one small set of each family.
+them without failing any other test. These tests import each script, run
+the oracle ladder's row on one small set of each family, and run the
+dilation script's prune rows, which count the profile's cones and
+descents.
 """
 
 import importlib
@@ -61,3 +63,15 @@ def test_oracle_rows_run_on_each_family(scripts_on_path, monkeypatch):
     sweep = bench.line_cost_sweep([sets[1][2]])
     assert list(sweep) == [str(c) for c in bench.SWEEP]
     assert oracle.LINE_COST == summary["line_cost"]
+
+
+def test_prune_rows_count_the_cones(scripts_on_path, monkeypatch):
+    bench = importlib.import_module("bench_dilation")
+    monkeypatch.setattr(bench, "REPEAT", 1)
+    monkeypatch.setattr(bench, "MIN_SECONDS", 0)
+    rows = bench.prune_rows()
+    assert {row["polygon"] for row in rows} == {"skew", "thin"}
+    for row in rows:
+        assert row["visited"] + row["skipped"] == row["cones"] >= row["vertices"]
+        assert row["records"] >= 1
+    assert sum(row["skipped"] for row in rows if row["polygon"] == "thin") > 0
