@@ -1,6 +1,6 @@
 """Scaling ladders of the dilation counts, written as one JSON file.
 
-    PYTHONPATH=src python scripts/bench_dilation.py --out BENCH_23.json \
+    PYTHONPATH=src python scripts/bench_dilation.py --out BENCH_24.json \
         [--baseline OTHER_CHECKOUT/src]
 
 Rows:
@@ -20,7 +20,7 @@ Rows:
   on a warm profile, its kept counts dropped before each call, with the sum
   of the K counts, for the quad and the square at K = 100 and for the 4q
   windows of T_m (below) for m = 19, 61, 113 and 229, the K = 4q samples
-  the fit takes first, q the denominator of the longest record chord.
+  the fit takes first, q the denominator of the longest chord.
   With --baseline, the same rows are timed on the package found in that
   directory, as the ladder below is, and each row holds them under
   "baseline"; a package without counts, before the range kernel, is timed
@@ -38,16 +38,17 @@ Rows:
   conv{(0,0),(s,1),(3s+1,7)} for s = 10^2 .. 10^30, and on the plateaus
   conv{(0,0),(2H,0),(2H+1,H),(1,H)} for H = 10^3 .. 10^6, whose chord
   window in direction (1, 0) holds all H + 1 levels but only two diameter
-  lines, with the records, ldiam, line count and fitted period of each.
+  lines, with the cone picks the profile reads, ldiam, line count and
+  fitted period of each.
   With --baseline, the same rows are timed on the package found in that
   directory, and each row holds them under "baseline";
 - prune: dilation_profile(P) and compute_diameter(P), the best time of
   each, with the cones of P (its (edge, opposite vertex) pairs), the
   cones that take a descent and those skipped below the running top, and
-  the records kept, on the skew triangles conv{(0,0),(s,1),(3s+1,7)} for
-  s = 10^2 .. 5 10^4 and 10^12, and on thin hulls of 7 to 12 random points
-  of heights 3 to 8 and widths 10^2 .. 5 10^4, drawn by a seeded generator
-  of this script. With --baseline, the same rows are timed on the package
+  the cone picks the profile reads, on the skew triangles
+  conv{(0,0),(s,1),(3s+1,7)} for s = 10^2 .. 5 10^4 and 10^12, and on thin
+  hulls of 7 to 12 random points of heights 3 to 8 and widths
+  10^2 .. 5 10^4, drawn by a seeded generator of this script. With --baseline, the same rows are timed on the package
   found in that directory, and each row holds them under "baseline";
 - the import time of latticediam in a fresh interpreter, apart from the
   compute rows (interpreter start-up excluded), timed by bench_cli's
@@ -79,7 +80,6 @@ import sys
 import tempfile
 import time
 from collections import Counter
-from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
 from statistics import quantiles
@@ -173,9 +173,7 @@ def range_count_rows() -> list[dict]:
     for m in FIT_SIZES:
         T = triangle(m)
         profile = dilation_profile(T)
-        # the fit's period: the denominator of the longest chord, which a
-        # record holds
-        _, q = max((record.chord for record in profile.records), key=lambda c: Fraction(*c))
+        _, q = profile.longest_chord  # the fit's period
         windows.append(({"polygon": "T", "m": m}, T, 4 * q))
     rows = []
     for row, P, K in windows:
@@ -211,6 +209,26 @@ def kernel_calls(fn, kernels=KERNELS) -> dict[str, int]:
         for name, kernel in saved.items():
             setattr(diameter, name, kernel)
     return {name: calls[name] for name in kernels}
+
+
+def picks(P: Polygon2) -> int:
+    """The cone picks dilation_profile(P) reads, counted by wrapping the
+    diameter module's _polygon_picks."""
+    taken = 0
+    scan = diameter._polygon_picks
+
+    def counted(P):
+        nonlocal taken
+        for pick in scan(P):
+            taken += 1
+            yield pick
+
+    try:
+        diameter._polygon_picks = counted
+        dilation_profile(P)
+    finally:
+        diameter._polygon_picks = scan
+    return taken
 
 
 def lattice_circle(m: int) -> Polygon2:
@@ -252,7 +270,7 @@ def profile_ladder() -> list[dict]:
         vertices, halfplanes, u = P.vertices, P.halfplanes(), profile.best(1)[1][0]
         row.update({
             "vertices": len(P),
-            "records": len(profile.records),
+            "picks": picks(P),
             "ldiam": report.ldiam,
             "lines": len(report.lines),
             "period": fit_quasipolynomial(P).period,
@@ -301,7 +319,7 @@ def prune_rows() -> list[dict]:
             "cones": cones,
             "visited": visited,
             "skipped": cones - visited,
-            "records": len(dilation_profile(P).records),
+            "picks": picks(P),
             "dilation_profile_s": best_time(lambda: dilation_profile(P), REPEAT),
             "compute_diameter_s": best_time(lambda: compute_diameter(P), REPEAT),
         })

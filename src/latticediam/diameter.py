@@ -17,22 +17,22 @@ increasing level, so the candidates of kP are the cone's picks with
 j <= kJ. Only those with j <= J can reach the best count of kP: the edge
 ends sit at level J, so the cone's first pick has j <= J, and its line
 through kv holds at least k + 1 points of kP, while a pick with j > J has
-chord J/j < 1 and holds at most k. So the scan stops at level J, and
-dilation_profile runs it once and records each candidate line with its
-chord c = num/den through P, read from the levels: the line of a pick at
-level j leaves P through the edge at level J, so c = J/j. Through a vertex
-of kP the line holds floor(k num / den) + 1 points. A chord whose floor is
+chord J/j < 1 and holds at most k. So the scan stops at level J. The chord
+of a pick's line through P is read from the levels: the line of a pick at
+level j leaves P through the edge at level J, so c = J/j, and through a
+vertex of kP the line holds floor(k c) + 1 points. A chord whose floor is
 below that of the longest chord C* never reaches a best count, so the scan
 also stops below the running top, the largest floor J // j found so far: a
 cone whose edge level J is below it is skipped before its descent, since
 each of its chords is at most J, and a cone's picks are cut at the first
 one below it. So the best count and the diameter directions of kP are a
-max over the records, kept in a table built with the profile: the longest
-chord of each direction, for the directions whose longest chord has the
-top floor. They come from C* itself: floor(k C*) is the chord window, and
-a shorter chord of the table ties with C* only below its threshold K0, past
-which k (C* - c) >= 1, so from the largest K0 on the directions of C* alone
-reach it, for compute_diameter and the dilate counts alike.
+max over the picks, and the dilation profile keeps it in one table, built
+in one pass over them: the longest chord of each direction, for the
+directions whose longest chord has the top floor. They come from C*
+itself: floor(k C*) is the chord window, and a shorter chord of the table
+ties with C* only below its threshold K0, past which k (C* - c) >= 1, so
+from the largest K0 on the directions of C* alone reach it, for
+compute_diameter and the dilate counts alike.
 
 Per diameter direction, the vertex levels split the level range into
 pieces on which the upper and lower bounds U and L of the chord are single
@@ -51,9 +51,9 @@ do not depend on k, kept in the row too: the sweep clips each piece at
 (1, best - 1) (_chord_clip), and one kernel (_piece_counts) clips and
 counts a piece for a run of (k, m) pairs. A range of dilates is counted in
 one pass, which groups the ks by their diameter directions and passes, to
-each piece of those directions, the pairs of the whole group; a lone k
-passes its one pair. The fit's period is the
-denominator of the longest chord of P, which the chord table holds. All of
+each piece of those directions, the pairs of the whole group; a lone k is
+a range of one. The fit's period is the denominator of the longest chord
+of P, which the pass that builds the chord table keeps. All of
 it is integer arithmetic, and this module clips no line itself: the
 representative segments' clip_line goes through core.line_bounds.
 """
@@ -61,7 +61,7 @@ representative segments' clip_line goes through core.line_bounds.
 from __future__ import annotations
 
 from math import gcd
-from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .core import Direction, Point, Polygon2, as_point, floor_sum
 
@@ -75,7 +75,6 @@ from .lines import ClippedSegment, LatticeLine, clip_line, level_anchor
 __all__ = [
     "DiameterReport",
     "local_diameter_lines",
-    "ProfileRecord",
     "DilationProfile",
     "dilation_profile",
     "compute_diameter",
@@ -331,22 +330,22 @@ def local_diameter_lines(
     return [LatticeLine(v, Direction(w)) for _, w in picks]
 
 
-LineKey = tuple[Point, int]  # a direction and the perpendicular level of its line
-
-
-def _polygon_picks(P: Polygon2) -> Iterator[tuple[Point, Point, int, int]]:
-    """(vertex v, direction d, level j, level J) for each pick of each
-    (edge, opposite vertex) cone of P, in edge order, whose chord J/j has a
-    floor at least the running top, the largest floor J // j of the picks
-    yielded before it.
+def _polygon_picks(P: Polygon2) -> Iterator[tuple[Point, int, int]]:
+    """(direction d, level j, level J) for each pick of each (edge, opposite
+    vertex) cone of P, in edge order, whose chord J/j has a floor at least
+    the running top, the largest floor J // j of the picks yielded before
+    it: so the floors of the yielded chords never decrease.
 
     d is the pick's primitive vector with canonical sign, j its level above
-    v and J the edge's, in the edge's primitive normal. A chord whose floor
-    is below the top never reaches a best count (DilationProfile), and
-    every pick of a cone has j >= 1, so chord J/j <= J: a cone whose level
-    J is below the top is skipped before its level anchor and its descent,
-    and a cone's picks, in increasing j, are cut at the top, at level
-    J // top in the descent and at the first pick below the top after it.
+    the cone's vertex and J the edge's, in the edge's primitive normal. P
+    lies between the two levels, so the pick's line leaves P through the
+    edge, and J/j is P's whole chord on that line, whichever cone finds it.
+    A chord whose floor is below the top never reaches a best count
+    (DilationProfile), and every pick of a cone has j >= 1, so chord
+    J/j <= J: a cone whose level J is below the top is skipped before its
+    level anchor and its descent, and a cone's picks, in increasing j, are
+    cut at the top, at level J // top in the descent and at the first pick
+    below the top after it.
     """
     top = 1  # J // j >= 1 is the local scan's cap, j <= J
     for p, q, a, opposite in _antipodes(P.vertices):
@@ -362,8 +361,7 @@ def _polygon_picks(P: Polygon2) -> Iterator[tuple[Point, Point, int, int]]:
                 if whole < top:
                     break
                 top = whole
-                d = (x, y) if x > 0 or (x == 0 and y > 0) else (-x, -y)
-                yield v, d, j, J
+                yield (x, y) if x > 0 or (x == 0 and y > 0) else (-x, -y), j, J
 
 
 # (lo, hi, cut, A, ti * tj, ti * cj - tj * ci, ti, -ei, ci, -tj, -ej, cj): see _level_pieces
@@ -406,7 +404,8 @@ def _piece_counts(
     A level holds floor(U) + floor(-L) + 1 points, so a window of n levels
     from first holds sum floor(U) + sum floor(-L) + (1 - m) n points beyond
     m per level: two floor sums, or two floor divisions when n = 1. This is
-    the one count kernel: a batch passes its pairs, a lone count its one.
+    the one count kernel, passed the pairs of a group of ks
+    (DilationProfile._count).
     """
     lo, hi, cut, A, titj, C, ti, nei, ci, ntj, nej, cj = piece
     for k, m in pairs:
@@ -434,23 +433,6 @@ def _piece_counts(
                 + floor_sum(n, ntj, nej, k * cj + first * nej)
                 + (1 - m) * n
             )
-
-
-class ProfileRecord(NamedTuple):
-    """A candidate line of every dilate kP: the line of a cone pick at level
-    j <= J (_cone_picks) whose chord floor had reached the running top of
-    the scan when it was found (_polygon_picks), so every line whose chord
-    has the floor of the longest chord has one.
-
-    The line passes through k * vertex with the primitive direction, and
-    vertex is an end of P's chord on it, of length chord = (num, den) in
-    units of the direction. So it holds floor(k * num / den) + 1 lattice
-    points of kP.
-    """
-
-    vertex: Point
-    direction: Point
-    chord: tuple[int, int]
 
 
 def _level_pieces(
@@ -541,56 +523,51 @@ def _direction_sweep(levels: tuple[Point, list[Piece]], best: int) -> Iterator[P
 
 
 class DilationProfile:
-    """The candidate lines of all dilates kP from one local scan of P.
+    """The best counts, diameter directions and diameter line counts of all
+    dilates kP, from one local scan of P.
 
-    Every record is a candidate line of every dilate kP, and a candidate of
-    kP that is no record holds fewer points than the best: past level J it
-    holds at most k (_cone_picks), and below the running top it has a chord
-    whose floor is below floor(C) (_polygon_picks). Of the records of one
-    direction, the longest chord holds the most points at every k, and a
-    chord c whose floor is below floor(C), C the longest chord of all, holds
-    fewer points than C at every k: k c < k floor(C) <= floor(k C). So the
-    profile keeps one table, built with it in one pass over the records, of
-    the longest chord of each direction whose floor is floor(C), and the
-    same pass keeps longest_chord, C as (num, den) in lowest terms, whose
-    denominator is the fit's period. C equals C*, the longest chord of P in
-    any lattice direction: through kv, the line of C* holds floor(k C*) + 1
-    points of kP and no line of kP holds more, so the chord window of kP is
-    floor(k C*), and a shorter chord c of the table reaches it only while
-    k < K0(c) = ceil(1 / (C* - c)): from there on k (C* - c) >= 1. So each k
-    from the largest K0 on has the directions of C* alone, and only the ks
-    below it read the table (_directions); best(k) and the counts take the
-    window from there. The counts then sum the closed-form level count of
-    each diameter direction over its level pieces, built once per
-    direction, with the pieces outer and the ks that share the directions
-    inner, every k past the largest K0 in one group; count(k) runs the same
-    kernel for its one k, with no batch, and equals counts((k,))[0]. Each
-    count is kept.
+    Every pick of the scan (_polygon_picks) is a candidate line of every
+    dilate kP, and a candidate of kP that is no pick holds fewer points
+    than the best: past level J it holds at most k (_cone_picks), and below
+    the running top it has a chord whose floor is below floor(C). Every
+    pick of one direction d has the same chord, the longest of P in
+    direction d: a chord of direction d spans at most the width J of P
+    across the pick's edge, so it is at most J / <a, d> = J/j, a the edge's
+    normal, and the pick's line leaves P through that edge, so its chord is
+    J/j. A chord c whose floor is below floor(C), C the longest chord of
+    all, holds fewer points than C at every k:
+    k c < k floor(C) <= floor(k C). So the profile keeps one table, built in
+    one pass over the picks, of the chord of each direction whose floor is
+    floor(C), in lowest terms, and the same pass keeps longest_chord, C as
+    (num, den), whose denominator is the fit's period. C equals C*, the
+    longest chord of P in any lattice direction: through kv, the line of C*
+    holds floor(k C*) + 1 points of kP and no line of kP holds more, so the
+    chord window of kP is floor(k C*), and a shorter chord c of the table
+    reaches it only while k < K0(c) = ceil(1 / (C* - c)): from there on
+    k (C* - c) >= 1. So each k from the largest K0 on has the directions of
+    C* alone, and only the ks below it read the table (_directions); best(k)
+    and the counts take the window from there. The counts then sum the
+    closed-form level count of each diameter direction over its level
+    pieces, built once per direction, with the pieces outer and the ks that
+    share the directions inner, every k past the largest K0 in one group;
+    count(k) is counts((k,))[0]. Each count is kept.
     """
 
-    def __init__(
-        self,
-        P: Polygon2,
-        halfplanes: list[tuple[Point, int]],
-        records: tuple[ProfileRecord, ...],
-    ):
+    def __init__(self, P: Polygon2, halfplanes: list[tuple[Point, int]]):
         self.polygon = P
         self.halfplanes = halfplanes
-        self.records = records
-        # direction -> its longest chord (num, den), over the chords whose
-        # floor is top, the largest floor so far; and the longest of all
+        # direction -> its chord (num, den), for the directions whose chord
+        # has the floor top, that of the latest pick; and the longest of all
         top, longest = -1, (0, 1)
         table: dict[Point, tuple[int, int]] = {}
-        for _, d, (num, den) in records:
-            whole = num // den
-            if whole > top:
-                top, table = whole, {}
-            if whole == top:
-                old = table.get(d)
-                if old is None or num * old[1] > old[0] * den:
-                    table[d] = (num, den)
-                    if num * longest[1] > longest[0] * den:
-                        longest = (num, den)
+        for d, j, J in _polygon_picks(P):
+            if J // j > top:  # no pick has a floor below the top
+                top, table = J // j, {}
+            if d not in table:  # every pick of d has the same chord
+                g = gcd(J, j)
+                table[d] = chord = (J // g, j // g)
+                if J * longest[1] > longest[0] * j:
+                    longest = chord
         self._table = table
         self.longest_chord = longest
         # the directions of C*, and the largest K0: from it on, no shorter
@@ -638,19 +615,8 @@ class DilationProfile:
         return levels
 
     def count(self, k: int) -> int:
-        """The number of lattice diameter lines of kP, counted once per k:
-        the kernel of _count for the one pair (k, m), with no batch."""
-        if not isinstance(k, int) or k < 1:
-            raise ValidationError("dilation factor must be a positive int")
-        total = self._counts.get(k)
-        if total is None:
-            m, directions = self._directions(k)
-            totals, pairs = {k: 0}, ((k, m),)
-            for d in directions:
-                for piece in self.pieces(d)[1]:
-                    _piece_counts(piece, pairs, totals)
-            total = self._counts[k] = totals[k]
-        return total
+        """The number of lattice diameter lines of kP: counts((k,))[0]."""
+        return self.counts((k,))[0]
 
     def counts(self, ks: Iterable[int]) -> list[int]:
         """count(k) for each k of ks, in order. Every k is checked before
@@ -701,26 +667,11 @@ class DilationProfile:
 
 
 def dilation_profile(P: Polygon2) -> DilationProfile:
-    """One record per line of the cone picks of P, all at levels j <= J and
-    none below the running top (_polygon_picks), with its chord through P,
-    in the order the cones first find the lines: the candidate lines of
-    every dilate that can reach its best count. The profile takes the
-    window of each k from the longest chord C* and the tie bound K0
-    (DilationProfile).
-
-    P lies between the levels of the cone's vertex v and its edge, J apart,
-    so the line v + t w of the pick w leaves P through the edge, at
-    t = J / j: the chord is J/j, read from the levels with no clip. That is
-    P's whole chord on the line, whichever cone finds it, so the first
-    record of each line stands.
-    """
-    records: dict[LineKey, ProfileRecord] = {}
-    for v, d, j, J in _polygon_picks(P):
-        line = (d, d[0] * v[1] - d[1] * v[0])
-        if line not in records:
-            g = gcd(J, j)
-            records[line] = ProfileRecord(v, d, (J // g, j // g))
-    return DilationProfile(P, P.halfplanes(), tuple(records.values()))
+    """The dilation profile of P: its chord table, built from the cone picks
+    of one local scan (_polygon_picks), the candidate lines of every dilate
+    that can reach its best count. The profile takes the window of each k
+    from the longest chord C* and the tie bound K0 (DilationProfile)."""
+    return DilationProfile(P, P.halfplanes())
 
 
 def compute_diameter(P: Polygon2) -> DiameterReport:

@@ -5,8 +5,9 @@ from __future__ import annotations
 import random
 
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cache, cmp_to_key
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from latticediam import (
     Direction,
@@ -23,7 +24,7 @@ from latticediam import (
 from latticediam import borsuk
 from latticediam.core import floor_sum, line_bounds
 from latticediam.dilation import BlockDecomposition
-from latticediam.diameter import DiameterReport, ProfileRecord, _chord_clip, dilation_profile
+from latticediam.diameter import DiameterReport, _chord_clip, dilation_profile
 from latticediam.lines import ClippedSegment, level_anchor, level_interval
 from latticediam.svg import MARGIN, PALETTE, SCALE
 
@@ -397,11 +398,24 @@ def ring_polygons(n: int, rng: random.Random) -> list[Polygon2]:
     return out
 
 
-def profile_records_oracle(P: Polygon2) -> tuple[ProfileRecord, ...]:
-    """The record scan that dilation_profile replaced, kept as its oracle:
-    every vertex scanned per edge (opposite_pairs_oracle), five descents per
-    cone (cone_picks_oracle), its picks kept up to level J, the first find
-    of each line kept, and each chord clipped (chord_oracle)."""
+class OracleRecord(NamedTuple):
+    """A candidate line of every dilate kP (profile_records_oracle): the
+    line through k * vertex with the primitive direction, vertex an end of
+    P's chord on it, of length chord = (num, den) in units of the
+    direction, so it holds floor(k * num / den) + 1 lattice points of kP."""
+
+    vertex: tuple[int, int]
+    direction: tuple[int, int]
+    chord: tuple[int, int]
+
+
+@cache  # P is immutable, and the oracles read it once per k
+def profile_records_oracle(P: Polygon2) -> tuple[OracleRecord, ...]:
+    """The unpruned record scan that dilation_profile replaced by its chord
+    table, kept as its oracle: every vertex scanned per edge
+    (opposite_pairs_oracle), five descents per cone (cone_picks_oracle),
+    its picks kept up to level J, with no running top, the first find of
+    each line kept, and each chord clipped (chord_oracle)."""
     found = {}
     for (p, q), v, a in opposite_pairs_oracle(P):
         J, picks = cone_picks_oracle(v, p, q, a)
@@ -412,7 +426,25 @@ def profile_records_oracle(P: Polygon2) -> tuple[ProfileRecord, ...]:
                 found[line] = (v, d)
     halfplanes = P.halfplanes()
     return tuple(
-        ProfileRecord(v, d, chord_oracle(halfplanes, v, d)) for v, d in found.values()
+        OracleRecord(v, d, chord_oracle(halfplanes, v, d)) for v, d in found.values()
+    )
+
+
+def chord_table_oracle(records) -> tuple[dict[tuple[int, int], tuple[int, int]], tuple[int, int]]:
+    """The chord table and the longest chord C of a record list, in
+    Fractions: the longest chord of each direction whose longest chord has
+    the floor of C, the directions in the order of their first record of
+    that floor, and C itself, each as (num, den) in lowest terms."""
+    longest = max(Fraction(*record.chord) for record in records)
+    top = longest.numerator // longest.denominator
+    table: dict[tuple[int, int], Fraction] = {}
+    for _, d, chord in records:
+        chord = Fraction(*chord)
+        if chord // 1 == top and chord > table.get(d, 0):
+            table[d] = chord
+    return (
+        {d: (c.numerator, c.denominator) for d, c in table.items()},
+        (longest.numerator, longest.denominator),
     )
 
 
@@ -457,7 +489,7 @@ def dilate_levels_oracle(P: Polygon2, k: int) -> tuple[int, int, list[tuple[int,
 def count_oracle(profile, k: int) -> int:
     """The per-k count kernel that DilationProfile's range kernel replaced,
     kept as its oracle: the chord window m = best - 1 of kP and its
-    diameter directions from the loop over every record
+    diameter directions from the loop over every unpruned record
     (best_records_oracle), then, per piece of each, the window clipped for
     this k alone and two floor sums over it, whatever its length."""
     best, directions = best_records_oracle(profile, k)
@@ -494,9 +526,10 @@ def plateau(H: int) -> Polygon2:
 def best_records_oracle(profile, k: int) -> tuple[int, list[tuple[int, int]]]:
     """The loop over every record that DilationProfile.best replaced by its
     longest-chord table, kept as its oracle: the best count of kP over the
-    records, and the sorted directions attaining it."""
+    unpruned records of its polygon (profile_records_oracle), and the
+    sorted directions attaining it."""
     best, directions = 0, set()
-    for _, d, (num, den) in profile.records:
+    for _, d, (num, den) in profile_records_oracle(profile.polygon):
         count = k * num // den + 1
         if count > best:
             best, directions = count, set()

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from helpers import (
     QUAD,
     SQUARE,
     TRIANGLE,
+    chord_table_oracle,
     cone_picks_oracle,
     convex_hull,
     lattice_circle,
@@ -219,29 +221,32 @@ def random_triangles(n: int, rng: random.Random, top: int = 18):
     return out
 
 
-def assert_pruned_records(P: Polygon2) -> int:
-    """The records of the pruned scan against the unpruned one
-    (profile_records_oracle), and the number of oracle records it drops.
+def assert_pruned_picks(P: Polygon2) -> int:
+    """The picks of the pruned scan and the chord table built from them
+    against the unpruned record scan (profile_records_oracle), and the
+    number of oracle records no pick finds.
 
-    The kept records are oracle records, with the same vertex and chord, in
-    the oracle's order. Every line whose chord has the floor of C*, the
-    longest chord, is kept, so every dropped one has a lower floor, and
-    none of them can reach a best count."""
-    def line(record):
-        (x, y), (dx, dy) = record.vertex, record.direction
-        return (dx, dy), dx * y - dy * x
-
-    got, want = dilation_profile(P).records, profile_records_oracle(P)
-    kept = {line(record) for record in got}
-    assert got == tuple(record for record in want if line(record) in kept), P
-    top = max(num // den for _, _, (num, den) in want)
-    for record in want:
-        num, den = record.chord
-        if num // den == top:
-            assert line(record) in kept, (P, record)
-        else:
-            assert num // den < top, (P, record)
-    return len(want) - len(got)
+    Each pick's chord J/j is the chord of an oracle record of its direction,
+    and the floors of the picks never decrease. Every record whose chord
+    has the floor of C*, the longest chord, is found by a pick, so every
+    record left out has a lower floor, and none of them can reach a best
+    count. The table holds the longest chord of each direction at that
+    floor, in the order the records first find the directions
+    (chord_table_oracle)."""
+    want = profile_records_oracle(P)
+    picks = [(d, Fraction(J, j)) for d, j, J in diameter._polygon_picks(P)]
+    found = {(d, Fraction(*chord)) for _, d, chord in want}
+    assert set(picks) <= found, P
+    floors = [chord // 1 for _, chord in picks]
+    assert floors == sorted(floors), P
+    table, longest = chord_table_oracle(want)
+    top = longest[0] // longest[1]
+    dropped = found - set(picks)
+    assert all(chord // 1 < top for _, chord in dropped), P
+    profile = dilation_profile(P)
+    assert list(profile._table.items()) == list(table.items()), P
+    assert profile.longest_chord == longest, P
+    return sum((d, Fraction(*chord)) in dropped for _, d, chord in want)
 
 
 class TestOneDescentScan:
@@ -287,13 +292,13 @@ class TestOneDescentScan:
     def test_records_match_the_clipping_oracle(self, polygons):
         dropped = 0
         for P in polygons:
-            dropped += assert_pruned_records(P)
+            dropped += assert_pruned_picks(P)
         assert dropped > 1000
 
     def test_records_of_the_skew_triangles(self):
         for e in range(2, 31):
             s = 10**e
-            assert_pruned_records(Polygon2(((0, 0), (s, 1), (3 * s + 1, 7))))
+            assert_pruned_picks(Polygon2(((0, 0), (s, 1), (3 * s + 1, 7))))
 
 
 @pytest.fixture

@@ -32,6 +32,7 @@ from helpers import (
     best_records_oracle,
     chamber_decomposition_oracle,
     chord_oracle,
+    chord_table_oracle,
     clip_line_oracle,
     count_oracle,
     dilate_levels_oracle,
@@ -41,6 +42,7 @@ from helpers import (
     opposite_pairs_oracle,
     plateau,
     profile_polygons,
+    profile_records_oracle,
     random_chambers,
     random_polygon,
     ring_polygons,
@@ -147,12 +149,13 @@ class TestDilationProfile:
         assert cases >= 500 * 6
 
     def test_candidates_are_the_local_scans_of_the_dilate(self, polygons):
-        """The records are candidate lines of the local scans of every kP,
-        and every other candidate line of kP, past level J or below the
-        running top, holds fewer lattice points of kP than the best."""
+        """The unpruned records (profile_records_oracle) are candidate lines
+        of the local scans of every kP, and every other candidate line of
+        kP, past level J, holds fewer lattice points of kP than the best."""
         others = 0
         for P in polygons:
             profile = dilation_profile(P)
+            records = profile_records_oracle(P)
             for k in (1, 2, 3, 12):
                 kP = P.dilate(k)
                 halfplanes = kP.halfplanes()
@@ -161,9 +164,7 @@ class TestDilationProfile:
                     for pair in opposite_pairs_oracle(kP)
                     for line in local_diameter_lines(*pair)
                 }
-                got = {
-                    LatticeLine((k * v[0], k * v[1]), d) for v, d, _ in profile.records
-                }
+                got = {LatticeLine((k * v[0], k * v[1]), d) for v, d, _ in records}
                 assert got <= want, (P, k)
                 best = profile.best(k)[0]
                 for line in want - got:
@@ -175,18 +176,18 @@ class TestDilationProfile:
 
     def test_chords_match_clip_line(self, polygons):
         """The integer chord read agrees with the Fraction clipping loop on
-        every vertex line of the record directions and of a few random
-        directions."""
+        the line of every unpruned record and on every vertex line of the
+        record directions and of a few random directions."""
         rng = random.Random(12)
         reads = 0
         for P in polygons:
-            profile = dilation_profile(P)
+            records = profile_records_oracle(P)
             halfplanes = P.halfplanes()
-            directions = {record.direction for record in profile.records}
+            directions = {record.direction for record in records}
             directions |= {
                 Direction((rng.randint(-9, 9), rng.randint(1, 9))).vec for _ in range(3)
             }
-            for record in profile.records:
+            for record in records:
                 chord = nvol(clip_line_oracle(P, LatticeLine(record.vertex, record.direction)))
                 assert record.chord == (chord.numerator, chord.denominator), P
             for v in P.vertices:
@@ -197,19 +198,39 @@ class TestDilationProfile:
         assert reads > 10_000
 
     def test_best_matches_the_record_loop(self, polygons):
-        """The table holds the longest chord of each direction whose longest
-        chord has the top floor, and its window pass gives the best count
-        and directions of the loop over every record."""
+        """The best count and directions of kP, read from the chord table,
+        C* and K0, are those of the loop over every unpruned record."""
         for P in polygons:
             profile = dilation_profile(P)
-            longest = {}
-            for _, d, chord in profile.records:
-                longest[d] = max(longest.get(d, 0), Fraction(*chord))
-            top = max(longest.values()) // 1
-            want = {d: (c.numerator, c.denominator) for d, c in longest.items() if c >= top}
-            assert profile._table == want, P
             for k in (1, 2, 3, 4, 5, 7, 12, 17, 10**6, 10**9):
                 assert profile.best(k) == best_records_oracle(profile, k), (P, k)
+
+    def test_table_is_the_longest_chords_of_the_top_floor(self, polygons):
+        """The chord table and longest_chord against those built from the
+        unpruned records (chord_table_oracle): the longest chord of each
+        direction, for the directions whose longest chord has the floor of
+        the longest chord of all. Every record of one direction has the
+        same clipped chord, so the table keeps the first it meets."""
+        rng = random.Random(24)
+        family = [
+            *(random_polygon(rng, span_hi=rng.choice((6, 12, 40)), coord=10**5)
+              for _ in range(300)),
+            *polygons,
+            *map(lattice_circle, range(2, 9)),
+            *(triangle(m) for m in range(3, 40)),
+        ]
+        sizes = Counter()
+        for P in family:
+            profile = dilation_profile(P)
+            records = profile_records_oracle(P)
+            chords = {}
+            for _, d, chord in records:
+                assert chords.setdefault(d, chord) == chord, (P, d)
+            table, longest = chord_table_oracle(records)
+            assert dict(profile._table) == table, P
+            assert profile.longest_chord == longest, P
+            sizes[len(table) > 1] += 1
+        assert sizes[True] > 50, sizes
 
     def test_floor_sum_matches_a_loop(self):
         rng = random.Random(99)
@@ -278,18 +299,23 @@ class TestRangeCounts:
             assert profile.counts(ks) == want, P
             assert dilation_profile(P).counts(reversed(ks)) == want[::-1], P
             assert [profile.count(k) for k in ks] == want, P
-            # count(k) on a fresh profile runs its own one-pair pass
+            # count(k) on a fresh profile counts each k as a batch of one
             lone = dilation_profile(P)
             assert [lone.count(k) for k in ks] == want, P
 
-    def test_a_lone_count_takes_no_batch(self, monkeypatch):
-        def no_batch(*args):
-            raise AssertionError("the batch kernel ran")
+    def test_a_lone_count_is_a_batch_of_one(self, monkeypatch):
+        batches = []
+        kernel = DilationProfile._count
 
-        monkeypatch.setattr(DilationProfile, "_count", no_batch)
+        def recorded(profile, ks):
+            batches.append(list(ks))
+            return kernel(profile, ks)
+
+        monkeypatch.setattr(DilationProfile, "_count", recorded)
         profile = dilation_profile(QUAD)
         assert [profile.count(k) for k in range(1, 7)] == [3, 4, 3, 9, 8, 5]
         assert profile.counts(range(1, 7)) == [3, 4, 3, 9, 8, 5]
+        assert batches == [[1], [2], [3], [4], [5], [6]]
 
     def test_each_k_is_counted_once(self, monkeypatch):
         batches = []
