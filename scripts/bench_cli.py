@@ -22,14 +22,17 @@ Rows:
 - svg: render_diameter_svg on the dilates k * conv{(0,0),(5,1),(6,4),(1,3)}
   for a ladder of grid sizes, 63 to about 10^5 dots: dots, bytes and the
   best of REPEAT renders (the diameter report is computed outside the
-  timer);
+  timer), median and least over LADDER_FRESH fresh interpreters;
+- enumerate: enumerate_lattice_points on the dilates of the same polygon,
+  17 to about 57,000 points: points and the best of REPEAT calls, median
+  and least over LADDER_FRESH fresh interpreters;
 - the import time of latticediam.cli in a fresh interpreter, apart from
   every other row (interpreter start-up excluded).
 
-With --baseline, the import and first_call rows also time the package found
-in that directory, each under "baseline", in fresh interpreters that
-alternate with this package's: on a shared host, timings taken minutes
-apart drift by more than the difference between two trees.
+With --baseline, the import, first_call, svg and enumerate rows also time
+the package found in that directory, each under "baseline", in fresh
+interpreters that alternate with this package's: on a shared host, timings
+taken minutes apart drift by more than the difference between two trees.
 
 Every fresh interpreter reads its bytecode from one temporary
 PYTHONPYCACHEPREFIX directory, warmed by an import of every module before
@@ -54,15 +57,15 @@ import tempfile
 import time
 from pathlib import Path
 
-from latticediam import Polygon2, cli, compute_diameter
-from latticediam.svg import render_diameter_svg
+from latticediam import cli
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
-QUAD = Polygon2(((0, 0), (5, 1), (6, 4), (1, 3)))
+QUAD = ((0, 0), (5, 1), (6, 4), (1, 3))
 REPEAT = 5
 FRESH = 3
 STEADY = 20
-SVG_DILATES = (1, 4, 16, 64)
+LADDER_FRESH = 5
+LADDERS = {"svg": (1, 4, 16, 64), "enumerate": (1, 4, 16, 64)}
 
 COMMANDS = {
     "polygon": (
@@ -136,6 +139,35 @@ def once():
 first, code = once()
 times = [once()[0] for _ in range(steady)]
 print(json.dumps({"exit_code": code, "first_s": first, "steady_s": times}))
+"""
+
+
+# Run in a fresh interpreter: the ladder's name, the repeat count, the
+# polygon and its dilation factors (JSON); per dilate the size of the result
+# (SVG bytes or lattice points) and the best of repeat calls, after one
+# untimed call.
+LADDER_CHILD = """
+import json, sys, time
+from latticediam import Polygon2, compute_diameter, enumerate_lattice_points
+from latticediam.svg import render_diameter_svg
+ladder, repeat = sys.argv[1], int(sys.argv[2])
+base, dilates = Polygon2(json.loads(sys.argv[3])), json.loads(sys.argv[4])
+rows = []
+for k in dilates:
+    P = base.dilate(k)
+    if ladder == "svg":
+        report = compute_diameter(P)
+        call = lambda: render_diameter_svg(P, report)
+    else:
+        call = lambda: enumerate_lattice_points(P)
+    size = len(call())
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - start)
+    rows.append({"size": size, "seconds": best})
+print(json.dumps(rows))
 """
 
 
@@ -227,18 +259,27 @@ def first_call_rows(workdir: str, envs: dict[str, dict[str, str]]) -> list[dict]
     return rows
 
 
-def svg_rows() -> list[dict]:
+def ladder_rows(envs: dict[str, dict[str, str]], ladder: str) -> list[dict]:
+    """The rows of one ladder: per dilate of QUAD its grid dots (svg) or
+    nothing more (enumerate), and per package the size of its result and
+    the median and least of the best-of-REPEAT times over LADDER_FRESH
+    fresh interpreters, run in turn across the packages."""
+    dilates = LADDERS[ladder]
+    size = "bytes" if ladder == "svg" else "points"
+    by_env = alternate(envs, LADDER_FRESH, "-c", LADDER_CHILD, ladder, str(REPEAT),
+                       json.dumps(QUAD), json.dumps(dilates))
     rows = []
-    for k in SVG_DILATES:
-        P = QUAD.dilate(k)
-        report = compute_diameter(P)
-        (xlo, ylo), (xhi, yhi) = P.bounding_box()
-        rows.append({
-            "polygon": f"quad*{k}",
-            "dots": (xhi - xlo + 3) * (yhi - ylo + 3),
-            "bytes": len(render_diameter_svg(P, report)),
-            "seconds": best_time(lambda: render_diameter_svg(P, report), REPEAT),
-        })
+    for i, k in enumerate(dilates):
+        row: dict = {"polygon": f"quad*{k}"}
+        if ladder == "svg":
+            xs, ys = [k * x for x, _ in QUAD], [k * y for _, y in QUAD]
+            row["dots"] = (max(xs) - min(xs) + 3) * (max(ys) - min(ys) + 3)
+        for label, runs in by_env.items():
+            seconds = [run[i]["seconds"] for run in runs]
+            place(row, label, {size: runs[0][i]["size"],
+                               "seconds": statistics.median(seconds),
+                               "min_s": min(seconds)})
+        rows.append(row)
     return rows
 
 
@@ -277,6 +318,7 @@ def main() -> None:
         cli_table = cli_rows(workdir, env)
         first_table = first_call_rows(workdir, envs)
         import_table = import_seconds(2 * REPEAT, envs, "latticediam.cli")
+        ladders = {ladder: ladder_rows(envs, ladder) for ladder in LADDERS}
     result = {
         "host": {
             "python": platform.python_version(),
@@ -287,6 +329,7 @@ def main() -> None:
         "repeat": REPEAT,
         "fresh_interpreters": FRESH,
         "first_call_fresh_interpreters": FIRST_FRESH,
+        "ladder_fresh_interpreters": LADDER_FRESH,
         "baseline_timed": bool(args.baseline),
         "steady_calls": STEADY,
         "pycache_prefix": "a temporary directory, warmed by one import of every module",
@@ -294,7 +337,7 @@ def main() -> None:
         "parser_build_s": best_time(build, REPEAT),
         "cli": cli_table,
         "first_call": first_table,
-        "svg": svg_rows(),
+        **ladders,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=2)

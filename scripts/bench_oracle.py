@@ -101,7 +101,7 @@ def row_steps(pts) -> int:
 
     oracle.gcd = count
     try:
-        oracle._row_loop(pts)
+        oracle._row_loop(pts, [p[0] for p in pts])
     finally:
         oracle.gcd = inner
     return calls
@@ -110,13 +110,14 @@ def row_steps(pts) -> int:
 def line_columns(pts) -> dict:
     """The line phase and the plain row loop of a planar set, timed and
     counted."""
-    best, hits, steps = oracle._line_phase(pts)
+    xs, ys = zip(*pts)
+    best, hits, steps = oracle._line_phase(xs, ys)
     out = {
-        "line_s": best_time(lambda: oracle._line_phase(pts)),
+        "line_s": best_time(lambda: oracle._line_phase(xs, ys)),
         "line_end": "stop" if hits is not None else "handover",
         "line_best": best,
         "line_steps": steps,
-        "row_s": best_time(lambda: oracle._row_loop(pts)),
+        "row_s": best_time(lambda: oracle._row_loop(pts, xs)),
         "row_steps": row_steps(pts),
         "line_break_even": None,
     }
@@ -151,20 +152,21 @@ def point_sets():
 
 def row(family: str, name: str, pts) -> dict:
     n, d = len(pts), len(pts[0])
-    spreads = [max(col) - min(col) for col in zip(*pts)]
+    cols = tuple(zip(*pts))
+    spreads = [max(col) - min(col) for col in cols]
     bound = oracle._residue_bound(spreads)
     floor = oracle._rabinowitz_floor(n, d)
     pairs, steps = oracle._path_costs(n, d, bound)
     ratio = oracle.RESIDUE_COST * steps / pairs
-    pair_s = best_time(lambda: oracle._pair_scan(pts))
+    pair_s = best_time(lambda: oracle._pair_scan(pts, cols))
     residue_s = (
-        best_time(lambda: oracle._residue_scan(pts, spreads, bound))
+        best_time(lambda: oracle._residue_scan(pts, cols, spreads, bound))
         if steps <= MAX_STEPS
         else None
     )
     # a budget of the pair count admits either path, so this reads the plan
     residue = oracle.check_pair_budget(n, spreads, pairs) is not None
-    ldiam, hits = oracle._pair_scan(pts)
+    ldiam, hits = oracle._pair_scan(pts, cols)
     out = {
         "family": family,
         "set": name,
@@ -194,11 +196,12 @@ def line_cost_sweep(planar: list) -> dict[str, float]:
     of SWEEP."""
     fitted = oracle.LINE_COST
     totals = {}
+    sets = [(pts, tuple(zip(*pts))) for pts in planar]
     try:
         for cost in SWEEP:
             oracle.LINE_COST = cost
             totals[str(cost)] = sum(
-                best_time(lambda: oracle._pair_scan(pts)) for pts in planar
+                best_time(lambda: oracle._pair_scan(pts, cols)) for pts, cols in sets
             )
     finally:
         oracle.LINE_COST = fitted

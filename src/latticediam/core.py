@@ -4,12 +4,16 @@ Everything here is integer or rational arithmetic; no floats anywhere.
 Points are plain tuples of ints, rational points are tuples of Fraction;
 this module never builds one, so it does not import fractions.
 line_bounds is the one loop that clips a line against halfplanes: the
-lattice point counts (level_interval) and the exact clips of
-lines.clip_line are read from its bounds. The diameter module does not
-import it: the chord of a candidate line is read from its levels (J/j),
-and the longest chord of a direction from the rows of its level pieces.
-Its halfplane constants and base points are ints, so it works in plain
+lattice point counts of level_interval, the exact clips of lines.clip_line
+and the segment ends of the SVG picture are read from its bounds. Its
+halfplane constants and base points are ints, so it works in plain
 integers; a rational clip end is built only by the caller that reports it.
+The level pieces of a direction (_level_pieces) split the polygon's level
+range where its two bounding edges change, and each piece keeps the
+constants that give any of its levels' lattice points with two floor
+divisions. The diameter module reads its chords and counts from them, and
+the lattice points of a polygon and the grid dots of its picture are read
+from the pieces of (0, 1) or (1, 0), column by column (_level_ranges).
 A PointSet built from outside input is validated, deduplicated and sorted;
 sets the package lists itself in lexicographic order (the lattice points of
 a polygon, the parts of a Borsuk partition) skip that through
@@ -42,6 +46,7 @@ __all__ = [
     "segment_lattice_count",
     "line_bounds",
     "level_interval",
+    "level_anchor",
     "floor_sum",
     "enumerate_lattice_points",
     "count_lattice_points_polygon",
@@ -258,6 +263,111 @@ def level_interval(
     return klo, khi
 
 
+# Integer-only level machinery. A primitive functional a and an integer level
+# beta define the lattice line {x : <a, x> = beta}; its lattice points are
+# anchor(beta) + k * u with u perpendicular to a. The level pieces of a
+# direction give the k range of every level with two floor divisions; the
+# diameter's cone picks and chord windows, the lattice points of a polygon
+# and the grid dots of its picture are all read in these coordinates.
+
+
+def level_anchor(a: Point) -> tuple[Point, Point]:
+    """For primitive a, a particular solution s of <a, s> = 1 and the level direction.
+
+    anchor(beta) = beta * s; the direction is the perpendicular of a as a
+    plain primitive vector with canonical sign (the vector Direction would
+    hold), so increasing k is increasing lexicographic order.
+    """
+    a1, a2 = a
+    if gcd(a1, a2) != 1:
+        raise ValidationError("level functional must be primitive")
+    # extended euclid: a1*s + a2*t == 1
+    old_r, r = a1, a2
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r != 0:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_s, old_t = -old_s, -old_t
+    step = (-a2, a1) if a2 < 0 or (a2 == 0 and a1 > 0) else (a2, -a1)
+    return (old_s, old_t), step
+
+
+# (lo, hi, cut, A, ti * tj, ti * cj - tj * ci, ti, -ei, ci, -tj, -ej, cj): see _level_pieces
+Piece = tuple[int, int, int, int, int, int, int, int, int, int, int, int]
+
+
+def _level_pieces(
+    vertices: tuple[Point, ...], halfplanes: list[tuple[Point, int]], u: Point
+) -> tuple[Point, list[Piece]]:
+    """The level anchor of u, and the vertex level range of the polygon in
+    direction u split at the vertex levels: per piece the flat row
+    (lo, hi, cut, A, ti * tj, ti * cj - tj * ci, ti, -ei, ci, -tj, -ej, cj),
+    on which U and L are the single linear functions of the upper side
+    (ti, ei, ci) and the lower side (tj, ej, cj).
+
+    The side of the halfplane (n, c) is (t, e, c) with t = <n, u> and
+    e = <n, anchor>. Along its edge the level grows by t, so the edges with
+    t > 0 bound the chord from above and rise, and those with t < 0 bound it
+    from below and fall; edges parallel to u bound no level range. From a
+    vertex of least level, the boundary climbs the upper edges to the top
+    level and comes down the lower ones, so both arcs are sorted by level,
+    and one merge of the two gives the pieces, the overlaps of the level
+    ranges of an upper and a lower edge, in increasing level: O(n). Each
+    piece is half-open, [lo, hi) with cut = 1, except the topmost, which is
+    closed, cut = 0.
+
+    On the line anchor*beta + k*u, the halfplane (n, c) bounds k by
+    (c - beta*e) / t: from above when t > 0, from below when t < 0. The chord
+    (ci - beta*ei)/ti - (cj - beta*ej)/tj >= m is one linear inequality
+    A*beta <= m * ti * tj + ti * cj - tj * ci with A = ti * ej - tj * ei,
+    cleared of the positive denominator ti * |tj|. The three constants do
+    not depend on m or on the dilation factor, so they are kept with the
+    piece (diameter._chord_clip), and so are the sides, signed as the floor
+    sums of the counts read them (diameter._piece_counts); a level's k
+    range is read from them with two floor divisions (_level_ranges).
+    """
+    ux, uy = u
+    anchor, _ = level_anchor((-uy, ux))
+    sx, sy = anchor
+    levels = [ux * y - uy * x for x, y in vertices]
+    low, top = min(levels), max(levels)
+    start = levels.index(low)
+    upper, lower = [], []  # (the level at the top of the edge, t, e, c)
+    # edge i runs from vertex i to vertex i + 1; negative indices wrap
+    for i in range(start - len(levels), start):
+        (nx, ny), c = halfplanes[i]
+        t = nx * ux + ny * uy
+        if t > 0:
+            upper.append((levels[i + 1], t, nx * sx + ny * sy, c))
+        elif t < 0:
+            lower.append((levels[i], t, nx * sx + ny * sy, c))
+    lower.reverse()
+    pieces = []
+    i = j = 0
+    lo = low
+    hi_u, ti, ei, ci = upper[0]
+    hi_l, tj, ej, cj = lower[0]
+    while True:
+        hi = hi_u if hi_u < hi_l else hi_l
+        pieces.append((
+            lo, hi, 0 if hi == top else 1, ti * ej - tj * ei, ti * tj,
+            ti * cj - tj * ci, ti, -ei, ci, -tj, -ej, cj,
+        ))
+        if hi == top:
+            return anchor, pieces
+        if hi_u == hi:
+            i += 1
+            hi_u, ti, ei, ci = upper[i]
+        if hi_l == hi:
+            j += 1
+            hi_l, tj, ej, cj = lower[j]
+        lo = hi
+
+
 def floor_sum(n: int, m: int, a: int, b: int) -> int:
     """Sum of floor((a*x + b) / m) over x = 0 .. n - 1, for m > 0 and any a, b.
 
@@ -317,42 +427,62 @@ class PointSet(Frozen):
         return tuple(p) in set(self.points)
 
 
-# Sorting the row scan's points costs about one kernel call per SORT_POINTS
-# points (timed on dense polygons of 50 to 1,000 points: a column scan
-# about 4 us per column, the sort about 0.25 us per point).
+def _level_ranges(P: Polygon2, u: Point) -> list[tuple[int, int]]:
+    """The range (klo, khi) of the lattice points anchor*beta + k*u of P on
+    every level beta of direction u, from the least level to the top, with
+    klo > khi on a level that holds none.
+
+    The levels run over the pieces of u (_level_pieces), and a level of a
+    piece reads its two ends from the piece's row with two floor divisions,
+    as the diameter's sweep reads its count: no line is clipped.
+    """
+    _, pieces = _level_pieces(P.vertices, P.halfplanes(), u)
+    ranges: list[tuple[int, int]] = []
+    add = ranges.append
+    for lo, hi, cut, _, _, _, ti, nei, ci, ntj, nej, cj in pieces:
+        for beta in range(lo, hi + 1 - cut):
+            add((-((cj + beta * nej) // ntj), (ci + beta * nei) // ti))
+    return ranges
+
+
+# The row scan pays one sort of its points for the columns it saves. The
+# value was fitted when a column cost about 4 us; read from the level
+# pieces, a column costs 0.2 to 0.4 us and the sort 0.13 to 0.25 us per
+# point (QUAD dilates of 900 to 12,700 points), so the break-even is nearer
+# 2 points per column. It is kept at 16, which keeps each polygon's scan
+# orientation and the orientation tests' figures.
 SORT_POINTS = 16
 
 
 def enumerate_lattice_points(P: Polygon2) -> PointSet:
     """All lattice points of P, in lexicographic order, by an exact scan of
-    its bounding box: one level_interval call per column, or one per row and
-    one sort of the points.
+    its bounding box: one level per column of the pieces of (0, 1), or one
+    per row of the pieces of (1, 0) and one sort of the points
+    (_level_ranges).
 
-    A column lists its points in lexicographic order, so the column scan
-    hands them over as they come, and it runs unless the columns outnumber
-    the rows by more than the sort costs (SORT_POINTS points per kernel
-    call, the count from Pick's theorem). So a thin polygon is scanned
-    across its short side, and the scan takes at most
-    min(width, height) + 1 + |P ∩ Z^2| / SORT_POINTS kernel calls. The
-    points are built by C-level zip and repeat and reach the PointSet
-    through its trusted constructor, with no set and no validation pass.
+    The levels of (0, 1) are -x, so the column ranges come in decreasing x,
+    and reversed they list the points in lexicographic order: the column
+    scan hands them over as they come. It runs unless the columns outnumber
+    the rows by more than the sort costs (SORT_POINTS points per column,
+    the count from Pick's theorem). So a thin polygon is scanned across its
+    short side, and the scan reads at most
+    min(width, height) + 1 + |P ∩ Z^2| / SORT_POINTS levels. The points are
+    built by C-level zip and repeat and reach the PointSet through its
+    trusted constructor, with no set and no validation pass.
     """
     (xmin, ymin), (xmax, ymax) = P.bounding_box()
-    halfplanes = P.halfplanes()
     pts: list[Point] = []
     excess = (xmax - xmin) - (ymax - ymin)  # columns beyond the rows
     if excess <= 0 or excess <= count_lattice_points_polygon(P) // SORT_POINTS:
-        for x in range(xmin, xmax + 1):
-            col = level_interval(halfplanes, (x, 0), (0, 1))
-            if col is not None:
-                lo, hi = col
-                pts.extend(zip(repeat(x, hi - lo + 1), range(lo, hi + 1)))
+        columns = _level_ranges(P, (0, 1))
+        columns.reverse()
+        for x, (lo, hi) in enumerate(columns, xmin):
+            if lo <= hi:
+                pts += zip(repeat(x, hi - lo + 1), range(lo, hi + 1))
         return PointSet._sorted(pts)
-    for y in range(ymin, ymax + 1):
-        row = level_interval(halfplanes, (0, y), (1, 0))
-        if row is not None:
-            lo, hi = row
-            pts.extend(zip(range(lo, hi + 1), repeat(y, hi - lo + 1)))
+    for y, (lo, hi) in enumerate(_level_ranges(P, (1, 0)), ymin):
+        if lo <= hi:
+            pts += zip(range(lo, hi + 1), repeat(y, hi - lo + 1))
     pts.sort()
     return PointSet._sorted(pts)
 

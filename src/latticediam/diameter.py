@@ -55,7 +55,9 @@ each piece of those directions, the pairs of the whole group; a lone k is
 a range of one. The fit's period is the denominator of the longest chord
 of P, which the pass that builds the chord table keeps. All of
 it is integer arithmetic, and this module clips no line itself: the
-representative segments' clip_line goes through core.line_bounds.
+representative segments' clip_line goes through core.line_bounds. The
+level anchor and the piece rows live in core, which lists the lattice
+points of a polygon from the same rows.
 """
 
 from __future__ import annotations
@@ -63,14 +65,23 @@ from __future__ import annotations
 from math import gcd
 from typing import Collection, Iterable, Iterator, Sequence
 
-from .core import Direction, Point, Polygon2, as_point, floor_sum
+from .core import (
+    Direction,
+    Piece,
+    Point,
+    Polygon2,
+    _level_pieces,
+    as_point,
+    floor_sum,
+    level_anchor,
+)
 
 # Not called here: perfbench's self-test and the tests' kernel counters look
 # the kernel up by the name diameter.level_interval, so the name must resolve.
 from .core import level_interval  # noqa: F401
 from .errors import ValidationError
 from .frozen import Frozen
-from .lines import ClippedSegment, LatticeLine, clip_line, level_anchor
+from .lines import ClippedSegment, LatticeLine, clip_line
 
 __all__ = [
     "DiameterReport",
@@ -364,10 +375,6 @@ def _polygon_picks(P: Polygon2) -> Iterator[tuple[Point, int, int]]:
                 yield (x, y) if x > 0 or (x == 0 and y > 0) else (-x, -y), j, J
 
 
-# (lo, hi, cut, A, ti * tj, ti * cj - tj * ci, ti, -ei, ci, -tj, -ej, cj): see _level_pieces
-Piece = tuple[int, int, int, int, int, int, int, int, int, int, int, int]
-
-
 def _chord_clip(piece: Piece, k: int, m: int) -> tuple[int, int]:
     """The levels first..last of the piece of kP where its chord is at least
     m; the window is empty when first > last.
@@ -433,73 +440,6 @@ def _piece_counts(
                 + floor_sum(n, ntj, nej, k * cj + first * nej)
                 + (1 - m) * n
             )
-
-
-def _level_pieces(
-    vertices: tuple[Point, ...], halfplanes: list[tuple[Point, int]], u: Point
-) -> tuple[Point, list[Piece]]:
-    """The level anchor of u, and the vertex level range of the polygon in
-    direction u split at the vertex levels: per piece the flat row
-    (lo, hi, cut, A, ti * tj, ti * cj - tj * ci, ti, -ei, ci, -tj, -ej, cj),
-    on which U and L are the single linear functions of the upper side
-    (ti, ei, ci) and the lower side (tj, ej, cj).
-
-    The side of the halfplane (n, c) is (t, e, c) with t = <n, u> and
-    e = <n, anchor>. Along its edge the level grows by t, so the edges with
-    t > 0 bound the chord from above and rise, and those with t < 0 bound it
-    from below and fall; edges parallel to u bound no level range. From a
-    vertex of least level, the boundary climbs the upper edges to the top
-    level and comes down the lower ones, so both arcs are sorted by level,
-    and one merge of the two gives the pieces, the overlaps of the level
-    ranges of an upper and a lower edge, in increasing level: O(n). Each
-    piece is half-open, [lo, hi) with cut = 1, except the topmost, which is
-    closed, cut = 0.
-
-    On the line anchor*beta + k*u, the halfplane (n, c) bounds k by
-    (c - beta*e) / t: from above when t > 0, from below when t < 0. The chord
-    (ci - beta*ei)/ti - (cj - beta*ej)/tj >= m is one linear inequality
-    A*beta <= m * ti * tj + ti * cj - tj * ci with A = ti * ej - tj * ei,
-    cleared of the positive denominator ti * |tj|. The three constants do
-    not depend on m or on the dilation factor, so they are kept with the
-    piece (_chord_clip), and so are the sides, signed as the floor sums of
-    the counts read them (DilationProfile._count).
-    """
-    ux, uy = u
-    anchor, _ = level_anchor((-uy, ux))
-    sx, sy = anchor
-    levels = [ux * y - uy * x for x, y in vertices]
-    low, top = min(levels), max(levels)
-    start = levels.index(low)
-    upper, lower = [], []  # (the level at the top of the edge, t, e, c)
-    # edge i runs from vertex i to vertex i + 1; negative indices wrap
-    for i in range(start - len(levels), start):
-        (nx, ny), c = halfplanes[i]
-        t = nx * ux + ny * uy
-        if t > 0:
-            upper.append((levels[i + 1], t, nx * sx + ny * sy, c))
-        elif t < 0:
-            lower.append((levels[i], t, nx * sx + ny * sy, c))
-    lower.reverse()
-    pieces = []
-    i = j = 0
-    lo = low
-    hi_u, ti, ei, ci = upper[0]
-    hi_l, tj, ej, cj = lower[0]
-    while True:
-        hi = hi_u if hi_u < hi_l else hi_l
-        pieces.append((
-            lo, hi, 0 if hi == top else 1, ti * ej - tj * ei, ti * tj,
-            ti * cj - tj * ci, ti, -ei, ci, -tj, -ej, cj,
-        ))
-        if hi == top:
-            return anchor, pieces
-        if hi_u == hi:
-            i += 1
-            hi_u, ti, ei, ci = upper[i]
-        if hi_l == hi:
-            j += 1
-            hi_l, tj, ej, cj = lower[j]
-        lo = hi
 
 
 def _direction_sweep(levels: tuple[Point, list[Piece]], best: int) -> Iterator[Point]:

@@ -10,14 +10,15 @@ for the segment it reports.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import ceil, floor
 from typing import Optional, Sequence
 
 from .core import Direction, Point, Polygon2, RationalPoint, as_point, line_bounds
 
 # Not called here: perfbench/spans.py traces the kernel by the name
-# lines.level_interval, so the name must resolve in this module.
-from .core import level_interval  # noqa: F401
+# lines.level_interval, and the tests import level_anchor from here, so
+# both names must resolve in this module.
+from .core import level_anchor, level_interval  # noqa: F401
 from .errors import ValidationError
 from .frozen import Frozen, Ordered
 
@@ -138,35 +139,3 @@ def lattice_count_on_clip(segment: ClippedSegment) -> int:
     when an endpoint parameter is integral.
     """
     return max(0, floor(segment.t2) - ceil(segment.t1) + 1)
-
-
-# Integer-only level machinery. A primitive functional a and an integer level
-# beta define the lattice line {x : <a, x> = beta}; its lattice points are
-# anchor(beta) + k * u with u perpendicular to a. Clipping in the k-parameter
-# (level_interval) needs only floor divisions, and the diameter's cone picks
-# and level pieces are written in these coordinates.
-
-
-def level_anchor(a: Point) -> tuple[Point, Point]:
-    """For primitive a, a particular solution s of <a, s> = 1 and the level direction.
-
-    anchor(beta) = beta * s; the direction is the perpendicular of a as a
-    plain primitive vector with canonical sign (the vector Direction would
-    hold), so increasing k is increasing lexicographic order.
-    """
-    a1, a2 = a
-    if gcd(a1, a2) != 1:
-        raise ValidationError("level functional must be primitive")
-    # extended euclid: a1*s + a2*t == 1
-    old_r, r = a1, a2
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_s, old_t = -old_s, -old_t
-    step = (-a2, a1) if a2 < 0 or (a2 == 0 and a1 > 0) else (a2, -a1)
-    return (old_s, old_t), step

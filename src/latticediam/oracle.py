@@ -10,8 +10,12 @@ lines of short primitive direction u: a pair of gcd g spans g |u|_inf along
 its direction, so once the best gcd times the next norm exceeds the
 coordinate range, no pair left can reach it, and the phase stops exact;
 when the lines left would cost more than the pairs, its best seeds the
-pair loop. A cost model picks the cheaper path, and the report holds the
-diameter, its pairs and their directions. This module exists to
+pair loop. In the plane the residue scan first reads the lines of
+shell one, |u|_inf = 1: a pair of gcd above half the range lies on one,
+so when one spans more than half the range, no modulus is tried. A cost
+model picks the cheaper path, and the report holds the diameter, its
+pairs and their directions. The points are transposed once, and both
+paths read their coordinate columns. This module exists to
 cross-check the polygon algorithms and the constructions; it is
 deliberately independent of the 2D machinery.
 """
@@ -21,7 +25,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from itertools import chain, combinations, repeat
 from math import gcd
-from operator import sub
+from operator import add, sub
+from typing import Sequence
 
 from .core import DEFAULT_PAIR_BUDGET, Direction, Point, PointSet
 from .errors import BudgetError, ValidationError
@@ -57,18 +62,18 @@ class OracleReport(Frozen):
 
 
 def _row_loop(
-    pts: tuple[Point, ...], best: int = 0
+    pts: tuple[Point, ...], xs: Sequence[int], best: int = 0
 ) -> tuple[int, list[tuple[int, int]]]:
     """Max gcd over pairs of planar points and the index pairs attaining it,
     pair by pair, seeded with a lower bound best on the maximum.
 
-    Points arrive lex-sorted, so recorded pairs are already canonical. A pair
+    Points arrive lex-sorted, with xs their first coordinates, so recorded
+    pairs are already canonical. A pair
     with 0 < dx < best cannot reach best (the gcd divides dx), so each row
     skips that x window by bisection; every pair of gcd at least the seed is
     read, so the hits are complete when the seed is at most the maximum.
     """
     n = len(pts)
-    xs = [p[0] for p in pts]
     hits: list[tuple[int, int]] = []
     for i in range(n - 1):
         xi, yi = pts[i]
@@ -126,11 +131,12 @@ def _slab_steps(
 
 
 def _line_phase(
-    pts: tuple[Point, ...]
+    xs: Sequence[int], ys: Sequence[int]
 ) -> tuple[int, list[tuple[int, int]] | None, int]:
     """Max gcd over pairs of planar points, the index pairs attaining it and
     the line steps taken, line by line; or a lower bound on the max, None
-    and the steps, when the row loop is cheaper.
+    and the steps, when the row loop is cheaper. The points are lex-sorted,
+    and xs and ys are their coordinate columns.
 
     A pair with gcd g differs by g * u for a primitive u, and g is at most
     R / |u|_inf, R the wider coordinate range. The phase scans the shells
@@ -152,11 +158,9 @@ def _line_phase(
     1 / LINE_PROBE of the row loop's, and then hands best over. The steps
     counted are the points keyed, one per direction.
     """
-    n = len(pts)
+    n = len(xs)
     if n < 2:
         return 0, [], 0
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
     # sorting the lex order stably by y gives the (y, x) order
     order = sorted(range(n), key=ys.__getitem__)
     yd = [ys[i] for i in order]
@@ -221,10 +225,13 @@ def _line_phase(
                 return best, None, spent
 
 
-def _pair_scan(pts: tuple[Point, ...]) -> tuple[int, list[tuple[int, int]]]:
+def _pair_scan(
+    pts: tuple[Point, ...], cols: Sequence[Sequence[int]]
+) -> tuple[int, list[tuple[int, int]]]:
     """Max gcd over pairs and the index pairs attaining it.
 
-    Points arrive lex-sorted, and the index pairs come out lex-sorted. A set
+    Points arrive lex-sorted, with cols their coordinate columns, and the
+    index pairs come out lex-sorted. A set
     in d = 1 is scanned as its copy on the line y = 0 of Z^2, which keeps
     every gcd. In d = 2 the line phase (_line_phase) runs first, and the row
     loop (_row_loop) takes over, seeded with its best, when the lines left
@@ -235,13 +242,14 @@ def _pair_scan(pts: tuple[Point, ...]) -> tuple[int, list[tuple[int, int]]]:
     coordinates are read only when it is 0 or at least best.
     """
     n = len(pts)
-    d = len(pts[0])
+    d = len(cols)
     if d == 1:
         pts = tuple((x, 0) for (x,) in pts)
+        cols = (cols[0], (0,) * n)
+    xs = cols[0]
     if d <= 2:
-        best, hits, _ = _line_phase(pts)
-        return (best, hits) if hits is not None else _row_loop(pts, best)
-    xs = [p[0] for p in pts]
+        best, hits, _ = _line_phase(xs, cols[1])
+        return (best, hits) if hits is not None else _row_loop(pts, xs, best)
     best = 0
     hits: list[tuple[int, int]] = []
     rest = [p[2:] for p in pts]
@@ -285,8 +293,48 @@ def _residue_bound(spreads: list[int]) -> int:
     return sorted(spreads)[-2] if len(spreads) > 1 else 0
 
 
+def _line_ends(
+    xs: Sequence[int], ys: Sequence[int], u: Point, t: int
+) -> list[tuple[int, int, int]]:
+    """(span, i, j) for each line of direction u of shell one, (1, 0),
+    (0, 1), (1, 1) or (1, -1), whose span, the gcd of its end pair, is at
+    least t: i and j index its first and last point.
+
+    The points are lex-sorted, with coordinate columns xs and ys. A
+    vertical line is one run of equal x, and its ends are where the runs
+    change. Another line is keyed by y - uy x and runs along the sorted x,
+    so a line of span at least t starts in the slab x <= max - t and ends
+    in the slab x >= min + t, found by bisection: one dict finds the first
+    point of each key in the lower slab, and one the last in the upper.
+    """
+    n = len(xs)
+    if u == (0, 1):
+        last = list(dict(zip(xs, range(n))).values())
+        first = [0, *[j + 1 for j in last[:-1]]]
+        return [
+            (ys[j] - ys[i], i, j) for i, j in zip(first, last) if ys[j] - ys[i] >= t
+        ]
+    uy = u[1]
+
+    def keys(a: int, b: int) -> Sequence[int]:
+        if uy == 0:
+            return ys[a:b]
+        return list(map(sub if uy > 0 else add, ys[a:b], xs[a:b]))
+
+    lo = bisect_right(xs, xs[-1] - t)
+    hi = bisect_left(xs, xs[0] + t)
+    first = dict(zip(reversed(keys(0, lo)), range(lo - 1, -1, -1)))
+    ends = []
+    for key, j in dict(zip(keys(hi, n), range(hi, n))).items():
+        i = first.get(key)
+        if i is not None and xs[j] - xs[i] >= t:
+            ends.append((xs[j] - xs[i], i, j))
+    return ends
+
+
 def _residue_scan(
-    pts: tuple[Point, ...], spreads: list[int], bound: int
+    pts: tuple[Point, ...], cols: Sequence[Sequence[int]], spreads: list[int],
+    bound: int,
 ) -> tuple[int, list[tuple[int, int]]]:
     """Max gcd over pairs and the index pairs attaining it, by residue classes.
 
@@ -296,21 +344,57 @@ def _residue_scan(
     are its hits. Gcds above the bound of _residue_bound come from points
     equal off the widest coordinate, which are read from one grouping; below
     it the scan runs over g and stops by g = floor at the latest, since more
-    than floor ** d points fill the floor ** d classes. spreads are the
-    coordinate ranges of pts, and bound is _residue_bound(spreads).
+    than floor ** d points fill the floor ** d classes. cols are the
+    coordinate columns of pts, spreads their ranges, and bound is
+    _residue_bound(spreads).
+
+    In d = 2 the lines of shell one, the directions (1, 0), (0, 1), (1, 1)
+    and (1, -1), are read before any modulus (_line_ends). A pair of gcd g
+    differs by g u for a primitive u, and |u|_inf <= R / g, R the widest
+    range: so when g > R / 2, u is in shell one, and when g > bound, u is
+    the axis of the widest coordinate. Either way, a gcd g above
+    m = min(bound, R // 2) is at most the span of the pair's line, a line of
+    shell one, and the end pair of that line has gcd equal to its span. So
+    if some line of shell one spans more than m, the longest span is the
+    diameter, and its hits are the end pairs of the lines of that span;
+    otherwise the moduli start at m. When 2 bound > R, all four directions
+    are read; otherwise only the axis of the widest coordinate can span
+    more than m, since a line spans at most the range of each coordinate
+    it moves in. Each direction reads only the lines that reach the
+    longest span found so far.
     """
-    n, d = len(pts), len(pts[0])
-    cols = list(zip(*pts))
+    n, d = len(pts), len(cols)
     w = spreads.index(max(spreads))
-    # lex order sorts each group by coordinate w, so its ends span it, and
-    # lists the groups by their first index, so their end pairs come sorted
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for k, p in enumerate(pts):
-        groups.setdefault(p[:w] + p[w + 1 :], []).append(k)
-    ends = [(pts[m[-1]][w] - pts[m[0]][w], m[0], m[-1]) for m in groups.values()]
-    span = max(ends)[0]
-    if span > bound:
-        return span, [(i, j) for length, i, j in ends if length == span]
+    if d == 2:
+        t = min(bound, spreads[w] // 2) + 1
+        # each direction with the longest span it can reach, the axis of
+        # the widest coordinate first
+        lines = [((1, 0), spreads[0]), ((0, 1), spreads[1])]
+        if w:
+            lines.reverse()
+        lines += [((1, 1), min(spreads)), ((1, -1), min(spreads))]
+        ends: list[tuple[int, int, int]] = []
+        for u, most in lines:
+            if most >= t:
+                found = _line_ends(*cols, u, t)
+                if found:
+                    ends += found
+                    t = max(found)[0]
+        if ends:
+            span = max(ends)[0]
+            return span, sorted((i, j) for length, i, j in ends if length == span)
+        bound = t - 1
+    else:
+        # lex order sorts each group by coordinate w, so its ends span it,
+        # and lists the groups by their first index, so their end pairs
+        # come sorted
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for k, p in enumerate(pts):
+            groups.setdefault(p[:w] + p[w + 1 :], []).append(k)
+        ends = [(pts[m[-1]][w] - pts[m[0]][w], m[0], m[-1]) for m in groups.values()]
+        span = max(ends)[0]
+        if span > bound:
+            return span, [(i, j) for length, i, j in ends if length == span]
     for g in range(bound, _rabinowitz_floor(n, d) - 1, -1):
         keys = list(zip(*[[c % g for c in col] for col in cols]))
         if len(set(keys)) < n:
@@ -381,12 +465,13 @@ def brute_force_diameter(
     desk scale.
     """
     pts = S.points
-    spreads = [max(col) - min(col) for col in zip(*pts)]
+    cols = tuple(zip(*pts))
+    spreads = [max(col) - min(col) for col in cols]
     bound = check_pair_budget(len(pts), spreads, max_pairs)
     if bound is None:
-        best, hits = _pair_scan(pts)
+        best, hits = _pair_scan(pts, cols)
     else:
-        best, hits = _residue_scan(pts, spreads, bound)
+        best, hits = _residue_scan(pts, cols, spreads, bound)
     segments = tuple((pts[i], pts[j]) for i, j in hits)
     # Each segment (p, q) has p < q, so q - p is sign-canonical, and every
     # q - p has gcd best, so dividing by it keeps their order: the plain

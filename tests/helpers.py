@@ -6,6 +6,7 @@ import random
 
 from fractions import Fraction
 from functools import cache, cmp_to_key
+from itertools import combinations
 from math import gcd, isqrt
 from typing import NamedTuple
 
@@ -18,7 +19,6 @@ from latticediam import (
     ValidationError,
     clip_line,
     count_lattice_points_polygon,
-    enumerate_lattice_points,
     local_diameter_lines,
 )
 from latticediam import borsuk
@@ -31,6 +31,19 @@ from latticediam.svg import MARGIN, PALETTE, SCALE
 TRIANGLE = Polygon2(((0, 1), (1, 0), (2, 2)))
 SQUARE = Polygon2(((0, 0), (2, 0), (2, 2), (0, 2)))
 QUAD = Polygon2(((0, 0), (5, 1), (6, 4), (1, 3)))
+
+
+def naive_pair_oracle(S: PointSet):
+    """Direct reference for the oracle: the max gcd over the pairs of S and
+    the pairs attaining it, lex-sorted, computed with no shortcuts."""
+    best, segs = 0, []
+    for p, q in combinations(S.points, 2):
+        g = gcd(*(b - a for a, b in zip(p, q)))
+        if g > best:
+            best, segs = g, [(p, q)]
+        elif g == best:
+            segs.append((p, q))
+    return best, segs
 
 
 def convex_hull(points) -> list[tuple[int, int]] | None:
@@ -690,8 +703,8 @@ def _fmt_oracle(v: Fraction | int) -> str:
 def render_diameter_svg_oracle(polygon: Polygon2, report: DiameterReport) -> str:
     """The Fraction renderer that svg.render_diameter_svg replaced, kept as
     its byte oracle: every coordinate goes through a Fraction rounded to
-    hundredths, and the grid dot fill is a lookup in the listed lattice
-    points of the polygon."""
+    hundredths, and the grid dot fill is a lookup in the lattice points of
+    the polygon found by membership tests (box_points_oracle)."""
     (xlo, ylo), (xhi, yhi) = polygon.bounding_box()
 
     def px(x: Fraction | int) -> Fraction:
@@ -711,7 +724,7 @@ def render_diameter_svg_oracle(polygon: Polygon2, report: DiameterReport) -> str
         f"{_fmt_oracle(px(x))},{_fmt_oracle(py(y))}" for x, y in polygon.vertices
     )
     out.append(f'<polygon points="{outline}" fill="#eef2f8" stroke="none"/>')
-    inside = set(enumerate_lattice_points(polygon))
+    inside = set(box_points_oracle(polygon))
     for gx in range(xlo - MARGIN, xhi + MARGIN + 1):
         for gy in range(ylo - MARGIN, yhi + MARGIN + 1):
             fill = "#7a7a7a" if (gx, gy) in inside else "#d4d4d4"

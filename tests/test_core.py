@@ -168,16 +168,18 @@ def test_halfplanes_agree_with_enumeration(P):
 
 
 def scan_calls(monkeypatch) -> list:
-    """Record the direction of every level_interval call made by
-    enumerate_lattice_points."""
+    """Record, for every call of the piece kernel made by
+    enumerate_lattice_points, its direction and the number of levels (columns
+    or rows) its pieces span."""
     calls = []
-    kernel = core.level_interval
+    kernel = core._level_pieces
 
-    def recorded(halfplanes, x0, u):
-        calls.append(u)
-        return kernel(halfplanes, x0, u)
+    def recorded(vertices, halfplanes, u):
+        anchor, pieces = kernel(vertices, halfplanes, u)
+        calls.append((u, sum(hi + 1 - cut - lo for lo, hi, cut, *_ in pieces)))
+        return anchor, pieces
 
-    monkeypatch.setattr(core, "level_interval", recorded)
+    monkeypatch.setattr(core, "_level_pieces", recorded)
     return calls
 
 
@@ -215,7 +217,7 @@ class TestEnumeration:
         P = Polygon2(((0, 0), (1, 10**6), (1, 10**6 + 1)))
         calls = scan_calls(monkeypatch)
         got = enumerate_lattice_points(P)
-        assert calls == [(0, 1)] * 2
+        assert calls == [((0, 1), 2)]
         assert got.points == ((0, 0), (1, 10**6), (1, 10**6 + 1))
 
     def test_thin_wide_polygon_scans_rows(self, monkeypatch):
@@ -223,7 +225,7 @@ class TestEnumeration:
         P = Polygon2(((0, 0), (10**6 + 1, 1), (10**6, 1)))
         calls = scan_calls(monkeypatch)
         got = enumerate_lattice_points(P)
-        assert calls == [(1, 0)] * 2
+        assert calls == [((1, 0), 2)]
         assert got.points == ((0, 0), (10**6, 1), (10**6 + 1, 1))
 
     def test_orientation_follows_the_shorter_side(self, monkeypatch):
@@ -244,14 +246,15 @@ class TestEnumeration:
             got = enumerate_lattice_points(P)
             assert got.points == PointSet(box_points_oracle(P)).points
             # columns unless they outnumber the rows by more than the sort
-            # of the points costs, in kernel calls
+            # of the points costs, in levels read
             slack = len(got) // core.SORT_POINTS
-            assert len(calls) <= min(w, h) + 1 + slack
+            [(u, levels)] = calls
+            assert levels <= min(w, h) + 1 + slack
             if w < h:
-                assert calls == [(0, 1)] * (w + 1)
+                assert calls == [((0, 1), w + 1)]
             elif w - h > slack:
-                assert calls == [(1, 0)] * (h + 1)
-            seen.add(calls[0])
+                assert calls == [((1, 0), h + 1)]
+            seen.add(u)
         assert seen == {(0, 1), (1, 0)}
 
 

@@ -64,6 +64,24 @@ def test_oracle_on_an_integer_document_loads_no_fractions():
     assert not loaded & (COMPUTE - {"latticediam.oracle"})
 
 
+@pytest.mark.parametrize("command, out", [
+    ("oracle", "ldiam=4 segments=3 directions=1\ndirection=(1,0)\n"),
+    ("borsuk", "parts=2 bound=2^2=4\n"),
+])
+def test_oracle_and_borsuk_on_a_polygon_load_no_2d_module(command, out):
+    # the lattice points of a polygon are read from its level pieces, which
+    # live in core: no diameter, lines or svg module, and no fractions
+    done = fresh(
+        "-X", "importtime", "-m", "latticediam", command, "sample_inputs/demo-quad.json"
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith(out)
+    loaded = imported(done)
+    assert {"latticediam.core", "latticediam.oracle"} <= loaded
+    assert not loaded & {"fractions", "decimal"}
+    assert not loaded & {f"latticediam.{m}" for m in ("diameter", "lines", "svg")}
+
+
 def test_hardness_verify_loads_no_fractions():
     # the gadget's y range is an integer pair, so no Fraction is built
     done = fresh(

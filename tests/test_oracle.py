@@ -1,15 +1,16 @@
 import random
-from itertools import combinations, product
+from itertools import product
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_point_set, random_polygon
+from helpers import naive_pair_oracle, random_point_set, random_polygon
 from latticediam import (
     BudgetError,
     Direction,
     PointSet,
+    Polygon2,
     ValidationError,
     brute_force_diameter,
     build_borsuk_graph,
@@ -22,23 +23,17 @@ from latticediam import (
 )
 
 
-def naive_report(S: PointSet):
-    """Direct reference: max gcd over pairs, computed with no shortcuts."""
-    best, segs = 0, []
-    for p, q in combinations(S.points, 2):
-        g = gcd(*(b - a for a, b in zip(p, q)))
-        if g > best:
-            best, segs = g, [(p, q)]
-        elif g == best:
-            segs.append((p, q))
-    return best, segs
+def pair_scan(pts):
+    """The pair path, given the columns that brute_force_diameter passes it."""
+    return oracle._pair_scan(pts, tuple(zip(*pts)))
 
 
 def residue_scan(pts):
-    """The residue path, given the ranges and bound that brute_force_diameter
-    passes it."""
-    spreads = [max(col) - min(col) for col in zip(*pts)]
-    return oracle._residue_scan(pts, spreads, oracle._residue_bound(spreads))
+    """The residue path, given the columns, ranges and bound that
+    brute_force_diameter passes it."""
+    cols = tuple(zip(*pts))
+    spreads = [max(col) - min(col) for col in cols]
+    return oracle._residue_scan(pts, cols, spreads, oracle._residue_bound(spreads))
 
 
 def scan_pairs(pts):
@@ -109,9 +104,9 @@ class TestBruteForce:
 def test_specialized_loops_agree_with_generic(seed):
     rng = random.Random(seed)
     S = random_point_set(rng, 2, coord=9, n_hi=12)
-    naive_best, naive_segs = naive_report(S)
+    naive_best, naive_segs = naive_pair_oracle(S)
     for T in (S, PointSet([p + (5,) for p in S]), PointSet([p + (5, -7) for p in S])):
-        for scan in (oracle._pair_scan, residue_scan, scan_pairs):
+        for scan in (pair_scan, residue_scan, scan_pairs):
             best, hits = scan(T.points)
             assert best == naive_best
             assert len(hits) == len(naive_segs)
@@ -153,13 +148,107 @@ def test_pair_and_residue_paths_match_naive(d):
     for name, S in two_path_cases(d):
         if len(S) < 2:
             continue
-        naive_best, naive_segs = naive_report(S)
+        naive_best, naive_segs = naive_pair_oracle(S)
         pts = S.points
-        for scan in (oracle._pair_scan, residue_scan):
+        for scan in (pair_scan, residue_scan):
             best, hits = scan(pts)
             assert best == naive_best, (name, scan.__name__)
             assert hits == sorted(hits), (name, scan.__name__)
             assert [(pts[i], pts[j]) for i, j in hits] == naive_segs, (name, scan.__name__)
+
+
+SHELL_ONE = ((1, 0), (0, 1), (1, 1), (1, -1))
+
+
+def shell_one_cases():
+    """Seeded planar sets, lex-sorted and named, whose residue bound is over
+    half the widest range R: corners and end pairs of lines of one span in
+    several shell-one directions, so their spans tie; small sparse sets,
+    whose shell-one lines are short; pairs; and points on one line."""
+    rng = random.Random("shell-one")
+
+    def spread(pts):
+        return [max(col) - min(col) for col in zip(*pts)]
+
+    def kept(pts):
+        spreads = spread(pts)
+        return 2 * oracle._residue_bound(spreads) > max(spreads)
+
+    for m in (1, 2, 5, 12):
+        yield f"square corners m={m}", tuple(product((0, m), repeat=2))
+    made = 0
+    while made < 120:
+        m = rng.randint(3, 40)
+        s = rng.randint(m // 2 + 1, m)
+        pts = {(rng.randint(0, m), rng.randint(0, m)) for _ in range(rng.randint(0, 6))}
+        for ux, uy in rng.sample(SHELL_ONE, rng.randint(2, 4)):
+            x = rng.randint(0, m - s * ux)
+            y = rng.randint(s if uy < 0 else 0, m - s * max(uy, 0))
+            pts |= {(x, y), (x + s * ux, y + s * uy)}
+        pts = tuple(sorted(pts))
+        if kept(pts):
+            made += 1
+            yield f"tied lines {made}", pts
+    made = 0
+    while made < 120:
+        m = rng.randint(4, 200)
+        pts = tuple(sorted(
+            {(rng.randint(0, m), rng.randint(0, m)) for _ in range(rng.randint(3, 9))}
+        ))
+        if kept(pts):
+            made += 1
+            yield f"sparse {made}", pts
+    made = 0
+    while made < 60:
+        pts = tuple(sorted({(0, 0), (rng.randint(-50, 50), rng.randint(1, 50))}))
+        if len(pts) == 2 and kept(pts):
+            made += 1
+            yield f"pair {pts}", pts
+    made = 0
+    while made < 60:
+        u = (rng.randint(1, 5), rng.choice((-1, 1)) * rng.randint(1, 5))
+        ts = rng.sample(range(rng.randint(6, 30)), rng.randint(2, 6))
+        pts = tuple(sorted((t * u[0], 100 + t * u[1]) for t in ts))
+        if len(pts) > 1 and kept(pts):
+            made += 1
+            yield f"collinear {u}", pts
+
+
+def test_shell_one_lines_match_the_row_loop_and_naive():
+    # a shell-one best over R / 2 returns before any modulus, and one at
+    # most R / 2 starts the moduli at R // 2; both must give every pair
+    ties = starts = pairs = lines = 0
+    for name, pts in shell_one_cases():
+        naive_best, naive_segs = naive_pair_oracle(PointSet(pts))
+        best, hits = residue_scan(pts)
+        assert best == naive_best, name
+        assert hits == sorted(hits), name
+        assert [(pts[i], pts[j]) for i, j in hits] == naive_segs, name
+        row_best, row_hits = oracle._row_loop(pts, [x for x, _ in pts])
+        assert (row_best, sorted(row_hits)) == (best, hits), name
+        R = max(max(col) - min(col) for col in zip(*pts))
+        directions = {Direction(tuple(b - a for a, b in zip(p, q))) for p, q in naive_segs}
+        if 2 * best > R:
+            ties += len(directions) > 1
+        else:
+            starts += 1
+        pairs += len(pts) == 2
+        lines += name.startswith("collinear")
+    assert ties >= 60 and starts >= 150 and pairs >= 60 and lines == 60
+
+
+def test_box_and_dense_polygon_return_before_any_modulus(monkeypatch):
+    def refuse(n, d):
+        raise AssertionError("a modulus was tried")
+
+    box = tuple(product(range(9), repeat=2))
+    polygon = enumerate_lattice_points(Polygon2(((0, 0), (5, 1), (6, 4), (1, 3))).dilate(4))
+    want = [naive_pair_oracle(PointSet(pts)) for pts in (box, polygon.points)]
+    monkeypatch.setattr(oracle, "_rabinowitz_floor", refuse)
+    for pts, (naive_best, naive_segs) in zip((box, polygon.points), want):
+        best, hits = residue_scan(pts)
+        assert best == naive_best
+        assert [(pts[i], pts[j]) for i, j in hits] == naive_segs
 
 
 def planar_cases():
@@ -205,8 +294,8 @@ def test_line_phase_and_seeded_loop_match_naive():
     # row loop; the row loop is exact from any seed up to the maximum
     ends = set()
     for name, pts in planar_cases():
-        naive_best, naive_segs = naive_report(PointSet(pts))
-        best, hits, steps = oracle._line_phase(pts)
+        naive_best, naive_segs = naive_pair_oracle(PointSet(pts))
+        best, hits, steps = oracle._line_phase(*zip(*pts))
         if hits is not None:
             ends.add("stop")
             assert best == naive_best, name
@@ -215,15 +304,15 @@ def test_line_phase_and_seeded_loop_match_naive():
             ends.add("handover")
             assert best <= naive_best, name
         for seed in {0, best, naive_best}:
-            got, rows = oracle._row_loop(pts, seed)
+            got, rows = oracle._row_loop(pts, [x for x, _ in pts], seed)
             assert got == naive_best, (name, seed)
             assert [(pts[i], pts[j]) for i, j in rows] == naive_segs, (name, seed)
-        scanned = oracle._pair_scan(pts)
+        scanned = pair_scan(pts)
         assert scanned[0] == naive_best, name
         assert [(pts[i], pts[j]) for i, j in scanned[1]] == naive_segs, name
         if name.startswith("d=1"):
             # _pair_scan reads a set of Z^1 as this copy on y = 0
-            assert oracle._pair_scan(tuple((x,) for x, _ in pts)) == scanned, name
+            assert pair_scan(tuple((x,) for x, _ in pts)) == scanned, name
     assert ends == {"stop", "handover"}
 
 
@@ -235,13 +324,13 @@ def test_line_phase_stops_by_the_norm_bound():
     dense = set()
     while len(dense) < 1000:
         dense.add((rng.randint(0, 10**5), rng.randint(0, 10**5)))
-    best, hits, steps = oracle._line_phase(tuple(sorted(dense)))
+    best, hits, steps = oracle._line_phase(*zip(*sorted(dense)))
     assert hits is not None and 2 * best > 10**5 - 1
     assert steps <= 4 * 1000
     sparse = set()
     while len(sparse) < 100:
         sparse.add((rng.randint(0, 10**6), rng.randint(0, 10**6)))
-    best, hits, steps = oracle._line_phase(tuple(sorted(sparse)))
+    best, hits, steps = oracle._line_phase(*zip(*sorted(sparse)))
     assert hits is None
     # the probe stays within 1 / LINE_PROBE of the pairs, give or take a shell
     assert oracle.LINE_COST * steps <= 2 * (100 * 99 // 2) // oracle.LINE_PROBE
@@ -258,7 +347,7 @@ def test_planar_budget_still_charges_the_pairs():
     assert oracle.check_pair_budget(1000, [10**6, 10**6], 499_500) is None
     with pytest.raises(BudgetError, match="499500 pairs, over the budget of 499499"):
         brute_force_diameter(S, max_pairs=499_499)
-    assert brute_force_diameter(S, max_pairs=499_500).ldiam == naive_report(S)[0]
+    assert brute_force_diameter(S, max_pairs=499_500).ldiam == naive_pair_oracle(S)[0]
 
 
 def test_dispatch_takes_each_path(monkeypatch):
@@ -271,7 +360,7 @@ def test_dispatch_takes_each_path(monkeypatch):
     assert brute_force_diameter(box).ldiam == 7
     monkeypatch.undo()
     monkeypatch.setattr(oracle, "_residue_scan", refuse)
-    assert brute_force_diameter(sparse).ldiam == naive_report(sparse)[0]
+    assert brute_force_diameter(sparse).ldiam == naive_pair_oracle(sparse)[0]
 
 
 def test_decides_the_path_once(monkeypatch):
