@@ -305,7 +305,7 @@ def main() -> None:
     args = parser.parse_args()
 
     # the builder itself, past any cache in front of it
-    build = getattr(cli._build_parser, "__wrapped__", cli._build_parser)
+    build = getattr(cli._parsers, "__wrapped__", cli._parsers)
     with tempfile.TemporaryDirectory() as workdir:
         env = child_env(os.path.join(workdir, "pycache"))
         envs = {"this": env}

@@ -1,26 +1,30 @@
 """Scaling ladders of the dilation counts, written as one JSON file.
 
-    PYTHONPATH=src python scripts/bench_dilation.py --out BENCH_24.json \
+    PYTHONPATH=src python scripts/bench_dilation.py --out BENCH_27.json \
         [--baseline OTHER_CHECKOUT/src]
 
 Rows:
 - dilation_profile(P) on the reference quad conv{(0,0),(5,1),(6,4),(1,3)}
-  and the square [0,2]^2: the best time of building the profile;
+  and the square [0,2]^2: the best time of building the profile
+  ("dilation_profile_s");
 - DilationProfile.count(k) for k = 10^1 .. 10^12 on the same two polygons:
   the value, the best time in seconds of the first count of a profile
-  ("seconds"), the best time of a count on a warm profile
-  ("warm_seconds"), and the floor_sum and level_interval calls of one first
-  count (taken in a separate, untimed pass). A first count also builds the
-  level pieces of the profile's diameter directions, and the profile keeps
-  each count, so every "seconds" call gets a fresh profile, built before
-  its timer starts. "warm_seconds" times counts((k,)) on one profile whose
-  pieces are already built and whose kept counts are dropped before each
-  call: the cost of each further k;
+  ("first_s"), the best time of a count on a warm profile ("warm_s"), and
+  the floor_sum and level_interval calls of one first count (taken in a
+  separate, untimed pass). A first count also builds the level pieces of
+  the profile's diameter directions, and the profile keeps each count, so
+  every "first_s" call gets a fresh profile, built before its timer
+  starts. "warm_s" times counts((k,)) on one profile whose pieces are
+  already built and whose kept counts are dropped before each call: the
+  cost of each further k. These rows and the profile rows are timed in
+  rounds, as the range counts are (below);
 - range_counts: the best time per k ("per_k_s") of counts(range(1, K + 1))
   on a warm profile, its kept counts dropped before each call, with the sum
-  of the K counts, for the quad and the square at K = 100 and for the 4q
+  of the K counts, for the quad and the square at K = 100, for the 4q
   windows of T_m (below) for m = 19, 61, 113 and 229, the K = 4q samples
-  the fit takes first, q the denominator of the longest chord.
+  the fit takes first, q the denominator of the longest chord, and for the
+  lattice "circles" (below) m = 8, 14 and 20 at K = 5,000, whose many
+  level pieces mostly never reach the chord window.
   With --baseline, the same rows are timed on the package found in that
   directory, as the ladder below is, and each row holds them under
   "baseline"; a package without counts, before the range kernel, is timed
@@ -58,7 +62,8 @@ Rows:
 
 Times are the best of at least REPEAT runs of a single call, and of as
 many more as fit in MIN_SECONDS, after one warm-up call. The profile
-ladder, the prune rows and the range counts are timed in ROUNDS rounds, alternating this
+ladder, the prune rows, the range counts and the lone profile and count
+rows are timed in ROUNDS rounds, alternating this
 package and the baseline, and which of the two runs first in a round, so
 a slow spell of a shared host, or the order, weighs on both sides alike,
 and each of their times is reported as its quartiles [q1, median, q3] over
@@ -114,6 +119,8 @@ SCRIPTS = os.path.dirname(os.path.abspath(__file__))
 # the directory holding the latticediam package this script imported
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(latticediam.__file__)))
 RANGE_K = 100
+CIRCLE_RANGE = (8, 14, 20)
+CIRCLE_RANGE_K = 5000
 # Run in a child interpreter whose path leads to the package to time.
 CHILD = "import json, bench_dilation; print(json.dumps(bench_dilation.{}()))"
 
@@ -175,17 +182,45 @@ def range_count_rows() -> list[dict]:
         profile = dilation_profile(T)
         _, q = profile.longest_chord  # the fit's period
         windows.append(({"polygon": "T", "m": m}, T, 4 * q))
+    for m in CIRCLE_RANGE:
+        windows.append(({"polygon": "circle", "m": m}, lattice_circle(m), CIRCLE_RANGE_K))
     rows = []
     for row, P, K in windows:
         profile = dilation_profile(P)
         ks = range(1, K + 1)
+        ranged = hasattr(profile, "counts")
         row.update({
             "K": K,
-            "kernel": "counts" if hasattr(profile, "counts") else "count loop",
-            "counts_sum": sum(map(profile.count, ks)),
+            "kernel": "counts" if ranged else "count loop",
+            "counts_sum": sum(profile.counts(ks) if ranged else map(profile.count, ks)),
             "per_k_s": best_warm_time(profile, ks, REPEAT) / K,
         })
         rows.append(row)
+    return rows
+
+
+def lone_rows() -> list[dict]:
+    """The profile row and the count rows of the quad and the square."""
+    rows = []
+    for name, P in (("quad", QUAD), ("square", SQUARE)):
+        rows.append({
+            "row": "dilation_profile",
+            "polygon": name,
+            "dilation_profile_s": best_time(lambda: dilation_profile(P), REPEAT),
+        })
+        for e in range(1, 13):
+            k = 10**e
+            profile = dilation_profile(P)
+            calls = kernel_calls(lambda: profile.count(k))
+            rows.append({
+                "row": "count",
+                "polygon": name,
+                "k": f"1e{e}",
+                "count": profile.count(k),
+                "first_s": best_count_time(P, k, REPEAT),
+                "warm_s": best_warm_time(profile, (k,), REPEAT),
+                "kernel_calls": calls,
+            })
     return rows
 
 
@@ -369,34 +404,17 @@ def main() -> None:
                     theirs = in_child(args.baseline, rows)
                 for row, other in zip(ours, theirs):
                     row["baseline"] = {key: value for key, value in other.items()
-                                       if key not in ("polygon", "n", "m", "s", "H", "K",
-                                                      "width", "seed")}
+                                       if key not in ("row", "polygon", "n", "m", "s", "H",
+                                                      "K", "k", "width", "seed")}
             runs.append(ours)
         return [quartiles(list(row_rounds)) for row_rounds in zip(*runs)]
 
     ladder = rounds("profile_ladder")
     range_counts = rounds("range_count_rows")
     prune = rounds("prune_rows")
-
-    profiles = []
-    counts = []
-    for name, P in (("quad", QUAD), ("square", SQUARE)):
-        profiles.append({
-            "polygon": name,
-            "seconds": best_time(lambda: dilation_profile(P), REPEAT),
-        })
-        for e in range(1, 13):
-            k = 10**e
-            profile = dilation_profile(P)
-            calls = kernel_calls(lambda: profile.count(k))
-            counts.append({
-                "polygon": name,
-                "k": f"1e{e}",
-                "count": profile.count(k),
-                "seconds": best_count_time(P, k, REPEAT),
-                "warm_seconds": best_warm_time(profile, (k,), REPEAT),
-                "kernel_calls": calls,
-            })
+    lone = rounds("lone_rows")
+    profiles = [row for row in lone if row["row"] == "dilation_profile"]
+    counts = [row for row in lone if row["row"] == "count"]
     fits = []
     for m in FIT_SIZES:
         T = triangle(m)

@@ -374,10 +374,11 @@ def _cmd_hardness_verify(args: argparse.Namespace) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The command line parser, built on the first run() of a process and
-    kept: parsing leaves it unchanged, handlers look up module globals when
-    called, and help reads the terminal width when it is formatted."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The command line parser and the parser of each subcommand, by name
+    and alias, built on the first run() of a process and kept: parsing
+    leaves them unchanged, handlers look up module globals when called, and
+    help reads the terminal width when it is formatted."""
     parser = argparse.ArgumentParser(
         prog="latticediam",
         description="Exact lattice diameter computations on polygons and point sets.",
@@ -448,12 +449,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--d", type=int, default=3)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: Sequence[str] | None) -> argparse.Namespace:
+    """The arguments of argv, parsed by its subcommand's parser alone when
+    argv starts with a subcommand and leaves nothing over: the full parser
+    hands a subcommand's arguments to that parser unchanged, so the result
+    is the same. Any other argv goes through the full parser, so every
+    usage error, help text and exit code is the full parser's."""
+    parser, commands = _parsers()
+    if argv is None:
+        argv = sys.argv[1:]
+    sub = commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extras = sub.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(argv)
     try:
         return args.handler(args)
     except ParseError as exc:

@@ -51,8 +51,11 @@ do not depend on k, kept in the row too: the sweep clips each piece at
 (1, best - 1) (_chord_clip), and one kernel (_piece_counts) clips and
 counts a piece for a run of (k, m) pairs. A range of dilates is counted in
 one pass, which groups the ks by their diameter directions and passes, to
-each piece of those directions, the pairs of the whole group; a lone k is
-a range of one. The fit's period is the denominator of the longest chord
+each live piece of those directions, the pairs of the whole group that it
+admits: a piece whose longest chord c is below C* has an empty window once
+k (C* - c) >= 1, as with K0, so each piece keeps an integer bound K_p on
+the ks it can count, and a k costs O(live pieces), not O(n). A lone k is a
+range of one. The fit's period is the denominator of the longest chord
 of P, which the pass that builds the chord table keeps. All of
 it is integer arithmetic, and this module clips no line itself: the
 representative segments' clip_line goes through core.line_bounds. The
@@ -62,6 +65,7 @@ points of a polygon from the same rows.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from math import gcd
 from typing import Collection, Iterable, Iterator, Sequence
 
@@ -491,6 +495,15 @@ class DilationProfile:
     pieces, built once per direction, with the pieces outer and the ks that
     share the directions inner, every k past the largest K0 in one group;
     count(k) is counts((k,))[0]. Each count is kept.
+
+    The same argument bounds each piece: its chord is linear in the level,
+    so its longest chord c is at one of its ends, and once k (C* - c) >= 1
+    its window is empty. So each piece of a direction gets, when the
+    direction's pieces are built, one integer bound K_p from its row and
+    C* (_live_pieces), and a group's pairs go only to the pieces whose K_p
+    reaches them: a k costs O(log) integer steps per piece live at k, not
+    per piece. On lattice_circle(20), 4 of the 1,022 pieces of its two C*
+    directions are live at any k.
     """
 
     def __init__(self, P: Polygon2, halfplanes: list[tuple[Point, int]]):
@@ -520,6 +533,7 @@ class DilationProfile:
             default=0,
         )
         self._pieces: dict[Point, tuple[Point, list[Piece]]] = {}
+        self._live: dict[Point, tuple[list[Piece], list[tuple[int, Piece]]]] = {}
         self._counts: dict[int, int] = {}
 
     def _directions(self, k: int) -> tuple[int, tuple[Point, ...]]:
@@ -554,6 +568,47 @@ class DilationProfile:
             )
         return levels
 
+    def _live_pieces(self, u: Point) -> tuple[list[Piece], list[tuple[int, Piece]]]:
+        """The pieces of u whose chord window can be nonempty at some k:
+        those that reach it at every k, and (K_p, piece) for the others, by
+        decreasing K_p, the last k at which the piece's window can be
+        nonempty. Computed once.
+
+        With T = -ti * tj > 0, a window is nonempty only if
+        A * e <= B = k C - m T, e the level of the piece's end where A * e
+        is least: k lo when A > 0, k hi - cut when A < 0. That is
+        m T + k a1 + a0 <= 0, with (a1, a0) = (A lo - C, 0), (A hi - C,
+        -A cut) or (-C, 0) when A = 0. The window m = floor(k N / D) of kP
+        is at least (k N - D + 1) / D, so the piece's window is empty once
+        k s > b, with s = T N + D a1 and b = T (D - 1) - D a0. The piece's
+        longest chord c, at that end, is -a1 / T <= C*, so s = T D (C* - c)
+        >= 0. When s > 0 the window is empty past K_p = floor(b / s), and
+        b < T D gives K_p < 1 / (C* - c): the piece's own K0, in integers.
+        When s = 0 the piece reaches C*, and it is live at every k or, when
+        b < 0 (C* only at its open end), at none."""
+        live = self._live.get(u)
+        if live is None:
+            N, D = self.longest_chord
+            always: list[Piece] = []
+            bounded: list[tuple[int, Piece]] = []
+            for piece in self.pieces(u)[1]:
+                lo, hi, cut, A, titj, C = piece[:6]
+                if A > 0:
+                    a1, a0 = A * lo - C, 0
+                elif A < 0:
+                    a1, a0 = A * hi - C, -A * cut
+                else:
+                    a1, a0 = -C, 0
+                s, b = D * a1 - titj * N, -titj * (D - 1) - D * a0
+                if s > 0:
+                    if b >= s:
+                        bounded.append((b // s, piece))
+                elif b >= 0:
+                    always.append(piece)
+            bounded.sort(reverse=True)
+            live = self._live[u] = always, bounded
+        return live
+
     def count(self, k: int) -> int:
         """The number of lattice diameter lines of kP: counts((k,))[0]."""
         return self.counts((k,))[0]
@@ -561,48 +616,72 @@ class DilationProfile:
     def counts(self, ks: Iterable[int]) -> list[int]:
         """count(k) for each k of ks, in order. Every k is checked before
         any is counted, and the ks not counted before go to the kernel in
-        one batch, each once."""
+        one batch, each once, in the order of their first appearance. The
+        check reads the set of the types of ks and their least value, with
+        no Python step per k."""
         ks = tuple(ks)
+        if ks and (
+            not all(issubclass(t, int) for t in set(map(type, ks))) or min(ks) < 1
+        ):
+            raise ValidationError("dilation factor must be a positive int")
         cache = self._counts
-        new: dict[int, None] = {}
-        for k in ks:
-            if not isinstance(k, int) or k < 1:
-                raise ValidationError("dilation factor must be a positive int")
-            if k not in cache:
-                new[k] = None
+        new = dict.fromkeys(ks)
+        if cache:
+            new = [k for k in new if k not in cache]
         if new:
             cache.update(self._count(new))
-        return [cache[k] for k in ks]
+        return list(map(cache.__getitem__, ks))
 
-    def _groups(self, ks: Iterable[int]) -> dict[tuple[Point, ...], list[tuple[int, int]]]:
-        """The (k, m) pairs of the ks, m = best - 1 of kP, grouped by the
-        diameter directions of kP (_directions): every k past the largest
-        K0 falls in the one group of the directions of C*."""
+    def _groups(self, ks: Sequence[int]) -> dict[tuple[Point, ...], list[tuple[int, int]]]:
+        """The (k, m) pairs of the increasing ks, m = best - 1 of kP,
+        grouped by the diameter directions of kP (_directions), each group
+        in increasing k. The ks from the largest K0 on all fall in the one
+        group of the directions of C*, with m = floor(k C*), built in one
+        pass with no _directions call."""
+        N, D = self.longest_chord
+        split = bisect_left(ks, self._tie_bound)
         groups: dict[tuple[Point, ...], list[tuple[int, int]]] = {}
-        for k in ks:
+        for k in ks[:split]:
             m, directions = self._directions(k)
             groups.setdefault(directions, []).append((k, m))
+        if split < len(ks):
+            groups.setdefault(self._longest_directions, []).extend(
+                [(k, k * N // D) for k in ks[split:]]
+            )
         return groups
 
     def _count(self, ks: Collection[int]) -> dict[int, int]:
         """The count kernel over distinct ks: per group of ks that share
-        their diameter directions (_groups), one pass over the pieces of
-        each direction, with the (k, m) pairs of the group inside each
-        piece.
+        their diameter directions (_groups), one pass over the live pieces
+        of each direction (_live_pieces), with the (k, m) pairs of the group
+        that each piece admits inside it: all of them, or, the pairs being
+        in increasing k, the slice up to its K_p, found by one bisection.
 
         Scaling P by k scales every level and every halfplane constant c by
         k. Inside the m chord window every level holds m or m + 1 points
         (the floor/+1 sandwich), and outside it at most m, so the count of
         kP is the sum over the window pieces of their points beyond m per
-        level (_piece_counts). There are O(n) pieces per direction, so a
-        count costs O(n log) integer steps, whatever the size of k.
+        level (_piece_counts). A piece past its K_p has an empty window, so
+        a k costs O(log) integer steps per piece live at k, whatever the
+        size of k, and not O(n): the pieces are sorted by K_p, and the pass
+        stops at the first one below the group's least k.
         """
+        ks = sorted(ks)
         totals = dict.fromkeys(ks, 0)
-        built = self._pieces
+        built = self._live
         for directions, pairs in self._groups(ks).items():
+            first, last = pairs[0][0], pairs[-1][0]
             for d in directions:
-                for piece in (built.get(d) or self.pieces(d))[1]:
+                always, bounded = built.get(d) or self._live_pieces(d)
+                for piece in always:
                     _piece_counts(piece, pairs, totals)
+                for K, piece in bounded:
+                    if K >= last:
+                        _piece_counts(piece, pairs, totals)
+                    elif K >= first:
+                        _piece_counts(piece, pairs[:bisect_left(pairs, (K + 1,))], totals)
+                    else:
+                        break
         return totals
 
 

@@ -20,10 +20,10 @@ be rational, but its rows are counted against floored, integer constants.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor, gcd
+from math import gcd
 from typing import Sequence
 
-from .core import Direction, Polygon2, RationalPoint, level_interval
+from .core import Direction, Polygon2, RationalPoint
 from .diameter import DilationProfile, dilation_profile
 from .errors import BudgetError, FitError, ValidationError
 from .frozen import Frozen
@@ -271,20 +271,24 @@ def chamber_decomposition(
         raise ValidationError("transverse direction must leave the horizontal")
     y0 = int(y_bot)
     # <(iy, -ix), x> is constant along a transverse edge: L on the left edge
-    # (through bottom[0]) and R on the right one; both may be Fractions. An
-    # integer point x has <n, x> <= c exactly when <n, x> <= floor(c), so
-    # the rows are clipped against the floored constants of the dilate.
+    # (through bottom[0]) and R on the right one; both may be Fractions, and
+    # are kept as integer numerators and denominators. An integer point x
+    # has <n, x> <= c exactly when <n, x> <= floor(c), so the rows are
+    # clipped against the floored constants cl = floor(-k L) and
+    # cr = floor(k R) of the dilate: on row y, the points (x, y) have
+    # ix y - cl <= iy x <= cr + ix y, two floor divisions by iy = q > 0.
     L = iy * bottom[0][0] - ix * bottom[0][1]
     R = iy * bottom[1][0] - ix * bottom[1][1]
+    Ln, Ld, Rn, Rd = L.numerator, L.denominator, R.numerator, R.denominator
     per_residue: list[tuple[int, int, int]] = []
     for i in range(q):
         k = q + i  # representative with at least one full block
         total_lines = k * w + 1
-        sides = [((-iy, ix), floor(-k * L)), ((iy, -ix), floor(k * R))]
+        cl, cr = -k * Ln // Ld, k * Rn // Rd
         counts = []
-        for j in range(total_lines):
-            row = level_interval(sides, (0, k * y0 + j), (1, 0))
-            counts.append(0 if row is None else row[1] - row[0] + 1)
+        for y in range(k * y0, k * y0 + total_lines):
+            n = (cr + ix * y) // iy + (cl - ix * y) // iy + 1
+            counts.append(n if n > 0 else 0)
         peak = max(counts)
         flags = [c == peak for c in counts]
         blocks = total_lines // q

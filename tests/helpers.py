@@ -24,7 +24,7 @@ from latticediam import (
 from latticediam import borsuk
 from latticediam.core import floor_sum, line_bounds
 from latticediam.dilation import BlockDecomposition
-from latticediam.diameter import DiameterReport, _chord_clip, dilation_profile
+from latticediam.diameter import DiameterReport, _chord_clip, _piece_counts, dilation_profile
 from latticediam.lines import ClippedSegment, level_anchor, level_interval
 from latticediam.svg import MARGIN, PALETTE, SCALE
 
@@ -575,6 +575,20 @@ def groups_oracle(profile, ks) -> dict[tuple[tuple[int, int], ...], list[tuple[i
         m, directions = window_oracle(profile, k)
         groups.setdefault(tuple(directions), []).append((k, m))
     return groups
+
+
+def unpruned_counts(profile, ks) -> list[int]:
+    """The range kernel before the piece bound, kept as the reference of the
+    live pieces (DilationProfile._live_pieces): the pairs of each group of
+    the ks (groups_oracle), handed to every level piece of each of the
+    group's directions, live or not. O(n) pieces per k."""
+    totals = dict.fromkeys(ks, 0)
+    # the keys of totals hold each k once
+    for directions, pairs in groups_oracle(profile, totals).items():
+        for d in directions:
+            for piece in profile.pieces(d)[1]:
+                _piece_counts(piece, pairs, totals)
+    return [totals[k] for k in ks]
 
 
 def tie_bound_oracle(profile) -> int:

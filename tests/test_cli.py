@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -649,7 +650,7 @@ class TestTopLevel:
         assert first[0][3] is not None and first[4][1].startswith("usage: latticediam")
 
     def test_parser_is_built_once_per_process(self):
-        assert cli._build_parser() is cli._build_parser()
+        assert cli._parsers() is cli._parsers()
 
     def test_import_builds_no_parser(self):
         code = (
@@ -670,3 +671,76 @@ class TestTopLevel:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout == "0\n"
+
+
+class TestDispatch:
+    """run() parses a subcommand's arguments with that subcommand's parser
+    alone; every argv gives the full parser's stdout, stderr, exit code and
+    files."""
+
+    @staticmethod
+    def argvs(quad: str, svg: str) -> list[list[str]]:
+        return [
+            ["diam2d", quad],
+            ["diam2d", quad, "--verify", "--budget", "5000", "--svg", svg],
+            ["oracle", quad],
+            ["directions", quad, "--budget", "100"],
+            ["ld-count", quad, "--k-max", "100", "--format", "json"],
+            ["ld", quad, "--k-max", "12", "--fit"],
+            ["ld-count", quad, "--k", "7"],
+            ["ld-fit", quad, "--k-max", "12"],
+            ["borsuk", quad, "--exact", "--node-budget", "50"],
+            ["construct", "chamber", "--verify"],
+            ["construct", "slope-triangle", "--t", "1", "--x", "3", "--verify"],
+            ["hardness-verify", "--a", "1", "--b", "1", "--c", "2"],  # exits 3
+            # usage errors and help
+            [],
+            ["mystery", quad],
+            ["-h"],
+            ["--help", "diam2d"],
+            ["diam2d", "-h"],
+            ["ld-count", quad, "--help"],
+            ["ld-count", quad],
+            ["ld-count", quad, "--k-max", "5", "--format", "xml"],
+            ["ld-count", quad, "--k-max", "0"],
+            ["diam2d", quad, "--budget", "0"],
+            ["diam2d", quad, "extra"],
+            ["diam2d", quad, "--k-max", "3"],
+            ["--budget", "5", "diam2d", quad],
+            ["construct", "cube"],
+            ["hardness-verify", "--a", "1"],
+            ["ld"],
+        ]
+
+    def test_same_as_the_full_parser(self, quad_file, tmp_path, capsys, monkeypatch):
+        svg_path = tmp_path / "out.svg"
+
+        def outcome(argv):
+            try:
+                code = cli.run(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            svg = svg_path.read_bytes() if svg_path.exists() else None
+            if svg is not None:
+                svg_path.unlink()
+            return code, captured.out, captured.err, svg
+
+        argvs = self.argvs(quad_file, str(svg_path))
+        direct = [outcome(argv) for argv in argvs]
+        monkeypatch.setattr(cli, "_parse", lambda argv: cli._parsers()[0].parse_args(argv))
+        full = [outcome(argv) for argv in argvs]
+        for argv, got, want in zip(argvs, direct, full):
+            assert got == want, argv
+        codes = Counter(code for code, *_ in direct)
+        assert codes == {0: 15, 2: 12, 3: 1}, codes
+
+    def test_a_subcommand_skips_the_full_parser(self, quad_file, capsys, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("the full parser ran")
+
+        monkeypatch.setattr(cli._parsers()[0], "parse_args", refused)
+        assert cli.run(["ld", quad_file, "--k-max", "3", "--format", "json"]) == 0
+        assert capsys.readouterr().out == '{"counts": [[1, 3], [2, 4], [3, 3]]}\n'
+        with pytest.raises(AssertionError, match="full parser"):
+            cli.run(["ld-count", quad_file, "--k-max", "3", "stray"])

@@ -1,8 +1,13 @@
 """Diameter line counts of dilates: exact counting, fitting, chambers."""
 
+import os
 import random
+import subprocess
+import sys
+import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,9 +26,11 @@ from latticediam import (
     chamber_decomposition,
     count_diameter_lines,
     demo_chamber,
+    document_for_polygon,
     enumerate_lattice_points,
     fit_quasipolynomial,
     nvol,
+    render_document,
 )
 
 from helpers import (
@@ -47,9 +54,10 @@ from helpers import (
     random_polygon,
     ring_polygons,
     tie_bound_oracle,
+    unpruned_counts,
     window_oracle,
 )
-from latticediam import compute_diameter, diameter, local_diameter_lines
+from latticediam import compute_diameter, core, diameter, dilation, lines, local_diameter_lines
 from latticediam.core import floor_sum, level_interval
 from latticediam.diameter import DilationProfile, dilation_profile
 
@@ -426,6 +434,106 @@ class TestTieBound:
         assert cases > 700 and ties > 30, (cases, ties)
 
 
+class TestLivePieces:
+    """The count kernel hands each group of (k, m) pairs only to the level
+    pieces whose bound K_p admits them (DilationProfile._live_pieces): a
+    piece past its K_p has an empty chord window."""
+
+    @pytest.fixture(scope="class")
+    def polygons(self):
+        rng = random.Random(2701)
+        return [
+            *map(lattice_circle, range(2, 9)), QUAD, plateau(10),
+            *(triangle(m) for m in range(5, 20)),
+            *(random_polygon(rng, span_hi=rng.choice((6, 12, 40)), coord=10**4)
+              for _ in range(300)),
+        ]
+
+    @staticmethod
+    def checked_ks(profile) -> list[int]:
+        """k = 1 .. K0 + 2q + 5, then 10^6 + r and 10^12 + r for r < q."""
+        _, q = profile.longest_chord
+        ks = [*range(1, profile._tie_bound + 2 * q + 6)]
+        return ks + [base + r for base in (10**6, 10**12) for r in range(q)]
+
+    def test_counts_match_the_unpruned_kernel(self, polygons):
+        pruned = 0
+        for P in polygons:
+            profile = dilation_profile(P)
+            ks = self.checked_ks(profile)
+            assert profile.counts(ks) == [count_oracle(profile, k) for k in ks], P
+            for d in profile._longest_directions:
+                always, bounded = profile._live_pieces(d)
+                pruned += len(profile.pieces(d)[1]) - len(always) - len(bounded)
+        assert pruned > 300
+
+    def test_no_window_past_the_bound(self, polygons):
+        """Every piece of every direction of the table has an empty m chord
+        window at each checked k that its bound does not admit, m the
+        window floor(k C*) of kP."""
+        empty = 0
+        for P in polygons:
+            profile = dilation_profile(P)
+            N, D = profile.longest_chord
+            for d in profile._table:
+                always, bounded = profile._live_pieces(d)
+                bounds = {piece: K for K, piece in bounded}
+                assert [K for K, _ in bounded] == sorted(bounds.values(), reverse=True)
+                for piece in profile.pieces(d)[1]:
+                    if piece in always:
+                        continue
+                    K = bounds.get(piece, 0)
+                    for k in self.checked_ks(profile):
+                        if k > K:
+                            first, last = diameter._chord_clip(piece, k, k * N // D)
+                            assert first > last, (P, d, piece, k)
+                            empty += 1
+        assert empty > 10**4
+
+    def test_t19_hands_its_pairs_to_three_of_six_pieces(self, monkeypatch):
+        visited = []
+        kernel = diameter._piece_counts
+
+        def recorded(piece, pairs, totals):
+            visited.append(piece)
+            return kernel(piece, pairs, totals)
+
+        monkeypatch.setattr(diameter, "_piece_counts", recorded)
+        profile = dilation_profile(triangle(19))
+        _, q = profile.longest_chord
+        ks = range(1, 4 * q + 1)
+        assert profile.counts(ks) == unpruned_counts(dilation_profile(triangle(19)), ks)
+        pieces = [p for d in profile._longest_directions for p in profile.pieces(d)[1]]
+        assert len(pieces) == 6
+        assert len(visited) == 3 and set(visited) < set(pieces)
+
+    def test_a_long_range_on_a_thousand_vertices(self, tmp_path):
+        """ld-count --k-max 200000 on lattice_circle(20), 1,024 vertices and
+        1,022 pieces in its two C* directions, of which 4 reach the window:
+        unpruned, it took about 50 s."""
+        P = lattice_circle(20)
+        path = tmp_path / "circle.json"
+        path.write_text(render_document(document_for_polygon(P)))
+        src = str(Path(diameter.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "latticediam", "ld-count", str(path), "--k-max", "200000"],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        elapsed = time.perf_counter() - start
+        assert done.returncode == 0, done.stderr
+        assert elapsed < 5, elapsed
+        rows = done.stdout.splitlines()
+        assert rows[0] == "k,count" and len(rows) == 200_001
+        profile = dilation_profile(P)
+        live = [profile._live_pieces(d) for d in profile._longest_directions]
+        assert sum(len(always) + len(bounded) for always, bounded in live) == 4
+        ks = range(1, 20_001)
+        want = unpruned_counts(profile, ks)
+        assert rows[1:20_001] == [f"{k},{c}" for k, c in zip(ks, want)]
+
+
 class TestFit:
     def test_quad_pieces(self):
         fit = fit_quasipolynomial(QUAD)
@@ -562,6 +670,17 @@ class TestChamberDecomposition:
             assert chamber_decomposition(verts, u) == want, verts
             qs.add(want.q)
         assert qs == set(range(1, 13))
+
+    def test_rows_clip_no_line(self, monkeypatch):
+        def no_clip(*args):
+            raise AssertionError("a row was clipped by level_interval")
+
+        for module in (core, lines, diameter):
+            monkeypatch.setattr(module, "level_interval", no_clip)
+        assert not hasattr(dilation, "level_interval")
+        u = Direction((1, 0))
+        for verts in random_chambers(10):
+            assert chamber_decomposition(verts, u) == chamber_decomposition_oracle(verts)
 
     def test_counts_reproduce_quad_counts(self):
         verts, u = demo_chamber()

@@ -3,9 +3,9 @@
 The scripts reach into private routines of the package (the oracle's scans
 and cost model, the dilation kernels), so a renamed internal would break
 them without failing any other test. These tests import each script, run
-the oracle ladder's row on one small set of each family, and run the
-dilation script's prune rows, which count the profile's cones, descents
-and picks.
+the oracle ladder's row on one small set of each family, run the dilation
+script's prune rows, which count the profile's cones, descents and picks,
+and run a seeded slice of the CLI fuzz runs.
 """
 
 import importlib
@@ -32,7 +32,7 @@ def scripts_on_path(monkeypatch):
     monkeypatch.syspath_prepend(str(SCRIPTS))
 
 
-@pytest.mark.parametrize("name", ["bench_cli", "bench_dilation", "bench_oracle"])
+@pytest.mark.parametrize("name", ["bench_cli", "bench_dilation", "bench_oracle", "fuzz_cli"])
 def test_scripts_import(scripts_on_path, name):
     assert callable(importlib.import_module(name).main)
 
@@ -75,3 +75,27 @@ def test_prune_rows_count_the_cones(scripts_on_path, monkeypatch):
         assert row["visited"] + row["skipped"] == row["cones"] >= row["vertices"]
         assert row["picks"] >= 1
     assert sum(row["skipped"] for row in rows if row["polygon"] == "thin") > 0
+
+
+def test_fuzz_slice_exits_cleanly(scripts_on_path, tmp_path):
+    """20 seeded fuzz runs, each a subprocess bounded in wall time, end with
+    an allowed exit code: answered, invalid input, fit refused or over
+    budget."""
+    fuzz = importlib.import_module("fuzz_cli")
+    workdir = str(tmp_path)
+    runs = fuzz.cases(27, 20, workdir)
+    codes = [fuzz.run_case(argv, text, workdir, 60)[0] for argv, _, text in runs]
+    assert all(code in fuzz.ALLOWED for code in codes), list(zip(codes, runs))
+    assert {0, 3, 6} <= set(codes), codes
+    assert {argv[0] for argv, _, _ in runs} == set(fuzz.COMMANDS)
+
+
+def test_lone_rows_time_profiles_and_counts(scripts_on_path, monkeypatch):
+    bench = importlib.import_module("bench_dilation")
+    monkeypatch.setattr(bench, "REPEAT", 1)
+    monkeypatch.setattr(bench, "MIN_SECONDS", 0)
+    rows = bench.lone_rows()
+    assert [row["row"] for row in rows] == (["dilation_profile"] + ["count"] * 12) * 2
+    quad = [row for row in rows if row["row"] == "count" and row["polygon"] == "quad"]
+    assert quad[-1]["count"] == 2_000_000_000_001
+    assert all(row["kernel_calls"]["level_interval"] == 0 for row in quad)
