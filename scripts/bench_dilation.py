@@ -1,6 +1,6 @@
 """Scaling ladders of the dilation counts, written as one JSON file.
 
-    PYTHONPATH=src python scripts/bench_dilation.py --out BENCH_27.json \
+    PYTHONPATH=src python scripts/bench_dilation.py --out BENCH_28.json \
         [--baseline OTHER_CHECKOUT/src]
 
 Rows:
@@ -48,8 +48,10 @@ Rows:
   directory, and each row holds them under "baseline";
 - prune: dilation_profile(P) and compute_diameter(P), the best time of
   each, with the cones of P (its (edge, opposite vertex) pairs), the
-  cones that take a descent and those skipped below the running top, and
-  the cone picks the profile reads, on the skew triangles
+  cones that take a descent ("visited") and those skipped, whose edge
+  level J is below the top, the cones whose picks are walked from their
+  first pick ("walks", the _level_picks calls), and the cone picks the
+  profile reads, on the skew triangles
   conv{(0,0),(s,1),(3s+1,7)} for s = 10^2 .. 5 10^4 and 10^12, and on thin
   hulls of 7 to 12 random points of heights 3 to 8 and widths
   10^2 .. 5 10^4, drawn by a seeded generator of this script. With --baseline, the same rows are timed on the package
@@ -347,13 +349,15 @@ def prune_rows() -> list[dict]:
     rows = []
     for row, P in polygons:
         cones = sum(len(opposite) for *_, opposite in diameter._antipodes(P.vertices))
-        # one continued-fraction descent per cone visited
-        visited = kernel_calls(lambda: dilation_profile(P), ("_descend",))["_descend"]
+        # one continued-fraction descent per cone visited, and one walk per
+        # cone whose picks are followed
+        calls = kernel_calls(lambda: dilation_profile(P), ("_descend", "_level_picks"))
         row.update({
             "vertices": len(P),
             "cones": cones,
-            "visited": visited,
-            "skipped": cones - visited,
+            "visited": calls["_descend"],
+            "walks": calls["_level_picks"],
+            "skipped": cones - calls["_descend"],
             "picks": picks(P),
             "dilation_profile_s": best_time(lambda: dilation_profile(P), REPEAT),
             "compute_diameter_s": best_time(lambda: compute_diameter(P), REPEAT),

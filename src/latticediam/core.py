@@ -102,6 +102,15 @@ class Direction(Ordered):
                 break
         object.__setattr__(self, "vec", v)
 
+    @classmethod
+    def _canonical(cls, vec: Point) -> "Direction":
+        """A Direction of a trusted vector: a tuple of ints, primitive, with
+        its first nonzero entry positive, as __init__ would leave it.
+        Nothing is checked, divided or negated."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "vec", vec)
+        return self
+
     @property
     def dim(self) -> int:
         return len(self.vec)

@@ -21,14 +21,18 @@ chord J/j < 1 and holds at most k. So the scan stops at level J. The chord
 of a pick's line through P is read from the levels: the line of a pick at
 level j leaves P through the edge at level J, so c = J/j, and through a
 vertex of kP the line holds floor(k c) + 1 points. A chord whose floor is
-below that of the longest chord C* never reaches a best count, so the scan
-also stops below the running top, the largest floor J // j found so far: a
-cone whose edge level J is below it is skipped before its descent, since
-each of its chords is at most J, and a cone's picks are cut at the first
-one below it. So the best count and the diameter directions of kP are a
-max over the picks, and the dilation profile keeps it in one table, built
-in one pass over them: the longest chord of each direction, for the
-directions whose longest chord has the top floor. They come from C*
+below that of the longest chord C* never reaches a best count, so the
+profile's scan fixes that floor, the top, before it follows any pick, in
+two phases. The first visits the cones by decreasing J with one descent
+each: a cone's first pick is its lowest point, so it has the cone's
+longest chord, and every chord of a cone is at most J, so the visit stops
+at the first J below the largest floor found, which is then the top. The
+second goes back to edge order and walks, from the kept first picks, only
+the cones whose first pick reaches the top, capped at level J // top, so
+it follows only the picks at the top. So the best count and the diameter
+directions of kP are a max over those picks, and the dilation profile
+keeps it in one table, built in one pass over them: the longest chord of
+each direction whose longest chord has the top floor. They come from C*
 itself: floor(k C*) is the chord window, and a shorter chord of the table
 ties with C* only below its threshold K0, past which k (C* - c) >= 1, so
 from the largest K0 on the directions of C* alone reach it, for
@@ -67,6 +71,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from math import gcd
+from operator import itemgetter
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .core import (
@@ -224,23 +229,25 @@ def _follow(
     return point, (point[0] - j, point[1] - k)
 
 
-def _level_picks(J: int, lo: int, hi: int, j_max: int) -> list[Pick]:
+def _level_picks(
+    first: tuple[Pick, Pick, Pick], J: int, lo: int, hi: int, j_max: int
+) -> list[Pick]:
     """The first three picks (j, k) of the cone of slopes k/j in
     [lo/J, hi/J], lo < hi, in pick order, with j <= j_max: each the lowest
     point, by (j, k), of the cone off the lines of the earlier picks. Picks
     come in increasing j, so these are a prefix of the uncapped cone's
-    picks. The local scan caps them at level J, since no pick past it can
-    reach a best count (_cone_picks); the profile caps them lower, at the
-    running top (_polygon_picks).
+    picks. first is the cone's first pick and its Farey parents,
+    _descend(lo, hi, J), and its level must be at most j_max. The local
+    scan caps the picks at level J, since no pick past it can reach a best
+    count (_cone_picks); the profile caps them at J // top, so that it
+    follows only the picks at the top (_polygon_picks).
 
-    A pick splits its sector into the two halves open at its slope. One
-    descent (_descend) finds the first pick and its Farey parents; the
-    lowest point of each half then comes from the parents (_follow), and so
-    do its own parents, so every later pick costs O(1).
+    A pick splits its sector into the two halves open at its slope. The
+    lowest point of each half comes from the pick's Farey parents
+    (_follow), and so do its own parents, so every pick after the first
+    costs O(1).
     """
-    w, left, right = _descend(lo, hi, J)
-    if w[0] > j_max:
-        return []
+    w, left, right = first
     # (pick, its lower parent, its upper parent, sector: lo, lo_open, hi, hi_open)
     sectors = [(w, left, right, (J, lo), False, (J, hi), False)]
     picks: list[Pick] = []
@@ -260,20 +267,19 @@ def _level_picks(J: int, lo: int, hi: int, j_max: int) -> list[Pick]:
     return picks
 
 
-def _vertex_picks(
-    v: Point, p: Point, q: Point, J: int, basis: tuple[Point, Point], j_max: int
-) -> list[tuple[int, Point]]:
-    """The picks of _cone_picks with j <= j_max, for the edge pq at level J
-    above v, with basis = level_anchor(a) for the edge's primitive normal a,
-    computed once per edge by its callers."""
+def _cone_slopes(
+    v: Point, p: Point, q: Point, basis: tuple[Point, Point]
+) -> tuple[int, int]:
+    """The slope interval (lo, hi), lo < hi, of the cone of the edge pq
+    above v, whose slopes k/j run over [lo/J, hi/J]: the k coordinates of
+    p and q in the unimodular basis = level_anchor(a) of the edge's
+    primitive normal a, the lower first. v must be off the line pq."""
     (sx, sy), (ux, uy) = basis
     det = sx * uy - sy * ux  # +-1: {s, u} is unimodular
     # k of a point w = v + j s + k u is det(s, w - v) / det(s, u)
     kp = det * (sx * (p[1] - v[1]) - sy * (p[0] - v[0]))
     kq = det * (sx * (q[1] - v[1]) - sy * (q[0] - v[0]))
-    picks = _level_picks(J, kp, kq, j_max) if kp < kq else _level_picks(J, kq, kp, j_max)
-    # (j, k) is a reduced fraction and {s, u} unimodular: j s + k u is primitive
-    return [(j, (j * sx + k * ux, j * sy + k * uy)) for j, k in picks]
+    return (kp, kq) if kp < kq else (kq, kp)
 
 
 def _cone_picks(
@@ -289,9 +295,9 @@ def _cone_picks(
     kP. The edge ends p and q sit at level J, so the first pick, the
     smallest-denominator slope of the cone, has j <= J and chord J/j >= 1:
     through kv it holds at least k + 1 points of kP. A pick with j > J has
-    chord J/j < 1, so it holds at most k. So one descent (_level_picks),
-    capped at J, serves every dilate. a must be primitive and v off the
-    line pq.
+    chord J/j < 1, so it holds at most k. So one descent (_descend) and one
+    walk from its pick (_level_picks), capped at J, serve every dilate. a
+    must be primitive and v off the line pq.
     """
     level_p = a[0] * p[0] + a[1] * p[1]
     level_q = a[0] * q[0] + a[1] * q[1]
@@ -301,7 +307,14 @@ def _cone_picks(
     if level_p <= level_v:
         raise ValidationError("normal must point from the vertex toward the edge")
     J = level_p - level_v
-    return J, _vertex_picks(v, p, q, J, level_anchor(a), J)
+    basis = level_anchor(a)
+    lo, hi = _cone_slopes(v, p, q, basis)
+    (sx, sy), (ux, uy) = basis
+    # (j, k) is a reduced fraction and {s, u} unimodular: j s + k u is primitive
+    return J, [
+        (j, (j * sx + k * ux, j * sy + k * uy))
+        for j, k in _level_picks(_descend(lo, hi, J), J, lo, hi, J)
+    ]
 
 
 def local_diameter_lines(
@@ -327,7 +340,7 @@ def local_diameter_lines(
     every point of that slope lies on the pick's line, and the next pick is
     the lowest of the sectors' lowest points. Three picks take one
     continued-fraction descent of O(log) integer steps, for the first, and
-    O(1) steps each for the others (_level_picks, _cone_picks).
+    O(1) steps each for the others (_descend, _level_picks, _cone_picks).
     """
     p, q = (as_point(edge[0]), as_point(edge[1]))
     v = as_point(vertex)
@@ -347,35 +360,54 @@ def local_diameter_lines(
 
 def _polygon_picks(P: Polygon2) -> Iterator[tuple[Point, int, int]]:
     """(direction d, level j, level J) for each pick of each (edge, opposite
-    vertex) cone of P, in edge order, whose chord J/j has a floor at least
-    the running top, the largest floor J // j of the picks yielded before
-    it: so the floors of the yielded chords never decrease.
+    vertex) cone of P whose chord J/j has the top floor, the largest floor
+    J // j of any pick: in edge order, and in pick order within a cone.
 
     d is the pick's primitive vector with canonical sign, j its level above
     the cone's vertex and J the edge's, in the edge's primitive normal. P
     lies between the two levels, so the pick's line leaves P through the
     edge, and J/j is P's whole chord on that line, whichever cone finds it.
     A chord whose floor is below the top never reaches a best count
-    (DilationProfile), and every pick of a cone has j >= 1, so chord
-    J/j <= J: a cone whose level J is below the top is skipped before its
-    level anchor and its descent, and a cone's picks, in increasing j, are
-    cut at the top, at level J // top in the descent and at the first pick
-    below the top after it.
+    (DilationProfile), so the scan fixes the top before it follows any
+    pick, in two phases.
+
+    The first visits the cones by decreasing J, ties by edge order, with
+    one descent each (_descend). A cone's first pick is its lowest point,
+    so it has the cone's longest chord, and every chord of a cone is at
+    most J, since j >= 1: the visit stops at the first cone whose J is
+    below the largest floor J // j of the first picks so far, which is then
+    the top, and it keeps each cone whose first pick reaches that running
+    top, with the pick and its parents. The second goes back to edge order
+    and walks (_level_picks), from the kept pick and parents, each kept
+    cone whose first pick reaches the top, capped at level J // top, so
+    every pick it follows is at the top.
     """
-    top = 1  # J // j >= 1 is the local scan's cap, j <= J
-    for p, q, a, opposite in _antipodes(P.vertices):
-        ax, ay = a
-        w = opposite[0]  # two opposite vertices share their level
-        J = ax * (p[0] - w[0]) + ay * (p[1] - w[1])
+    edges = list(_antipodes(P.vertices))
+    # J of each edge: its two opposite vertices share their level
+    levels = [a[0] * (p[0] - o[0][0]) + a[1] * (p[1] - o[0][1]) for p, _, a, o in edges]
+    top = 0
+    kept = []
+    # by decreasing J, ties in edge order, since the sort is stable
+    for e in sorted(range(len(edges)), key=levels.__getitem__, reverse=True):
+        J = levels[e]
         if J < top:
-            continue
+            break
+        p, q, a, opposite = edges[e]
         basis = level_anchor(a)
         for v in opposite:
-            for j, (x, y) in _vertex_picks(v, p, q, J, basis, J // top):
-                whole = J // j
-                if whole < top:
-                    break
+            lo, hi = _cone_slopes(v, p, q, basis)
+            first = _descend(lo, hi, J)
+            whole = J // first[0][0]
+            if whole >= top:  # a cone below the running top is below the top
                 top = whole
+                kept.append((e, J, basis, lo, hi, first))
+    kept.sort(key=itemgetter(0))  # stable: a cone pair keeps its vertex order
+    for _, J, basis, lo, hi, first in kept:
+        j_max = J // top
+        if first[0][0] <= j_max:
+            (sx, sy), (ux, uy) = basis
+            for j, k in _level_picks(first, J, lo, hi, j_max):
+                x, y = j * sx + k * ux, j * sy + k * uy
                 yield (x, y) if x > 0 or (x == 0 and y > 0) else (-x, -y), j, J
 
 
@@ -473,18 +505,19 @@ class DilationProfile:
     Every pick of the scan (_polygon_picks) is a candidate line of every
     dilate kP, and a candidate of kP that is no pick holds fewer points
     than the best: past level J it holds at most k (_cone_picks), and below
-    the running top it has a chord whose floor is below floor(C). Every
+    the top floor it has a chord whose floor is below floor(C). Every
     pick of one direction d has the same chord, the longest of P in
     direction d: a chord of direction d spans at most the width J of P
     across the pick's edge, so it is at most J / <a, d> = J/j, a the edge's
     normal, and the pick's line leaves P through that edge, so its chord is
     J/j. A chord c whose floor is below floor(C), C the longest chord of
     all, holds fewer points than C at every k:
-    k c < k floor(C) <= floor(k C). So the profile keeps one table, built in
-    one pass over the picks, of the chord of each direction whose floor is
-    floor(C), in lowest terms, and the same pass keeps longest_chord, C as
-    (num, den), whose denominator is the fit's period. C equals C*, the
-    longest chord of P in any lattice direction: through kv, the line of C*
+    k c < k floor(C) <= floor(k C). The scan yields only the picks whose
+    chord has the floor floor(C), so the profile keeps one table, built in
+    one pass over them, of the chord of each of their directions, in lowest
+    terms, and the same pass keeps longest_chord, C as (num, den), whose
+    denominator is the fit's period. C equals C*, the longest chord of P
+    in any lattice direction: through kv, the line of C*
     holds floor(k C*) + 1 points of kP and no line of kP holds more, so the
     chord window of kP is floor(k C*), and a shorter chord c of the table
     reaches it only while k < K0(c) = ceil(1 / (C* - c)): from there on
@@ -510,12 +543,10 @@ class DilationProfile:
         self.polygon = P
         self.halfplanes = halfplanes
         # direction -> its chord (num, den), for the directions whose chord
-        # has the floor top, that of the latest pick; and the longest of all
-        top, longest = -1, (0, 1)
+        # has the top floor, that of every pick; and the longest of all
+        longest = (0, 1)
         table: dict[Point, tuple[int, int]] = {}
         for d, j, J in _polygon_picks(P):
-            if J // j > top:  # no pick has a floor below the top
-                top, table = J // j, {}
             if d not in table:  # every pick of d has the same chord
                 g = gcd(J, j)
                 table[d] = chord = (J // g, j // g)
@@ -687,9 +718,10 @@ class DilationProfile:
 
 def dilation_profile(P: Polygon2) -> DilationProfile:
     """The dilation profile of P: its chord table, built from the cone picks
-    of one local scan (_polygon_picks), the candidate lines of every dilate
-    that can reach its best count. The profile takes the window of each k
-    from the longest chord C* and the tie bound K0 (DilationProfile)."""
+    at the top floor of one local scan (_polygon_picks), the candidate lines
+    of every dilate that can reach its best count. The profile takes the
+    window of each k from the longest chord C* and the tie bound K0
+    (DilationProfile)."""
     return DilationProfile(P, P.halfplanes())
 
 
@@ -697,12 +729,14 @@ def compute_diameter(P: Polygon2) -> DiameterReport:
     """Exact lattice diameter of P with all diameter lines and directions."""
     profile = dilation_profile(P)
     best, vectors = profile.best(1)
-    directions = tuple(map(Direction, vectors))
+    # the profile's vectors are primitive with canonical sign, and the
+    # sweep's anchors planar ints: neither needs the validating constructors
+    directions = tuple(map(Direction._canonical, vectors))
     lines: list[LatticeLine] = []
     reps: list[ClippedSegment] = []
     for u in directions:
         sweep = _direction_sweep(profile.pieces(u.vec), best)
-        found = sorted((LatticeLine(x0, u) for x0 in sweep), key=lambda L: L.base)
+        found = sorted((LatticeLine._canonical(x0, u) for x0 in sweep), key=lambda L: L.base)
         clip = clip_line(P, found[0], profile.halfplanes)
         assert clip is not None
         reps.append(clip)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import ceil, floor
+from operator import mul
 from typing import Optional, Sequence
 
 from .core import Direction, Point, Polygon2, RationalPoint, as_point, line_bounds
@@ -31,6 +32,17 @@ __all__ = [
 ]
 
 
+def _reduced(b: Point, u: Point) -> Point:
+    """The point of the line b + t u with 0 <= <u, point> < <u, u>; the
+    plane, where every line of the package lives, is written out."""
+    if len(u) == 2:
+        (x, y), (ux, uy) = b, u
+        k = (ux * x + uy * y) // (ux * ux + uy * uy)
+        return x - k * ux, y - k * uy
+    k = sum(map(mul, u, b)) // sum(map(mul, u, u))
+    return tuple(x - k * c for x, c in zip(b, u))
+
+
 class LatticeLine(Ordered):
     """An affine line spanned by a primitive direction through a lattice point.
 
@@ -47,12 +59,18 @@ class LatticeLine(Ordered):
         d = dir if isinstance(dir, Direction) else Direction(dir)
         if len(b) != d.dim:
             raise ValidationError("line base and direction dimensions differ")
-        u = d.vec
-        uu = sum(c * c for c in u)
-        k = (sum(c * x for c, x in zip(u, b))) // uu
-        b = tuple(x - k * c for x, c in zip(b, u))
-        object.__setattr__(self, "base", b)
+        object.__setattr__(self, "base", _reduced(b, d.vec))
         object.__setattr__(self, "dir", d)
+
+    @classmethod
+    def _canonical(cls, base: Point, d: Direction) -> "LatticeLine":
+        """The line through the trusted lattice point base, a tuple of ints
+        of the dimension of d. The base is reduced modulo the direction, as
+        in __init__, but nothing is checked or converted."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "base", _reduced(base, d.vec))
+        object.__setattr__(self, "dir", d)
+        return self
 
     def point_at(self, t: int) -> Point:
         """The lattice point base + t * dir."""

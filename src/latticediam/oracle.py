@@ -474,11 +474,14 @@ def brute_force_diameter(
         best, hits = _residue_scan(pts, cols, spreads, bound)
     segments = tuple((pts[i], pts[j]) for i, j in hits)
     # Each segment (p, q) has p < q, so q - p is sign-canonical, and every
-    # q - p has gcd best, so dividing by it keeps their order: the plain
-    # differences are deduplicated and sorted, and each distinct one is
-    # made a Direction once.
+    # q - p has gcd best, so dividing by it keeps their order and leaves
+    # each primitive: the plain differences are deduplicated and sorted,
+    # and each distinct one is divided by best and made a Direction once,
+    # with nothing left for the validating constructor to do.
     differences = sorted({tuple(map(sub, q, p)) for p, q in segments})
-    directions = tuple(map(Direction, differences))
+    directions = tuple(
+        Direction._canonical(tuple(c // best for c in v)) for v in differences
+    )
     return OracleReport(ldiam=best, segments=segments, directions=directions)
 
 

@@ -427,7 +427,7 @@ def profile_records_oracle(P: Polygon2) -> tuple[OracleRecord, ...]:
     """The unpruned record scan that dilation_profile replaced by its chord
     table, kept as its oracle: every vertex scanned per edge
     (opposite_pairs_oracle), five descents per cone (cone_picks_oracle),
-    its picks kept up to level J, with no running top, the first find of
+    its picks kept up to level J, with no top floor, the first find of
     each line kept, and each chord clipped (chord_oracle)."""
     found = {}
     for (p, q), v, a in opposite_pairs_oracle(P):

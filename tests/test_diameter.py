@@ -175,11 +175,11 @@ class TestLocalDiameterLines:
         assert len(walked) >= 80 and max(walked) > 2 * 10**5
 
 
-def big_polygons(n: int, rng: random.Random):
-    """Hulls of 3 to 10 random points in boxes of side 10^1 to 10^18."""
+def big_polygons(n: int, rng: random.Random, top: int = 18):
+    """Hulls of 3 to 10 random points in boxes of side 10^1 to 10^top."""
     out = []
     while len(out) < n:
-        reach = 10 ** rng.randint(1, 18)
+        reach = 10 ** rng.randint(1, top)
         verts = convex_hull(
             [(rng.randint(-reach, reach), rng.randint(-reach, reach))
              for _ in range(rng.randint(3, 10))]
@@ -221,26 +221,40 @@ def random_triangles(n: int, rng: random.Random, top: int = 18):
     return out
 
 
+def top_picks_oracle(P: Polygon2) -> list[tuple[tuple[int, int], int, int]]:
+    """(d, j, J) for each pick of the five-descent scan of every (edge,
+    opposite vertex) cone (cone_picks_oracle), capped at level J, whose
+    chord J/j has the top floor, the largest floor J // j of all of them:
+    in edge order and in pick order within a cone, d with canonical sign."""
+    picks = []
+    for (p, q), v, a in opposite_pairs_oracle(P):
+        J, found = cone_picks_oracle(v, p, q, a)
+        for j, (x, y) in found:
+            if j <= J:
+                d = (x, y) if x > 0 or (x == 0 and y > 0) else (-x, -y)
+                picks.append((d, j, J))
+    top = max(J // j for _, j, J in picks)
+    return [(d, j, J) for d, j, J in picks if J // j == top]
+
+
 def assert_pruned_picks(P: Polygon2) -> int:
     """The picks of the pruned scan and the chord table built from them
     against the unpruned record scan (profile_records_oracle), and the
     number of oracle records no pick finds.
 
-    Each pick's chord J/j is the chord of an oracle record of its direction,
-    and the floors of the picks never decrease. Every record whose chord
-    has the floor of C*, the longest chord, is found by a pick, so every
-    record left out has a lower floor, and none of them can reach a best
-    count. The table holds the longest chord of each direction at that
-    floor, in the order the records first find the directions
-    (chord_table_oracle)."""
+    Each pick's chord J/j is the chord of an oracle record of its
+    direction, and every pick has the floor of C*, the longest chord. Every
+    record of that floor is found by a pick, so every record left out has
+    a lower floor, and none of them can reach a best count. The table holds
+    the longest chord of each direction at that floor, in the order the
+    records first find the directions (chord_table_oracle)."""
     want = profile_records_oracle(P)
     picks = [(d, Fraction(J, j)) for d, j, J in diameter._polygon_picks(P)]
     found = {(d, Fraction(*chord)) for _, d, chord in want}
     assert set(picks) <= found, P
-    floors = [chord // 1 for _, chord in picks]
-    assert floors == sorted(floors), P
     table, longest = chord_table_oracle(want)
     top = longest[0] // longest[1]
+    assert all(chord // 1 == top for _, chord in picks), P
     dropped = found - set(picks)
     assert all(chord // 1 < top for _, chord in dropped), P
     profile = dilation_profile(P)
@@ -300,6 +314,20 @@ class TestOneDescentScan:
             s = 10**e
             assert_pruned_picks(Polygon2(((0, 0), (s, 1), (3 * s + 1, 7))))
 
+    def test_picks_are_the_records_at_the_top_floor(self, polygons):
+        """The scan yields exactly the picks of the unpruned scan at the top
+        floor, in its order (top_picks_oracle), so their lines are exactly
+        the records of that floor (profile_records_oracle)."""
+        for P in polygons + big_polygons(300, random.Random(28), top=30):
+            picks = list(diameter._polygon_picks(P))
+            assert picks == top_picks_oracle(P), P
+            records = profile_records_oracle(P)
+            top = max(Fraction(*chord) for _, _, chord in records) // 1
+            assert {(d, Fraction(J, j)) for d, j, J in picks} == {
+                (d, Fraction(*chord)) for _, d, chord in records
+                if Fraction(*chord) // 1 == top
+            }, P
+
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
@@ -344,7 +372,7 @@ class TestLocalScanWork:
         for P in polygons:
             kernel_calls.clear()
             dilation_profile(P)
-            # at most one: a cone below the running top takes none
+            # at most one: a cone whose J is below the top takes none
             assert set(kernel_calls) <= {"descend"}, P
             assert kernel_calls["descend"] <= len(opposite_pairs_oracle(P)), P
 
@@ -353,7 +381,8 @@ class TestLocalScanWork:
         opposite vertices, and the plateaus, whose top edge is H levels
         above the bottom while the chord of direction (1, 0) is 2H: the
         pruned profile skips cones, and takes fewer descents than it has
-        cones."""
+        cones. The plateau's side edges, 2H^2 levels above their opposite
+        vertices, come first, and their four cones fix the top at 2H."""
         cones = descents = skipped = 0
         for P in sheared_thin_polygons(300):
             kernel_calls.clear()
@@ -366,8 +395,47 @@ class TestLocalScanWork:
             P = plateau(10**e)
             kernel_calls.clear()
             dilation_profile(P)
-            # the two cones of the top edge, J = H < 2H, are skipped
-            assert kernel_calls == {"descend": 6} and len(opposite_pairs_oracle(P)) == 8, e
+            # the four cones of the top and bottom edges, J = H < 2H, are skipped
+            assert kernel_calls == {"descend": 4} and len(opposite_pairs_oracle(P)) == 8, e
+
+    def test_only_the_cones_at_the_top_are_walked(self, monkeypatch):
+        """The second phase walks (_level_picks) the cones whose first pick
+        has the top floor, each once, and no other: no _follow call is made
+        outside a walk, so none in a cone whose first pick is below the
+        top."""
+        walk, follow = diameter._level_picks, diameter._follow
+        floors, walking, stray = [], [], []
+
+        def counted_walk(first, J, *rest):
+            floors.append(J // first[0][0])
+            walking.append(True)
+            try:
+                return walk(first, J, *rest)
+            finally:
+                walking.pop()
+
+        def counted_follow(*args):
+            if not walking:
+                stray.append(args)
+            return follow(*args)
+
+        monkeypatch.setattr(diameter, "_level_picks", counted_walk)
+        monkeypatch.setattr(diameter, "_follow", counted_follow)
+        rng = random.Random(28)
+        polygons = (wide_polygons(40) + sheared_thin_polygons(100)
+                    + symmetric_polygons(40, rng) + random_triangles(40, rng)
+                    + [plateau(10**e) for e in range(1, 8)])
+        cones = walks = 0
+        for P in polygons:
+            floors.clear()
+            N, D = dilation_profile(P).longest_chord
+            firsts = [cone_picks_oracle(v, p, q, a)
+                      for (p, q), v, a in opposite_pairs_oracle(P)]
+            at_top = sum(J // picks[0][0] == N // D for J, picks in firsts)
+            assert floors == [N // D] * at_top, P
+            cones, walks = cones + len(firsts), walks + at_top
+        assert not stray
+        assert walks < cones / 2, (walks, cones)
 
     @pytest.mark.parametrize(
         "s, ldiam",
@@ -426,6 +494,44 @@ class TestComputeDiameter:
     def test_lines_sorted_deterministically(self):
         rep = compute_diameter(SQUARE)
         assert list(rep.lines) == sorted(rep.lines, key=lambda l: (l.dir.vec, l.base))
+
+
+class TestTrustedConstructors:
+    def test_canonical_lines_match_the_validating_constructors(self):
+        """compute_diameter builds its directions and lines with
+        Direction._canonical and LatticeLine._canonical. Each equals, field
+        for field and hash for hash, what the validating constructors build
+        from the same vector and from any point of the line."""
+        rng = random.Random(28)
+        polygons = (
+            [random_polygon(random.Random(seed)) for seed in range(200)]
+            + big_polygons(100, rng, top=30)
+            + [QUAD, SQUARE, TRIANGLE, T19, plateau(10**3), lattice_circle(6)]
+        )
+        lines_seen = 0
+        for P in polygons:
+            report = compute_diameter(P)
+            for u in report.directions:
+                assert u == Direction(u.vec) and hash(u) == hash(Direction(u.vec)), P
+            for line in report.lines:
+                u = line.dir
+                assert Direction._canonical(u.vec) == Direction(u.vec), P
+                for t in (0, 1, -3, rng.randint(-(10**30), 10**30)):
+                    base = line.point_at(t)
+                    want = LatticeLine(base, u.vec)
+                    got = LatticeLine._canonical(base, u)
+                    assert got == want == line and hash(got) == hash(want), P
+                    assert type(got.base) is tuple and all(type(c) is int for c in got.base)
+                lines_seen += 1
+        assert lines_seen > 500
+
+    def test_canonical_line_reduces_in_every_dimension(self):
+        rng = random.Random(29)
+        for _ in range(500):
+            dim = rng.randint(1, 5)
+            u = Direction([rng.randint(-50, 50) for _ in range(dim - 1)] + [rng.randint(1, 50)])
+            base = tuple(rng.randint(-(10**12), 10**12) for _ in range(dim))
+            assert LatticeLine._canonical(base, u) == LatticeLine(base, u)
 
 
 class TestSweepOracle:

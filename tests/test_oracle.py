@@ -1,6 +1,9 @@
+import importlib.util
 import random
+import sys
 from itertools import product
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +24,11 @@ from latticediam import (
     hardness_lattice_points,
     oracle,
 )
+from latticediam.documents import load_document, point_set_from_document, polygon_from_document
+
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLES = ROOT / "sample_inputs"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 
 def pair_scan(pts):
@@ -393,6 +401,41 @@ class TestDirections:
         assert list(dirs) == sorted(dirs)
         for u in dirs:
             assert gcd(*u.vec) == 1
+
+    def test_trusted_directions_match_the_validating_constructor(self, monkeypatch):
+        """The report builds each direction with Direction._canonical from
+        q - p divided by the diameter. It equals Direction(q - p), in the
+        order of the sorted differences, on every sample, on the point sets
+        of the benchmark's points workload and on the direction-maximal
+        polytopes."""
+        sets = []
+        for path in sorted(SAMPLES.glob("*.json")):
+            doc = load_document(str(path))
+            if doc.kind == "polygon":
+                sets.append(enumerate_lattice_points(polygon_from_document(doc)))
+            else:
+                sets.append(point_set_from_document(doc))
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        # its dataclass looks the module up by name while it is built
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        seen = set()
+        for job in workloads.generate("points", 1):
+            if job.kind == "refused" or not job.files or job.files[0][0] in seen:
+                continue
+            seen.add(job.files[0][0])
+            if "points" in job.data:
+                sets.append(PointSet(job.data["points"]))
+            else:
+                sets.append(enumerate_lattice_points(Polygon2(job.data["polygon"])))
+        sets += [direction_maximal_polytope(d)[0] for d in range(2, 8)]
+        assert len(sets) > 50
+        for S in sets:
+            report = brute_force_diameter(S, 10**6)
+            differences = sorted({tuple(b - a for a, b in zip(p, q)) for p, q in report.segments})
+            assert report.directions == tuple(map(Direction, differences)), S
+            assert all(type(c) is int for u in report.directions for c in u.vec)
 
 
 class TestRabinowitz:

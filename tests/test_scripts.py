@@ -4,8 +4,8 @@ The scripts reach into private routines of the package (the oracle's scans
 and cost model, the dilation kernels), so a renamed internal would break
 them without failing any other test. These tests import each script, run
 the oracle ladder's row on one small set of each family, run the dilation
-script's prune rows, which count the profile's cones, descents and picks,
-and run a seeded slice of the CLI fuzz runs.
+script's prune rows, which count the profile's cones, descents, walks and
+picks, and run a seeded slice of the CLI fuzz runs.
 """
 
 import importlib
@@ -73,6 +73,7 @@ def test_prune_rows_count_the_cones(scripts_on_path, monkeypatch):
     assert {row["polygon"] for row in rows} == {"skew", "thin"}
     for row in rows:
         assert row["visited"] + row["skipped"] == row["cones"] >= row["vertices"]
+        assert 1 <= row["walks"] <= row["visited"]
         assert row["picks"] >= 1
     assert sum(row["skipped"] for row in rows if row["polygon"] == "thin") > 0
 
