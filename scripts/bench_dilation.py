@@ -45,7 +45,8 @@ Rows:
   lines, with the cone picks the profile reads, ldiam, line count and
   fitted period of each.
   With --baseline, the same rows are timed on the package found in that
-  directory, and each row holds them under "baseline";
+  directory, and each row holds them under "baseline"; a package whose
+  _level_pieces takes (vertices, halfplanes, u) is called that way;
 - prune: dilation_profile(P) and compute_diameter(P), the best time of
   each, with the cones of P (its (edge, opposite vertex) pairs), the
   cones that take a descent ("visited") and those skipped, whose edge
@@ -304,7 +305,10 @@ def profile_ladder() -> list[dict]:
     for row, P in ladder_polygons():
         report = compute_diameter(P)
         profile = dilation_profile(P)
-        vertices, halfplanes, u = P.vertices, P.halfplanes(), profile.best(1)[1][0]
+        u = profile.best(1)[1][0]
+        # a package from before the polygon kept its halfplanes takes them
+        args = (P, u) if _level_pieces.__code__.co_argcount == 2 else (
+            P.vertices, P.halfplanes(), u)
         row.update({
             "vertices": len(P),
             "picks": picks(P),
@@ -314,7 +318,7 @@ def profile_ladder() -> list[dict]:
             "dilation_profile_s": best_time(lambda: dilation_profile(P), REPEAT),
             "compute_diameter_s": best_time(lambda: compute_diameter(P), REPEAT),
             "fit_quasipolynomial_s": best_time(lambda: fit_quasipolynomial(P), REPEAT),
-            "level_pieces_s": best_time(lambda: _level_pieces(vertices, halfplanes, u), REPEAT),
+            "level_pieces_s": best_time(lambda: _level_pieces(*args), REPEAT),
         })
         rows.append(row)
     return rows

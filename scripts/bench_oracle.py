@@ -1,7 +1,7 @@
 """Oracle ladder: the pair path and the residue path of the exact pair scan,
 and the line phase of the planar pair path.
 
-    PYTHONPATH=src python scripts/bench_oracle.py --out BENCH_22.json
+    PYTHONPATH=src python scripts/bench_oracle.py --out BENCH_29.json
 
 Rows, each timing both exact paths of `oracle.brute_force_diameter` on one
 point set:
@@ -27,17 +27,17 @@ time is null there.
 
 A planar sparse row also times the two parts of the planar pair path: the
 line phase (`line_s`; `line_end` says whether it stopped on lines or handed
-its best over) and the plain row loop with no seed (`row_s`, the pair path
+its best over) and the pair loop with no seed (`row_s`, the pair path
 before the line phase), with their steps: a line step is one point keyed
 for one direction, as the line phase counts them, and a row step one pair
-read, counted as calls of the `gcd` the oracle looks up in one more untimed
-call. On the rows that stop on lines, `line_break_even` is (line seconds
-per line step) / (row seconds per row step), the constant LINE_COST
-stands for, and the summary gives its median. A line step also carries
-the phase's fixed costs (the y-sorted copy, the slab lists), so the
-break-even falls as the steps grow; `line_cost_sweep` therefore times the
-whole planar pair path on every planar sparse row at each LINE_COST of
-SWEEP and sums the times, and LINE_COST is the fastest of them.
+read, counted as the two-argument calls of the `gcd` the oracle looks up
+in one more untimed call (in the plane the loop calls it once more, with
+one argument, for each pair that passes the gcd(dx, dy) test). On the rows
+that stop on lines, `line_break_even` is (line seconds per line step) /
+(row seconds per row step), and the summary gives its median: the line
+phase weighs one line step as one row step. A line step also carries the
+phase's fixed costs (the y-sorted copy, the slab lists), so the break-even
+falls as the steps grow.
 
 Times are the best of REPEAT calls after one warm-up call, or the single
 warm-up call when that took over a second.
@@ -64,7 +64,6 @@ from latticediam.constructions import (
 QUAD = Polygon2(((0, 0), (5, 1), (6, 4), (1, 3)))
 REPEAT = 3
 MAX_STEPS = 3_000_000
-SWEEP = (1, 2, 3)
 
 
 def best_time(fn) -> float:
@@ -90,25 +89,26 @@ def sparse_set(rng: random.Random, n: int, d: int, top: int) -> tuple:
 
 
 def row_steps(pts) -> int:
-    """Pairs the plain row loop reads: calls of the gcd the oracle looks up."""
+    """Pairs the pair loop reads with no seed: the two-argument calls of the
+    gcd the oracle looks up."""
     inner = oracle.gcd
     calls = 0
 
     def count(*args):
         nonlocal calls
-        calls += 1
+        calls += len(args) == 2
         return inner(*args)
 
     oracle.gcd = count
     try:
-        oracle._row_loop(pts, [p[0] for p in pts])
+        oracle._pair_loop(pts, [p[0] for p in pts])
     finally:
         oracle.gcd = inner
     return calls
 
 
 def line_columns(pts) -> dict:
-    """The line phase and the plain row loop of a planar set, timed and
+    """The line phase and the unseeded pair loop of a planar set, timed and
     counted."""
     xs, ys = zip(*pts)
     best, hits, steps = oracle._line_phase(xs, ys)
@@ -117,7 +117,7 @@ def line_columns(pts) -> dict:
         "line_end": "stop" if hits is not None else "handover",
         "line_best": best,
         "line_steps": steps,
-        "row_s": best_time(lambda: oracle._row_loop(pts, xs)),
+        "row_s": best_time(lambda: oracle._pair_loop(pts, xs)),
         "row_steps": row_steps(pts),
         "line_break_even": None,
     }
@@ -191,23 +191,6 @@ def row(family: str, name: str, pts) -> dict:
     return out
 
 
-def line_cost_sweep(planar: list) -> dict[str, float]:
-    """Total planar pair path seconds over the planar sets at each LINE_COST
-    of SWEEP."""
-    fitted = oracle.LINE_COST
-    totals = {}
-    sets = [(pts, tuple(zip(*pts))) for pts in planar]
-    try:
-        for cost in SWEEP:
-            oracle.LINE_COST = cost
-            totals[str(cost)] = sum(
-                best_time(lambda: oracle._pair_scan(pts, cols)) for pts, cols in sets
-            )
-    finally:
-        oracle.LINE_COST = fitted
-    return totals
-
-
 def summary(rows: list[dict]) -> dict:
     """How the dispatch fares on the rows where both paths were timed."""
     both = [r for r in rows if r["break_even"] is not None]
@@ -221,7 +204,6 @@ def summary(rows: list[dict]) -> dict:
     planar = [r for r in rows if "line_s" in r]
     stops = [r["line_break_even"] for r in planar if r["line_break_even"] is not None]
     return {
-        "line_cost": oracle.LINE_COST,
         "line_probe": oracle.LINE_PROBE,
         "planar_rows": len(planar),
         "planar_stop_rows": len(stops),
@@ -241,11 +223,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args()
-    cases = list(point_sets())
-    rows = [row(*case) for case in cases]
-    planar = [
-        pts for family, _, pts in cases if family == "sparse" and len(pts[0]) == 2
-    ]
+    rows = [row(*case) for case in point_sets()]
     result = {
         "host": {
             "python": platform.python_version(),
@@ -256,7 +234,6 @@ def main() -> None:
         "repeat": REPEAT,
         "max_steps": MAX_STEPS,
         "summary": summary(rows),
-        "line_cost_sweep": line_cost_sweep(planar),
         "oracle": rows,
     }
     with open(args.out, "w", encoding="utf-8") as fh:

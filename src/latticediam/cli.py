@@ -1,8 +1,9 @@
 """Command line front end.
 
 stdout carries data (reports, CSV, JSON, documents); stderr carries
-diagnostics. Exit codes: 0 ok, 2 parse/usage, 3 validation, 4 verification
-mismatch, 5 fit failure, 6 budget exceeded.
+diagnostics. Exit codes: 0 ok, 2 parse/usage or an unreadable input or
+unwritable output, 3 validation, 4 verification mismatch, 5 fit failure,
+6 budget exceeded.
 
 This module loads only what every subcommand uses; each handler imports
 the compute modules it calls when it runs, so `oracle` on a point set
@@ -66,16 +67,21 @@ def _fmt_coords(p: Sequence[int | Fraction]) -> str:
 
 def _write_atomic(path: str, text: str) -> None:
     """Write text to path through a temporary file beside it, renamed into
-    place once complete, so a failed write leaves neither file behind."""
+    place once complete, so a failed write leaves neither file behind. An
+    unwritable path (OSError) is a ParseError, as an unreadable input is."""
     tmp = f"{path}.{os.getpid()}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        # strerror alone: str(exc) may name the temporary file and its pid
+        raise ParseError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _polygon_points(P: Polygon2, budget: int) -> PointSet:

@@ -139,7 +139,11 @@ def _winding_quadrants(dirs: list[Point]) -> int:
 
 
 class Polygon2(Frozen):
-    """A strictly convex lattice polygon, vertices in counter-clockwise order."""
+    """A strictly convex lattice polygon, vertices in counter-clockwise order.
+
+    Its edge halfplanes (halfplanes) are built once, in the constructor's
+    edge loop, and are not a field: eq, hash and repr read the vertices only.
+    """
 
     _fields = ("vertices",)
 
@@ -153,6 +157,7 @@ class Polygon2(Frozen):
             raise ValidationError("polygon vertices must be distinct")
         n = len(verts)
         edge_dirs = []
+        halfplanes = []
         for i in range(n):
             ax, ay = verts[i]
             bx, by = verts[(i + 1) % n]
@@ -163,11 +168,14 @@ class Polygon2(Frozen):
                     "vertices must be strictly convex and counter-clockwise"
                 )
             edge_dirs.append((bx - ax, by - ay))
+            nx, ny = by - ay, ax - bx  # outward normal for CCW orientation
+            halfplanes.append(((nx, ny), nx * ax + ny * ay))
         # All-left-turn sequences can still wind more than once; require a
         # single revolution of the edge directions.
         if _winding_quadrants(edge_dirs) != 1:
             raise ValidationError("vertex sequence winds more than once")
         object.__setattr__(self, "vertices", verts)
+        object.__setattr__(self, "_halfplanes", tuple(halfplanes))
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -177,13 +185,10 @@ class Polygon2(Frozen):
         n = len(self.vertices)
         return [(self.vertices[i], self.vertices[(i + 1) % n]) for i in range(n)]
 
-    def halfplanes(self) -> list[tuple[Point, int]]:
-        """Outward halfplane (n, c) per edge: P = {x : <n, x> <= c}."""
-        out = []
-        for (ax, ay), (bx, by) in self.edges():
-            n = (by - ay, ax - bx)  # outward normal for CCW orientation
-            out.append((n, n[0] * ax + n[1] * ay))
-        return out
+    def halfplanes(self) -> tuple[tuple[Point, int], ...]:
+        """Outward halfplane (n, c) per edge, in edge order:
+        P = {x : <n, x> <= c}."""
+        return self._halfplanes
 
     def doubled_area(self) -> int:
         """Twice the area (shoelace), always a positive integer."""
@@ -309,9 +314,7 @@ def level_anchor(a: Point) -> tuple[Point, Point]:
 Piece = tuple[int, int, int, int, int, int, int, int, int, int, int, int]
 
 
-def _level_pieces(
-    vertices: tuple[Point, ...], halfplanes: list[tuple[Point, int]], u: Point
-) -> tuple[Point, list[Piece]]:
+def _level_pieces(P: Polygon2, u: Point) -> tuple[Point, list[Piece]]:
     """The level anchor of u, and the vertex level range of the polygon in
     direction u split at the vertex levels: per piece the flat row
     (lo, hi, cut, A, ti * tj, ti * cj - tj * ci, ti, -ei, ci, -tj, -ej, cj),
@@ -342,7 +345,8 @@ def _level_pieces(
     ux, uy = u
     anchor, _ = level_anchor((-uy, ux))
     sx, sy = anchor
-    levels = [ux * y - uy * x for x, y in vertices]
+    halfplanes = P.halfplanes()
+    levels = [ux * y - uy * x for x, y in P.vertices]
     low, top = min(levels), max(levels)
     start = levels.index(low)
     upper, lower = [], []  # (the level at the top of the edge, t, e, c)
@@ -445,7 +449,7 @@ def _level_ranges(P: Polygon2, u: Point) -> list[tuple[int, int]]:
     piece reads its two ends from the piece's row with two floor divisions,
     as the diameter's sweep reads its count: no line is clipped.
     """
-    _, pieces = _level_pieces(P.vertices, P.halfplanes(), u)
+    _, pieces = _level_pieces(P, u)
     ranges: list[tuple[int, int]] = []
     add = ranges.append
     for lo, hi, cut, _, _, _, ti, nei, ci, ntj, nej, cj in pieces:

@@ -539,9 +539,8 @@ class DilationProfile:
     directions are live at any k.
     """
 
-    def __init__(self, P: Polygon2, halfplanes: list[tuple[Point, int]]):
+    def __init__(self, P: Polygon2):
         self.polygon = P
-        self.halfplanes = halfplanes
         # direction -> its chord (num, den), for the directions whose chord
         # has the top floor, that of every pick; and the longest of all
         longest = (0, 1)
@@ -594,9 +593,7 @@ class DilationProfile:
         (_level_pieces), computed once."""
         levels = self._pieces.get(u)
         if levels is None:
-            levels = self._pieces[u] = _level_pieces(
-                self.polygon.vertices, self.halfplanes, u
-            )
+            levels = self._pieces[u] = _level_pieces(self.polygon, u)
         return levels
 
     def _live_pieces(self, u: Point) -> tuple[list[Piece], list[tuple[int, Piece]]]:
@@ -722,7 +719,7 @@ def dilation_profile(P: Polygon2) -> DilationProfile:
     of every dilate that can reach its best count. The profile takes the
     window of each k from the longest chord C* and the tie bound K0
     (DilationProfile)."""
-    return DilationProfile(P, P.halfplanes())
+    return DilationProfile(P)
 
 
 def compute_diameter(P: Polygon2) -> DiameterReport:
@@ -737,7 +734,7 @@ def compute_diameter(P: Polygon2) -> DiameterReport:
     for u in directions:
         sweep = _direction_sweep(profile.pieces(u.vec), best)
         found = sorted((LatticeLine._canonical(x0, u) for x0 in sweep), key=lambda L: L.base)
-        clip = clip_line(P, found[0], profile.halfplanes)
+        clip = clip_line(P, found[0])
         assert clip is not None
         reps.append(clip)
         lines.extend(found)

@@ -113,24 +113,17 @@ class ClippedSegment(Frozen):
         object.__setattr__(self, "t2", t2)
 
 
-def clip_line(
-    P: Polygon2,
-    line: LatticeLine,
-    halfplanes: Sequence[tuple[Point, int]] | None = None,
-) -> Optional[ClippedSegment]:
+def clip_line(P: Polygon2, line: LatticeLine) -> Optional[ClippedSegment]:
     """Clip a lattice line against a polygon, exactly; None when they miss.
 
     Tangency (a single point) yields a degenerate segment with t1 == t2.
-    halfplanes, when the caller holds them, are P.halfplanes(). The ends
-    t = s/d come from line_bounds with d > 0, so each end coordinate
-    x + t c is built as the one Fraction (x d + s c)/d.
+    The ends t = s/d come from line_bounds with d > 0, so each end
+    coordinate x + t c is built as the one Fraction (x d + s c)/d.
     """
     if line.dir.dim != 2:
         raise ValidationError("clipping is 2-dimensional")
-    if halfplanes is None:
-        halfplanes = P.halfplanes()
     (x, y), (ux, uy) = line.base, line.dir.vec
-    bounds = line_bounds(halfplanes, (x, y), (ux, uy))
+    bounds = line_bounds(P.halfplanes(), (x, y), (ux, uy))
     if bounds is None:
         return None
     ls, lt, hs, ht = bounds

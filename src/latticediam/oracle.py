@@ -61,26 +61,33 @@ class OracleReport(Frozen):
         object.__setattr__(self, "directions", directions)
 
 
-def _row_loop(
+def _pair_loop(
     pts: tuple[Point, ...], xs: Sequence[int], best: int = 0
 ) -> tuple[int, list[tuple[int, int]]]:
-    """Max gcd over pairs of planar points and the index pairs attaining it,
-    pair by pair, seeded with a lower bound best on the maximum.
+    """Max gcd over pairs of points of Z^d, d >= 2, and the index pairs
+    attaining it, pair by pair, seeded with a lower bound best on the maximum.
 
     Points arrive lex-sorted, with xs their first coordinates, so recorded
-    pairs are already canonical. A pair
-    with 0 < dx < best cannot reach best (the gcd divides dx), so each row
-    skips that x window by bisection; every pair of gcd at least the seed is
-    read, so the hits are complete when the seed is at most the maximum.
+    pairs are already canonical. A pair with 0 < dx < best cannot reach
+    best (the gcd divides dx), so each row skips that x window by bisection.
+    The gcd of dx and dy bounds the full gcd when it is nonzero, so the
+    trailing coordinates, none in the plane, are read only when it is 0 or
+    at least best. Every pair of gcd at least the seed is read, so the hits
+    are complete when the seed is at most the maximum.
     """
     n = len(pts)
     hits: list[tuple[int, int]] = []
+    rest = [p[2:] for p in pts]
     for i in range(n - 1):
-        xi, yi = pts[i]
+        xi, yi = pts[i][0], pts[i][1]
+        ri = rest[i]
         a = bisect_right(xs, xi, i + 1)
         for j in chain(range(i + 1, a), range(bisect_left(xs, xi + best, a), n)):
             pj = pts[j]
             g = gcd(pj[0] - xi, pj[1] - yi)
+            if g and g < best:
+                continue
+            g = gcd(g, *map(sub, rest[j], ri))
             if g >= best:
                 if g > best:
                     best = g
@@ -90,15 +97,14 @@ def _row_loop(
     return best, hits
 
 
-# A line step (one point keyed for one direction) costs about LINE_COST pair
-# steps of the row loop: of the costs 1, 2 and 3, 1 gave the fastest planar
-# pair path over the planar rows of scripts/bench_oracle.py (BENCH_22.json).
-# While no best lets the lines finish cheaper than the rows, the line phase
-# spends at most 1 / LINE_PROBE of the row loop's steps looking for one; 4
-# did better than 3 and 8 on planar sets of 100 to 400 points in
-# [0, 10^5]^2, where a first long line turns up within a few shells or not
-# at all.
-LINE_COST = 1
+# The line phase weighs a line step (one point keyed for one direction) as
+# one pair read by the pair loop: of the weights 1, 2 and 3, 1 gave the
+# fastest planar pair path over the planar rows of scripts/bench_oracle.py
+# (BENCH_22.json). While no best lets the lines finish in fewer steps than
+# the pairs left, the phase spends at most 1 / LINE_PROBE of the pair
+# loop's steps looking for one; 4 did better than 3 and 8 on planar sets of
+# 100 to 400 points in [0, 10^5]^2, where a first long line turns up within
+# a few shells or not at all.
 LINE_PROBE = 4
 
 
@@ -135,7 +141,7 @@ def _line_phase(
 ) -> tuple[int, list[tuple[int, int]] | None, int]:
     """Max gcd over pairs of planar points, the index pairs attaining it and
     the line steps taken, line by line; or a lower bound on the max, None
-    and the steps, when the row loop is cheaper. The points are lex-sorted,
+    and the steps, when the pair loop is cheaper. The points are lex-sorted,
     and xs and ys are their coordinate columns.
 
     A pair with gcd g differs by g * u for a primitive u, and g is at most
@@ -151,12 +157,13 @@ def _line_phase(
     the two end slabs of that width are keyed, found by bisection.
 
     After each shell the phase weighs the line steps left to the stop
-    (_slab_steps) against the pairs the row loop would read with best as
-    its seed. When the lines cost less (LINE_COST) it commits to them and
-    goes on to the stop without weighing again: a larger best only narrows
-    the slabs. Otherwise it goes on only while its steps stay under
-    1 / LINE_PROBE of the row loop's, and then hands best over. The steps
-    counted are the points keyed, one per direction.
+    (_slab_steps) against the pairs the pair loop (_pair_loop) would read
+    with best as its seed, one line step against one pair. When the lines
+    take no more steps it commits to them and goes on to the stop without
+    weighing again: a larger best only narrows the slabs. Otherwise it goes
+    on only while its steps stay under 1 / LINE_PROBE of the pair loop's,
+    and then hands best over. The steps counted are the points keyed, one
+    per direction.
     """
     n = len(xs)
     if n < 2:
@@ -213,15 +220,12 @@ def _line_phase(
         if best * (K + 1) > R:
             return best, sorted(hits), spent
         if not committed:
-            # the row loop reads, from each point, the points at least best
+            # the pair loop reads, from each point, the points at least best
             # to the right of it
             left = n * n - sum(map(bisect_left, repeat(xs, n), map(best.__add__, xs)))
-            if best and LINE_COST * _slab_steps(doms, best, K, left // LINE_COST) <= left:
+            if best and _slab_steps(doms, best, K, left) <= left:
                 committed = True
-            elif (
-                LINE_COST * LINE_PROBE * (spent + _slab_steps(doms, max(best, 1), K, 0))
-                > left
-            ):
+            elif LINE_PROBE * (spent + _slab_steps(doms, max(best, 1), K, 0)) > left:
                 return best, None, spent
 
 
@@ -231,45 +235,23 @@ def _pair_scan(
     """Max gcd over pairs and the index pairs attaining it.
 
     Points arrive lex-sorted, with cols their coordinate columns, and the
-    index pairs come out lex-sorted. A set
-    in d = 1 is scanned as its copy on the line y = 0 of Z^2, which keeps
-    every gcd. In d = 2 the line phase (_line_phase) runs first, and the row
-    loop (_row_loop) takes over, seeded with its best, when the lines left
-    cost more than the pairs. In d >= 3 the pairs are read one by one:
-    once best is known, a pair with 0 < dx < best cannot reach it (the gcd
-    divides dx), so each row skips that x window by bisection, and the gcd
-    of dx and dy bounds the full gcd when it is nonzero, so the rest of the
-    coordinates are read only when it is 0 or at least best.
+    index pairs come out lex-sorted. A set in d = 1 is scanned as its copy
+    on the line y = 0 of Z^2, which keeps every gcd. In d = 2 the line
+    phase (_line_phase) runs first and returns when it stops; when the
+    lines left cost more than the pairs, the pair loop (_pair_loop) takes
+    over, seeded with its best. In d >= 3 the pair loop runs from 0.
     """
-    n = len(pts)
     d = len(cols)
     if d == 1:
         pts = tuple((x, 0) for (x,) in pts)
-        cols = (cols[0], (0,) * n)
+        cols = (cols[0], (0,) * len(pts))
     xs = cols[0]
+    best = 0
     if d <= 2:
         best, hits, _ = _line_phase(xs, cols[1])
-        return (best, hits) if hits is not None else _row_loop(pts, xs, best)
-    best = 0
-    hits: list[tuple[int, int]] = []
-    rest = [p[2:] for p in pts]
-    for i in range(n - 1):
-        xi, yi = pts[i][0], pts[i][1]
-        ri = rest[i]
-        a = bisect_right(xs, xi, i + 1)
-        for j in chain(range(i + 1, a), range(bisect_left(xs, xi + best, a), n)):
-            pj = pts[j]
-            g = gcd(pj[0] - xi, pj[1] - yi)
-            if g and g < best:
-                continue
-            g = gcd(g, *map(sub, rest[j], ri))
-            if g >= best:
-                if g > best:
-                    best = g
-                    hits = [(i, j)]
-                else:
-                    hits.append((i, j))
-    return best, hits
+        if hits is not None:
+            return best, hits
+    return _pair_loop(pts, xs, best)
 
 
 def _rabinowitz_floor(n: int, d: int) -> int:

@@ -346,7 +346,7 @@ def sweep_diameter_oracle(P: Polygon2) -> DiameterReport:
     profile = dilation_profile(P)
     best, vectors = profile.best(1)
     directions = tuple(map(Direction, vectors))
-    halfplanes = profile.halfplanes
+    halfplanes = P.halfplanes()
     lines, reps = [], []
     for u in directions:
         anchor, pieces = profile.pieces(u.vec)
@@ -359,7 +359,7 @@ def sweep_diameter_oracle(P: Polygon2) -> DiameterReport:
                 if iv is not None and iv[1] - iv[0] + 1 == best:
                     found.append(LatticeLine(x0, u))
         found.sort(key=lambda line: line.base)
-        reps.append(clip_line(P, found[0], halfplanes))
+        reps.append(clip_line(P, found[0]))
         lines.extend(found)
     return DiameterReport(best - 1, tuple(lines), directions, tuple(reps))
 
@@ -608,7 +608,7 @@ def fit_quasipolynomial_oracle(P: Polygon2, k_max: int | None = None):
     evaluating it."""
     profile = dilation_profile(P)
     _, directions = profile.best(1)
-    _, q = longest_vertex_chord_oracle(profile.halfplanes, P.vertices, directions)
+    _, q = longest_vertex_chord_oracle(P.halfplanes(), P.vertices, directions)
     explicit = k_max is not None
     if explicit and k_max < 4 * q:
         raise FitError(

@@ -108,7 +108,7 @@ class TestDiam2d:
         assert body.startswith("<svg")
         assert body.rstrip().endswith("</svg>")
 
-    def test_failed_svg_leaves_no_file(self, quad_file, tmp_path, monkeypatch):
+    def test_failed_svg_leaves_no_file(self, quad_file, tmp_path, monkeypatch, capsys):
         def failing_render(P, report):
             raise BudgetError("picture too large")
 
@@ -124,14 +124,36 @@ class TestDiam2d:
             cli.run(["diam2d", quad_file, "--svg", str(svg_path)])
         assert sorted(os.listdir(tmp_path)) == ["input.json"]
         monkeypatch.undo()
+        capsys.readouterr()
 
         def failing_replace(src, dst):
             raise OSError("rename refused")
 
         monkeypatch.setattr(cli.os, "replace", failing_replace)
-        with pytest.raises(OSError, match="rename refused"):
-            cli.run(["diam2d", quad_file, "--svg", str(svg_path)])
+        assert cli.run(["diam2d", quad_file, "--svg", str(svg_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {svg_path}: rename refused\n"
         assert sorted(os.listdir(tmp_path)) == ["input.json"]
+
+    @pytest.mark.parametrize("target", ["missing", "directory"])
+    def test_unwritable_svg_path_exits_2(self, quad_file, tmp_path, target):
+        # as an unreadable input: one line on stderr, exit 2, nothing on
+        # stdout, and neither the target nor a temporary file left behind
+        if target == "missing":
+            svg_path = tmp_path / "missing" / "out.svg"
+            reason, left = "No such file or directory", ["input.json"]
+        else:
+            svg_path = tmp_path / "out.svg"
+            svg_path.mkdir()
+            reason, left = "Is a directory", ["input.json", "out.svg"]
+        done = run_module("latticediam", ["diam2d", quad_file, "--svg", str(svg_path)])
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == f"error: cannot write {svg_path}: {reason}\n"
+        assert sorted(os.listdir(tmp_path)) == left
+        if target == "directory":
+            assert os.listdir(svg_path) == []
 
     def test_huge_skew_triangle(self, tmp_path):
         # the local scan takes O(log) steps, so 10^12 levels finish at once

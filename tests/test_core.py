@@ -124,6 +124,22 @@ class TestPolygonGeometry:
         with pytest.raises(ValidationError):
             SQUARE.dilate(0)
 
+    def test_halfplanes_are_built_once_and_are_no_field(self):
+        # one outward (n, c) per edge, n the edge turned clockwise
+        assert SQUARE.halfplanes() == (
+            ((0, -2), 0), ((2, 0), 4), ((0, 2), 4), ((-2, 0), 0),
+        )
+        rng = random.Random(1704)
+        for _ in range(50):
+            P = random_polygon(rng)
+            assert P.halfplanes() is P.halfplanes()
+            for (n, c), (a, b) in zip(P.halfplanes(), P.edges(), strict=True):
+                assert n == (b[1] - a[1], a[0] - b[0]) and c == n[0] * a[0] + n[1] * a[1]
+            # equality, hashing and repr read the vertices alone
+            Q = Polygon2(P.vertices)
+            assert Q == P and hash(Q) == hash(P)
+            assert repr(P) == f"Polygon2(vertices={P.vertices!r})"
+
     def test_contains(self):
         assert SQUARE.contains((1, 1))
         assert SQUARE.contains((0, 2))
@@ -174,8 +190,8 @@ def scan_calls(monkeypatch) -> list:
     calls = []
     kernel = core._level_pieces
 
-    def recorded(vertices, halfplanes, u):
-        anchor, pieces = kernel(vertices, halfplanes, u)
+    def recorded(P, u):
+        anchor, pieces = kernel(P, u)
         calls.append((u, sum(hi + 1 - cut - lo for lo, hi, cut, *_ in pieces)))
         return anchor, pieces
 

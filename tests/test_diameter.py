@@ -584,7 +584,7 @@ def u_diameter_line(P: Polygon2, u) -> LatticeLine:
     d = u if isinstance(u, Direction) else Direction(u)
     halfplanes = P.halfplanes()
     num, den = longest_vertex_chord_oracle(halfplanes, P.vertices, (d.vec,))
-    levels = diameter._level_pieces(P.vertices, halfplanes, d.vec)
+    levels = diameter._level_pieces(P, d.vec)
     return LatticeLine(next(diameter._direction_sweep(levels, num // den + 1)), d)
 
 
@@ -739,7 +739,7 @@ def piece_windows(P: Polygon2, u: Direction, m: int) -> list[int]:
     """The levels of direction u whose chord through P is at least m: the
     union of the m chord windows of the level pieces, in sweep order."""
     levels = []
-    _, pieces = diameter._level_pieces(P.vertices, P.halfplanes(), u.vec)
+    _, pieces = diameter._level_pieces(P, u.vec)
     for piece in pieces:
         first, last = diameter._chord_clip(piece, 1, m)
         levels.extend(range(first, last + 1))
@@ -805,7 +805,7 @@ class TestLevelPieces:
             }
             for u in directions:
                 want = level_pieces_oracle(P.vertices, hps, u)
-                assert diameter._level_pieces(P.vertices, hps, u) == want, (P, u)
+                assert diameter._level_pieces(P, u) == want, (P, u)
                 cases += 1
         assert cases > 4000
 
@@ -814,12 +814,12 @@ class TestLevelPieces:
         # over the lattice width of P for that functional: 2, 4 and 2 here
         for P, u, width in ((SQUARE, (0, 1), 2), (SQUARE, (1, -1), 4),
                             (TRIANGLE, (1, 0), 2)):
-            _, pieces = diameter._level_pieces(P.vertices, P.halfplanes(), u)
+            _, pieces = diameter._level_pieces(P, u)
             assert pieces[-1][1] - pieces[0][0] == width
         rng = random.Random(1703)
         for P in polygons[::4]:
             u = Direction((rng.randint(-9, 9), rng.randint(1, 9))).vec
-            _, pieces = diameter._level_pieces(P.vertices, P.halfplanes(), u)
+            _, pieces = diameter._level_pieces(P, u)
             levels = sorted({u[0] * y - u[1] * x for x, y in P.vertices})
             assert [piece[0] for piece in pieces] == levels[:-1]
             assert [piece[1] for piece in pieces] == levels[1:]

@@ -222,7 +222,7 @@ def shell_one_cases():
             yield f"collinear {u}", pts
 
 
-def test_shell_one_lines_match_the_row_loop_and_naive():
+def test_shell_one_lines_match_the_pair_loop_and_naive():
     # a shell-one best over R / 2 returns before any modulus, and one at
     # most R / 2 starts the moduli at R // 2; both must give every pair
     ties = starts = pairs = lines = 0
@@ -232,7 +232,7 @@ def test_shell_one_lines_match_the_row_loop_and_naive():
         assert best == naive_best, name
         assert hits == sorted(hits), name
         assert [(pts[i], pts[j]) for i, j in hits] == naive_segs, name
-        row_best, row_hits = oracle._row_loop(pts, [x for x, _ in pts])
+        row_best, row_hits = oracle._pair_loop(pts, [x for x, _ in pts])
         assert (row_best, sorted(row_hits)) == (best, hits), name
         R = max(max(col) - min(col) for col in zip(*pts))
         directions = {Direction(tuple(b - a for a, b in zip(p, q))) for p, q in naive_segs}
@@ -299,7 +299,7 @@ def planar_cases():
 
 def test_line_phase_and_seeded_loop_match_naive():
     # every set either stops on lines, exact, or hands a lower bound to the
-    # row loop; the row loop is exact from any seed up to the maximum
+    # pair loop; the pair loop is exact from any seed up to the maximum
     ends = set()
     for name, pts in planar_cases():
         naive_best, naive_segs = naive_pair_oracle(PointSet(pts))
@@ -312,7 +312,7 @@ def test_line_phase_and_seeded_loop_match_naive():
             ends.add("handover")
             assert best <= naive_best, name
         for seed in {0, best, naive_best}:
-            got, rows = oracle._row_loop(pts, [x for x, _ in pts], seed)
+            got, rows = oracle._pair_loop(pts, [x for x, _ in pts], seed)
             assert got == naive_best, (name, seed)
             assert [(pts[i], pts[j]) for i, j in rows] == naive_segs, (name, seed)
         scanned = pair_scan(pts)
@@ -322,6 +322,43 @@ def test_line_phase_and_seeded_loop_match_naive():
             # _pair_scan reads a set of Z^1 as this copy on y = 0
             assert pair_scan(tuple((x,) for x, _ in pts)) == scanned, name
     assert ends == {"stop", "handover"}
+
+
+def spatial_cases():
+    """Seeded sets of Z^3 and Z^4 for the pair loop, named, lex-sorted:
+    boxes of spreads 2 to 2 * 10^4, sets with pairs equal in x and y, whose
+    gcd(dx, dy) is 0, and sets of a few long lines in noise."""
+    rng = random.Random("pair-loop")
+    for d in (3, 4):
+        for coord in (1, 3, 50, 10**4):
+            for n_hi in (5, 60):
+                yield f"box d={d} coord={coord}", random_point_set(rng, d, coord, 2, n_hi).points
+        for k in range(4):
+            pts = set(random_point_set(rng, d, 30, 3, 30).points)
+            for _ in range(rng.randint(1, 3)):
+                # every line of a direction (0, 0, ...) has gcd(dx, dy) = 0
+                u = [0, 0] if k % 2 else [rng.randint(-3, 3), rng.randint(-3, 3)]
+                u += [rng.randint(-3, 3) for _ in range(d - 2)]
+                if not any(u):
+                    u[-1] = 1
+                p = [rng.randint(-30, 30) for _ in range(d)]
+                ts = rng.sample(range(-40, 40), rng.randint(2, 8))
+                pts.update(tuple(c + t * e for c, e in zip(p, u)) for t in ts)
+            yield f"lines d={d} {'column' if k % 2 else 'skew'} {k}", tuple(sorted(pts))
+
+
+def test_pair_loop_in_three_and_four_dimensions_matches_naive():
+    # the one pair loop of every d >= 2 is exact from a seed of 0, a lower
+    # bound (the gcd of the first and last point) and the maximum
+    for name, pts in spatial_cases():
+        naive_best, naive_segs = naive_pair_oracle(PointSet(pts))
+        lower = gcd(*(b - a for a, b in zip(pts[0], pts[-1])))
+        assert 0 < lower <= naive_best, name
+        for seed in {0, lower, naive_best}:
+            got, rows = oracle._pair_loop(pts, [p[0] for p in pts], seed)
+            assert got == naive_best, (name, seed)
+            assert [(pts[i], pts[j]) for i, j in rows] == naive_segs, (name, seed)
+        assert pair_scan(pts) == oracle._pair_loop(pts, [p[0] for p in pts]), name
 
 
 def test_line_phase_stops_by_the_norm_bound():
@@ -341,7 +378,7 @@ def test_line_phase_stops_by_the_norm_bound():
     best, hits, steps = oracle._line_phase(*zip(*sorted(sparse)))
     assert hits is None
     # the probe stays within 1 / LINE_PROBE of the pairs, give or take a shell
-    assert oracle.LINE_COST * steps <= 2 * (100 * 99 // 2) // oracle.LINE_PROBE
+    assert steps <= 2 * (100 * 99 // 2) // oracle.LINE_PROBE
 
 
 def test_planar_budget_still_charges_the_pairs():
