@@ -1,6 +1,6 @@
 """Scaling ladders of the dilation counts, written as one JSON file.
 
-    PYTHONPATH=src python scripts/bench_dilation.py --out BENCH_28.json \
+    PYTHONPATH=src python scripts/bench_dilation.py --out BENCH_31.json \
         [--baseline OTHER_CHECKOUT/src]
 
 Rows:
@@ -27,9 +27,7 @@ Rows:
   level pieces mostly never reach the chord window.
   With --baseline, the same rows are timed on the package found in that
   directory, as the ladder below is, and each row holds them under
-  "baseline"; a package without counts, before the range kernel, is timed
-  on its per-k loop [count(k) for k in range(1, K + 1)]
-  ("kernel": "count loop");
+  "baseline";
 - fit_quasipolynomial on T_m = conv{(0,0),(m-1,1),(-1,m)} for m = 19, 61,
   113 and 229: period, valid_from and the best time;
 - chamber_decomposition(*demo_chamber()): q, w and the best time;
@@ -45,8 +43,7 @@ Rows:
   lines, with the cone picks the profile reads, ldiam, line count and
   fitted period of each.
   With --baseline, the same rows are timed on the package found in that
-  directory, and each row holds them under "baseline"; a package whose
-  _level_pieces takes (vertices, halfplanes, u) is called that way;
+  directory, and each row holds them under "baseline";
 - prune: dilation_profile(P) and compute_diameter(P), the best time of
   each, with the cones of P (its (edge, opposite vertex) pairs), the
   cones that take a descent ("visited") and those skipped, whose edge
@@ -154,20 +151,14 @@ def best_count_time(P: Polygon2, k: int, repeat: int) -> float:
 
 
 def best_warm_time(profile, ks, repeat: int) -> float:
-    """The best time of counting ks on profile, its kept counts dropped
-    before each call, after one warm-up call: counts(ks), or the per-k
-    count loop of a package without counts."""
-    if hasattr(profile, "counts"):
-        run = profile.counts
-    else:
-        def run(ks):
-            return [profile.count(k) for k in ks]
-    run(ks)
+    """The best time of counts(ks) on profile, its kept counts dropped
+    before each call, after one warm-up call."""
+    profile.counts(ks)
     best, runs, spent = float("inf"), 0, 0.0
     while runs < repeat or spent < MIN_SECONDS:
         profile._counts.clear()
         start = time.perf_counter()
-        run(ks)
+        profile.counts(ks)
         elapsed = time.perf_counter() - start
         best, runs, spent = min(best, elapsed), runs + 1, spent + elapsed
     return best
@@ -191,11 +182,9 @@ def range_count_rows() -> list[dict]:
     for row, P, K in windows:
         profile = dilation_profile(P)
         ks = range(1, K + 1)
-        ranged = hasattr(profile, "counts")
         row.update({
             "K": K,
-            "kernel": "counts" if ranged else "count loop",
-            "counts_sum": sum(profile.counts(ks) if ranged else map(profile.count, ks)),
+            "counts_sum": sum(profile.counts(ks)),
             "per_k_s": best_warm_time(profile, ks, REPEAT) / K,
         })
         rows.append(row)
@@ -306,9 +295,6 @@ def profile_ladder() -> list[dict]:
         report = compute_diameter(P)
         profile = dilation_profile(P)
         u = profile.best(1)[1][0]
-        # a package from before the polygon kept its halfplanes takes them
-        args = (P, u) if _level_pieces.__code__.co_argcount == 2 else (
-            P.vertices, P.halfplanes(), u)
         row.update({
             "vertices": len(P),
             "picks": picks(P),
@@ -318,7 +304,7 @@ def profile_ladder() -> list[dict]:
             "dilation_profile_s": best_time(lambda: dilation_profile(P), REPEAT),
             "compute_diameter_s": best_time(lambda: compute_diameter(P), REPEAT),
             "fit_quasipolynomial_s": best_time(lambda: fit_quasipolynomial(P), REPEAT),
-            "level_pieces_s": best_time(lambda: _level_pieces(*args), REPEAT),
+            "level_pieces_s": best_time(lambda: _level_pieces(P, u), REPEAT),
         })
         rows.append(row)
     return rows

@@ -118,23 +118,27 @@ def _cmd_diam2d(args: argparse.Namespace) -> int:
 
     P = polygon_from_document(load_document(args.input))
     report = compute_diameter(P)
-    if args.svg:
-        from .svg import check_dot_budget, render_diameter_svg
+    # refused over budget and formatted before any output, also when str() of
+    # an int past the interpreter's digit limit raises ValueError
+    try:
+        if args.svg:
+            from .svg import check_dot_budget, render_diameter_svg
 
-        check_dot_budget(P, args.budget)
-    # refused over budget before any output: no line printed, no file written
-    points = _polygon_points(P, args.budget) if args.verify else None
+            check_dot_budget(P, args.budget)
+        points = _polygon_points(P, args.budget) if args.verify else None
+        svg = render_diameter_svg(P, report) if args.svg else None
+        text = "\n".join([
+            f"ldiam={report.ldiam} directions={len(report.directions)} "
+            f"lines={len(report.lines)}",
+            *(f"direction={_fmt_coords(clip.line.dir.vec)} "
+              f"segment={_fmt_coords(clip.a)}->{_fmt_coords(clip.b)}"
+              for clip in report.representative_segments),
+        ])
+    except ValueError as exc:
+        raise ValidationError(f"a number is too long to print: {exc}") from None
     if args.svg:
-        _write_atomic(args.svg, render_diameter_svg(P, report))
-    print(
-        f"ldiam={report.ldiam} directions={len(report.directions)} "
-        f"lines={len(report.lines)}"
-    )
-    for clip in report.representative_segments:
-        print(
-            f"direction={_fmt_coords(clip.line.dir.vec)} "
-            f"segment={_fmt_coords(clip.a)}->{_fmt_coords(clip.b)}"
-        )
+        _write_atomic(args.svg, svg)
+    print(text)
     if args.verify:
         from .oracle import brute_force_diameter
 

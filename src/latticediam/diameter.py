@@ -32,11 +32,9 @@ the cones whose first pick reaches the top, capped at level J // top, so
 it follows only the picks at the top. So the best count and the diameter
 directions of kP are a max over those picks, and the dilation profile
 keeps it in one table, built in one pass over them: the longest chord of
-each direction whose longest chord has the top floor. They come from C*
-itself: floor(k C*) is the chord window, and a shorter chord of the table
-ties with C* only below its threshold K0, past which k (C* - c) >= 1, so
-from the largest K0 on the directions of C* alone reach it, for
-compute_diameter and the dilate counts alike.
+each direction whose longest chord has the top floor. The window comes from
+C* itself: floor(k C*) is the chord window of kP, and its diameter
+directions are those of the table whose chord c has floor(k c) equal to it.
 
 Per diameter direction, the vertex levels split the level range into
 pieces on which the upper and lower bounds U and L of the chord are single
@@ -54,12 +52,14 @@ The chord window of a piece at any k comes from three clip constants that
 do not depend on k, kept in the row too: the sweep clips each piece at
 (1, best - 1) (_chord_clip), and one kernel (_piece_counts) clips and
 counts a piece for a run of (k, m) pairs. A range of dilates is counted in
-one pass, which groups the ks by their diameter directions and passes, to
-each live piece of those directions, the pairs of the whole group that it
-admits: a piece whose longest chord c is below C* has an empty window once
-k (C* - c) >= 1, as with K0, so each piece keeps an integer bound K_p on
-the ks it can count, and a k costs O(live pieces), not O(n). A lone k is a
-range of one. The fit's period is the denominator of the longest chord
+one pass over the live pieces of every direction of the table, each handed
+the pairs (k, floor(k C*)) that it admits. A direction whose chord c has
+floor(k c) below the window needs no test of its own: every level of kP in
+that direction has a chord at most k c, so its pieces' windows are empty.
+A piece whose longest chord c is below C* has an empty window once
+k (C* - c) >= 1, so each piece keeps an integer bound K_p on the ks it can
+count, and a k costs O(live pieces), not O(n). A lone k is a range of
+one. The fit's period is the denominator of the longest chord
 of P, which the pass that builds the chord table keeps. All of
 it is integer arithmetic, and this module clips no line itself: the
 representative segments' clip_line goes through core.line_bounds. The
@@ -447,8 +447,8 @@ def _piece_counts(
     A level holds floor(U) + floor(-L) + 1 points, so a window of n levels
     from first holds sum floor(U) + sum floor(-L) + (1 - m) n points beyond
     m per level: two floor sums, or two floor divisions when n = 1. This is
-    the one count kernel, passed the pairs of a group of ks
-    (DilationProfile._count).
+    the one count kernel, passed the pairs of the ks that the piece's bound
+    admits (DilationProfile._count).
     """
     lo, hi, cut, A, titj, C, ti, nei, ci, ntj, nej, cj = piece
     for k, m in pairs:
@@ -519,24 +519,16 @@ class DilationProfile:
     denominator is the fit's period. C equals C*, the longest chord of P
     in any lattice direction: through kv, the line of C*
     holds floor(k C*) + 1 points of kP and no line of kP holds more, so the
-    chord window of kP is floor(k C*), and a shorter chord c of the table
-    reaches it only while k < K0(c) = ceil(1 / (C* - c)): from there on
-    k (C* - c) >= 1. So each k from the largest K0 on has the directions of
-    C* alone, and only the ks below it read the table (_directions); best(k)
-    and the counts take the window from there. The counts then sum the
-    closed-form level count of each diameter direction over its level
-    pieces, built once per direction, with the pieces outer and the ks that
-    share the directions inner, every k past the largest K0 in one group;
-    count(k) is counts((k,))[0]. Each count is kept.
+    chord window m of kP is floor(k C*), and the diameter directions of kP
+    are those of the table whose chord c has floor(k c) = m (best).
 
-    The same argument bounds each piece: its chord is linear in the level,
-    so its longest chord c is at one of its ends, and once k (C* - c) >= 1
-    its window is empty. So each piece of a direction gets, when the
-    direction's pieces are built, one integer bound K_p from its row and
-    C* (_live_pieces), and a group's pairs go only to the pieces whose K_p
-    reaches them: a k costs O(log) integer steps per piece live at k, not
-    per piece. On lattice_circle(20), 4 of the 1,022 pieces of its two C*
-    directions are live at any k.
+    The counts (_count) hand the pairs (k, floor(k C*)) to the level pieces
+    of every direction of the table: a direction whose chord c has
+    floor(k c) < m adds nothing at k, since every level of kP in that
+    direction has a chord at most k c < m, so its pieces' windows are
+    empty. Each piece is handed only the ks up to its bound K_p
+    (_live_pieces): on lattice_circle(20), 4 of its 1,022 pieces are live
+    at any k. count(k) is counts((k,))[0]. Each count is kept.
     """
 
     def __init__(self, P: Polygon2):
@@ -553,40 +545,20 @@ class DilationProfile:
                     longest = chord
         self._table = table
         self.longest_chord = longest
-        # the directions of C*, and the largest K0: from it on, no shorter
-        # chord of the table ties with C*
-        N, D = longest
-        self._longest_directions = tuple(d for d, chord in table.items() if chord == longest)
-        self._tie_bound = max(
-            (-(-D * den // (N * den - num * D))
-             for num, den in table.values() if (num, den) != longest),
-            default=0,
-        )
         self._pieces: dict[Point, tuple[Point, list[Piece]]] = {}
-        self._live: dict[Point, tuple[list[Piece], list[tuple[int, Piece]]]] = {}
+        self._live: tuple[list[Piece], list[tuple[int, Piece]]] | None = None
         self._counts: dict[int, int] = {}
 
-    def _directions(self, k: int) -> tuple[int, tuple[Point, ...]]:
-        """The chord window m = best - 1 of kP, floor(k C*), and the
-        directions of the table reaching it, in table order.
-
-        A table chord c = num/den shorter than C* = N/D falls below m once
-        k (C* - c) >= 1, that is from K0(c) = ceil(D den / (N den - num D))
-        on, since then k c <= k C* - 1. So every k from the largest K0 on
-        has the directions of C* alone, with no pass over the table."""
-        N, D = self.longest_chord
-        m = k * N // D
-        if k >= self._tie_bound:
-            return m, self._longest_directions
-        return m, tuple(d for d, (num, den) in self._table.items() if k * num // den == m)
-
     def best(self, k: int) -> tuple[int, list[Point]]:
-        """The best lattice count of a line through kP, and the sorted
-        primitive vectors of the directions attaining it (_directions)."""
+        """The best lattice count of a line through kP, m + 1 with
+        m = floor(k C*) its chord window, and the sorted primitive vectors
+        of the directions of the table reaching it: those whose chord c has
+        floor(k c) = m."""
         if not isinstance(k, int) or k < 1:
             raise ValidationError("dilation factor must be a positive int")
-        m, directions = self._directions(k)
-        return m + 1, sorted(directions)
+        N, D = self.longest_chord
+        m = k * N // D
+        return m + 1, sorted(d for d, (num, den) in self._table.items() if k * num // den == m)
 
     def pieces(self, u: Point) -> tuple[Point, list[Piece]]:
         """The level anchor of u and the level pieces of P in direction u
@@ -596,11 +568,11 @@ class DilationProfile:
             levels = self._pieces[u] = _level_pieces(self.polygon, u)
         return levels
 
-    def _live_pieces(self, u: Point) -> tuple[list[Piece], list[tuple[int, Piece]]]:
-        """The pieces of u whose chord window can be nonempty at some k:
-        those that reach it at every k, and (K_p, piece) for the others, by
-        decreasing K_p, the last k at which the piece's window can be
-        nonempty. Computed once.
+    def _live_pieces(self) -> tuple[list[Piece], list[tuple[int, Piece]]]:
+        """The level pieces of every direction of the table whose chord
+        window can be nonempty at some k: those that reach it at every k,
+        and (K_p, piece) for the others, by decreasing K_p, the last k at
+        which the piece's window can be nonempty. Computed once.
 
         With T = -ti * tj > 0, a window is nonempty only if
         A * e <= B = k C - m T, e the level of the piece's end where A * e
@@ -611,31 +583,32 @@ class DilationProfile:
         k s > b, with s = T N + D a1 and b = T (D - 1) - D a0. The piece's
         longest chord c, at that end, is -a1 / T <= C*, so s = T D (C* - c)
         >= 0. When s > 0 the window is empty past K_p = floor(b / s), and
-        b < T D gives K_p < 1 / (C* - c): the piece's own K0, in integers.
-        When s = 0 the piece reaches C*, and it is live at every k or, when
-        b < 0 (C* only at its open end), at none."""
-        live = self._live.get(u)
-        if live is None:
+        b < T D gives K_p < 1 / (C* - c). When s = 0 the piece reaches C*,
+        and it is live at every k or, when b < 0 (C* only at its open end),
+        at none. Every piece of a direction whose chord is below C* has
+        s > 0, so only pieces of C*'s directions can be live at every k."""
+        if self._live is None:
             N, D = self.longest_chord
             always: list[Piece] = []
             bounded: list[tuple[int, Piece]] = []
-            for piece in self.pieces(u)[1]:
-                lo, hi, cut, A, titj, C = piece[:6]
-                if A > 0:
-                    a1, a0 = A * lo - C, 0
-                elif A < 0:
-                    a1, a0 = A * hi - C, -A * cut
-                else:
-                    a1, a0 = -C, 0
-                s, b = D * a1 - titj * N, -titj * (D - 1) - D * a0
-                if s > 0:
-                    if b >= s:
-                        bounded.append((b // s, piece))
-                elif b >= 0:
-                    always.append(piece)
+            for d in self._table:
+                for piece in self.pieces(d)[1]:
+                    lo, hi, cut, A, titj, C = piece[:6]
+                    if A > 0:
+                        a1, a0 = A * lo - C, 0
+                    elif A < 0:
+                        a1, a0 = A * hi - C, -A * cut
+                    else:
+                        a1, a0 = -C, 0
+                    s, b = D * a1 - titj * N, -titj * (D - 1) - D * a0
+                    if s > 0:
+                        if b >= s:
+                            bounded.append((b // s, piece))
+                    elif b >= 0:
+                        always.append(piece)
             bounded.sort(reverse=True)
-            live = self._live[u] = always, bounded
-        return live
+            self._live = always, bounded
+        return self._live
 
     def count(self, k: int) -> int:
         """The number of lattice diameter lines of kP: counts((k,))[0]."""
@@ -660,29 +633,10 @@ class DilationProfile:
             cache.update(self._count(new))
         return list(map(cache.__getitem__, ks))
 
-    def _groups(self, ks: Sequence[int]) -> dict[tuple[Point, ...], list[tuple[int, int]]]:
-        """The (k, m) pairs of the increasing ks, m = best - 1 of kP,
-        grouped by the diameter directions of kP (_directions), each group
-        in increasing k. The ks from the largest K0 on all fall in the one
-        group of the directions of C*, with m = floor(k C*), built in one
-        pass with no _directions call."""
-        N, D = self.longest_chord
-        split = bisect_left(ks, self._tie_bound)
-        groups: dict[tuple[Point, ...], list[tuple[int, int]]] = {}
-        for k in ks[:split]:
-            m, directions = self._directions(k)
-            groups.setdefault(directions, []).append((k, m))
-        if split < len(ks):
-            groups.setdefault(self._longest_directions, []).extend(
-                [(k, k * N // D) for k in ks[split:]]
-            )
-        return groups
-
     def _count(self, ks: Collection[int]) -> dict[int, int]:
-        """The count kernel over distinct ks: per group of ks that share
-        their diameter directions (_groups), one pass over the live pieces
-        of each direction (_live_pieces), with the (k, m) pairs of the group
-        that each piece admits inside it: all of them, or, the pairs being
+        """The count kernel over distinct ks: one pass over the live pieces
+        (_live_pieces), each handed the (k, m) pairs, m = floor(k C*) the
+        chord window of kP, that it admits: all of them, or, the pairs being
         in increasing k, the slice up to its K_p, found by one bisection.
 
         Scaling P by k scales every level and every halfplane constant c by
@@ -692,24 +646,23 @@ class DilationProfile:
         level (_piece_counts). A piece past its K_p has an empty window, so
         a k costs O(log) integer steps per piece live at k, whatever the
         size of k, and not O(n): the pieces are sorted by K_p, and the pass
-        stops at the first one below the group's least k.
+        stops at the first one below the least k.
         """
         ks = sorted(ks)
+        N, D = self.longest_chord
+        pairs = [(k, k * N // D) for k in ks]
         totals = dict.fromkeys(ks, 0)
-        built = self._live
-        for directions, pairs in self._groups(ks).items():
-            first, last = pairs[0][0], pairs[-1][0]
-            for d in directions:
-                always, bounded = built.get(d) or self._live_pieces(d)
-                for piece in always:
-                    _piece_counts(piece, pairs, totals)
-                for K, piece in bounded:
-                    if K >= last:
-                        _piece_counts(piece, pairs, totals)
-                    elif K >= first:
-                        _piece_counts(piece, pairs[:bisect_left(pairs, (K + 1,))], totals)
-                    else:
-                        break
+        always, bounded = self._live_pieces()
+        for piece in always:
+            _piece_counts(piece, pairs, totals)
+        first, last = ks[0], ks[-1]
+        for K, piece in bounded:
+            if K >= last:
+                _piece_counts(piece, pairs, totals)
+            elif K >= first:
+                _piece_counts(piece, pairs[:bisect_left(pairs, (K + 1,))], totals)
+            else:
+                break
         return totals
 
 
@@ -717,8 +670,7 @@ def dilation_profile(P: Polygon2) -> DilationProfile:
     """The dilation profile of P: its chord table, built from the cone picks
     at the top floor of one local scan (_polygon_picks), the candidate lines
     of every dilate that can reach its best count. The profile takes the
-    window of each k from the longest chord C* and the tie bound K0
-    (DilationProfile)."""
+    window of each k from the longest chord C* (DilationProfile)."""
     return DilationProfile(P)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from itertools import chain
 from typing import TYPE_CHECKING, Sequence
 
@@ -41,6 +42,9 @@ KINDS = ("polygon", "point_set", "construction_request")
 _INTEGER = re.compile(r"-?[0-9]+")
 # the coordinate strings of whole rows, joined by commas
 _INTEGERS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
+# a decimal string with an exponent, in the grammar Fraction reads
+_SCIENTIFIC = re.compile(r"\s*[-+]?(?=\d|\.\d)\d*(?:_\d+)*(?:\.(?:\d+(?:_\d+)*)?)?"
+                         r"[eE]([-+]?\d+(?:_\d+)*)\s*")
 
 
 def encode_number(v: int | Fraction) -> str:
@@ -57,7 +61,8 @@ def decode_number(raw: object) -> int | Fraction:
 
     JSON ints and canonical integer strings (ASCII -?[0-9]+) decode to int;
     every other string goes through Fraction, which accepts and refuses
-    exactly what it always has.
+    exactly what it always has, except an exponent past the int digit
+    limit, refused before Fraction expands it.
     """
     if isinstance(raw, bool):
         raise ParseError(f"expected a number, got {raw!r}")
@@ -69,6 +74,10 @@ def decode_number(raw: object) -> int | Fraction:
                 return int(raw)
             from fractions import Fraction
 
+            scientific = _SCIENTIFIC.fullmatch(raw)
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+            if scientific and abs(int(scientific[1])) > limit:
+                raise ValueError("exponent too large")
             return Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad number {raw!r}: {exc}") from None
@@ -171,6 +180,8 @@ def parse_document(text: str) -> Document:
         raise ParseError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except (ValueError, RecursionError) as exc:  # an over-long int, deep nesting
+        raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise ParseError("document must be a JSON object")
     kind = payload.get("kind")
@@ -233,7 +244,7 @@ def load_document(path: str) -> Document:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     return parse_document(text)
 

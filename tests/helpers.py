@@ -553,10 +553,10 @@ def best_records_oracle(profile, k: int) -> tuple[int, list[tuple[int, int]]]:
 
 def window_oracle(profile, k: int) -> tuple[int, list[tuple[int, int]]]:
     """The window pass over the chord table that DilationProfile replaced
-    by its longest chord C* and tie bound K0, kept as its oracle: the chord
-    window m = best - 1 of kP, the largest floor(k c) over the chords c of
-    the table (-1 when it is empty), and the directions reaching it, in
-    table order."""
+    by its longest chord C*, kept as its oracle: the chord window
+    m = best - 1 of kP, the largest floor(k c) over the chords c of the
+    table (-1 when it is empty), and the directions reaching it, in table
+    order."""
     m, directions = -1, []
     for d, (num, den) in profile._table.items():
         chord = k * num // den
@@ -569,7 +569,9 @@ def window_oracle(profile, k: int) -> tuple[int, list[tuple[int, int]]]:
 
 def groups_oracle(profile, ks) -> dict[tuple[tuple[int, int], ...], list[tuple[int, int]]]:
     """The (k, m) pairs of the ks grouped by their diameter directions, each
-    window from window_oracle: the groups of DilationProfile._count."""
+    window from window_oracle: the groups that the count kernel passed to
+    the pieces of each group's directions before it read every direction's
+    pieces with one bound per piece."""
     groups: dict = {}
     for k in ks:
         m, directions = window_oracle(profile, k)
@@ -578,8 +580,8 @@ def groups_oracle(profile, ks) -> dict[tuple[tuple[int, int], ...], list[tuple[i
 
 
 def unpruned_counts(profile, ks) -> list[int]:
-    """The range kernel before the piece bound, kept as the reference of the
-    live pieces (DilationProfile._live_pieces): the pairs of each group of
+    """The range kernel before the piece bound, kept as the count oracle of
+    the live pieces (DilationProfile._live_pieces): the pairs of each group of
     the ks (groups_oracle), handed to every level piece of each of the
     group's directions, live or not. O(n) pieces per k."""
     totals = dict.fromkeys(ks, 0)

@@ -621,6 +621,50 @@ class TestTopLevel:
         assert cli.run(["diam2d", path]) == 3
         assert "error:" in capsys.readouterr().err
 
+    @staticmethod
+    def _refused(argv, code: int) -> str:
+        """The stderr of a subprocess run of argv that exits with code,
+        nothing on stdout and one error line on stderr."""
+        done = run_module("latticediam", argv, timeout=30)
+        assert (done.returncode, done.stdout) == (code, ""), done.stderr[-300:]
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        return done.stderr
+
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe")
+        assert "cannot read" in self._refused(["oracle", str(path)], 2)
+
+    def test_deeply_nested_json(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000)
+        assert "invalid JSON" in self._refused(["diam2d", str(path)], 2)
+
+    def test_exponent_past_the_digit_limit(self, tmp_path):
+        """Refused before Fraction builds 10**200000."""
+        doc = {"kind": "polygon", "dimension": 2,
+               "vertices": [["0", "0"], ["1e200000", "0"], ["0", "1"]]}
+        path = tmp_path / "exponent.json"
+        path.write_text(json.dumps(doc))
+        assert "exponent too large" in self._refused(["diam2d", str(path)], 2)
+
+    def test_json_integer_past_the_digit_limit(self, tmp_path):
+        path = tmp_path / "long-int.json"
+        path.write_text('{"kind": "polygon", "dimension": 2, "vertices": [[%s, 0]]}' % ("7" * 5000))
+        assert "invalid JSON" in self._refused(["oracle", str(path)], 2)
+
+    @pytest.mark.parametrize("svg", [False, True])
+    def test_an_answer_too_long_to_print(self, tmp_path, svg):
+        """The triangle (0,0), (a,1), (b,c) with 2,800-digit a, b and c: every
+        coordinate is accepted, but the ends of its segments pass the int
+        digit limit, so nothing is printed and no SVG is written."""
+        a, b, c = 10**2799 + 3, 2 * 10**2799 + 7, 3 * 10**2799 + 1
+        path = write_doc(tmp_path, document_for_polygon(Polygon2(((0, 0), (a, 1), (b, c)))))
+        picture = tmp_path / "out.svg"
+        argv = ["diam2d", path] + (["--svg", str(picture)] if svg else [])
+        assert "too long to print" in self._refused(argv, 3)
+        assert not picture.exists()
+
     def test_unknown_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             cli.run(["mystery"])

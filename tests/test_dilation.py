@@ -44,7 +44,6 @@ from helpers import (
     count_oracle,
     dilate_levels_oracle,
     fit_quasipolynomial_oracle,
-    groups_oracle,
     lattice_circle,
     opposite_pairs_oracle,
     plateau,
@@ -378,9 +377,10 @@ def triangle(m: int) -> Polygon2:
 
 
 class TestTieBound:
-    """The window of each k from the longest chord C* and the tie bound K0
-    (DilationProfile._directions), against the window pass over the chord
-    table that it replaced (helpers.window_oracle)."""
+    """The window of each k from the longest chord C* (DilationProfile.best),
+    against the window pass over the chord table (helpers.window_oracle),
+    and the tie bound K0 of helpers.tie_bound_oracle, past which C*'s
+    directions alone reach the window."""
 
     @pytest.fixture(scope="class")
     def polygons(self):
@@ -391,15 +391,14 @@ class TestTieBound:
                 + [triangle(m) for m in range(3, 40)])
 
     def test_windows_match_the_table_pass(self, polygons):
-        """best(k) and the groups of _count equal the table pass for every
-        k up to K0 + 2q and at two large ks, and from K0 on the table pass
-        finds the directions of C* alone."""
+        """best(k) equals the table pass for every k up to K0 + 2q and at
+        two large ks, and from K0 on the table pass finds the directions of
+        C* alone."""
         rng = random.Random(2302)
         ties = 0
         for P in polygons:
             profile = dilation_profile(P)
             K0, (N, D) = tie_bound_oracle(profile), profile.longest_chord
-            assert profile._tie_bound == K0, P
             top = [d for d, chord in profile._table.items() if chord == (N, D)]
             ks = [*range(1, K0 + 2 * D + 1)]
             ks += [10**6 + rng.randrange(D), 10**12 + rng.randrange(D)]
@@ -408,7 +407,6 @@ class TestTieBound:
                 assert profile.best(k) == (m + 1, sorted(directions)), (P, k)
                 if k >= K0:
                     assert directions == top, (P, k)
-            assert profile._groups(ks) == groups_oracle(profile, ks), P
             ties += K0 > 0
         assert ties > 50
 
@@ -435,9 +433,9 @@ class TestTieBound:
 
 
 class TestLivePieces:
-    """The count kernel hands each group of (k, m) pairs only to the level
-    pieces whose bound K_p admits them (DilationProfile._live_pieces): a
-    piece past its K_p has an empty chord window."""
+    """The count kernel hands the (k, m) pairs only to the level pieces
+    whose bound K_p admits them (DilationProfile._live_pieces): a piece past
+    its K_p has an empty chord window."""
 
     @pytest.fixture(scope="class")
     def polygons(self):
@@ -453,7 +451,7 @@ class TestLivePieces:
     def checked_ks(profile) -> list[int]:
         """k = 1 .. K0 + 2q + 5, then 10^6 + r and 10^12 + r for r < q."""
         _, q = profile.longest_chord
-        ks = [*range(1, profile._tie_bound + 2 * q + 6)]
+        ks = [*range(1, tie_bound_oracle(profile) + 2 * q + 6)]
         return ks + [base + r for base in (10**6, 10**12) for r in range(q)]
 
     def test_counts_match_the_unpruned_kernel(self, polygons):
@@ -462,9 +460,9 @@ class TestLivePieces:
             profile = dilation_profile(P)
             ks = self.checked_ks(profile)
             assert profile.counts(ks) == [count_oracle(profile, k) for k in ks], P
-            for d in profile._longest_directions:
-                always, bounded = profile._live_pieces(d)
-                pruned += len(profile.pieces(d)[1]) - len(always) - len(bounded)
+            always, bounded = profile._live_pieces()
+            pieces = sum(len(profile.pieces(d)[1]) for d in profile._table)
+            pruned += pieces - len(always) - len(bounded)
         assert pruned > 300
 
     def test_no_window_past_the_bound(self, polygons):
@@ -475,10 +473,10 @@ class TestLivePieces:
         for P in polygons:
             profile = dilation_profile(P)
             N, D = profile.longest_chord
+            always, bounded = profile._live_pieces()
+            bounds = {piece: K for K, piece in bounded}
+            assert [K for K, _ in bounded] == sorted(bounds.values(), reverse=True)
             for d in profile._table:
-                always, bounded = profile._live_pieces(d)
-                bounds = {piece: K for K, piece in bounded}
-                assert [K for K, _ in bounded] == sorted(bounds.values(), reverse=True)
                 for piece in profile.pieces(d)[1]:
                     if piece in always:
                         continue
@@ -503,7 +501,7 @@ class TestLivePieces:
         _, q = profile.longest_chord
         ks = range(1, 4 * q + 1)
         assert profile.counts(ks) == unpruned_counts(dilation_profile(triangle(19)), ks)
-        pieces = [p for d in profile._longest_directions for p in profile.pieces(d)[1]]
+        pieces = [p for d in profile._table for p in profile.pieces(d)[1]]
         assert len(pieces) == 6
         assert len(visited) == 3 and set(visited) < set(pieces)
 
@@ -527,8 +525,8 @@ class TestLivePieces:
         rows = done.stdout.splitlines()
         assert rows[0] == "k,count" and len(rows) == 200_001
         profile = dilation_profile(P)
-        live = [profile._live_pieces(d) for d in profile._longest_directions]
-        assert sum(len(always) + len(bounded) for always, bounded in live) == 4
+        always, bounded = profile._live_pieces()
+        assert len(always) + len(bounded) == 4
         ks = range(1, 20_001)
         want = unpruned_counts(profile, ks)
         assert rows[1:20_001] == [f"{k},{c}" for k, c in zip(ks, want)]

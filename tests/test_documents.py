@@ -51,7 +51,10 @@ class TestNumberCodec:
     @pytest.mark.parametrize(
         "raw",
         ["5", "-12", " 5", "+5", "05", "-0", "5_0", "٥", "²", "0x5", "1/0",
-         "17/3", "5\n", "-", "", "9" * 5000],
+         "17/3", "5\n", "-", "", "9" * 5000,
+         # exponents up to the int digit limit, and malformed ones
+         "1e5", "-2.5E+10", " .5e-3 ", "1_0e1_0", "1.e3", "٣e2", "1e4300", "1e-4300",
+         "1e", "e5", "1e_5", "x1e99999", "1/2e3", "1e" + "9" * 5000],
     )
     def test_integer_fast_path_decodes_as_fraction_did(self, raw):
         # canonical integer strings skip Fraction; nothing else may change
@@ -63,6 +66,11 @@ class TestNumberCodec:
             assert str(got.value) == f"bad number {raw!r}: {exc}"
         else:
             assert decode_number(raw) == want
+
+    @pytest.mark.parametrize("raw", ["1e4301", "-1E-4301", " 2.5e1_000_000 ", "1e99999999999"])
+    def test_exponents_past_the_digit_limit_are_refused(self, raw):
+        with pytest.raises(ParseError, match="exponent too large"):
+            decode_number(raw)
 
     @given(st.fractions())
     @settings(max_examples=100, deadline=None)
